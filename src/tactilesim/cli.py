@@ -43,7 +43,6 @@ from tactilesim.pipeline import (
     run_pipeline,
     speedup_report,
     summary_report,
-    summary_to_json,
     write_trace_csv,
 )
 
@@ -334,7 +333,7 @@ def cmd_run(args) -> int:
     )
     report["traces"] = [p.name for p in written]
     summary_path = out / f"{scenario.output_prefix}_summary.json"
-    summary_path.write_text(summary_to_json(report) + "\n")
+    summary_path.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {', '.join(str(p) for p in written)} and {summary_path}")
     return 0
 
@@ -352,7 +351,11 @@ def cmd_latency(args) -> int:
         if not isinstance(raw, dict) or not raw:
             print("error: targets must be a non-empty JSON object", file=sys.stderr)
             return 1
-        targets = {str(k): float(v) for k, v in raw.items()}
+        try:
+            targets = {str(k): float(v) for k, v in raw.items()}
+        except (TypeError, ValueError) as exc:
+            print(f"error: targets must map module names to numbers: {exc}", file=sys.stderr)
+            return 1
     try:
         result = calibrate(targets)
     except CalibrationDegenerate as exc:

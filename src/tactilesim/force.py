@@ -1,5 +1,8 @@
 """Jacobian matrix, kinesthetic feedback torque (tau = J^T F) and the
-spring-law contact force of the slave-side force synthesis."""
+spring-law contact force of the slave-side force synthesis.
+
+The hybrid modules are ``_*_circuit`` functions, as in ``tactilesim.kinematics``.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from tactilesim import kinematics
 from tactilesim.kinematics import (
     DEFAULT_GEOMETRY,
     Backend,
@@ -16,7 +20,6 @@ from tactilesim.kinematics import (
     Hybrid,
     JointAngles,
     ORACLE,
-    _geometry_f32,
 )
 from tactilesim.numerics import tfb_sincos
 
@@ -108,6 +111,14 @@ class Elasticity:
         return (self.hx, self.hy, self.hz)
 
 
+class _Float32(kinematics._Float32):
+    """The hybrid datapath policy with the Jacobian's TFBs called through
+    this module's ``tfb_sincos``, which the benchmark's traced run spans."""
+
+    def sincos(self, angle):
+        return tfb_sincos(angle, self.cfg)
+
+
 def jacobian(
     q: JointAngles,
     g: DeviceGeometry = DEFAULT_GEOMETRY,
@@ -118,7 +129,10 @@ def jacobian(
     J21 is emitted as constant zero with no computation, as in the hardware.
     """
     if isinstance(backend, Hybrid):
-        return _jacobian_hybrid(q, g, backend.cordic)
+        j11, j12, j13, j22, j23, j31, j32, j33 = map(
+            float, _jacobian_circuit(_Float32(g, backend.cordic), q.as_tuple())
+        )
+        return JacobianMatrix(j11, j12, j13, 0.0, j22, j23, j31, j32, j33)
     s1, c1 = math.sin(q.theta1), math.cos(q.theta1)
     s2, c2 = math.sin(q.theta2), math.cos(q.theta2)
     s3, c3 = math.sin(q.theta3), math.cos(q.theta3)
@@ -136,32 +150,37 @@ def jacobian(
     )
 
 
-def _jacobian_hybrid(q: JointAngles, g: DeviceGeometry, cfg) -> JacobianMatrix:
-    l1, l2, _l3, _l4 = _geometry_f32(g)
-    s1, c1 = tfb_sincos(q.theta1, cfg)
-    s2, c2 = tfb_sincos(q.theta2, cfg)
-    s3, c3 = tfb_sincos(q.theta3, cfg)
-    # One circuit per entry; products associate length-constant first, then the
-    # remaining trig factors left to right.
-    j11 = -(c1 * (l2 * s3 + l1 * c2))
-    j12 = l1 * (s1 * s2)
-    j13 = -(l2 * (s1 * c3))
-    j22 = l1 * c2
-    j23 = l2 * s3
-    j31 = -(((l1 * c2) * s1) + ((l2 * s3) * s1))
-    j32 = -(l1 * (s2 * c1))
-    j33 = l2 * (c3 * c1)
-    return JacobianMatrix(
-        j11=float(j11),
-        j12=float(j12),
-        j13=float(j13),
-        j21=0.0,
-        j22=float(j22),
-        j23=float(j23),
-        j31=float(j31),
-        j32=float(j32),
-        j33=float(j33),
-    )
+def _jacobian_circuit(p, theta):
+    """One circuit per nonzero entry, returned in row order without J21.
+    Products associate length-constant first, then the remaining trig factors
+    left to right."""
+    s1, c1 = p.sincos(theta[0])
+    s2, c2 = p.sincos(theta[1])
+    s3, c3 = p.sincos(theta[2])
+    j11 = -(c1 * (p.l2 * s3 + p.l1 * c2))
+    j12 = p.l1 * (s1 * s2)
+    j13 = -(p.l2 * (s1 * c3))
+    j22 = p.l1 * c2
+    j23 = p.l2 * s3
+    j31 = -(((p.l1 * c2) * s1) + ((p.l2 * s3) * s1))
+    j32 = -(p.l1 * (s2 * c1))
+    j33 = p.l2 * (c3 * c1)
+    return j11, j12, j13, j22, j23, j31, j32, j33
+
+
+def _torque_circuit(j, f):
+    """tau = J^T F over the entries of ``_jacobian_circuit``."""
+    j11, j12, j13, j22, j23, j31, j32, j33 = j
+    fx, fy, fz = f
+    tau1 = (j11 * fx) + (j31 * fz)
+    tau2 = ((j12 * fx) + (j22 * fy)) + (j32 * fz)
+    tau3 = ((j13 * fx) + (j23 * fy)) + (j33 * fz)
+    return tau1, tau2, tau3
+
+
+def _fbf_circuit(obj, env, h):
+    """Per axis, a subtractor and a multiplier: h_i * (obj_i - env_i)."""
+    return [hi * (o - e) for o, e, hi in zip(obj, env, h)]
 
 
 def kinesthetic_feedback(
@@ -177,12 +196,9 @@ def kinesthetic_feedback(
     """
     jm = jacobian(q, g, backend)
     if isinstance(backend, Hybrid):
-        fx, fy, fz = np.float32(f.fx), np.float32(f.fy), np.float32(f.fz)
-        j = {k: np.float32(v) for k, v in vars(jm).items()}
-        tau1 = (j["j11"] * fx) + (j["j31"] * fz)
-        tau2 = ((j["j12"] * fx) + (j["j22"] * fy)) + (j["j32"] * fz)
-        tau3 = ((j["j13"] * fx) + (j["j23"] * fy)) + (j["j33"] * fz)
-        return TorqueVector(float(tau1), float(tau2), float(tau3))
+        j = (jm.j11, jm.j12, jm.j13, jm.j22, jm.j23, jm.j31, jm.j32, jm.j33)
+        tau = _torque_circuit(map(np.float32, j), map(np.float32, f.as_tuple()))
+        return TorqueVector(*map(float, tau))
     tau1 = jm.j11 * f.fx + jm.j31 * f.fz
     tau2 = (jm.j12 * f.fx + jm.j22 * f.fy) + jm.j32 * f.fz
     tau3 = (jm.j13 * f.fx + jm.j23 * f.fy) + jm.j33 * f.fz
@@ -197,11 +213,11 @@ def feedback_force(
 ) -> ForceVector:
     """Spring-law contact force, per axis: h_i * (obj_i - env_i)."""
     if isinstance(backend, Hybrid):
-        hx, hy, hz = np.float32(h.hx), np.float32(h.hy), np.float32(h.hz)
-        fx = hx * (np.float32(obj.x) - np.float32(env.x))
-        fy = hy * (np.float32(obj.y) - np.float32(env.y))
-        fz = hz * (np.float32(obj.z) - np.float32(env.z))
-        return ForceVector(float(fx), float(fy), float(fz))
+        f32 = np.float32
+        f = _fbf_circuit(
+            map(f32, obj.as_tuple()), map(f32, env.as_tuple()), map(f32, h.as_tuple())
+        )
+        return ForceVector(*map(float, f))
     return ForceVector(
         h.hx * (obj.x - env.x),
         h.hy * (obj.y - env.y),

@@ -7,6 +7,14 @@ Every operation runs on one of two interchangeable backends:
 * ``Hybrid``  - float32 arithmetic with fixed-point CORDIC trigonometry,
   matching the structure of the hardware circuits (TFB per trig term,
   float32 multipliers/adders, float32 geometry constants).
+
+The hybrid modules are written once, as circuit functions (``_fk_circuit``,
+``_ik_circuit``) over an arithmetic policy: the float32/CORDIC policy here
+computes the numbers, and the recorder in ``tactilesim.latency_model`` runs
+the same functions to build the latency DAGs.  A policy supplies the geometry
+constants ``l1``..``l4``, ``const``, ``sincos``, ``atan2``, ``acos``,
+``sqrt`` and ``reach``; ``+ - * /`` and unary minus are the operators of its
+values.
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ __all__ = [
     "Oracle",
     "Hybrid",
     "ORACLE",
-    "HYBRID",
     "DEFAULT_GEOMETRY",
     "EPS_REACH",
     "forward_kinematics",
@@ -141,7 +148,33 @@ class Hybrid(Backend):
 
 
 ORACLE = Oracle()
-HYBRID = Hybrid()
+
+
+class _Float32:
+    """Arithmetic policy of the hybrid datapath: float32 constants and
+    operators, a CORDIC TFB per trig function."""
+
+    const = staticmethod(np.float32)
+    sqrt = staticmethod(sqrt32)
+
+    def __init__(self, g: DeviceGeometry, cfg: CordicConfig):
+        self.l1, self.l2, self.l3, self.l4 = _geometry_f32(g)
+        self.cfg = cfg
+
+    def sincos(self, angle):
+        return tfb_sincos(angle, self.cfg)
+
+    def atan2(self, y, x):
+        return tfb_atan2(y, x, self.cfg)
+
+    def acos(self, arg, what: str):
+        return tfb_acos(_acos_arg_check(float(arg), what), self.cfg)
+
+    def reach(self, r):
+        """The full reach ``r``, which must be nonzero."""
+        if r == 0.0:
+            raise Unreachable("tool position coincides with the shoulder center (r = 0)")
+        return r
 
 
 def forward_kinematics(
@@ -156,7 +189,8 @@ def forward_kinematics(
     z =  L2 cos(t1) sin(t3) + L1 cos(t1) cos(t2) - L4
     """
     if isinstance(backend, Hybrid):
-        return _fk_hybrid(q, g, backend.cordic)
+        x, y, z = _fk_circuit(_Float32(g, backend.cordic), q.as_tuple())
+        return CartesianPosition(float(x), float(y), float(z))
     s1, c1 = math.sin(q.theta1), math.cos(q.theta1)
     s2, c2 = math.sin(q.theta2), math.cos(q.theta2)
     s3, c3 = math.sin(q.theta3), math.cos(q.theta3)
@@ -166,20 +200,22 @@ def forward_kinematics(
     return CartesianPosition(x, y, z)
 
 
-def _fk_hybrid(q: JointAngles, g: DeviceGeometry, cfg: CordicConfig) -> CartesianPosition:
-    l1, l2, l3, l4 = _geometry_f32(g)
-    s1, c1 = tfb_sincos(q.theta1, cfg)
-    s2, c2 = tfb_sincos(q.theta2, cfg)
-    s3, c3 = tfb_sincos(q.theta3, cfg)
-    # Per-coordinate circuits; every product and sum is a float32 operation.
-    x = -(s1 * (l2 * s3 + l1 * c2))
-    y = (-(l2 * c3) + l1 * s2) + l3
-    z = (l2 * (c1 * s3) + l1 * (c1 * c2)) + (-l4)
-    return CartesianPosition(float(x), float(y), float(z))
+def _fk_circuit(p, theta):
+    """FK circuit: one TFB per joint angle, then a circuit per coordinate.
+    The angles enter the TFBs unrounded (F2FP quantizes them directly)."""
+    s1, c1 = p.sincos(theta[0])
+    s2, c2 = p.sincos(theta[1])
+    s3, c3 = p.sincos(theta[2])
+    x = -(s1 * (p.l2 * s3 + p.l1 * c2))
+    y = (-(p.l2 * c3) + p.l1 * s2) + p.l3
+    z = (p.l2 * (c1 * s3) + p.l1 * (c1 * c2)) + (-p.l4)
+    return x, y, z
 
 
 def _acos_arg_check(arg: float, what: str, sample_index: int | None = None) -> float:
-    if abs(arg) > 1.0 + EPS_REACH:
+    # NaN fails the test too: it arises only when r overflows, and must raise
+    # here rather than reach a TFB.
+    if not abs(arg) <= 1.0 + EPS_REACH:
         raise Unreachable(
             f"{what} operand {arg!r} outside [-1, 1]: position not reachable",
             sample_index,
@@ -204,36 +240,37 @@ def _ik_oracle(p: CartesianPosition, g: DeviceGeometry) -> tuple[float, IkInterm
     return theta1, IkIntermediates(big_r, r, gamma, beta, alpha)
 
 
-def _ik_hybrid(
-    p: CartesianPosition, g: DeviceGeometry, cfg: CordicConfig
-) -> tuple[float, IkIntermediates]:
-    l1, l2, l3, l4 = _geometry_f32(g)
-    x = np.float32(p.x)
-    y = np.float32(p.y)
-    z = np.float32(p.z)
-
+def _ik_circuit(p, pos):
+    """IK circuit in three stages; returns the joint angles and the
+    intermediates (R, r, gamma, beta, alpha)."""
+    x, y, z = pos
     # First stage: theta1, R and r in parallel.
-    zz = z + l4
-    theta1 = -tfb_atan2(x, zz, cfg)
+    zz = z + p.l4
+    theta1 = -p.atan2(x, zz)
     sum_xz = x * x + zz * zz
-    big_r = sqrt32(sum_xz)
-    yy = y - l3
-    r = sqrt32(sum_xz + yy * yy)
-    if r == 0.0:
-        raise Unreachable("tool position coincides with the shoulder center (r = 0)")
+    big_r = p.sqrt(sum_xz)
+    # The hardware negates L3 and r^2 and adds: in float32, a + (-b) == a - b.
+    yy = y + (-p.l3)
+    r = p.reach(p.sqrt(sum_xz + yy * yy))
 
     # Second stage: gamma, beta and alpha in parallel.
     r_sq = r * r
-    g_arg = ((l1 * l1 - l2 * l2) + r_sq) / (np.float32(2.0) * (l1 * r))
-    a_arg = ((l1 * l1 + l2 * l2) - r_sq) / (np.float32(2.0) * (l1 * l2))
-    g_arg = _acos_arg_check(float(g_arg), "gamma")
-    a_arg = _acos_arg_check(float(a_arg), "alpha")
-    gamma = tfb_acos(g_arg, cfg)
-    beta = tfb_atan2(yy, big_r, cfg)
-    alpha = tfb_acos(a_arg, cfg)
-    return float(theta1), IkIntermediates(
-        float(big_r), float(r), float(gamma), float(beta), float(alpha)
-    )
+    # The gamma and alpha circuits each square the link lengths themselves.
+    two = p.const(2.0)
+    g_num = (p.l1 * p.l1 - p.l2 * p.l2) + r_sq
+    gamma = p.acos(g_num / (two * (p.l1 * r)), "gamma")
+    beta = p.atan2(yy, big_r)
+    a_num = (p.l1 * p.l1 + p.l2 * p.l2) + (-r_sq)
+    alpha = p.acos(a_num / (two * (p.l1 * p.l2)), "alpha")
+
+    # Third stage: theta2 and theta3.
+    theta2 = gamma + beta
+    theta3 = (theta2 + alpha) + p.const(-math.pi / 2.0)
+    return (theta1, theta2, theta3), (big_r, r, gamma, beta, alpha)
+
+
+def _ik_hybrid(p: CartesianPosition, g: DeviceGeometry, cfg: CordicConfig):
+    return _ik_circuit(_Float32(g, cfg), tuple(map(np.float32, p.as_tuple())))
 
 
 def ik_intermediates(
@@ -243,7 +280,7 @@ def ik_intermediates(
 ) -> IkIntermediates:
     """R, r, gamma, beta, alpha of the inverse solution for ``p``."""
     if isinstance(backend, Hybrid):
-        return _ik_hybrid(p, g, backend.cordic)[1]
+        return IkIntermediates(*map(float, _ik_hybrid(p, g, backend.cordic)[1]))
     return _ik_oracle(p, g)[1]
 
 
@@ -259,13 +296,7 @@ def inverse_kinematics(
     operands leave [-1, 1] by more than ``EPS_REACH``.
     """
     if isinstance(backend, Hybrid):
-        theta1, inter = _ik_hybrid(p, g, backend.cordic)
-        g32 = np.float32(inter.gamma)
-        b32 = np.float32(inter.beta)
-        a32 = np.float32(inter.alpha)
-        theta2 = g32 + b32
-        theta3 = (theta2 + a32) + np.float32(-math.pi / 2.0)
-        return JointAngles(theta1, float(theta2), float(theta3))
+        return JointAngles(*map(float, _ik_hybrid(p, g, backend.cordic)[0]))
     theta1, inter = _ik_oracle(p, g)
     theta2 = inter.gamma + inter.beta
     theta3 = theta2 + inter.alpha - math.pi / 2.0

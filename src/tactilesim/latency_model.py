@@ -2,19 +2,27 @@
 
 Each module (FK, IK, KFF, FBF) is described as a DAG of primitive operators
 (adders, multipliers, dividers, trig blocks, square root, format converters).
-The module latency is the longest latency-weighted input-to-output path; the
-per-operator latencies come from a table that can be calibrated against
-measured module sample periods.
+The DAGs are not written by hand: they are recorded by running the hybrid
+datapath's own circuit functions (``tactilesim.kinematics``,
+``tactilesim.force``) on a policy whose values are graph nodes, so the
+datapath and its latency model cannot drift apart.  The module latency is
+the longest latency-weighted input-to-output path; the per-operator latencies
+come from a table that can be calibrated against measured module sample
+periods.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import linprog
+
+from tactilesim.force import _fbf_circuit, _jacobian_circuit, _torque_circuit
+from tactilesim.kinematics import _fk_circuit, _ik_circuit
 
 __all__ = [
     "CyclicGraph",
@@ -206,219 +214,108 @@ def critical_path_nodes(g: DataflowGraph, t: OpLatencyTable) -> list[str]:
     return path
 
 
-class _GraphBuilder:
-    def __init__(self, name: str, inputs: tuple[str, ...]):
+def _operator(kind: str):
+    return lambda *operands: operands[0].rec.node(kind, *operands)
+
+
+class _Signal:
+    """A value in a recorded circuit: the node or input terminal producing it,
+    or ``None`` for a constant.  Every operator becomes a node, also one on
+    constants alone (``l1 * l1``), which is then a path source.  Subtraction
+    runs on an adder."""
+
+    # numpy scalars defer to the reflected operators instead of wrapping.
+    __array_ufunc__ = None
+    __slots__ = ("rec", "src")
+    __add__ = __radd__ = __sub__ = __rsub__ = _operator("add")
+    __mul__ = __rmul__ = _operator("mul")
+    __truediv__ = _operator("div")
+    __neg__ = _operator("negate")
+
+    def __init__(self, rec: "_Recorder", src: str | None):
+        self.rec = rec
+        self.src = src
+
+
+class _Recorder:
+    """Arithmetic policy of the circuit functions that records their
+    operators as a DataflowGraph.  A TFB is an F2FP per operand, the trig
+    core and one FP2F; sincos delivers sine and cosine from one TFB."""
+
+    def __init__(self, name: str):
         self.name = name
-        self.inputs = inputs
+        self.inputs: list[str] = []
         self.nodes: dict[str, str] = {}
         self.edges: list[tuple[str, str]] = []
-        self.outputs: list[str] = []
+        self.l1 = self.l2 = self.l3 = self.l4 = _Signal(self, None)
 
-    def node(self, nid: str, kind: str, *srcs: str) -> str:
+    def terminals(self, *names: str) -> list[_Signal]:
+        self.inputs.extend(names)
+        return [_Signal(self, n) for n in names]
+
+    def node(self, kind: str, *operands) -> _Signal:
+        nid = f"{kind}{len(self.nodes)}"
         self.nodes[nid] = kind
-        for s in srcs:
-            self.edges.append((s, nid))
-        return nid
+        for x in operands:
+            src = getattr(x, "src", None)
+            if src is not None:
+                self.edges.append((src, nid))
+        return _Signal(self, nid)
 
-    def tfb(self, prefix: str, kind: str, *srcs: str) -> str:
-        """F2FP conversion per operand, the trig core, FP2F on the result."""
-        conv = [self.node(f"{prefix}_f2fp{i}", "f2fp", s) for i, s in enumerate(srcs)]
-        core = self.node(f"{prefix}_core", kind, *conv)
-        return self.node(f"{prefix}_fp2f", "fp2f", core)
+    def const(self, value) -> _Signal:
+        return _Signal(self, None)
 
-    def output(self, nid: str) -> None:
-        self.outputs.append(nid)
+    def _tfb(self, kind: str, *operands) -> _Signal:
+        core = self.node(kind, *(self.node("f2fp", x) for x in operands))
+        return self.node("fp2f", core)
 
-    def build(self) -> DataflowGraph:
+    def sincos(self, angle) -> tuple[_Signal, _Signal]:
+        out = self._tfb("tfb_sincos", angle)
+        return out, out
+
+    def atan2(self, y, x) -> _Signal:
+        return self._tfb("tfb_atan2", y, x)
+
+    def acos(self, arg, what: str) -> _Signal:
+        return self._tfb("tfb_acos", arg)
+
+    def sqrt(self, x) -> _Signal:
+        return self.node("sqrt", x)
+
+    def reach(self, r: _Signal) -> _Signal:
+        return r
+
+    def graph(self, outputs) -> DataflowGraph:
         return DataflowGraph(
             name=self.name,
             nodes=self.nodes,
             edges=tuple(self.edges),
-            inputs=self.inputs,
-            outputs=tuple(self.outputs),
+            inputs=tuple(self.inputs),
+            outputs=tuple(o.src for o in outputs),
         )
 
 
-def _fk_graph() -> DataflowGraph:
-    b = _GraphBuilder("FK", ("th1", "th2", "th3"))
-    # x = -(sin t1 (L2 sin t3 + L1 cos t2)); one TFB per trig term.
-    s1 = b.tfb("x_s1", "tfb_sincos", "th1")
-    s3 = b.tfb("x_s3", "tfb_sincos", "th3")
-    c2 = b.tfb("x_c2", "tfb_sincos", "th2")
-    m1 = b.node("x_mul_l2s3", "mul", s3)
-    m2 = b.node("x_mul_l1c2", "mul", c2)
-    a1 = b.node("x_add", "add", m1, m2)
-    m3 = b.node("x_mul_s1", "mul", s1, a1)
-    b.output(b.node("x_neg", "negate", m3))
-    # y = -(L2 cos t3) + L1 sin t2 + L3
-    c3 = b.tfb("y_c3", "tfb_sincos", "th3")
-    s2 = b.tfb("y_s2", "tfb_sincos", "th2")
-    m4 = b.node("y_mul_l2c3", "mul", c3)
-    n1 = b.node("y_neg", "negate", m4)
-    m5 = b.node("y_mul_l1s2", "mul", s2)
-    a2 = b.node("y_add1", "add", n1, m5)
-    b.output(b.node("y_add_l3", "add", a2))
-    # z = L2 cos t1 sin t3 + L1 cos t1 cos t2 - L4
-    c1 = b.tfb("z_c1", "tfb_sincos", "th1")
-    zs3 = b.tfb("z_s3", "tfb_sincos", "th3")
-    zc2 = b.tfb("z_c2", "tfb_sincos", "th2")
-    m6 = b.node("z_mul_c1s3", "mul", c1, zs3)
-    m7 = b.node("z_mul_l2", "mul", m6)
-    m8 = b.node("z_mul_c1c2", "mul", c1, zc2)
-    m9 = b.node("z_mul_l1", "mul", m8)
-    a3 = b.node("z_add1", "add", m7, m9)
-    n2 = b.node("z_neg_l4", "negate")
-    b.output(b.node("z_add_l4", "add", a3, n2))
-    return b.build()
-
-
-def _ik_graph() -> DataflowGraph:
-    b = _GraphBuilder("IK", ("x", "y", "z"))
-    # Stage 1: theta1, R and r in parallel.
-    a_zl4 = b.node("t1_add_zl4", "add", "z")
-    t1 = b.tfb("t1_atan", "tfb_atan2", "x", a_zl4)
-    b.output(b.node("t1_neg", "negate", t1))
-
-    r_xsq = b.node("R_mul_xsq", "mul", "x")
-    r_zl4 = b.node("R_add_zl4", "add", "z")
-    r_zsq = b.node("R_mul_zsq", "mul", r_zl4)
-    r_sum = b.node("R_add", "add", r_xsq, r_zsq)
-    big_r = b.node("R_sqrt", "sqrt", r_sum)
-
-    s_xsq = b.node("r_mul_xsq", "mul", "x")
-    s_zl4 = b.node("r_add_zl4", "add", "z")
-    s_zsq = b.node("r_mul_zsq", "mul", s_zl4)
-    s_nl3 = b.node("r_neg_l3", "negate")
-    s_yl3 = b.node("r_add_yl3", "add", "y", s_nl3)
-    s_ysq = b.node("r_mul_ysq", "mul", s_yl3)
-    s_a1 = b.node("r_add1", "add", s_xsq, s_zsq)
-    s_a2 = b.node("r_add2", "add", s_a1, s_ysq)
-    lr = b.node("r_sqrt", "sqrt", s_a2)
-
-    # Stage 2: gamma, beta, alpha in parallel.
-    g_l1sq = b.node("g_mul_l1sq", "mul")
-    g_l2sq = b.node("g_mul_l2sq", "mul")
-    g_c = b.node("g_add_const", "add", g_l1sq, g_l2sq)
-    g_rsq = b.node("g_mul_rsq", "mul", lr)
-    g_num = b.node("g_add_num", "add", g_c, g_rsq)
-    g_d1 = b.node("g_mul_l1r", "mul", lr)
-    g_d2 = b.node("g_mul_2", "mul", g_d1)
-    g_div = b.node("g_div", "div", g_num, g_d2)
-    gamma = b.tfb("g_acos", "tfb_acos", g_div)
-
-    b_nl3 = b.node("b_neg_l3", "negate")
-    b_y = b.node("b_add_yl3", "add", "y", b_nl3)
-    beta = b.tfb("b_atan", "tfb_atan2", b_y, big_r)
-
-    a_l1sq = b.node("a_mul_l1sq", "mul")
-    a_l2sq = b.node("a_mul_l2sq", "mul")
-    a_c = b.node("a_add_const", "add", a_l1sq, a_l2sq)
-    a_rsq = b.node("a_mul_rsq", "mul", lr)
-    a_neg = b.node("a_neg_rsq", "negate", a_rsq)
-    a_num = b.node("a_add_num", "add", a_c, a_neg)
-    a_d1 = b.node("a_mul_l1l2", "mul")
-    a_d2 = b.node("a_mul_2", "mul", a_d1)
-    a_div = b.node("a_div", "div", a_num, a_d2)
-    alpha = b.tfb("a_acos", "tfb_acos", a_div)
-
-    # Stage 3: theta2 and theta3.
-    t2 = b.node("t2_add", "add", gamma, beta)
-    b.output(t2)
-    t3a = b.node("t3_add1", "add", t2, alpha)
-    b.output(b.node("t3_add2", "add", t3a))
-    return b.build()
-
-
-def _kff_graph() -> DataflowGraph:
-    b = _GraphBuilder("KFF", ("th1", "th2", "th3", "fx", "fy", "fz"))
-
-    def entry_tfb(entry: str, theta: str) -> str:
-        return b.tfb(f"{entry}_{theta}", "tfb_sincos", theta)
-
-    # JM sub-circuits, one per nonzero entry (J21 has no circuit).
-    c1 = entry_tfb("j11", "th1")
-    s3 = entry_tfb("j11b", "th3")
-    c2 = entry_tfb("j11c", "th2")
-    m1 = b.node("j11_mul_l2s3", "mul", s3)
-    m2 = b.node("j11_mul_l1c2", "mul", c2)
-    a1 = b.node("j11_add", "add", m1, m2)
-    m3 = b.node("j11_mul_c1", "mul", c1, a1)
-    j11 = b.node("j11_neg", "negate", m3)
-
-    s1 = entry_tfb("j31", "th1")
-    s3b = entry_tfb("j31b", "th3")
-    c2b = entry_tfb("j31c", "th2")
-    m4 = b.node("j31_mul_l1c2", "mul", c2b)
-    m5 = b.node("j31_mul_s1a", "mul", m4, s1)
-    m6 = b.node("j31_mul_l2s3", "mul", s3b)
-    m7 = b.node("j31_mul_s1b", "mul", m6, s1)
-    a2 = b.node("j31_add", "add", m5, m7)
-    j31 = b.node("j31_neg", "negate", a2)
-
-    s1c = entry_tfb("j12", "th1")
-    s2 = entry_tfb("j12b", "th2")
-    m8 = b.node("j12_mul_s1s2", "mul", s1c, s2)
-    j12 = b.node("j12_mul_l1", "mul", m8)
-
-    c2c = entry_tfb("j22", "th2")
-    j22 = b.node("j22_mul_l1", "mul", c2c)
-
-    s2b = entry_tfb("j32", "th2")
-    c1b = entry_tfb("j32b", "th1")
-    m9 = b.node("j32_mul_s2c1", "mul", s2b, c1b)
-    m10 = b.node("j32_mul_l1", "mul", m9)
-    j32 = b.node("j32_neg", "negate", m10)
-
-    s1d = entry_tfb("j13", "th1")
-    c3 = entry_tfb("j13b", "th3")
-    m11 = b.node("j13_mul_s1c3", "mul", s1d, c3)
-    m12 = b.node("j13_mul_l2", "mul", m11)
-    j13 = b.node("j13_neg", "negate", m12)
-
-    s3c = entry_tfb("j23", "th3")
-    j23 = b.node("j23_mul_l2", "mul", s3c)
-
-    c3b = entry_tfb("j33", "th3")
-    c1c = entry_tfb("j33b", "th1")
-    m13 = b.node("j33_mul_c3c1", "mul", c3b, c1c)
-    j33 = b.node("j33_mul_l2", "mul", m13)
-
-    # Torque stage: tau1 skips the zero J21 product.
-    t1a = b.node("tau1_mul_a", "mul", j11, "fx")
-    t1b = b.node("tau1_mul_b", "mul", j31, "fz")
-    b.output(b.node("tau1_add", "add", t1a, t1b))
-
-    t2a = b.node("tau2_mul_a", "mul", j12, "fx")
-    t2b = b.node("tau2_mul_b", "mul", j22, "fy")
-    t2c = b.node("tau2_mul_c", "mul", j32, "fz")
-    t2s = b.node("tau2_add1", "add", t2a, t2b)
-    b.output(b.node("tau2_add2", "add", t2s, t2c))
-
-    t3a = b.node("tau3_mul_a", "mul", j13, "fx")
-    t3b = b.node("tau3_mul_b", "mul", j23, "fy")
-    t3c = b.node("tau3_mul_c", "mul", j33, "fz")
-    t3s = b.node("tau3_add1", "add", t3a, t3b)
-    b.output(b.node("tau3_add2", "add", t3s, t3c))
-    return b.build()
-
-
-def _fbf_graph() -> DataflowGraph:
-    b = _GraphBuilder("FBF", ("obj_x", "obj_y", "obj_z", "env_x", "env_y", "env_z"))
-    for axis in ("x", "y", "z"):
-        sub = b.node(f"f{axis}_sub", "add", f"obj_{axis}", f"env_{axis}")
-        b.output(b.node(f"f{axis}_mul_h", "mul", sub))
-    return b.build()
+@functools.cache
+def _recorded_graphs() -> dict[str, DataflowGraph]:
+    fk, ik, kff, fbf = (_Recorder(name) for name in ("FK", "IK", "KFF", "FBF"))
+    theta = kff.terminals("th1", "th2", "th3")
+    force = kff.terminals("fx", "fy", "fz")
+    obj = fbf.terminals("obj_x", "obj_y", "obj_z")
+    env = fbf.terminals("env_x", "env_y", "env_z")
+    return {
+        "FK": fk.graph(_fk_circuit(fk, fk.terminals("th1", "th2", "th3"))),
+        "IK": ik.graph(_ik_circuit(ik, ik.terminals("x", "y", "z"))[0]),
+        "KFF": kff.graph(_torque_circuit(_jacobian_circuit(kff, theta), force)),
+        "FBF": fbf.graph(_fbf_circuit(obj, env, [fbf.const(None)] * 3)),
+    }
 
 
 def builtin_graphs() -> dict[str, DataflowGraph]:
-    """Dataflow graphs of the four hardware modules, transcribed from the
-    circuit structure at named-sub-circuit granularity."""
-    return {
-        "FK": _fk_graph(),
-        "IK": _ik_graph(),
-        "KFF": _kff_graph(),
-        "FBF": _fbf_graph(),
-    }
+    """Dataflow graphs of the four hardware modules, recorded from the hybrid
+    datapath's circuit functions: FK, IK, KFF (the Jacobian, then J^T F) and
+    FBF.  The graphs are recorded once per process; the dict is new on every
+    call."""
+    return dict(_recorded_graphs())
 
 
 def hardware_time(critical_paths: dict[str, float]) -> float:
@@ -528,7 +425,12 @@ def calibrate(
         sol = linprog(objective, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
         if not sol.success:
             raise CalibrationDegenerate(f"latency fit failed: {sol.message}")
-        table = OpLatencyTable(**{k: float(sol.x[i]) for i, k in enumerate(OP_KINDS)})
+        # HiGHS may return a latency a rounding error (under 1e-9 ns) below
+        # its zero bound; that reads as 0.
+        if sol.x.min() <= -1e-9:
+            raise CalibrationDegenerate(f"latency fit returned a negative latency: {sol.x}")
+        x = np.where(sol.x < 0.0, 0.0, sol.x)
+        table = OpLatencyTable(**{k: float(x[i]) for i, k in enumerate(OP_KINDS)})
         cps = {name: critical_path(graphs[name], table) for name in names}
         sq_err = sum((cps[name] - targets[name]) ** 2 for name in names)
         if best is None or sq_err < best[0]:
@@ -537,7 +439,7 @@ def calibrate(
             break
         previous = {name: tuple(vec) for name, vec in selected.items()}
         selected = {
-            name: max(signatures[name], key=lambda v: float(v @ sol.x))
+            name: max(signatures[name], key=lambda v: float(v @ x))
             for name in names
             if signatures[name]
         }

@@ -15,7 +15,6 @@ every stage and say nothing about the module under test.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -254,25 +253,9 @@ def speedup_report(t_hardware: float, limits: Sequence[float]) -> list[tuple[flo
     return [(lim, int(hardware_time_limit(lim) / t_hardware)) for lim in limits]
 
 
-# Trace column layout.  Chain signals are shared between backends in a
-# dual-backend run; module output signals exist once per backend.
-CHAIN_SIGNALS = (
-    "b1",
-    "b2",
-    "b3",
-    "v_x",
-    "v_y",
-    "v_z",
-    "theta_sd_1",
-    "theta_sd_2",
-    "theta_sd_3",
-    "s_obj_x",
-    "s_obj_y",
-    "s_obj_z",
-    "q_x",
-    "q_y",
-    "q_z",
-)
+# Trace column layout.  Module output signals exist once per backend; the
+# other columns are chain signals, shared between backends in a dual-backend
+# run.
 MODULE_OUTPUT_SIGNALS = (
     "c_x",
     "c_y",
@@ -582,7 +565,3 @@ def summary_report(
         },
     }
     return report
-
-
-def summary_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2)

@@ -179,6 +179,13 @@ class TestLatencyCommand:
         path.write_text("[1, 2")
         assert main(["latency", "--targets", str(path)]) == 1
 
+    @pytest.mark.parametrize("value", ['"abc"', "null", "[47]"])
+    def test_non_numeric_target_rejected(self, tmp_path, capsys, value):
+        path = tmp_path / "targets.json"
+        path.write_text('{"FK": %s}' % value)
+        assert main(["latency", "--targets", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestMseCommand:
     def test_trace_against_itself(self, tmp_path, capsys):
