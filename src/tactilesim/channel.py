@@ -9,7 +9,9 @@ reproducible bit for bit from the scenario file alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +87,14 @@ class ChannelConfig:
                 raise ValueError("initial_hold must be a 3-vector")
             object.__setattr__(self, "initial_hold", hold)
 
+    @cached_property
+    def _noise_sigma(self) -> tuple[float, float, float] | None:
+        """Per-component noise standard deviation; None when no component is
+        noisy."""
+        if not any(v > 0 for v in self.noise_variance):
+            return None
+        return tuple(math.sqrt(v) for v in self.noise_variance)
+
     @classmethod
     def transparent(cls) -> "ChannelConfig":
         """Zero-noise, zero-delay channel (bit-exact identity)."""
@@ -97,13 +107,13 @@ class ChannelState:
 
     def __init__(self, cfg: ChannelConfig):
         depth = cfg.delay.max_delay + 1
-        self.buffer = np.zeros((depth, 3))
+        self.buffer = [[0.0, 0.0, 0.0] for _ in range(depth)]
         self.expected_n = 0
-        self.hold = None if cfg.initial_hold is None else np.asarray(cfg.initial_hold, float)
+        self.hold = None if cfg.initial_hold is None else list(cfg.initial_hold)
         if isinstance(cfg.delay, RandomWalkDelay):
-            self.delays = np.full(3, cfg.delay.d_min, dtype=np.int64)
+            self.delays = [cfg.delay.d_min] * 3
         else:
-            self.delays = np.full(3, cfg.delay.delay, dtype=np.int64)
+            self.delays = [cfg.delay.delay] * 3
         self.noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
         self.delay_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
 
@@ -127,30 +137,32 @@ def channel_step(
     x = np.asarray(sample, dtype=float)
     if x.shape != (3,):
         raise ValueError("sample must be a 3-vector")
+    x = x.tolist()
     if state.hold is None:
-        state.hold = x.copy()
+        state.hold = x
 
-    depth = state.buffer.shape[0]
-    state.buffer[n % depth] = x
+    buffer = state.buffer
+    depth = len(buffer)
+    buffer[n % depth] = x
 
-    sigma2 = cfg.noise_variance
-    noisy = any(v > 0 for v in sigma2)
+    sigma = cfg._noise_sigma
     # One draw per sample keeps the noise stream aligned with the sample index
     # regardless of delays.
-    eps = state.noise_rng.standard_normal(3) if noisy else None
+    eps = state.noise_rng.standard_normal(3).tolist() if sigma is not None else None
 
-    out = np.empty(3)
-    for i in range(3):
-        k = n - int(state.delays[i])
+    out = []
+    for i, d in enumerate(state.delays):
+        k = n - d
         if k < 0:
-            out[i] = state.hold[i]
+            out.append(state.hold[i])
+        elif sigma is not None and sigma[i] > 0:
+            out.append(buffer[k % depth][i] + eps[i] * sigma[i])
         else:
-            out[i] = state.buffer[k % depth, i]
-            if noisy and sigma2[i] > 0:
-                out[i] += eps[i] * np.sqrt(sigma2[i])
+            out.append(buffer[k % depth][i])
 
     if isinstance(cfg.delay, RandomWalkDelay):
-        step = 2 * state.delay_rng.integers(0, 2, size=3) - 1
-        state.delays = np.clip(state.delays + step, cfg.delay.d_min, cfg.delay.d_max)
+        lo, hi = cfg.delay.d_min, cfg.delay.d_max
+        steps = state.delay_rng.integers(0, 2, size=3).tolist()
+        state.delays = [min(max(d + 2 * s - 1, lo), hi) for d, s in zip(state.delays, steps)]
 
-    return out
+    return np.array(out)

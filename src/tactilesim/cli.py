@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -116,12 +117,15 @@ def _field(data: dict, key: str, kind, where: str, default=None, required: bool 
             raise ScenarioError(f"missing required field '{where}{key}'")
         return default
     value = data[key]
-    if kind is float and isinstance(value, int):
+    # YAML booleans are ints to Python: `seed: false` must not read as 0.
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ScenarioError(
             f"field '{where}{key}' must be {getattr(kind, '__name__', kind)}, got {type(value).__name__}"
         )
+    if kind is float and not math.isfinite(value):
+        raise ScenarioError(f"field '{where}{key}' must be finite, got {value!r}")
     return value
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -110,6 +111,11 @@ class Elasticity:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.hx, self.hy, self.hz)
 
+    @cached_property
+    def _f32(self) -> np.ndarray:
+        # The hybrid FBF holds the spring constants as 32-bit floats.
+        return np.array(self.as_tuple(), np.float32)
+
 
 class _Float32(kinematics._Float32):
     """The hybrid datapath policy with the Jacobian's TFBs called through
@@ -196,9 +202,12 @@ def kinesthetic_feedback(
     """
     jm = jacobian(q, g, backend)
     if isinstance(backend, Hybrid):
-        j = (jm.j11, jm.j12, jm.j13, jm.j22, jm.j23, jm.j31, jm.j32, jm.j33)
-        tau = _torque_circuit(map(np.float32, j), map(np.float32, f.as_tuple()))
-        return TorqueVector(*map(float, tau))
+        # One float32 cast for the eight J entries and the three forces.
+        jf = np.array(
+            (jm.j11, jm.j12, jm.j13, jm.j22, jm.j23, jm.j31, jm.j32, jm.j33, *f.as_tuple()),
+            np.float32,
+        )
+        return TorqueVector(*map(float, _torque_circuit(jf[:8], jf[8:])))
     tau1 = jm.j11 * f.fx + jm.j31 * f.fz
     tau2 = (jm.j12 * f.fx + jm.j22 * f.fy) + jm.j32 * f.fz
     tau3 = (jm.j13 * f.fx + jm.j23 * f.fy) + jm.j33 * f.fz
@@ -213,11 +222,8 @@ def feedback_force(
 ) -> ForceVector:
     """Spring-law contact force, per axis: h_i * (obj_i - env_i)."""
     if isinstance(backend, Hybrid):
-        f32 = np.float32
-        f = _fbf_circuit(
-            map(f32, obj.as_tuple()), map(f32, env.as_tuple()), map(f32, h.as_tuple())
-        )
-        return ForceVector(*map(float, f))
+        pos = np.array((*obj.as_tuple(), *env.as_tuple()), np.float32)
+        return ForceVector(*map(float, _fbf_circuit(pos[:3], pos[3:], h._f32)))
     return ForceVector(
         h.hx * (obj.x - env.x),
         h.hy * (obj.y - env.y),

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +55,12 @@ __all__ = [
 # edge, anything beyond is reported as unreachable.
 EPS_REACH = 1e-6
 
+# Largest coordinate magnitude the hybrid IK takes in: below it the float32
+# sum of the three squared coordinates stays finite.  A position this far out
+# is unreachable anyway; rejecting it before the float32 cast keeps overflow
+# out of the datapath.
+_F32_COORD_MAX = math.sqrt(float(np.finfo(np.float32).max) / 4.0)
+
 
 class Unreachable(ValueError):
     """Requested tool position lies outside the device workspace."""
@@ -79,14 +85,13 @@ class DeviceGeometry:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
+    @cached_property
+    def _f32(self) -> tuple[np.float32, np.float32, np.float32, np.float32]:
+        # The hybrid datapath stores the link constants as 32-bit floats.
+        return tuple(map(np.float32, (self.l1, self.l2, self.l3, self.l4)))
+
 
 DEFAULT_GEOMETRY = DeviceGeometry()
-
-
-@lru_cache(maxsize=8)
-def _geometry_f32(g: DeviceGeometry) -> tuple[np.float32, np.float32, np.float32, np.float32]:
-    # The hybrid datapath stores the link constants as 32-bit floats.
-    return (np.float32(g.l1), np.float32(g.l2), np.float32(g.l3), np.float32(g.l4))
 
 
 @dataclass(frozen=True)
@@ -158,7 +163,7 @@ class _Float32:
     sqrt = staticmethod(sqrt32)
 
     def __init__(self, g: DeviceGeometry, cfg: CordicConfig):
-        self.l1, self.l2, self.l3, self.l4 = _geometry_f32(g)
+        self.l1, self.l2, self.l3, self.l4 = g._f32
         self.cfg = cfg
 
     def sincos(self, angle):
@@ -270,7 +275,14 @@ def _ik_circuit(p, pos):
 
 
 def _ik_hybrid(p: CartesianPosition, g: DeviceGeometry, cfg: CordicConfig):
-    return _ik_circuit(_Float32(g, cfg), tuple(map(np.float32, p.as_tuple())))
+    pos = p.as_tuple()
+    for name, v in zip("xyz", pos):
+        if abs(v) > _F32_COORD_MAX:
+            raise Unreachable(
+                f"{name} = {v!r} m is outside the float32 input range of the hybrid "
+                f"datapath (|{name}| <= {_F32_COORD_MAX:.3g} m)"
+            )
+    return _ik_circuit(_Float32(g, cfg), tuple(np.array(pos, np.float32)))
 
 
 def ik_intermediates(

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import linprog
 
 from tactilesim.force import _fbf_circuit, _jacobian_circuit, _torque_circuit
 from tactilesim.kinematics import _fk_circuit, _ik_circuit
@@ -55,6 +54,14 @@ OP_KINDS = (
 # Measured per-module sample periods of the reference FPGA implementation,
 # in nanoseconds; the default calibration targets.
 DEFAULT_TARGETS_NS = {"FK": 47.0, "KFF": 70.0, "IK": 218.0, "FBF": 21.0}
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use: scipy is most of the
+    package's import time, and only calibration needs it."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 class CyclicGraph(ValueError):

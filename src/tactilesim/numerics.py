@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,6 +41,12 @@ __all__ = [
 # stays at the configured Q-format; the internal registers are wider so that
 # shift rounding noise stays below the output resolution.
 _GUARD_BITS = 6
+
+# Formats up to this many fractional bits take sin/cos from a ROM of every
+# first-quadrant angle (see `_sincos_rom`).  At this width the working
+# precision (frac + guard bits) fits int64 with room to spare, and the ROM
+# holds at most about 10^5 entries.
+_ROM_MAX_FRAC_BITS = 16
 
 _QFORMAT_RE = re.compile(r"^s(\d+)\.(\d+)$")
 
@@ -67,15 +74,17 @@ class QFormat:
                 f"frac_bits must be in [0, {self.total_bits - 1}], got {self.frac_bits}"
             )
 
-    @property
+    # Computed once per instance: the converters and FixedValue's range check
+    # read them per scalar.
+    @cached_property
     def scale(self) -> int:
         return 1 << self.frac_bits
 
-    @property
+    @cached_property
     def raw_min(self) -> int:
         return -(1 << (self.total_bits - 1))
 
-    @property
+    @cached_property
     def raw_max(self) -> int:
         return (1 << (self.total_bits - 1)) - 1
 
@@ -106,7 +115,7 @@ class QFormat:
 S16_13 = QFormat(16, 13)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixedValue:
     """A sample in a signed Q-format: integer ``raw`` scaled by 2**-frac_bits."""
 
@@ -163,20 +172,17 @@ def float_to_fixed(x: float, fmt: QFormat, rounding: str = "nearest") -> FixedVa
     x = float(x)
     if math.isnan(x):
         raise ValueError("cannot quantize NaN")
-    scaled = x * fmt.scale
     if rounding == "nearest":
-        if math.isinf(scaled):
-            raw = fmt.raw_max if scaled > 0 else fmt.raw_min
-        else:
-            raw = round(scaled)
+        to_int = round
     elif rounding == "truncate":
-        if math.isinf(scaled):
-            raw = fmt.raw_max if scaled > 0 else fmt.raw_min
-        else:
-            raw = math.floor(scaled)
+        to_int = math.floor
     else:
         raise ValueError(f"unknown rounding mode {rounding!r}")
-    raw = min(max(raw, fmt.raw_min), fmt.raw_max)
+    scaled = x * fmt.scale
+    if math.isinf(scaled):
+        raw = fmt.raw_max if scaled > 0 else fmt.raw_min
+    else:
+        raw = min(max(to_int(scaled), fmt.raw_min), fmt.raw_max)
     return FixedValue(raw, fmt)
 
 
@@ -187,14 +193,20 @@ def fixed_to_float(v: FixedValue) -> float:
 
 @lru_cache(maxsize=16)
 def _kernel_constants(iterations: int, frac_bits: int):
-    """Integer constants of the CORDIC datapath at working precision."""
+    """Integer constants of the CORDIC datapath: per rotation step its shift,
+    the rounding offset of that shift and the step angle at working
+    precision; the gain-compensated start value at working precision; pi and
+    pi/2 at I/O precision."""
     work = frac_bits + _GUARD_BITS
     one = 1 << work
-    atan_table = tuple(round(math.atan(2.0 ** -i) * one) for i in range(iterations))
+    # (1 << i) >> 1 is 0 for i = 0, where the shift is the identity.
+    steps = tuple(
+        (i, (1 << i) >> 1, round(math.atan(2.0 ** -i) * one)) for i in range(iterations)
+    )
     x0 = round(_cordic_gain(iterations) * one)
     pi_io = round(math.pi * (1 << frac_bits))
     half_pi_io = round(math.pi / 2 * (1 << frac_bits))
-    return atan_table, x0, pi_io, half_pi_io
+    return steps, x0, pi_io, half_pi_io
 
 
 def _round_shift(v: int, bits: int) -> int:
@@ -204,35 +216,62 @@ def _round_shift(v: int, bits: int) -> int:
     return (v + (1 << (bits - 1))) >> bits
 
 
-def _rotate(z: int, iterations: int, atan_table, x0: int) -> tuple[int, int]:
+def _rotate(z: int, steps, x0: int) -> tuple[int, int]:
     """Rotation-mode CORDIC: drive the residual angle ``z`` (working-precision
     raw, in [0, pi/2]) to zero; returns (cos, sin) at working precision."""
     x = x0
     y = 0
-    for i, a in enumerate(atan_table):
+    for shift, half, a in steps:
+        dx = (y + half) >> shift
+        dy = (x + half) >> shift
         if z >= 0:
-            x, y = x - _round_shift(y, i), y + _round_shift(x, i)
-            z -= a
+            x, y, z = x - dx, y + dy, z - a
         else:
-            x, y = x + _round_shift(y, i), y - _round_shift(x, i)
-            z += a
+            x, y, z = x + dx, y - dy, z + a
     return x, y
 
 
-def _vector_angle(xr: int, yr: int, iterations: int, atan_table) -> int:
+def _vector_angle(xr: int, yr: int, steps) -> int:
     """Vectoring-mode CORDIC: rotate (xr, yr) with xr > 0, yr >= 0 onto the
     positive x axis; returns the accumulated angle at working precision."""
     x = xr << _GUARD_BITS
     y = yr << _GUARD_BITS
     z = 0
-    for i, a in enumerate(atan_table):
+    for shift, half, a in steps:
+        dx = (y + half) >> shift
+        dy = (x + half) >> shift
         if y > 0:
-            x, y = x + _round_shift(y, i), y - _round_shift(x, i)
-            z += a
+            x, y, z = x + dx, y - dy, z + a
         else:
-            x, y = x - _round_shift(y, i), y + _round_shift(x, i)
-            z -= a
+            x, y, z = x - dx, y + dy, z - a
     return z
+
+
+@lru_cache(maxsize=16)
+def _sincos_rom(iterations: int, frac_bits: int) -> tuple[array, array]:
+    """(sin, cos) ROM of the rotation kernel: for every reduced raw angle
+    0..pi/2 of the I/O format, the ``_rotate`` result shifted back to I/O
+    precision, before saturation.
+
+    Built by running the rotation once over all angles as int64 arrays.
+    NumPy's shifts are arithmetic like Python's, and below
+    ``_ROM_MAX_FRAC_BITS`` no intermediate comes near the int64 range, so
+    every entry equals the scalar kernel's result.
+    """
+    steps, x0, _pi_io, half_pi_io = _kernel_constants(iterations, frac_bits)
+    z = np.arange(half_pi_io + 1, dtype=np.int64) << _GUARD_BITS
+    x = np.full_like(z, x0)
+    y = np.zeros_like(z)
+    for shift, half, a in steps:
+        dx = (y + half) >> shift
+        dy = (x + half) >> shift
+        down = z >= 0
+        x = np.where(down, x - dx, x + dx)
+        y = np.where(down, y + dy, y - dy)
+        z = np.where(down, z - a, z + a)
+    return array("q", _round_shift(y, _GUARD_BITS).tolist()), array(
+        "q", _round_shift(x, _GUARD_BITS).tolist()
+    )
 
 
 def cordic_sincos(angle: FixedValue, cfg: CordicConfig = DEFAULT_CORDIC) -> tuple[FixedValue, FixedValue]:
@@ -241,19 +280,23 @@ def cordic_sincos(angle: FixedValue, cfg: CordicConfig = DEFAULT_CORDIC) -> tupl
     The angle is reduced to the first quadrant before rotation; sign symmetry
     is applied on the outputs, so ``sincos(-a)`` mirrors ``sincos(a)`` exactly
     at the raw level.  With the default 16-iteration configuration the error
-    stays within 4 LSB of the output format.
+    stays within 4 LSB of the output format.  Formats with at most
+    ``_ROM_MAX_FRAC_BITS`` fractional bits read the rotation result from a
+    ROM of the first quadrant, built on first use; wider ones rotate per call.
     """
     fmt = cfg.fmt
-    if angle.fmt != fmt:
+    if angle.fmt is not fmt and angle.fmt != fmt:
         raise ValueError(f"angle format {angle.fmt} does not match config {fmt}")
-    atan_table, x0, pi_io, half_pi_io = _kernel_constants(cfg.iterations, fmt.frac_bits)
+    iterations, frac_bits = cfg.iterations, fmt.frac_bits
+    steps, x0, pi_io, half_pi_io = _kernel_constants(iterations, frac_bits)
 
+    # Reduce by whole turns: above pi into (-pi, pi], below -pi into [-pi, pi).
     raw = angle.raw
     two_pi = 2 * pi_io
-    while raw > pi_io:
-        raw -= two_pi
-    while raw < -pi_io:
-        raw += two_pi
+    if raw > pi_io:
+        raw = pi_io - (pi_io - raw) % two_pi
+    elif raw < -pi_io:
+        raw = (raw + pi_io) % two_pi - pi_io
 
     sign_sin = 1
     if raw < 0:
@@ -264,14 +307,18 @@ def cordic_sincos(angle: FixedValue, cfg: CordicConfig = DEFAULT_CORDIC) -> tupl
         raw = pi_io - raw
         sign_cos = -1
 
-    cos_w, sin_w = _rotate(raw << _GUARD_BITS, cfg.iterations, atan_table, x0)
-    sin_raw = _round_shift(sin_w, _GUARD_BITS)
-    cos_raw = _round_shift(cos_w, _GUARD_BITS)
-    sin_raw = min(max(sin_raw, fmt.raw_min), fmt.raw_max)
-    cos_raw = min(max(cos_raw, fmt.raw_min), fmt.raw_max)
+    if frac_bits <= _ROM_MAX_FRAC_BITS:
+        sin_rom, cos_rom = _sincos_rom(iterations, frac_bits)
+        sin_raw = sin_rom[raw]
+        cos_raw = cos_rom[raw]
+    else:
+        cos_w, sin_w = _rotate(raw << _GUARD_BITS, steps, x0)
+        sin_raw = _round_shift(sin_w, _GUARD_BITS)
+        cos_raw = _round_shift(cos_w, _GUARD_BITS)
+    lo, hi = fmt.raw_min, fmt.raw_max
     return (
-        FixedValue(sign_sin * sin_raw, fmt),
-        FixedValue(sign_cos * cos_raw, fmt),
+        FixedValue(sign_sin * min(max(sin_raw, lo), hi), fmt),
+        FixedValue(sign_cos * min(max(cos_raw, lo), hi), fmt),
     )
 
 
@@ -284,9 +331,9 @@ def cordic_atan2(y: FixedValue, x: FixedValue, cfg: CordicConfig = DEFAULT_CORDI
     representable direction of short vectors.
     """
     fmt = cfg.fmt
-    if y.fmt != fmt or x.fmt != fmt:
+    if (y.fmt is not fmt and y.fmt != fmt) or (x.fmt is not fmt and x.fmt != fmt):
         raise ValueError("operand formats do not match the CORDIC config")
-    atan_table, _x0, pi_io, half_pi_io = _kernel_constants(cfg.iterations, fmt.frac_bits)
+    steps, _x0, pi_io, half_pi_io = _kernel_constants(cfg.iterations, fmt.frac_bits)
 
     xr = x.raw
     yr = y.raw
@@ -303,11 +350,9 @@ def cordic_atan2(y: FixedValue, x: FixedValue, cfg: CordicConfig = DEFAULT_CORDI
         return FixedValue(sign * half_pi_io, fmt)
 
     if xr > 0:
-        ang = _round_shift(_vector_angle(xr, yr, cfg.iterations, atan_table), _GUARD_BITS)
+        ang = _round_shift(_vector_angle(xr, yr, steps), _GUARD_BITS)
     else:
-        ang = pi_io - _round_shift(
-            _vector_angle(-xr, yr, cfg.iterations, atan_table), _GUARD_BITS
-        )
+        ang = pi_io - _round_shift(_vector_angle(-xr, yr, steps), _GUARD_BITS)
     return FixedValue(sign * ang, fmt)
 
 
@@ -331,17 +376,25 @@ def cordic_acos(t: FixedValue, cfg: CordicConfig = DEFAULT_CORDIC) -> FixedValue
 
 
 def sqrt32(x) -> np.float32:
-    """Correctly rounded single-precision square root."""
+    """Correctly rounded single-precision square root.
+
+    The double-precision root of a float32 operand, rounded to float32, is
+    the correctly rounded float32 root: 53 >= 2 * 24 + 2 bits make the double
+    rounding innocuous.
+    """
     xf = np.float32(x)
     if xf < 0:
         raise NegativeRadicand(f"sqrt of negative value {x!r}")
-    return np.float32(np.sqrt(xf))
+    return np.float32(math.sqrt(xf))
+
+
+_F32_ONE = np.float32(1.0)
+_F32_MINUS_ONE = np.float32(-1.0)
 
 
 def tfb_sincos(angle, cfg: CordicConfig = DEFAULT_CORDIC) -> tuple[np.float32, np.float32]:
     """Float32-facing TFB: F2FP, CORDIC rotation, FP2F on both outputs."""
-    a = float_to_fixed(float(angle), cfg.fmt)
-    s, c = cordic_sincos(a, cfg)
+    s, c = cordic_sincos(float_to_fixed(angle, cfg.fmt), cfg)
     return np.float32(fixed_to_float(s)), np.float32(fixed_to_float(c))
 
 
@@ -349,20 +402,22 @@ def tfb_atan2(y, x, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
     """Float32-facing TFB for the four-quadrant arctangent.
 
     The operand pair is scaled by a common power of two so the larger
-    magnitude lands in [1, 2) before quantization.  The scaling is exact in
-    float32 and the arctangent is invariant under it, so this input
-    conditioning makes the angular resolution independent of the operand
-    magnitude.
+    magnitude lands in [1, 2) before quantization.  The arctangent is
+    invariant under the scaling, so this input conditioning makes the angular
+    resolution independent of the operand magnitude.  The float32 operands
+    are scaled in double precision, where the scaling is exact even for
+    subnormal operands; a float32 product would differ only where it is
+    subnormal, and such values quantize to 0 in any Q-format either way.
     """
-    yf = np.float32(y)
-    xf = np.float32(x)
-    m = max(abs(float(yf)), abs(float(xf)))
+    yf = float(np.float32(y))
+    xf = float(np.float32(x))
+    m = max(abs(yf), abs(xf))
     if m > 0.0:
-        scale = np.float32(2.0 ** (1 - math.frexp(m)[1]))
-        yf = yf * scale
-        xf = xf * scale
-    y_fix = float_to_fixed(float(yf), cfg.fmt)
-    x_fix = float_to_fixed(float(xf), cfg.fmt)
+        e = 1 - math.frexp(m)[1]
+        yf = math.ldexp(yf, e)
+        xf = math.ldexp(xf, e)
+    y_fix = float_to_fixed(yf, cfg.fmt)
+    x_fix = float_to_fixed(xf, cfg.fmt)
     return np.float32(fixed_to_float(cordic_atan2(y_fix, x_fix, cfg)))
 
 
@@ -374,8 +429,8 @@ def tfb_acos(t, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
     operands; in that form the angle is well conditioned, whereas quantizing
     ``t`` before the square root would amplify the grid error near |t| = 1.
     """
-    tf = min(max(np.float32(t), np.float32(-1.0)), np.float32(1.0))
-    s = sqrt32(np.float32(1.0) - tf * tf)
-    s_fix = float_to_fixed(float(s), cfg.fmt)
-    t_fix = float_to_fixed(float(tf), cfg.fmt)
+    tf = min(max(np.float32(t), _F32_MINUS_ONE), _F32_ONE)
+    s = sqrt32(_F32_ONE - tf * tf)
+    s_fix = float_to_fixed(s, cfg.fmt)
+    t_fix = float_to_fixed(tf, cfg.fmt)
     return np.float32(fixed_to_float(cordic_atan2(s_fix, t_fix, cfg)))

@@ -398,10 +398,10 @@ def run_pipeline(
     fc_state = ChannelState(fc)
     bc_state = ChannelState(bc)
 
-    cols = {name: np.empty(q_len) for name in COLUMN_ORDER}
-    shadow_cols = (
-        {name: np.empty(q_len) for name in MODULE_OUTPUT_SIGNALS} if shadow is not None else {}
-    )
+    # One row per signal, one column per sample; each row becomes a trace
+    # column.
+    table = np.empty((len(COLUMN_ORDER), q_len))
+    shadow_table = np.empty((len(MODULE_OUTPUT_SIGNALS), q_len)) if shadow is not None else None
 
     theta_sd_prev: tuple[float, float, float] | None = None
     for n in range(q_len):
@@ -411,7 +411,7 @@ def run_pipeline(
         v_in = v
         if cartesian_predictor is not None:
             v_in = np.asarray(cartesian_predictor(n, v), dtype=float)
-        v_pos = CartesianPosition(*v_in)
+        v_pos = CartesianPosition(*v_in.tolist())
         try:
             theta_hsd = inverse_kinematics(v_pos, geometry, backend)
         except Unreachable as exc:
@@ -438,19 +438,23 @@ def run_pipeline(
         q_in = qv
         if force_predictor is not None:
             q_in = np.asarray(force_predictor(n, qv), dtype=float)
-        p = kinesthetic_feedback(b, ForceVector(*q_in), geometry, backend)
+        f_in = ForceVector(*q_in.tolist())
+        p = kinesthetic_feedback(b, f_in, geometry, backend)
 
-        cols["n"][n] = n
-        _store3(cols, "b1", "b2", "b3", n, b.as_tuple())
-        _store3(cols, "c_x", "c_y", "c_z", n, c.as_tuple())
-        _store3(cols, "v_x", "v_y", "v_z", n, v)
-        _store3(cols, "theta_hsd_1", "theta_hsd_2", "theta_hsd_3", n, theta_hsd.as_tuple())
-        _store3(cols, "theta_sd_1", "theta_sd_2", "theta_sd_3", n, theta_sd)
-        _store3(cols, "l_x", "l_y", "l_z", n, l_pos.as_tuple())
-        _store3(cols, "s_obj_x", "s_obj_y", "s_obj_z", n, s_obj.as_tuple())
-        _store3(cols, "h_x", "h_y", "h_z", n, h.as_tuple())
-        _store3(cols, "q_x", "q_y", "q_z", n, qv)
-        _store3(cols, "p_1", "p_2", "p_3", n, p.as_tuple())
+        # In COLUMN_ORDER.
+        table[:, n] = (
+            n,
+            *b.as_tuple(),
+            *c.as_tuple(),
+            *v.tolist(),
+            *theta_hsd.as_tuple(),
+            *theta_sd,
+            *l_pos.as_tuple(),
+            *s_obj.as_tuple(),
+            *h.as_tuple(),
+            *qv.tolist(),
+            *p.as_tuple(),
+        )
 
         if shadow is not None:
             c_s = forward_kinematics(b, geometry, shadow)
@@ -460,29 +464,24 @@ def run_pipeline(
                 raise Unreachable(f"sample {n}: {exc}", sample_index=n) from exc
             l_s = forward_kinematics(theta_sd_q, geometry, shadow)
             h_s = feedback_force(s_obj, l_pos, scene.elasticity, shadow)
-            p_s = kinesthetic_feedback(b, ForceVector(*q_in), geometry, shadow)
-            _store3(shadow_cols, "c_x", "c_y", "c_z", n, c_s.as_tuple())
-            _store3(
-                shadow_cols, "theta_hsd_1", "theta_hsd_2", "theta_hsd_3", n, theta_s.as_tuple()
+            p_s = kinesthetic_feedback(b, f_in, geometry, shadow)
+            # In MODULE_OUTPUT_SIGNALS order.
+            shadow_table[:, n] = (
+                *c_s.as_tuple(),
+                *theta_s.as_tuple(),
+                *l_s.as_tuple(),
+                *h_s.as_tuple(),
+                *p_s.as_tuple(),
             )
-            _store3(shadow_cols, "l_x", "l_y", "l_z", n, l_s.as_tuple())
-            _store3(shadow_cols, "h_x", "h_y", "h_z", n, h_s.as_tuple())
-            _store3(shadow_cols, "p_1", "p_2", "p_3", n, p_s.as_tuple())
 
     return SimulationTrace(
         q=q_len,
         sample_period=spec.sample_period,
         driver=_backend_label(backend),
         shadow=None if shadow is None else _backend_label(shadow),
-        signals=cols,
-        shadow_signals=shadow_cols,
+        signals=dict(zip(COLUMN_ORDER, table)),
+        shadow_signals={} if shadow is None else dict(zip(MODULE_OUTPUT_SIGNALS, shadow_table)),
     )
-
-
-def _store3(cols: dict[str, np.ndarray], k1: str, k2: str, k3: str, n: int, values) -> None:
-    cols[k1][n] = values[0]
-    cols[k2][n] = values[1]
-    cols[k3][n] = values[2]
 
 
 def compute_mse(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:

@@ -1,4 +1,8 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +16,8 @@ from tactilesim.cli import (
     parse_scenario,
 )
 
-SCENARIO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "default.yaml"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_PATH = ROOT / "scenarios" / "default.yaml"
 
 
 def scenario_dict() -> dict:
@@ -79,6 +84,28 @@ class TestScenarioParsing:
         data["fcs"] = {"pole": 1.5}
         with pytest.raises(ScenarioError, match="fcs.pole"):
             parse_scenario(data)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("version",), True),
+            (("seed",), False),
+            (("trajectory", "sample_period"), math.nan),
+            (("scene", "offset"), math.nan),
+            (("scene", "elasticity", "hx"), math.inf),
+        ],
+        ids=["version", "seed", "sample_period", "offset", "hx"],
+    )
+    def test_bool_and_non_finite_numbers_rejected(self, path, value, tmp_path, capsys):
+        data = scenario_dict()
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        scenario = tmp_path / "bad.yaml"
+        scenario.write_text(yaml.safe_dump(data))
+        assert main(["run", str(scenario), "--out-dir", str(tmp_path / "out")]) == 1
+        assert f"field '{'.'.join(path)}'" in capsys.readouterr().err
 
     def test_random_walk_delay(self):
         data = scenario_dict()
@@ -228,3 +255,12 @@ class TestMseCommand:
         a.write_text("x,y\n1.0,2.0\n")
         b.write_text("x,z\n1.0,2.0\n")
         assert main(["mse", str(a), str(b)]) == 1
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is most of the package's import time and only calibration uses it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    code = "import sys, tactilesim.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0

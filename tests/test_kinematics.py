@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,16 @@ class TestInverseKinematics:
         for backend in (ORACLE, Hybrid()):
             with pytest.raises(Unreachable):
                 inverse_kinematics(CartesianPosition(0.5, 0.5, 0.5), backend=backend)
+
+    @pytest.mark.parametrize("coord", ["x", "y", "z"])
+    @pytest.mark.parametrize("value", [1e39, -1e20])
+    def test_hybrid_rejects_float32_overflow(self, coord, value):
+        # Rejected before the float32 cast, with no numpy overflow warning.
+        p = CartesianPosition(**{"x": 0.05, "y": 0.0, "z": -0.1, coord: value})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Unreachable, match=f"^{coord} = "):
+                inverse_kinematics(p, backend=Hybrid())
 
     def test_gamma_alpha_ranges(self):
         rng = np.random.default_rng(19)

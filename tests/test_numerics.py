@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tactilesim import numerics
 from tactilesim.numerics import (
     CordicConfig,
     FixedValue,
@@ -180,6 +181,18 @@ class TestSinCos:
         with pytest.raises(ValueError):
             cordic_sincos(FixedValue(0, QFormat(18, 15)))
 
+    def test_whole_turns_reduced_at_once(self):
+        # s64.16 holds angles of 10^12 turns and more; reducing them must not
+        # step through the turns one by one.
+        fmt = QFormat(64, 16)
+        cfg = CordicConfig(iterations=16, fmt=fmt)
+        two_pi = 2 * round(math.pi * fmt.scale)
+        for raw in (1000, -1000, two_pi // 2 - 1, 1 - two_pi // 2):
+            expected = [v.raw for v in cordic_sincos(FixedValue(raw, fmt), cfg)]
+            for turns in (10**12, -(10**12)):
+                got = cordic_sincos(FixedValue(raw + turns * two_pi, fmt), cfg)
+                assert [v.raw for v in got] == expected
+
 
 class TestAtan2:
     def test_axis_cases(self):
@@ -295,6 +308,66 @@ class TestTfbWrappers:
         a = tfb_atan2(np.float32(1.0), np.float32(1.0))
         assert abs(float(a) - math.pi / 4) <= 5 * LSB
 
+    @pytest.mark.parametrize(
+        "y, x, expected",
+        [(1e-39, 0.0, math.pi / 2), (0.0, -1e-40, math.pi), (-1e-39, 1e-39, -math.pi / 4)],
+    )
+    def test_atan2_subnormal_operands(self, y, x, expected):
+        # The common power of two for these is beyond the float32 range.
+        a = tfb_atan2(np.float32(y), np.float32(x))
+        assert abs(float(a) - expected) <= 5 * LSB
+
     def test_acos(self):
         a = tfb_acos(np.float32(0.5))
         assert abs(float(a) - math.acos(0.5)) <= 8 * LSB
+
+
+class TestSinCosRom:
+    @pytest.mark.parametrize("iterations", [10, 16])
+    def test_rom_matches_scalar_kernel(self, iterations):
+        # Every first-quadrant raw angle of s16.13.
+        steps, x0, _pi_io, half_pi_io = numerics._kernel_constants(iterations, 13)
+        sin_rom, cos_rom = numerics._sincos_rom(iterations, 13)
+        assert len(sin_rom) == len(cos_rom) == half_pi_io + 1
+        guard = numerics._GUARD_BITS
+        for raw in range(half_pi_io + 1):
+            cos_w, sin_w = numerics._rotate(raw << guard, steps, x0)
+            assert sin_rom[raw] == numerics._round_shift(sin_w, guard)
+            assert cos_rom[raw] == numerics._round_shift(cos_w, guard)
+
+    @pytest.mark.parametrize("fmt", [QFormat(12, 9), QFormat(3, 1)])
+    def test_rom_and_rotation_paths_agree(self, fmt, monkeypatch):
+        # Every raw angle of the format, through the reduction, signs and
+        # saturation, once from the ROM and once rotated per call.
+        cfg = CordicConfig(iterations=12, fmt=fmt)
+        angles = [FixedValue(raw, fmt) for raw in range(fmt.raw_min, fmt.raw_max + 1)]
+        from_rom = [tuple(v.raw for v in cordic_sincos(a, cfg)) for a in angles]
+        monkeypatch.setattr(numerics, "_ROM_MAX_FRAC_BITS", -1)
+        rotated = [tuple(v.raw for v in cordic_sincos(a, cfg)) for a in angles]
+        assert from_rom == rotated
+
+
+class TestTfbKernelCalls:
+    def test_kernels_called_through_module(self, monkeypatch):
+        # The benchmark's traced run captures numerics.cordic_sincos and
+        # cordic_atan2 by replacing the module attributes, and replays the
+        # captured calls with the config as the last positional argument.
+        calls = []
+
+        def counting(name):
+            kernel = getattr(numerics, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append((name, args, kwargs))
+                return kernel(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("cordic_sincos", "cordic_atan2"):
+            monkeypatch.setattr(numerics, name, counting(name))
+        cfg = CordicConfig(iterations=10)
+        tfb_sincos(np.float32(0.5), cfg)
+        tfb_atan2(np.float32(0.3), np.float32(0.4), cfg)
+        tfb_acos(np.float32(0.2), cfg)
+        assert [name for name, _, _ in calls] == ["cordic_sincos", "cordic_atan2", "cordic_atan2"]
+        assert all(args[-1] is cfg and not kwargs for _, args, kwargs in calls)
