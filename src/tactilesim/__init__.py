@@ -56,7 +56,6 @@ from tactilesim.numerics import (
     sqrt32,
 )
 from tactilesim.pipeline import (
-    LatencyBudget,
     Scene,
     SeriesLengthMismatch,
     SimulationTrace,

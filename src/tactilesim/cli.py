@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,27 +112,64 @@ def default_scenario(seed: int = 2024) -> Scenario:
     )
 
 
+def _check(value, kind, name: str):
+    """``value`` as a ``kind`` (an int reads as a float); a bool is never a
+    number, and a float must be finite."""
+    # YAML booleans are ints to Python: `seed: false` must not read as 0.
+    if kind in (int, float) and isinstance(value, bool):
+        raise ScenarioError(f"field '{name}' must be {kind.__name__}, got bool")
+    if kind is float and isinstance(value, int):
+        value = float(value)
+    if not isinstance(value, kind):
+        raise ScenarioError(f"field '{name}' must be {kind.__name__}, got {type(value).__name__}")
+    if kind is float and not math.isfinite(value):
+        raise ScenarioError(f"field '{name}' must be finite, got {value!r}")
+    return value
+
+
 def _field(data: dict, key: str, kind, where: str, default=None, required: bool = False):
     if key not in data:
         if required:
             raise ScenarioError(f"missing required field '{where}{key}'")
         return default
-    value = data[key]
-    # YAML booleans are ints to Python: `seed: false` must not read as 0.
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ScenarioError(
-            f"field '{where}{key}' must be {getattr(kind, '__name__', kind)}, got {type(value).__name__}"
-        )
-    if kind is float and not math.isfinite(value):
-        raise ScenarioError(f"field '{where}{key}' must be finite, got {value!r}")
-    return value
+    return _check(data[key], kind, where + key)
+
+
+def _floats(
+    data: dict,
+    key: str,
+    where: str,
+    length: int | None = None,
+    default=None,
+    required: bool = False,
+):
+    """A list of numbers, each checked as `_field` checks one and named
+    ``field[i]``; ``length`` fixes the item count."""
+    values = _field(data, key, list, where, required=required)
+    if values is None:
+        return default
+    if length is not None and len(values) != length:
+        raise ScenarioError(f"field '{where}{key}' must be a list of {length} numbers")
+    return tuple(_check(v, float, f"{where}{key}[{i}]") for i, v in enumerate(values))
+
+
+@contextmanager
+def _naming(name: str):
+    """Re-raise a config constructor's ValueError as a ScenarioError naming
+    the scenario field it came from."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"field '{name}': {exc}") from exc
 
 
 def _parse_trajectory(data: dict) -> TrajectorySpec:
     where = "trajectory."
     sample_period = _field(data, "sample_period", float, where, default=0.01)
+    if sample_period <= 0:
+        raise ScenarioError(f"field '{where}sample_period' must be positive")
     segments_raw = _field(data, "segments", list, where, required=True)
     segments = []
     for i, seg in enumerate(segments_raw):
@@ -141,70 +179,58 @@ def _parse_trajectory(data: dict) -> TrajectorySpec:
         joint = _field(seg, "joint", int, sw, required=True)
         if joint not in (1, 2, 3):
             raise ScenarioError(f"field '{sw}joint' must be 1, 2 or 3")
-        segments.append(
-            TrajectorySegment(
-                joint=joint - 1,
-                start=_field(seg, "start", float, sw, required=True),
-                end=_field(seg, "end", float, sw, required=True),
-                samples=_field(seg, "samples", int, sw, required=True),
+        with _naming(sw + "samples"):
+            segments.append(
+                TrajectorySegment(
+                    joint=joint - 1,
+                    start=_field(seg, "start", float, sw, required=True),
+                    end=_field(seg, "end", float, sw, required=True),
+                    samples=_field(seg, "samples", int, sw, required=True),
+                )
             )
-        )
     total = _field(data, "total_samples", int, where)
-    try:
+    with _naming("trajectory.total_samples"):
         return TrajectorySpec(
             segments=tuple(segments), sample_period=sample_period, total_samples=total
         )
-    except ValueError as exc:
-        raise ScenarioError(f"field 'trajectory.total_samples': {exc}") from exc
 
 
 def _parse_channel(data: dict, name: str, seed: int) -> ChannelConfig:
     where = f"{name}."
-    sigma2 = data.get("sigma2", 0.0)
-    if isinstance(sigma2, (int, float)):
-        sigma2 = (float(sigma2),) * 3
-    elif isinstance(sigma2, list) and len(sigma2) == 3:
-        sigma2 = tuple(float(v) for v in sigma2)
+    if isinstance(data.get("sigma2"), list):
+        sigma2 = _floats(data, "sigma2", where, length=3)
     else:
-        raise ScenarioError(f"field '{where}sigma2' must be a number or a 3-list")
-    delay_raw = data.get("delay", 0)
-    if isinstance(delay_raw, int):
-        delay = ConstantDelay(delay_raw)
-    elif isinstance(delay_raw, dict):
-        delay = RandomWalkDelay(
-            d_min=_field(delay_raw, "min", int, where + "delay.", required=True),
-            d_max=_field(delay_raw, "max", int, where + "delay.", required=True),
-        )
-    else:
-        raise ScenarioError(f"field '{where}delay' must be an integer or {{min, max}}")
-    hold = data.get("initial_hold")
-    if hold is not None:
-        if not (isinstance(hold, list) and len(hold) == 3):
-            raise ScenarioError(f"field '{where}initial_hold' must be a 3-list")
-        hold = tuple(float(v) for v in hold)
-    try:
+        sigma2 = _field(data, "sigma2", float, where, default=0.0)
+    with _naming(where + "delay"):
+        if isinstance(data.get("delay"), dict):
+            delay = RandomWalkDelay(
+                d_min=_field(data["delay"], "min", int, where + "delay.", required=True),
+                d_max=_field(data["delay"], "max", int, where + "delay.", required=True),
+            )
+        else:
+            delay = ConstantDelay(_field(data, "delay", int, where, default=0))
+    hold = _floats(data, "initial_hold", where, length=3)
+    with _naming(where + "sigma2"):
         return ChannelConfig(noise_variance=sigma2, delay=delay, seed=seed, initial_hold=hold)
-    except ValueError as exc:
-        raise ScenarioError(f"field '{where}': {exc}") from exc
 
 
 def _parse_scene(data: dict) -> Scene:
     where = "scene."
     kind = _field(data, "type", str, where, default="plane")
     el_raw = _field(data, "elasticity", dict, where, required=True)
-    elasticity = Elasticity(
-        hx=_field(el_raw, "hx", float, where + "elasticity.", required=True),
-        hy=_field(el_raw, "hy", float, where + "elasticity.", required=True),
-        hz=_field(el_raw, "hz", float, where + "elasticity.", required=True),
-    )
+    with _naming(where + "elasticity"):
+        elasticity = Elasticity(
+            hx=_field(el_raw, "hx", float, where + "elasticity.", required=True),
+            hy=_field(el_raw, "hy", float, where + "elasticity.", required=True),
+            hz=_field(el_raw, "hz", float, where + "elasticity.", required=True),
+        )
     if kind == "free":
         return Scene.free_space(elasticity)
     if kind == "plane":
-        normal = _field(data, "normal", list, where, required=True)
-        if len(normal) != 3:
-            raise ScenarioError("field 'scene.normal' must be a 3-list")
+        normal = _floats(data, "normal", where, length=3, required=True)
         offset = _field(data, "offset", float, where, required=True)
-        return Scene.contact_plane(normal, offset, elasticity)
+        with _naming(where + "normal"):
+            return Scene.contact_plane(normal, offset, elasticity)
     raise ScenarioError(f"field 'scene.type' must be 'plane' or 'free', got {kind!r}")
 
 
@@ -215,31 +241,27 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"field 'version': unsupported schema version {version}")
     seed = _field(data, "seed", int, "", required=True)
+    if seed < 0:
+        raise ScenarioError(f"field 'seed' must be nonnegative, got {seed}")
 
-    geo_raw = data.get("geometry", {})
-    try:
+    geo_raw = _field(data, "geometry", dict, "", default={})
+    with _naming("geometry"):
         geometry = DeviceGeometry(
             l1=_field(geo_raw, "l1", float, "geometry.", default=0.135),
             l2=_field(geo_raw, "l2", float, "geometry.", default=0.135),
             l3=_field(geo_raw, "l3", float, "geometry.", default=0.025),
             l4=_field(geo_raw, "l4", float, "geometry.", default=0.170),
         )
-    except ValueError as exc:
-        raise ScenarioError(f"field 'geometry': {exc}") from exc
 
-    cordic_raw = data.get("cordic", {})
+    cordic_raw = _field(data, "cordic", dict, "", default={})
     fmt_text = _field(cordic_raw, "format", str, "cordic.", default="s16.13")
-    try:
+    with _naming("cordic.format"):
         fmt = QFormat.from_string(fmt_text)
-    except ValueError as exc:
-        raise ScenarioError(f"field 'cordic.format': {exc}") from exc
     iterations = _field(
         cordic_raw, "iterations", int, "cordic.", default=SCENARIO_CORDIC_ITERATIONS
     )
-    try:
+    with _naming("cordic"):
         cordic = CordicConfig(iterations=iterations, fmt=fmt)
-    except ValueError as exc:
-        raise ScenarioError(f"field 'cordic': {exc}") from exc
 
     backends_raw = data.get("backends", ["oracle", "hybrid"])
     if not isinstance(backends_raw, list) or not backends_raw:
@@ -249,28 +271,27 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
             raise ScenarioError(f"field 'backends': unknown backend {b!r}")
     backends = tuple(dict.fromkeys(backends_raw))
 
-    if "trajectory" not in data:
-        raise ScenarioError("missing required field 'trajectory'")
-    trajectory = _parse_trajectory(data["trajectory"])
-    if "scene" not in data:
-        raise ScenarioError("missing required field 'scene'")
-    scene = _parse_scene(data["scene"])
+    trajectory = _parse_trajectory(_field(data, "trajectory", dict, "", required=True))
+    scene = _parse_scene(_field(data, "scene", dict, "", required=True))
 
-    fc = _parse_channel(data.get("fc", {}), "fc", seed=2 * seed)
-    bc = _parse_channel(data.get("bc", {}), "bc", seed=2 * seed + 1)
+    fc = _parse_channel(_field(data, "fc", dict, "", default={}), "fc", seed=2 * seed)
+    bc = _parse_channel(_field(data, "bc", dict, "", default={}), "bc", seed=2 * seed + 1)
 
-    fcs_raw = data.get("fcs", {})
+    fcs_raw = _field(data, "fcs", dict, "", default={})
     fcs_pole = _field(fcs_raw, "pole", float, "fcs.", default=0.0)
     if not 0.0 <= fcs_pole < 1.0:
         raise ScenarioError("field 'fcs.pole' must lie in [0, 1)")
 
-    budget_raw = data.get("budget", {})
-    limits = budget_raw.get("t_latency_limits", [1e-3, 10e-3])
-    if not isinstance(limits, list) or not all(isinstance(v, (int, float)) for v in limits):
-        raise ScenarioError("field 'budget.t_latency_limits' must be a list of numbers")
+    budget_raw = _field(data, "budget", dict, "", default={})
+    limits = _floats(budget_raw, "t_latency_limits", "budget.", default=(1e-3, 10e-3))
+    for i, lim in enumerate(limits):
+        if lim < 0:
+            raise ScenarioError(f"field 'budget.t_latency_limits[{i}]' must be nonnegative")
     t_hw = _field(budget_raw, "t_hardware", float, "budget.", default=403e-9)
+    if t_hw <= 0:
+        raise ScenarioError("field 'budget.t_hardware' must be positive")
 
-    out_raw = data.get("output", {})
+    out_raw = _field(data, "output", dict, "", default={})
     return Scenario(
         trajectory=trajectory,
         geometry=geometry,
@@ -283,7 +304,7 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
         seed=seed,
         output_dir=_field(out_raw, "dir", str, "output.", default="out"),
         output_prefix=_field(out_raw, "prefix", str, "output.", default="trace"),
-        budget_limits=tuple(float(v) for v in limits),
+        budget_limits=limits,
         budget_t_hardware=t_hw,
     )
 

@@ -217,14 +217,11 @@ def _fk_circuit(p, theta):
     return x, y, z
 
 
-def _acos_arg_check(arg: float, what: str, sample_index: int | None = None) -> float:
+def _acos_arg_check(arg: float, what: str) -> float:
     # NaN fails the test too: it arises only when r overflows, and must raise
     # here rather than reach a TFB.
     if not abs(arg) <= 1.0 + EPS_REACH:
-        raise Unreachable(
-            f"{what} operand {arg!r} outside [-1, 1]: position not reachable",
-            sample_index,
-        )
+        raise Unreachable(f"{what} operand {arg!r} outside [-1, 1]: position not reachable")
     return min(max(arg, -1.0), 1.0)
 
 

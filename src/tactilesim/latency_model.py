@@ -14,7 +14,6 @@ periods.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, fields
 
@@ -54,6 +53,10 @@ OP_KINDS = (
 # Measured per-module sample periods of the reference FPGA implementation,
 # in nanoseconds; the default calibration targets.
 DEFAULT_TARGETS_NS = {"FK": 47.0, "KFF": 70.0, "IK": 218.0, "FBF": 21.0}
+
+# Cap on the fit-and-reselect rounds of `calibrate`.  The path selection
+# mostly settles within four rounds, but can also cycle, and then stops here.
+_MAX_ROUNDS = 20
 
 
 def linprog(*args, **kwargs):
@@ -100,13 +103,6 @@ class OpLatencyTable:
     def to_dict(self) -> dict[str, float]:
         return {k: getattr(self, k) for k in OP_KINDS}
 
-    @classmethod
-    def from_dict(cls, d: dict[str, float]) -> "OpLatencyTable":
-        return cls(**d)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 @dataclass(frozen=True)
 class DataflowGraph:
@@ -139,28 +135,6 @@ class DataflowGraph:
         for out in self.outputs:
             if out not in ids:
                 raise ValueError(f"output {out!r} is not a node")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "nodes": dict(self.nodes),
-            "edges": [list(e) for e in self.edges],
-            "inputs": list(self.inputs),
-            "outputs": list(self.outputs),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DataflowGraph":
-        return cls(
-            name=d["name"],
-            nodes=dict(d["nodes"]),
-            edges=tuple((s, t) for s, t in d["edges"]),
-            inputs=tuple(d["inputs"]),
-            outputs=tuple(d["outputs"]),
-        )
 
 
 def _longest_paths(g: DataflowGraph, t: OpLatencyTable) -> dict[str, tuple[float, str | None]]:
@@ -349,9 +323,6 @@ class CalibrationResult:
             "t_hardware_ns": self.t_hardware,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def _all_path_signatures(g: DataflowGraph) -> list[np.ndarray]:
     """Distinct operator-count vectors over all input-to-output paths."""
@@ -390,7 +361,6 @@ def _all_path_signatures(g: DataflowGraph) -> list[np.ndarray]:
 def calibrate(
     targets: dict[str, float],
     graphs: dict[str, DataflowGraph] | None = None,
-    max_rounds: int = 20,
 ) -> CalibrationResult:
     """Fit nonnegative per-operator latencies so that each module's critical
     path matches its target as closely as possible (least squares residual).
@@ -427,7 +397,7 @@ def calibrate(
         name: max(signatures[name], key=lambda v: v.sum()) for name in names if signatures[name]
     }
     best: tuple[float, OpLatencyTable] | None = None
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         objective = -np.sum([selected[name] for name in selected], axis=0)
         sol = linprog(objective, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
         if not sol.success:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -62,11 +62,8 @@ class QFormat:
 
     total_bits: int
     frac_bits: int
-    signed: bool = True
 
     def __post_init__(self) -> None:
-        if not self.signed:
-            raise ValueError("only signed formats are supported")
         if not 2 <= self.total_bits <= 64:
             raise ValueError(f"total_bits must be in [2, 64], got {self.total_bits}")
         if not 0 <= self.frac_bits <= self.total_bits - 1:
@@ -140,49 +137,34 @@ def _cordic_gain(iterations: int) -> float:
 
 @dataclass(frozen=True)
 class CordicConfig:
-    """Rotation count, operand format and the precomputed gain compensation of
-    the CORDIC datapath."""
+    """Rotation count and operand format of the CORDIC datapath; the gain
+    compensation follows from the rotation count.  The format must hold pi,
+    the largest angle the kernels return."""
 
     iterations: int = 16
     fmt: QFormat = S16_13
-    gain_compensation: float = field(default=math.nan)
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        exact = _cordic_gain(self.iterations)
-        if math.isnan(self.gain_compensation):
-            object.__setattr__(self, "gain_compensation", exact)
-        elif abs(self.gain_compensation - exact) > self.fmt.resolution:
-            raise ValueError(
-                f"gain_compensation {self.gain_compensation} differs from "
-                f"{exact} by more than one LSB of {self.fmt}"
-            )
+        if self.fmt.raw_max < round(math.pi * self.fmt.scale):
+            raise ValueError(f"format {self.fmt} cannot hold pi (max {self.fmt.max_value})")
 
 
 DEFAULT_CORDIC = CordicConfig()
 
 
-def float_to_fixed(x: float, fmt: QFormat, rounding: str = "nearest") -> FixedValue:
-    """Quantize ``x`` to ``fmt`` with saturation instead of overflow.
-
-    ``rounding`` is ``"nearest"`` (round to nearest, ties to even; the F2FP
-    default) or ``"truncate"`` (two's-complement bit truncation, i.e. floor).
-    """
+def float_to_fixed(x: float, fmt: QFormat) -> FixedValue:
+    """Quantize ``x`` to ``fmt``: round to nearest, ties to even (the F2FP
+    rounding), with saturation instead of overflow."""
     x = float(x)
     if math.isnan(x):
         raise ValueError("cannot quantize NaN")
-    if rounding == "nearest":
-        to_int = round
-    elif rounding == "truncate":
-        to_int = math.floor
-    else:
-        raise ValueError(f"unknown rounding mode {rounding!r}")
     scaled = x * fmt.scale
     if math.isinf(scaled):
         raw = fmt.raw_max if scaled > 0 else fmt.raw_min
     else:
-        raw = min(max(to_int(scaled), fmt.raw_min), fmt.raw_max)
+        raw = min(max(round(scaled), fmt.raw_min), fmt.raw_max)
     return FixedValue(raw, fmt)
 
 

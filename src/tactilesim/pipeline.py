@@ -41,7 +41,6 @@ __all__ = [
     "TrajectorySegment",
     "TrajectorySpec",
     "Scene",
-    "LatencyBudget",
     "SimulationTrace",
     "MODULE_SIGNALS",
     "generate_trajectory",
@@ -156,10 +155,9 @@ class Scene:
         return self.surface(n, tool)
 
     @classmethod
-    def free_space(cls, elasticity: Elasticity | None = None) -> "Scene":
+    def free_space(cls, elasticity: Elasticity) -> "Scene":
         """No object anywhere: zero contact force for the whole run."""
-        h = elasticity if elasticity is not None else Elasticity(0.0, 0.0, 0.0)
-        return cls(elasticity=h, surface=lambda n, tool: tool)
+        return cls(elasticity=elasticity, surface=lambda n, tool: tool)
 
     @classmethod
     def contact_plane(
@@ -188,18 +186,6 @@ class Scene:
         return cls(elasticity=elasticity, surface=surface)
 
     @classmethod
-    def from_table(cls, table: np.ndarray, elasticity: Elasticity) -> "Scene":
-        """Object positions given per sample as an (Q, 3) array."""
-        arr = np.asarray(table, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise ValueError("table must have shape (Q, 3)")
-
-        def surface(n: int, tool: CartesianPosition) -> CartesianPosition:
-            return CartesianPosition(*arr[n])
-
-        return cls(elasticity=elasticity, surface=surface)
-
-    @classmethod
     def default(cls) -> "Scene":
         """Default validation scene: a tilted plane the tool reaches during
         the final trajectory segment, with moderate elasticity."""
@@ -208,33 +194,6 @@ class Scene:
             offset=0.03,
             elasticity=Elasticity(80.0, 80.0, 80.0),
         )
-
-
-@dataclass(frozen=True)
-class LatencyBudget:
-    """Round-trip latency budget and its per-stage components (seconds)."""
-
-    t_latency: float
-    t_md: float = 0.0
-    t_hmd: float = 0.0
-    t_nw: float = 0.0
-    t_hsd: float = 0.0
-    t_sd: float = 0.0
-
-    def __post_init__(self) -> None:
-        for f in ("t_latency", "t_md", "t_hmd", "t_nw", "t_hsd", "t_sd"):
-            if getattr(self, f) < 0:
-                raise ValueError(f"{f} must be nonnegative")
-
-    @classmethod
-    def from_components(
-        cls, t_md: float, t_hmd: float, t_nw: float, t_hsd: float, t_sd: float
-    ) -> "LatencyBudget":
-        total = 2.0 * (t_md + t_hmd + t_nw + t_hsd + t_sd)
-        return cls(total, t_md, t_hmd, t_nw, t_hsd, t_sd)
-
-    def hardware_limit(self) -> float:
-        return hardware_time_limit(self.t_latency)
 
 
 def hardware_time_limit(t_latency: float) -> float:
@@ -358,10 +317,6 @@ def _backend_label(b: Backend) -> str:
     return "hybrid" if isinstance(b, Hybrid) else "oracle"
 
 
-# Prediction/detection hook: sample index and 3-vector in, 3-vector out.
-PredictorFn = Callable[[int, np.ndarray], np.ndarray]
-
-
 def run_pipeline(
     spec: TrajectorySpec,
     scene: Scene,
@@ -372,9 +327,6 @@ def run_pipeline(
     geometry: DeviceGeometry = DEFAULT_GEOMETRY,
     shadow: Backend | None = None,
     fcs_pole: float = 0.0,
-    cartesian_predictor: PredictorFn | None = None,
-    joint_predictor: PredictorFn | None = None,
-    force_predictor: PredictorFn | None = None,
 ) -> SimulationTrace:
     """Simulate the loop for every sample of the trajectory.
 
@@ -383,13 +335,9 @@ def run_pipeline(
     h = spring force(s_obj, l); q = backwards channel(h); p = J^T(b) q.
 
     The slave tracking is ideal by default; ``fcs_pole`` in (0, 1) enables a
-    first-order lag for sensitivity studies.  The predictor hooks slot
-    latency/noise compensation into the dataflow and default to identity
-    pass-throughs: ``cartesian_predictor`` filters v before the inverse
-    kinematics, ``joint_predictor`` filters theta_hsd behind it, and
-    ``force_predictor`` filters q before the torque synthesis.  With
-    ``shadow`` set, the shadow backend's modules are evaluated on the driving
-    chain's inputs sample by sample and recorded alongside.
+    first-order lag for sensitivity studies.  With ``shadow`` set, the shadow
+    backend's modules are evaluated on the driving chain's inputs sample by
+    sample and recorded alongside.
     """
     if not 0.0 <= fcs_pole < 1.0:
         raise ValueError("fcs_pole must lie in [0, 1)")
@@ -408,18 +356,11 @@ def run_pipeline(
         b = traj[n]
         c = forward_kinematics(b, geometry, backend)
         v = channel_step(fc_state, fc, c.as_tuple(), n)
-        v_in = v
-        if cartesian_predictor is not None:
-            v_in = np.asarray(cartesian_predictor(n, v), dtype=float)
-        v_pos = CartesianPosition(*v_in.tolist())
+        v_pos = CartesianPosition(*v.tolist())
         try:
             theta_hsd = inverse_kinematics(v_pos, geometry, backend)
         except Unreachable as exc:
             raise Unreachable(f"sample {n}: {exc}", sample_index=n) from exc
-        if joint_predictor is not None:
-            theta_hsd = JointAngles(
-                *np.asarray(joint_predictor(n, np.array(theta_hsd.as_tuple())), dtype=float)
-            )
 
         if fcs_pole == 0.0 or theta_sd_prev is None:
             theta_sd = theta_hsd.as_tuple()
@@ -435,10 +376,7 @@ def run_pipeline(
         s_obj = scene.object_position(n, l_pos)
         h = feedback_force(s_obj, l_pos, scene.elasticity, backend)
         qv = channel_step(bc_state, bc, h.as_tuple(), n)
-        q_in = qv
-        if force_predictor is not None:
-            q_in = np.asarray(force_predictor(n, qv), dtype=float)
-        f_in = ForceVector(*q_in.tolist())
+        f_in = ForceVector(*qv.tolist())
         p = kinesthetic_feedback(b, f_in, geometry, backend)
 
         # In COLUMN_ORDER.

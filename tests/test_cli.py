@@ -1,12 +1,18 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tactilesim.cli import (
     ScenarioError,
@@ -121,6 +127,65 @@ class TestScenarioParsing:
 
         tool = CartesianPosition(0.0, 0.0, 0.0)
         assert sc.scene.object_position(0, tool) == tool
+
+
+def short_scenario() -> dict:
+    """The shipped scenario cut to 10 samples, with every optional field
+    spelled out: noisy channels with both delay kinds, initial holds and a
+    lagging slave."""
+    data = scenario_dict()
+    data["trajectory"]["total_samples"] = 10
+    for seg, samples in zip(data["trajectory"]["segments"], (4, 3, 3)):
+        seg["samples"] = samples
+    data["fc"] = {
+        "sigma2": 1e-10,
+        "delay": {"min": 0, "max": 2},
+        "initial_hold": [0.0, -0.11, -0.035],
+    }
+    data["bc"] = {"sigma2": [0.0, 1e-6, 0.0], "delay": 1, "initial_hold": [0.0, 0.0, 0.0]}
+    data["fcs"] = {"pole": 0.5}
+    return data
+
+
+def leaf_paths(node, prefix=()):
+    """Key/index paths of every scalar in a parsed YAML tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+SHORT_LEAVES = list(leaf_paths(short_scenario()))
+ODD_VALUES = [True, math.nan, math.inf, -1, -1.0, 0, 0.0, "x", None, [], [1.0, 2.0]]
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(path=st.sampled_from(SHORT_LEAVES), value=st.sampled_from(ODD_VALUES))
+def test_any_leaf_replacement_ends_cleanly(path, value):
+    # A scenario either runs, or fails with one line on stderr: exit 1 for a
+    # bad field, exit 2 for a runtime error.  Never a traceback.
+    data = copy.deepcopy(short_scenario())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "s.yaml"
+        scenario.write_text(yaml.safe_dump(data))
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["run", str(scenario), "--out-dir", str(Path(tmp) / "out")])
+    assert rc in (0, 1, 2)
+    if rc != 0:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 class TestRunCommand:

@@ -45,8 +45,6 @@ class TestQFormat:
             QFormat(16, 16)
         with pytest.raises(ValueError):
             QFormat(16, -1)
-        with pytest.raises(ValueError):
-            QFormat(16, 13, signed=False)
 
     def test_range(self):
         assert S16_13.raw_max == 32767
@@ -89,12 +87,6 @@ class TestConversions:
         assert float_to_fixed(1.5 * LSB, S16_13).raw == 2
         assert float_to_fixed(2.5 * LSB, S16_13).raw == 2
 
-    def test_truncate_mode(self):
-        assert float_to_fixed(0.99 * LSB, S16_13, rounding="truncate").raw == 0
-        assert float_to_fixed(-0.01 * LSB, S16_13, rounding="truncate").raw == -1
-        with pytest.raises(ValueError):
-            float_to_fixed(1.0, S16_13, rounding="stochastic")
-
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             float_to_fixed(math.nan, S16_13)
@@ -108,27 +100,31 @@ class TestConversions:
     def test_monotone(self):
         rng = np.random.default_rng(11)
         xs = np.sort(rng.uniform(-6.0, 6.0, 2000))
-        for mode in ("nearest", "truncate"):
-            raws = [float_to_fixed(float(x), S16_13, rounding=mode).raw for x in xs]
-            assert all(a <= b for a, b in zip(raws, raws[1:]))
+        raws = [float_to_fixed(float(x), S16_13).raw for x in xs]
+        assert all(a <= b for a, b in zip(raws, raws[1:]))
 
 
 class TestCordicConfig:
     def test_default_gain(self):
-        cfg = CordicConfig()
-        expected = math.prod(1.0 / math.sqrt(1.0 + 2.0 ** (-2 * i)) for i in range(16))
-        assert cfg.gain_compensation == pytest.approx(expected, abs=1e-15)
-
-    def test_gain_invariant_checked(self):
-        with pytest.raises(ValueError):
-            CordicConfig(iterations=16, gain_compensation=0.7)
-        # Within one LSB is accepted.
-        good = math.prod(1.0 / math.sqrt(1.0 + 2.0 ** (-2 * i)) for i in range(16))
-        CordicConfig(iterations=16, gain_compensation=good + 0.5 * LSB)
+        # The kernel's start value is the gain compensation of 16 rotations
+        # at working precision.
+        gain = math.prod(1.0 / math.sqrt(1.0 + 2.0 ** (-2 * i)) for i in range(16))
+        x0 = numerics._kernel_constants(16, 13)[1]
+        assert x0 == round(gain * 2 ** (13 + numerics._GUARD_BITS))
 
     def test_iterations_checked(self):
         with pytest.raises(ValueError):
             CordicConfig(iterations=0)
+
+    @pytest.mark.parametrize("text", ["s2.0", "s2.1", "s3.1", "s16.14"])
+    def test_format_must_hold_pi(self, text):
+        # The kernels return angles up to pi.
+        with pytest.raises(ValueError, match=text):
+            CordicConfig(fmt=QFormat.from_string(text))
+
+    def test_format_holding_exactly_pi_accepted(self):
+        # raw_max of s3.0 is 3 == round(pi).
+        CordicConfig(fmt=QFormat(3, 0))
 
 
 class TestSinCos:
@@ -335,7 +331,7 @@ class TestSinCosRom:
             assert sin_rom[raw] == numerics._round_shift(sin_w, guard)
             assert cos_rom[raw] == numerics._round_shift(cos_w, guard)
 
-    @pytest.mark.parametrize("fmt", [QFormat(12, 9), QFormat(3, 1)])
+    @pytest.mark.parametrize("fmt", [QFormat(12, 9), QFormat(4, 1)])
     def test_rom_and_rotation_paths_agree(self, fmt, monkeypatch):
         # Every raw angle of the format, through the reduction, signs and
         # saturation, once from the ROM and once rotated per call.

@@ -8,7 +8,6 @@ from tactilesim.force import Elasticity
 from tactilesim.kinematics import Hybrid, JointAngles, ORACLE, Unreachable
 from tactilesim.numerics import CordicConfig
 from tactilesim.pipeline import (
-    LatencyBudget,
     MODULE_SIGNALS,
     Scene,
     SeriesLengthMismatch,
@@ -85,17 +84,6 @@ class TestScene:
         assert touch.x == beyond.x and touch.y == beyond.y
         assert touch.z == pytest.approx(0.0, abs=1e-15)
 
-    def test_table_scene(self):
-        from tactilesim.kinematics import CartesianPosition
-
-        table = np.tile(np.array([0.01, 0.02, 0.03]), (5, 1))
-        scene = Scene.from_table(table, Elasticity(1, 1, 1))
-        assert scene.object_position(2, CartesianPosition(0, 0, 0)).as_tuple() == (
-            0.01,
-            0.02,
-            0.03,
-        )
-
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
             Scene.contact_plane((0, 0, 0), 0.0, Elasticity(1, 1, 1))
@@ -128,13 +116,6 @@ class TestBudget:
     def test_speedup_needs_positive_hardware_time(self):
         with pytest.raises(ValueError):
             speedup_report(0.0, [1e-3])
-
-    def test_budget_components(self):
-        b = LatencyBudget.from_components(1e-5, 2e-5, 3e-4, 2e-5, 1e-5)
-        assert b.t_latency == pytest.approx(2 * (1e-5 + 2e-5 + 3e-4 + 2e-5 + 1e-5))
-        assert b.hardware_limit() == pytest.approx(0.3 * b.t_latency / 8)
-        with pytest.raises(ValueError):
-            LatencyBudget(-1.0)
 
 
 class TestMse:
@@ -302,39 +283,6 @@ class TestRunPipeline:
         )
         for k in ("h_x", "h_y", "h_z"):
             assert abs(trace.signals[k][600] - trace.shadow_signals[k][600]) <= 1e-12
-
-    def test_predictor_hooks_default_to_identity(self):
-        base = run_pipeline(
-            TrajectorySpec.default(), Scene.default(), transparent(), transparent(), ORACLE
-        )
-        hooked = run_pipeline(
-            TrajectorySpec.default(),
-            Scene.default(),
-            transparent(),
-            transparent(),
-            ORACLE,
-            cartesian_predictor=lambda n, v: v,
-            joint_predictor=lambda n, th: th,
-            force_predictor=lambda n, q: q,
-        )
-        for key in base.signals:
-            assert np.array_equal(base.signals[key], hooked.signals[key])
-
-    def test_predictor_hooks_slot_into_dataflow(self):
-        offset = np.array([0.0, 0.0, 1e-3])
-        trace = run_pipeline(
-            TrajectorySpec.default(),
-            Scene.default(),
-            transparent(),
-            transparent(),
-            ORACLE,
-            cartesian_predictor=lambda n, v: v + offset,
-        )
-        # The predictor output feeds the inverse kinematics but is not a
-        # recorded chain signal; the slave pose must reflect the offset.
-        v = np.stack([trace.signals[k] for k in ("v_x", "v_y", "v_z")], axis=1)
-        l = np.stack([trace.signals[k] for k in ("l_x", "l_y", "l_z")], axis=1)
-        assert np.allclose(l, v + offset, atol=1e-9)
 
 
 class TestTraceCsv:
