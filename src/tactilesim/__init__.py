@@ -26,8 +26,10 @@ from tactilesim.kinematics import (
     Hybrid,
     IkIntermediates,
     JointAngles,
+    NonFiniteSignal,
     ORACLE,
     Oracle,
+    SampleError,
     Unreachable,
     forward_kinematics,
     ik_intermediates,

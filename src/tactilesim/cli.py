@@ -25,7 +25,7 @@ from tactilesim.kinematics import (
     DeviceGeometry,
     Hybrid,
     Oracle,
-    Unreachable,
+    SampleError,
 )
 from tactilesim.latency_model import (
     CalibrationDegenerate,
@@ -290,6 +290,19 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     t_hw = _field(budget_raw, "t_hardware", float, "budget.", default=403e-9)
     if t_hw <= 0:
         raise ScenarioError("field 'budget.t_hardware' must be positive")
+    # The summary reports each speedup hardware_time_limit(limit) / t_hardware
+    # as an integer, so it must be finite.  t_hardware is judged against the
+    # paper's 1 ms limit first, then each limit against t_hardware.
+    if not math.isfinite(hardware_time_limit(1e-3) / t_hw):
+        raise ScenarioError(
+            f"field 'budget.t_hardware' is too small for a finite speedup: {t_hw!r} s"
+        )
+    for i, lim in enumerate(limits):
+        if not math.isfinite(hardware_time_limit(lim) / t_hw):
+            raise ScenarioError(
+                f"field 'budget.t_latency_limits[{i}]' is too large for a finite speedup "
+                f"over t_hardware {t_hw!r} s: {lim!r} s"
+            )
 
     out_raw = _field(data, "output", dict, "", default={})
     return Scenario(
@@ -340,7 +353,7 @@ def cmd_run(args) -> int:
             shadow=shadow,
             fcs_pole=scenario.fcs_pole,
         )
-    except (Unreachable, OutOfOrderSample) as exc:
+    except (SampleError, OutOfOrderSample) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

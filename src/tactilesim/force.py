@@ -21,6 +21,8 @@ from tactilesim.kinematics import (
     Hybrid,
     JointAngles,
     ORACLE,
+    _F32_MAX,
+    _require_finite,
 )
 from tactilesim.numerics import tfb_sincos
 
@@ -42,9 +44,8 @@ class ForceVector:
     fz: float
 
     def __post_init__(self) -> None:
-        for name in ("fx", "fy", "fz"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not (math.isfinite(self.fx) and math.isfinite(self.fy) and math.isfinite(self.fz)):
+            _require_finite(self, ("fx", "fy", "fz"))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.fx, self.fy, self.fz)
@@ -57,9 +58,10 @@ class TorqueVector:
     tau3: float
 
     def __post_init__(self) -> None:
-        for name in ("tau1", "tau2", "tau3"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not (
+            math.isfinite(self.tau1) and math.isfinite(self.tau2) and math.isfinite(self.tau3)
+        ):
+            _require_finite(self, ("tau1", "tau2", "tau3"))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.tau1, self.tau2, self.tau3)
@@ -107,6 +109,8 @@ class Elasticity:
         for name in ("hx", "hy", "hz"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+            if getattr(self, name) > _F32_MAX:
+                raise ValueError(f"{name} exceeds the float32 maximum {_F32_MAX:.7g}")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.hx, self.hy, self.hz)
@@ -202,12 +206,14 @@ def kinesthetic_feedback(
     """
     jm = jacobian(q, g, backend)
     if isinstance(backend, Hybrid):
-        # One float32 cast for the eight J entries and the three forces.
-        jf = np.array(
-            (jm.j11, jm.j12, jm.j13, jm.j22, jm.j23, jm.j31, jm.j32, jm.j33, *f.as_tuple()),
-            np.float32,
-        )
-        return TorqueVector(*map(float, _torque_circuit(jf[:8], jf[8:])))
+        # One float32 cast for the eight J entries and the three forces.  A
+        # force beyond the float32 range becomes inf, as in the datapath.
+        with np.errstate(over="ignore", invalid="ignore"):
+            jf = np.array(
+                (jm.j11, jm.j12, jm.j13, jm.j22, jm.j23, jm.j31, jm.j32, jm.j33, *f.as_tuple()),
+                np.float32,
+            )
+            return TorqueVector(*map(float, _torque_circuit(jf[:8], jf[8:])))
     tau1 = jm.j11 * f.fx + jm.j31 * f.fz
     tau2 = (jm.j12 * f.fx + jm.j22 * f.fy) + jm.j32 * f.fz
     tau3 = (jm.j13 * f.fx + jm.j23 * f.fy) + jm.j33 * f.fz
@@ -222,8 +228,10 @@ def feedback_force(
 ) -> ForceVector:
     """Spring-law contact force, per axis: h_i * (obj_i - env_i)."""
     if isinstance(backend, Hybrid):
-        pos = np.array((*obj.as_tuple(), *env.as_tuple()), np.float32)
-        return ForceVector(*map(float, _fbf_circuit(pos[:3], pos[3:], h._f32)))
+        # Float32 overflow gives inf, as in the datapath.
+        with np.errstate(over="ignore", invalid="ignore"):
+            pos = np.array((*obj.as_tuple(), *env.as_tuple()), np.float32)
+            return ForceVector(*map(float, _fbf_circuit(pos[:3], pos[3:], h._f32)))
     return ForceVector(
         h.hx * (obj.x - env.x),
         h.hy * (obj.y - env.y),

@@ -35,7 +35,9 @@ from tactilesim.numerics import (
 )
 
 __all__ = [
+    "SampleError",
     "Unreachable",
+    "NonFiniteSignal",
     "DeviceGeometry",
     "JointAngles",
     "CartesianPosition",
@@ -55,19 +57,40 @@ __all__ = [
 # edge, anything beyond is reported as unreachable.
 EPS_REACH = 1e-6
 
+# Largest float32 value: the hybrid datapath holds its constants as 32-bit
+# floats, so a constant beyond it cannot be cast.
+_F32_MAX = float(np.finfo(np.float32).max)
+
 # Largest coordinate magnitude the hybrid IK takes in: below it the float32
 # sum of the three squared coordinates stays finite.  A position this far out
 # is unreachable anyway; rejecting it before the float32 cast keeps overflow
 # out of the datapath.
-_F32_COORD_MAX = math.sqrt(float(np.finfo(np.float32).max) / 4.0)
+_F32_COORD_MAX = math.sqrt(_F32_MAX / 4.0)
 
 
-class Unreachable(ValueError):
-    """Requested tool position lies outside the device workspace."""
+class SampleError(ValueError):
+    """A loop signal failed a check; ``run_pipeline`` re-raises it with the
+    sample index in the message and in ``sample_index``."""
 
     def __init__(self, message: str, sample_index: int | None = None):
         super().__init__(message)
         self.sample_index = sample_index
+
+
+class Unreachable(SampleError):
+    """Requested tool position lies outside the device workspace."""
+
+
+class NonFiniteSignal(SampleError):
+    """A signal value is NaN or infinite."""
+
+
+def _require_finite(value, names: tuple[str, ...]) -> None:
+    """Raise NonFiniteSignal naming the first field of ``value`` that is not
+    finite."""
+    for name in names:
+        if not math.isfinite(getattr(value, name)):
+            raise NonFiniteSignal(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -84,6 +107,8 @@ class DeviceGeometry:
         for name in ("l1", "l2", "l3", "l4"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+            if getattr(self, name) > _F32_MAX:
+                raise ValueError(f"{name} exceeds the float32 maximum {_F32_MAX:.7g}")
 
     @cached_property
     def _f32(self) -> tuple[np.float32, np.float32, np.float32, np.float32]:
@@ -101,9 +126,10 @@ class JointAngles:
     theta3: float
 
     def __post_init__(self) -> None:
-        for name in ("theta1", "theta2", "theta3"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not (
+            math.isfinite(self.theta1) and math.isfinite(self.theta2) and math.isfinite(self.theta3)
+        ):
+            _require_finite(self, ("theta1", "theta2", "theta3"))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.theta1, self.theta2, self.theta3)
@@ -116,9 +142,8 @@ class CartesianPosition:
     z: float
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "z"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
+            _require_finite(self, ("x", "y", "z"))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)

@@ -145,8 +145,10 @@ class CordicConfig:
     fmt: QFormat = S16_13
 
     def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        # Step i of the kernels adds the rounding offset 2**(i-1) to int64
+        # values, which needs i <= 63.
+        if not 1 <= self.iterations <= 64:
+            raise ValueError(f"iterations must lie in [1, 64], got {self.iterations}")
         if self.fmt.raw_max < round(math.pi * self.fmt.scale):
             raise ValueError(f"format {self.fmt} cannot hold pi (max {self.fmt.max_value})")
 

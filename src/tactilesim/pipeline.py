@@ -31,7 +31,7 @@ from tactilesim.kinematics import (
     Hybrid,
     JointAngles,
     ORACLE,
-    Unreachable,
+    SampleError,
     forward_kinematics,
     inverse_kinematics,
 )
@@ -170,18 +170,24 @@ class Scene:
         the nearest surface point is the projection of the tool back onto the
         plane, so the spring force is proportional to the penetration depth."""
         nvec = np.asarray(normal, dtype=float)
-        norm = float(np.linalg.norm(nvec))
-        if norm == 0:
-            raise ValueError("plane normal must be nonzero")
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(nvec))
+        if not (math.isfinite(norm) and norm > 0):
+            raise ValueError(f"plane normal must have a finite nonzero norm, got {norm!r}")
         nvec = nvec / norm
+        n_x, n_y, n_z = nvec.tolist()
 
         def surface(n: int, tool: CartesianPosition) -> CartesianPosition:
-            p = np.array(tool.as_tuple())
-            depth = float(nvec @ p) - offset
+            # The depth stays numpy's dot.  On x86-64 it rounds as the
+            # fused multiply-add chain fma(n_z, z, fma(n_y, y, n_x * x)); a
+            # plain Python sum differs in the last bit on about 40 % of
+            # points, and the golden trace digests pin those bits.
+            depth = float(nvec @ np.array(tool.as_tuple())) - offset
             if depth <= 0:
                 return tool
-            proj = p - depth * nvec
-            return CartesianPosition(*proj)
+            return CartesianPosition(
+                tool.x - depth * n_x, tool.y - depth * n_y, tool.z - depth * n_z
+            )
 
         return cls(elasticity=elasticity, surface=surface)
 
@@ -353,64 +359,61 @@ def run_pipeline(
 
     theta_sd_prev: tuple[float, float, float] | None = None
     for n in range(q_len):
-        b = traj[n]
-        c = forward_kinematics(b, geometry, backend)
-        v = channel_step(fc_state, fc, c.as_tuple(), n)
-        v_pos = CartesianPosition(*v.tolist())
         try:
+            b = traj[n]
+            c = forward_kinematics(b, geometry, backend)
+            v = channel_step(fc_state, fc, c.as_tuple(), n)
+            v_pos = CartesianPosition(*v.tolist())
             theta_hsd = inverse_kinematics(v_pos, geometry, backend)
-        except Unreachable as exc:
-            raise Unreachable(f"sample {n}: {exc}", sample_index=n) from exc
 
-        if fcs_pole == 0.0 or theta_sd_prev is None:
-            theta_sd = theta_hsd.as_tuple()
-        else:
-            theta_sd = tuple(
-                fcs_pole * prev + (1.0 - fcs_pole) * cur
-                for prev, cur in zip(theta_sd_prev, theta_hsd.as_tuple())
+            if fcs_pole == 0.0 or theta_sd_prev is None:
+                theta_sd = theta_hsd.as_tuple()
+            else:
+                theta_sd = tuple(
+                    fcs_pole * prev + (1.0 - fcs_pole) * cur
+                    for prev, cur in zip(theta_sd_prev, theta_hsd.as_tuple())
+                )
+            theta_sd_prev = theta_sd
+            theta_sd_q = JointAngles(*theta_sd)
+
+            l_pos = forward_kinematics(theta_sd_q, geometry, backend)
+            s_obj = scene.object_position(n, l_pos)
+            h = feedback_force(s_obj, l_pos, scene.elasticity, backend)
+            qv = channel_step(bc_state, bc, h.as_tuple(), n)
+            f_in = ForceVector(*qv.tolist())
+            p = kinesthetic_feedback(b, f_in, geometry, backend)
+
+            # In COLUMN_ORDER.
+            table[:, n] = (
+                n,
+                *b.as_tuple(),
+                *c.as_tuple(),
+                *v.tolist(),
+                *theta_hsd.as_tuple(),
+                *theta_sd,
+                *l_pos.as_tuple(),
+                *s_obj.as_tuple(),
+                *h.as_tuple(),
+                *qv.tolist(),
+                *p.as_tuple(),
             )
-        theta_sd_prev = theta_sd
-        theta_sd_q = JointAngles(*theta_sd)
 
-        l_pos = forward_kinematics(theta_sd_q, geometry, backend)
-        s_obj = scene.object_position(n, l_pos)
-        h = feedback_force(s_obj, l_pos, scene.elasticity, backend)
-        qv = channel_step(bc_state, bc, h.as_tuple(), n)
-        f_in = ForceVector(*qv.tolist())
-        p = kinesthetic_feedback(b, f_in, geometry, backend)
-
-        # In COLUMN_ORDER.
-        table[:, n] = (
-            n,
-            *b.as_tuple(),
-            *c.as_tuple(),
-            *v.tolist(),
-            *theta_hsd.as_tuple(),
-            *theta_sd,
-            *l_pos.as_tuple(),
-            *s_obj.as_tuple(),
-            *h.as_tuple(),
-            *qv.tolist(),
-            *p.as_tuple(),
-        )
-
-        if shadow is not None:
-            c_s = forward_kinematics(b, geometry, shadow)
-            try:
+            if shadow is not None:
+                c_s = forward_kinematics(b, geometry, shadow)
                 theta_s = inverse_kinematics(v_pos, geometry, shadow)
-            except Unreachable as exc:
-                raise Unreachable(f"sample {n}: {exc}", sample_index=n) from exc
-            l_s = forward_kinematics(theta_sd_q, geometry, shadow)
-            h_s = feedback_force(s_obj, l_pos, scene.elasticity, shadow)
-            p_s = kinesthetic_feedback(b, f_in, geometry, shadow)
-            # In MODULE_OUTPUT_SIGNALS order.
-            shadow_table[:, n] = (
-                *c_s.as_tuple(),
-                *theta_s.as_tuple(),
-                *l_s.as_tuple(),
-                *h_s.as_tuple(),
-                *p_s.as_tuple(),
-            )
+                l_s = forward_kinematics(theta_sd_q, geometry, shadow)
+                h_s = feedback_force(s_obj, l_pos, scene.elasticity, shadow)
+                p_s = kinesthetic_feedback(b, f_in, geometry, shadow)
+                # In MODULE_OUTPUT_SIGNALS order.
+                shadow_table[:, n] = (
+                    *c_s.as_tuple(),
+                    *theta_s.as_tuple(),
+                    *l_s.as_tuple(),
+                    *h_s.as_tuple(),
+                    *p_s.as_tuple(),
+                )
+        except SampleError as exc:
+            raise type(exc)(f"sample {n}: {exc}", sample_index=n) from exc
 
     return SimulationTrace(
         q=q_len,
@@ -454,15 +457,22 @@ def mse_table(trace: SimulationTrace) -> list[dict]:
     return rows
 
 
+# Rows converted to Python floats at a time by the trace writer.  Larger
+# chunks are no faster and raise peak memory (2048 rows: about 7 MiB on a
+# 10^4-sample trace).
+_CSV_CHUNK = 128
+
+
 def write_trace_csv(trace: SimulationTrace, path, backend: str) -> None:
     """One row per sample, one column per signal component; values rendered
-    with full round-trip precision."""
-    view = trace.view(backend)
+    with full round-trip precision (``repr``, which never needs CSV
+    quoting)."""
+    columns = list(trace.view(backend).values())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(COLUMN_ORDER)
-        for n in range(trace.q):
-            writer.writerow([repr(float(view[name][n])) for name in COLUMN_ORDER])
+        fh.write(",".join(COLUMN_ORDER) + "\n")
+        for start in range(0, trace.q, _CSV_CHUNK):
+            rows = zip(*(col[start : start + _CSV_CHUNK].tolist() for col in columns))
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
 def read_trace_csv(path) -> tuple[list[str], np.ndarray]:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tactilesim import channel
 from tactilesim.channel import (
     ChannelConfig,
     ChannelState,
@@ -123,3 +124,55 @@ class TestOrdering:
         channel_step(state, cfg, (1.0, 1.0, 1.0), 0)
         with pytest.raises(OutOfOrderSample):
             channel_step(state, cfg, (1.0, 1.0, 1.0), 0)
+
+
+def reference_channel(cfg: ChannelConfig, inputs: np.ndarray) -> np.ndarray:
+    """The channel with one RNG call per stream per sample, as the streams
+    were first defined: the block draws must reproduce it bit for bit."""
+    noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
+    delay_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
+    walk = isinstance(cfg.delay, RandomWalkDelay)
+    delays = [cfg.delay.d_min if walk else cfg.delay.delay] * 3
+    hold = cfg.initial_hold if cfg.initial_hold is not None else tuple(inputs[0])
+    sigma = [math.sqrt(v) for v in cfg.noise_variance]
+    noisy = any(s > 0 for s in sigma)
+    out = np.empty_like(inputs)
+    for n in range(len(inputs)):
+        eps = noise_rng.standard_normal(3) if noisy else None
+        for i, d in enumerate(delays):
+            if n - d < 0:
+                out[n, i] = hold[i]
+            elif sigma[i] > 0:
+                out[n, i] = inputs[n - d, i] + eps[i] * sigma[i]
+            else:
+                out[n, i] = inputs[n - d, i]
+        if walk:
+            steps = delay_rng.integers(0, 2, size=3)
+            delays = [min(max(d + 2 * s - 1, cfg.delay.d_min), cfg.delay.d_max)
+                      for d, s in zip(delays, steps)]
+    return out
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ChannelConfig(noise_variance=1e-4, delay=ConstantDelay(2), seed=3),
+        ChannelConfig(noise_variance=1e-4, delay=RandomWalkDelay(0, 5), seed=4),
+        ChannelConfig(
+            noise_variance=(1e-4, 0.0, 1e-6),
+            delay=RandomWalkDelay(1, 3),
+            seed=5,
+            initial_hold=(0.5, -0.0, 0.25),
+        ),
+        ChannelConfig(delay=RandomWalkDelay(0, 2), seed=6),
+    ],
+    ids=["constant", "random_walk", "list_sigma2_hold", "walk_only"],
+)
+def test_block_draws_match_per_sample_draws(cfg):
+    q = 3 * channel._BLOCK + 7
+    inputs = np.random.default_rng(8).uniform(-1, 1, (q, 3))
+    inputs[::5, 1] = -0.0  # passes the noiseless component with its sign
+    got = run_channel(cfg, inputs)
+    want = reference_channel(cfg, inputs)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))

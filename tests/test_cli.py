@@ -158,7 +158,9 @@ def leaf_paths(node, prefix=()):
 
 
 SHORT_LEAVES = list(leaf_paths(short_scenario()))
-ODD_VALUES = [True, math.nan, math.inf, -1, -1.0, 0, 0.0, "x", None, [], [1.0, 2.0]]
+ODD_VALUES = [
+    True, math.nan, math.inf, -1, -1.0, 0, 0.0, "x", None, [], [1.0, 2.0], 1e308, 1e-320,
+]
 
 
 @settings(
@@ -186,6 +188,55 @@ def test_any_leaf_replacement_ends_cleanly(path, value):
     assert rc in (0, 1, 2)
     if rc != 0:
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "changes, code, message",
+    [
+        ({("cordic", "iterations"): 65}, 1, "field 'cordic': iterations must lie in [1, 64], got 65"),
+        ({("budget", "t_hardware"): 1e-320}, 1, "field 'budget.t_hardware'"),
+        ({("budget", "t_latency_limits"): [1e308]}, 1, "field 'budget.t_latency_limits[0]'"),
+        ({("scene", "normal"): [1e308, 1e308, 0.0]}, 1, "field 'scene.normal'"),
+        ({("scene", "elasticity", "hx"): 1e308}, 1, "field 'scene.elasticity': hx exceeds"),
+        ({("geometry", "l4"): 1e308}, 1, "field 'geometry': l4 exceeds"),
+        (
+            {("bc", "initial_hold"): [1e308, 0.0, 0.0], ("bc", "delay"): 2},
+            2,
+            "runtime error: sample 0: tau1 must be finite",
+        ),
+        ({("scene", "offset"): -1e308}, 2, "runtime error: sample 0: fx must be finite"),
+    ],
+    ids=["iterations", "t_hardware", "t_latency_limits", "normal", "elasticity", "geometry",
+         "hold", "offset"],
+)
+def test_huge_and_tiny_values_end_cleanly(changes, code, message, tmp_path, capsys):
+    # Finite values whose arithmetic overflows: a configuration error names
+    # the field before anything is written, a non-finite loop signal names
+    # the sample.  No warning escapes (pytest turns RuntimeWarning into an
+    # error).
+    data = scenario_dict()
+    for path, value in changes.items():
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text(yaml.safe_dump(data))
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out-dir", str(out)]) == code
+    err = capsys.readouterr().err
+    assert message in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_speedup_at_the_overflow_edge_runs(tmp_path, capsys):
+    # A huge limit is accepted as long as its speedup over t_hardware is
+    # finite.
+    data = scenario_dict()
+    data["budget"] = {"t_hardware": 1.0, "t_latency_limits": [1e308]}
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text(yaml.safe_dump(data))
+    assert main(["run", str(scenario), "--out-dir", str(tmp_path / "out")]) == 0
 
 
 class TestRunCommand:

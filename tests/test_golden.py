@@ -3,6 +3,7 @@ digests recorded in perfbench/digests.json, across versions and not only
 from rerun to rerun."""
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -33,3 +34,17 @@ def test_published_calibration(tmp_path, capsys):
     report = json.loads(out)
     assert report["critical_path_ns"] == {"FBF": 21.0, "FK": 47.0, "IK": 218.0, "KFF": 68.0}
     assert report["t_hardware_ns"] == 401.0
+
+
+def test_long_oracle_outputs(tmp_path, capsys):
+    # Noise, a random-walk delay, FCS lag and contact, none of which the
+    # default scenario has; the scenario file comes from the benchmark's
+    # generator.
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    scenario = workloads.write_long_oracle(0, tmp_path, samples=500)
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out-dir", str(out)]) == 0
+    got = {p.name: sha256(p.read_bytes()) for p in out.iterdir()}
+    assert got == DIGESTS["long_oracle@500"]["0"]["cli"]

@@ -5,7 +5,7 @@ import pytest
 
 from tactilesim.channel import ChannelConfig, ConstantDelay
 from tactilesim.force import Elasticity
-from tactilesim.kinematics import Hybrid, JointAngles, ORACLE, Unreachable
+from tactilesim.kinematics import Hybrid, JointAngles, NonFiniteSignal, ORACLE, Unreachable
 from tactilesim.numerics import CordicConfig
 from tactilesim.pipeline import (
     MODULE_SIGNALS,
@@ -84,9 +84,27 @@ class TestScene:
         assert touch.x == beyond.x and touch.y == beyond.y
         assert touch.z == pytest.approx(0.0, abs=1e-15)
 
+    def test_plane_projection_matches_array_form(self):
+        # The projection p - depth * n on Python floats gives the bits of the
+        # same expression on numpy arrays.
+        from tactilesim.kinematics import CartesianPosition
+
+        normal = np.array((-2.0, 2.0, 1.0)) / 3.0
+        scene = Scene.contact_plane(normal, 0.01, Elasticity(1, 1, 1))
+        nvec = normal / np.linalg.norm(normal)
+        for p in np.random.default_rng(4).uniform(-0.3, 0.3, (2000, 3)):
+            got = scene.object_position(0, CartesianPosition(*p.tolist())).as_tuple()
+            depth = float(nvec @ p) - 0.01
+            want = tuple(p - depth * nvec) if depth > 0 else tuple(p)
+            assert got == want
+
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
             Scene.contact_plane((0, 0, 0), 0.0, Elasticity(1, 1, 1))
+
+    def test_overflowing_normal_rejected(self):
+        with pytest.raises(ValueError, match="finite nonzero norm"):
+            Scene.contact_plane((1e308, 1e308, 0.0), 0.0, Elasticity(1, 1, 1))
 
 
 class TestBudget:
@@ -232,6 +250,15 @@ class TestRunPipeline:
             )
         assert err.value.sample_index is not None
         assert "sample" in str(err.value)
+
+    def test_non_finite_signal_reports_sample_index(self):
+        # The held force overflows the hybrid's float32 cast: tau is inf.
+        bc = ChannelConfig(delay=ConstantDelay(2), initial_hold=(1e308, 0.0, 0.0))
+        with pytest.raises(NonFiniteSignal, match="^sample 0: tau1 must be finite$") as err:
+            run_pipeline(
+                TrajectorySpec.default(), Scene.default(), transparent(), bc, Hybrid()
+            )
+        assert err.value.sample_index == 0
 
     def test_fcs_lag(self):
         spec = TrajectorySpec.default()
