@@ -46,14 +46,11 @@ from tactilesim.latency_model import (
 )
 from tactilesim.numerics import (
     CordicConfig,
-    FixedValue,
     NegativeRadicand,
     QFormat,
     S16_13,
-    cordic_acos,
     cordic_atan2,
     cordic_sincos,
-    fixed_to_float,
     float_to_fixed,
     sqrt32,
 )

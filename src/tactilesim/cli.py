@@ -165,7 +165,25 @@ def _naming(name: str):
         raise ScenarioError(f"field '{name}': {exc}") from exc
 
 
-def _parse_trajectory(data: dict) -> TrajectorySpec:
+def _check_limits(limits, t_hw: float, name: str) -> None:
+    """Each round-trip latency limit must be finite and nonnegative, and its
+    speedup ``hardware_time_limit(limit) / t_hw``, which the reports print as
+    an integer, must be finite.  ``name`` is the field the limits came from."""
+    for i, lim in enumerate(limits):
+        if not (math.isfinite(lim) and lim >= 0):
+            raise ScenarioError(f"field '{name}[{i}]' must be finite and nonnegative, got {lim!r}")
+        if not (t_hw > 0 and math.isfinite(hardware_time_limit(lim) / t_hw)):
+            raise ScenarioError(
+                f"field '{name}[{i}]' is too large for a finite speedup "
+                f"over t_hardware {t_hw!r} s: {lim!r} s"
+            )
+
+
+def _parse_trajectory(data: dict, fmt: QFormat | None) -> TrajectorySpec:
+    """The trajectory.  With ``fmt`` set (a hybrid backend runs), every
+    segment's start and end must lie in that format's range: F2FP saturates
+    a larger angle before the sincos TFB reduces it, which would give a
+    silently wrong result."""
     where = "trajectory."
     sample_period = _field(data, "sample_period", float, where, default=0.01)
     if sample_period <= 0:
@@ -179,12 +197,27 @@ def _parse_trajectory(data: dict) -> TrajectorySpec:
         joint = _field(seg, "joint", int, sw, required=True)
         if joint not in (1, 2, 3):
             raise ScenarioError(f"field '{sw}joint' must be 1, 2 or 3")
+        start = _field(seg, "start", float, sw, required=True)
+        end = _field(seg, "end", float, sw, required=True)
+        # The ramp steps by (end - start) / (samples - 1).
+        if not math.isfinite(end - start):
+            raise ScenarioError(
+                f"field 'trajectory.segments[{i}]': end - start is not finite "
+                f"({end!r} - {start!r})"
+            )
+        if fmt is not None:
+            for key, angle in (("start", start), ("end", end)):
+                if not fmt.min_value <= angle <= fmt.max_value:
+                    raise ScenarioError(
+                        f"field '{sw}{key}' = {angle!r} rad is outside the range "
+                        f"[{fmt.min_value}, {fmt.max_value}] of cordic.format {fmt}"
+                    )
         with _naming(sw + "samples"):
             segments.append(
                 TrajectorySegment(
                     joint=joint - 1,
-                    start=_field(seg, "start", float, sw, required=True),
-                    end=_field(seg, "end", float, sw, required=True),
+                    start=start,
+                    end=end,
                     samples=_field(seg, "samples", int, sw, required=True),
                 )
             )
@@ -271,7 +304,10 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
             raise ScenarioError(f"field 'backends': unknown backend {b!r}")
     backends = tuple(dict.fromkeys(backends_raw))
 
-    trajectory = _parse_trajectory(_field(data, "trajectory", dict, "", required=True))
+    trajectory = _parse_trajectory(
+        _field(data, "trajectory", dict, "", required=True),
+        fmt if "hybrid" in backends else None,
+    )
     scene = _parse_scene(_field(data, "scene", dict, "", required=True))
 
     fc = _parse_channel(_field(data, "fc", dict, "", default={}), "fc", seed=2 * seed)
@@ -284,25 +320,16 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
 
     budget_raw = _field(data, "budget", dict, "", default={})
     limits = _floats(budget_raw, "t_latency_limits", "budget.", default=(1e-3, 10e-3))
-    for i, lim in enumerate(limits):
-        if lim < 0:
-            raise ScenarioError(f"field 'budget.t_latency_limits[{i}]' must be nonnegative")
     t_hw = _field(budget_raw, "t_hardware", float, "budget.", default=403e-9)
     if t_hw <= 0:
         raise ScenarioError("field 'budget.t_hardware' must be positive")
-    # The summary reports each speedup hardware_time_limit(limit) / t_hardware
-    # as an integer, so it must be finite.  t_hardware is judged against the
-    # paper's 1 ms limit first, then each limit against t_hardware.
+    # t_hardware is judged against the paper's 1 ms limit first, then each
+    # limit against t_hardware.
     if not math.isfinite(hardware_time_limit(1e-3) / t_hw):
         raise ScenarioError(
             f"field 'budget.t_hardware' is too small for a finite speedup: {t_hw!r} s"
         )
-    for i, lim in enumerate(limits):
-        if not math.isfinite(hardware_time_limit(lim) / t_hw):
-            raise ScenarioError(
-                f"field 'budget.t_latency_limits[{i}]' is too large for a finite speedup "
-                f"over t_hardware {t_hw!r} s: {lim!r} s"
-            )
+    _check_limits(limits, t_hw, "budget.t_latency_limits")
 
     out_raw = _field(data, "output", dict, "", default={})
     return Scenario(
@@ -400,10 +427,15 @@ def cmd_latency(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    report = result.to_dict()
     # Speedups are quoted against the measured module times; the fitted
     # critical paths are the model's attribution of them.
     measured = hardware_time(targets)
+    try:
+        _check_limits(args.limits, measured * 1e-9, "--limits")
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    report = result.to_dict()
     report["t_hardware_measured_ns"] = measured
     report["speedups"] = {
         f"{lim:g}s": speedup

@@ -23,6 +23,7 @@ from tactilesim.kinematics import (
     ORACLE,
     _F32_MAX,
     _require_finite,
+    _tfb_angles,
 )
 from tactilesim.numerics import tfb_sincos
 
@@ -140,7 +141,7 @@ def jacobian(
     """
     if isinstance(backend, Hybrid):
         j11, j12, j13, j22, j23, j31, j32, j33 = map(
-            float, _jacobian_circuit(_Float32(g, backend.cordic), q.as_tuple())
+            float, _jacobian_circuit(_Float32(g, backend.cordic), _tfb_angles(q, backend.cordic))
         )
         return JacobianMatrix(j11, j12, j13, 0.0, j22, j23, j31, j32, j33)
     s1, c1 = math.sin(q.theta1), math.cos(q.theta1)

@@ -207,6 +207,22 @@ class _Float32:
         return r
 
 
+def _tfb_angles(q: JointAngles, cfg: CordicConfig) -> tuple[float, float, float]:
+    """The joint angles as sincos TFB operands.  F2FP saturates an angle
+    outside the format's range before the TFB reduces it, and the sine and
+    cosine of the saturated angle would be silently wrong, so such an angle
+    is a SampleError."""
+    fmt = cfg.fmt
+    angles = q.as_tuple()
+    for name, a in zip(("theta1", "theta2", "theta3"), angles):
+        if not fmt.min_value <= a <= fmt.max_value:
+            raise SampleError(
+                f"{name} = {a!r} rad is outside the range [{fmt.min_value}, "
+                f"{fmt.max_value}] of the {fmt} sincos TFB"
+            )
+    return angles
+
+
 def forward_kinematics(
     q: JointAngles,
     g: DeviceGeometry = DEFAULT_GEOMETRY,
@@ -219,7 +235,7 @@ def forward_kinematics(
     z =  L2 cos(t1) sin(t3) + L1 cos(t1) cos(t2) - L4
     """
     if isinstance(backend, Hybrid):
-        x, y, z = _fk_circuit(_Float32(g, backend.cordic), q.as_tuple())
+        x, y, z = _fk_circuit(_Float32(g, backend.cordic), _tfb_angles(q, backend.cordic))
         return CartesianPosition(float(x), float(y), float(z))
     s1, c1 = math.sin(q.theta1), math.cos(q.theta1)
     s2, c2 = math.sin(q.theta2), math.cos(q.theta2)

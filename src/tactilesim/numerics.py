@@ -1,12 +1,14 @@
-"""Hybrid number system: signed Q-format values, float conversions and a
-fixed-point CORDIC kernel for sin/cos, atan2 and acos, plus a single-precision
+"""Hybrid number system: signed Q-formats, the float-to-fixed converter and
+a fixed-point CORDIC kernel for sin/cos and atan2, plus a single-precision
 square root.
 
 The trig functions mirror a hardware trigonometric function block (TFB): a
 float32 operand is quantized to fixed point (F2FP), rotated by the integer
-CORDIC datapath and converted back to float32 (FP2F).  All other arithmetic in
-the surrounding circuits stays in 32-bit floats; see `tfb_sincos` and friends
-for the float32-facing composites.
+CORDIC datapath and converted back to float32 (FP2F).  Fixed-point values are
+plain Python ints ("raw" values) in the format of the ``CordicConfig`` that
+processes them.  All other arithmetic in the surrounding circuits stays in
+32-bit floats; see `tfb_sincos` and friends for the float32-facing
+composites.
 """
 
 from __future__ import annotations
@@ -22,15 +24,12 @@ import numpy as np
 __all__ = [
     "NegativeRadicand",
     "QFormat",
-    "FixedValue",
     "CordicConfig",
     "S16_13",
     "DEFAULT_CORDIC",
     "float_to_fixed",
-    "fixed_to_float",
     "cordic_sincos",
     "cordic_atan2",
-    "cordic_acos",
     "sqrt32",
     "tfb_sincos",
     "tfb_atan2",
@@ -71,8 +70,8 @@ class QFormat:
                 f"frac_bits must be in [0, {self.total_bits - 1}], got {self.frac_bits}"
             )
 
-    # Computed once per instance: the converters and FixedValue's range check
-    # read them per scalar.
+    # Computed once per instance: the converter and the kernels read them per
+    # scalar.
     @cached_property
     def scale(self) -> int:
         return 1 << self.frac_bits
@@ -112,25 +111,6 @@ class QFormat:
 S16_13 = QFormat(16, 13)
 
 
-@dataclass(frozen=True, slots=True)
-class FixedValue:
-    """A sample in a signed Q-format: integer ``raw`` scaled by 2**-frac_bits."""
-
-    raw: int
-    fmt: QFormat
-
-    def __post_init__(self) -> None:
-        if not self.fmt.raw_min <= self.raw <= self.fmt.raw_max:
-            raise ValueError(
-                f"raw {self.raw} outside {self.fmt} range "
-                f"[{self.fmt.raw_min}, {self.fmt.raw_max}]"
-            )
-
-    @property
-    def value(self) -> float:
-        return self.raw / self.fmt.scale
-
-
 def _cordic_gain(iterations: int) -> float:
     return math.prod(1.0 / math.sqrt(1.0 + 2.0 ** (-2 * i)) for i in range(iterations))
 
@@ -156,23 +136,16 @@ class CordicConfig:
 DEFAULT_CORDIC = CordicConfig()
 
 
-def float_to_fixed(x: float, fmt: QFormat) -> FixedValue:
-    """Quantize ``x`` to ``fmt``: round to nearest, ties to even (the F2FP
-    rounding), with saturation instead of overflow."""
+def float_to_fixed(x: float, fmt: QFormat) -> int:
+    """F2FP: the raw value of ``x`` in ``fmt``, rounded to nearest with ties
+    to even and saturated instead of overflowing."""
     x = float(x)
     if math.isnan(x):
         raise ValueError("cannot quantize NaN")
     scaled = x * fmt.scale
     if math.isinf(scaled):
-        raw = fmt.raw_max if scaled > 0 else fmt.raw_min
-    else:
-        raw = min(max(round(scaled), fmt.raw_min), fmt.raw_max)
-    return FixedValue(raw, fmt)
-
-
-def fixed_to_float(v: FixedValue) -> float:
-    """Exact real value of ``v`` (raw / 2**frac_bits)."""
-    return v.raw / v.fmt.scale
+        return fmt.raw_max if scaled > 0 else fmt.raw_min
+    return min(max(round(scaled), fmt.raw_min), fmt.raw_max)
 
 
 @lru_cache(maxsize=16)
@@ -258,8 +231,9 @@ def _sincos_rom(iterations: int, frac_bits: int) -> tuple[array, array]:
     )
 
 
-def cordic_sincos(angle: FixedValue, cfg: CordicConfig = DEFAULT_CORDIC) -> tuple[FixedValue, FixedValue]:
-    """Fixed-point sine and cosine.
+def cordic_sincos(raw: int, cfg: CordicConfig = DEFAULT_CORDIC) -> tuple[int, int]:
+    """Fixed-point sine and cosine of the raw angle ``raw`` in ``cfg.fmt``;
+    returns (sin, cos) as raw values in the same format.
 
     The angle is reduced to the first quadrant before rotation; sign symmetry
     is applied on the outputs, so ``sincos(-a)`` mirrors ``sincos(a)`` exactly
@@ -269,13 +243,10 @@ def cordic_sincos(angle: FixedValue, cfg: CordicConfig = DEFAULT_CORDIC) -> tupl
     ROM of the first quadrant, built on first use; wider ones rotate per call.
     """
     fmt = cfg.fmt
-    if angle.fmt is not fmt and angle.fmt != fmt:
-        raise ValueError(f"angle format {angle.fmt} does not match config {fmt}")
     iterations, frac_bits = cfg.iterations, fmt.frac_bits
     steps, x0, pi_io, half_pi_io = _kernel_constants(iterations, frac_bits)
 
     # Reduce by whole turns: above pi into (-pi, pi], below -pi into [-pi, pi).
-    raw = angle.raw
     two_pi = 2 * pi_io
     if raw > pi_io:
         raw = pi_io - (pi_io - raw) % two_pi
@@ -300,63 +271,31 @@ def cordic_sincos(angle: FixedValue, cfg: CordicConfig = DEFAULT_CORDIC) -> tupl
         sin_raw = _round_shift(sin_w, _GUARD_BITS)
         cos_raw = _round_shift(cos_w, _GUARD_BITS)
     lo, hi = fmt.raw_min, fmt.raw_max
-    return (
-        FixedValue(sign_sin * min(max(sin_raw, lo), hi), fmt),
-        FixedValue(sign_cos * min(max(cos_raw, lo), hi), fmt),
-    )
+    return sign_sin * min(max(sin_raw, lo), hi), sign_cos * min(max(cos_raw, lo), hi)
 
 
-def cordic_atan2(y: FixedValue, x: FixedValue, cfg: CordicConfig = DEFAULT_CORDIC) -> FixedValue:
-    """Fixed-point four-quadrant arctangent via vectoring-mode CORDIC.
+def cordic_atan2(y: int, x: int, cfg: CordicConfig = DEFAULT_CORDIC) -> int:
+    """Fixed-point four-quadrant arctangent of the raw operands ``y``, ``x``
+    in ``cfg.fmt`` via vectoring-mode CORDIC; returns the raw angle.
 
-    The result lies in (-pi, pi] at the resolution of the format; (0, 0) maps
+    The result lies in [-pi, pi] at the resolution of the format; (0, 0) maps
     to 0 by convention.  Accuracy degrades for operands only a few LSB in
     magnitude, as in the hardware, where the datapath resolution limits the
     representable direction of short vectors.
     """
-    fmt = cfg.fmt
-    if (y.fmt is not fmt and y.fmt != fmt) or (x.fmt is not fmt and x.fmt != fmt):
-        raise ValueError("operand formats do not match the CORDIC config")
-    steps, _x0, pi_io, half_pi_io = _kernel_constants(cfg.iterations, fmt.frac_bits)
-
-    xr = x.raw
-    yr = y.raw
+    steps, _x0, pi_io, half_pi_io = _kernel_constants(cfg.iterations, cfg.fmt.frac_bits)
     sign = 1
-    if yr < 0:
-        yr = -yr
+    if y < 0:
+        y = -y
         sign = -1
 
-    if xr == 0 and yr == 0:
-        return FixedValue(0, fmt)
-    if yr == 0:
-        return FixedValue(0 if xr > 0 else pi_io, fmt)
-    if xr == 0:
-        return FixedValue(sign * half_pi_io, fmt)
-
-    if xr > 0:
-        ang = _round_shift(_vector_angle(xr, yr, steps), _GUARD_BITS)
-    else:
-        ang = pi_io - _round_shift(_vector_angle(-xr, yr, steps), _GUARD_BITS)
-    return FixedValue(sign * ang, fmt)
-
-
-def cordic_acos(t: FixedValue, cfg: CordicConfig = DEFAULT_CORDIC) -> FixedValue:
-    """Fixed-point arccosine as atan2(sqrt(1 - t^2), t).
-
-    The operand is clamped to [-1, 1]; the result lies in [0, pi].  Error can
-    exceed the atan2 envelope near |t| = 1 where the square-root slope
-    amplifies the operand quantization.
-    """
-    fmt = cfg.fmt
-    if t.fmt != fmt:
-        raise ValueError(f"operand format {t.fmt} does not match config {fmt}")
-    one = fmt.scale
-    raw = min(max(t.raw, -one), one)
-    t = FixedValue(raw, fmt)
-    tf = np.float32(t.value)
-    s = sqrt32(np.float32(1.0) - tf * tf)
-    s_fix = float_to_fixed(float(s), fmt)
-    return cordic_atan2(s_fix, t, cfg)
+    if y == 0:
+        return 0 if x >= 0 else pi_io
+    if x == 0:
+        return sign * half_pi_io
+    if x > 0:
+        return sign * _round_shift(_vector_angle(x, y, steps), _GUARD_BITS)
+    return sign * (pi_io - _round_shift(_vector_angle(-x, y, steps), _GUARD_BITS))
 
 
 def sqrt32(x) -> np.float32:
@@ -378,8 +317,9 @@ _F32_MINUS_ONE = np.float32(-1.0)
 
 def tfb_sincos(angle, cfg: CordicConfig = DEFAULT_CORDIC) -> tuple[np.float32, np.float32]:
     """Float32-facing TFB: F2FP, CORDIC rotation, FP2F on both outputs."""
+    scale = cfg.fmt.scale
     s, c = cordic_sincos(float_to_fixed(angle, cfg.fmt), cfg)
-    return np.float32(fixed_to_float(s)), np.float32(fixed_to_float(c))
+    return np.float32(s / scale), np.float32(c / scale)
 
 
 def tfb_atan2(y, x, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
@@ -400,14 +340,15 @@ def tfb_atan2(y, x, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
         e = 1 - math.frexp(m)[1]
         yf = math.ldexp(yf, e)
         xf = math.ldexp(xf, e)
-    y_fix = float_to_fixed(yf, cfg.fmt)
-    x_fix = float_to_fixed(xf, cfg.fmt)
-    return np.float32(fixed_to_float(cordic_atan2(y_fix, x_fix, cfg)))
+    fmt = cfg.fmt
+    raw = cordic_atan2(float_to_fixed(yf, fmt), float_to_fixed(xf, fmt), cfg)
+    return np.float32(raw / fmt.scale)
 
 
 def tfb_acos(t, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
     """Float32-facing TFB for the arccosine: sqrt(1 - t^2) in the float32
-    domain, then the vectoring stage on (sqrt, t).
+    domain, then the vectoring stage on (sqrt, t).  The operand is clamped
+    to [-1, 1]; the result lies in [0, pi].
 
     Quantization happens after the square root, on the two vectoring
     operands; in that form the angle is well conditioned, whereas quantizing
@@ -415,6 +356,6 @@ def tfb_acos(t, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
     """
     tf = min(max(np.float32(t), _F32_MINUS_ONE), _F32_ONE)
     s = sqrt32(_F32_ONE - tf * tf)
-    s_fix = float_to_fixed(s, cfg.fmt)
-    t_fix = float_to_fixed(tf, cfg.fmt)
-    return np.float32(fixed_to_float(cordic_atan2(s_fix, t_fix, cfg)))
+    fmt = cfg.fmt
+    raw = cordic_atan2(float_to_fixed(s, fmt), float_to_fixed(tf, fmt), cfg)
+    return np.float32(raw / fmt.scale)

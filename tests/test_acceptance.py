@@ -20,10 +20,10 @@ from tactilesim.kinematics import (
 from tactilesim.latency_model import DEFAULT_TARGETS_NS, calibrate
 from tactilesim.numerics import (
     S16_13,
-    cordic_acos,
     cordic_atan2,
     cordic_sincos,
     float_to_fixed,
+    tfb_acos,
 )
 from tactilesim.pipeline import (
     Scene,
@@ -159,10 +159,11 @@ def test_criterion_5_jacobian_finite_difference():
 
 def test_criterion_6_cordic_error_envelope():
     rng = np.random.default_rng(7)
+    scale = S16_13.scale
     worst_sc = 0.0
     for a in rng.uniform(-math.pi, math.pi, 100_000):
         s, c = cordic_sincos(float_to_fixed(a, S16_13))
-        worst_sc = max(worst_sc, abs(s.value - math.sin(a)), abs(c.value - math.cos(a)))
+        worst_sc = max(worst_sc, abs(s / scale - math.sin(a)), abs(c / scale - math.cos(a)))
 
     worst_at = 0.0
     for _ in range(20_000):
@@ -170,12 +171,12 @@ def test_criterion_6_cordic_error_envelope():
         r = rng.uniform(0.5, 3.5)
         y = float_to_fixed(r * math.sin(ang), S16_13)
         x = float_to_fixed(r * math.cos(ang), S16_13)
-        worst_at = max(worst_at, abs(cordic_atan2(y, x).value - math.atan2(y.value, x.value)))
+        worst_at = max(worst_at, abs(cordic_atan2(y, x) / scale - math.atan2(y, x)))
 
+    # The arccosine TFB (float32 in and out).
     worst_ac = 0.0
     for t in rng.uniform(-0.98, 0.98, 20_000):
-        got = cordic_acos(float_to_fixed(float(t), S16_13)).value
-        worst_ac = max(worst_ac, abs(got - math.acos(t)))
+        worst_ac = max(worst_ac, abs(float(tfb_acos(t)) - math.acos(t)))
 
     ok = worst_sc <= 4 * LSB and worst_at <= 8 * LSB and worst_ac <= 8 * LSB
     criterion(

@@ -205,9 +205,15 @@ def test_any_leaf_replacement_ends_cleanly(path, value):
             "runtime error: sample 0: tau1 must be finite",
         ),
         ({("scene", "offset"): -1e308}, 2, "runtime error: sample 0: fx must be finite"),
+        (
+            {("trajectory", "segments", 0, "start"): 1e308,
+             ("trajectory", "segments", 0, "end"): -1e308},
+            1,
+            "field 'trajectory.segments[0]': end - start is not finite",
+        ),
     ],
     ids=["iterations", "t_hardware", "t_latency_limits", "normal", "elasticity", "geometry",
-         "hold", "offset"],
+         "hold", "offset", "segment"],
 )
 def test_huge_and_tiny_values_end_cleanly(changes, code, message, tmp_path, capsys):
     # Finite values whose arithmetic overflows: a configuration error names
@@ -237,6 +243,47 @@ def test_speedup_at_the_overflow_edge_runs(tmp_path, capsys):
     scenario = tmp_path / "s.yaml"
     scenario.write_text(yaml.safe_dump(data))
     assert main(["run", str(scenario), "--out-dir", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("backends", [["hybrid"], ["oracle", "hybrid"]])
+def test_angle_beyond_cordic_format_rejected(backends, tmp_path, capsys):
+    # s16.13 holds [-4, 4): the hybrid F2FP would saturate a larger angle.
+    data = scenario_dict()
+    data["backends"] = backends
+    data["trajectory"]["segments"][1]["end"] = 5.0
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text(yaml.safe_dump(data))
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "field 'trajectory.segments[1].end' = 5.0 rad" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+    # The oracle alone has no format.
+    data["backends"] = ["oracle"]
+    scenario.write_text(yaml.safe_dump(data))
+    assert main(["run", str(scenario), "--out-dir", str(out)]) == 0
+
+
+def test_ik_angle_beyond_cordic_format_ends_cleanly(tmp_path, capsys):
+    # With unequal links the IK's theta2 = gamma + beta passes 4 rad inside
+    # the loop, although every commanded angle lies in the format's range;
+    # the slave FK's sincos TFB refuses it.
+    data = scenario_dict()
+    data["backends"] = ["hybrid"]
+    data["geometry"] = {"l1": 0.05, "l2": 0.135, "l3": 0.025, "l4": 0.17}
+    data["trajectory"] = {
+        "segments": [
+            {"joint": 3, "start": 3.0, "end": 3.0, "samples": 1},
+            {"joint": 2, "start": 0.0, "end": -1.7, "samples": 20},
+        ]
+    }
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text(yaml.safe_dump(data))
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: sample 18: theta2 = 4.16") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 class TestRunCommand:
@@ -321,6 +368,22 @@ class TestLatencyCommand:
         path = tmp_path / "nonsense.json"
         path.write_text("[1, 2")
         assert main(["latency", "--targets", str(path)]) == 1
+
+    @pytest.mark.parametrize("limit", ["-1", "nan", "inf", "1e308"])
+    def test_bad_limit_rejected(self, limit, capsys):
+        # Negative, non-finite, or too large for a finite speedup over the
+        # measured t_hardware.
+        assert main(["latency", "--limits", "1e-3", limit]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: field '--limits[1]'")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+    def test_hardware_time_underflow_rejected(self, tmp_path, capsys):
+        # A 1e-320 ns target is 0.0 s of hardware time: no speedup is finite.
+        path = tmp_path / "targets.json"
+        path.write_text('{"FK": 1e-320}')
+        assert main(["latency", "--targets", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: field '--limits[0]'")
 
     @pytest.mark.parametrize("value", ['"abc"', "null", "[47]"])
     def test_non_numeric_target_rejected(self, tmp_path, capsys, value):

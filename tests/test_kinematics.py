@@ -12,12 +12,14 @@ from tactilesim.kinematics import (
     Hybrid,
     JointAngles,
     ORACLE,
+    SampleError,
     Unreachable,
     forward_kinematics,
     ik_intermediates,
     inverse_kinematics,
 )
-from tactilesim.numerics import CordicConfig
+from tactilesim.force import jacobian
+from tactilesim.numerics import CordicConfig, QFormat
 from tactilesim.pipeline import TrajectorySpec, generate_trajectory
 
 
@@ -55,6 +57,18 @@ class TestForwardKinematics:
         for _ in range(50):
             q = JointAngles(0.0, rng.uniform(0, 1.4), rng.uniform(-0.5, 1.2))
             assert forward_kinematics(q, backend=backend).x == 0.0
+
+    def test_hybrid_rejects_angle_beyond_format_range(self):
+        # s16.13 holds [-4, 4): F2FP would saturate 5 rad to 4 rad before
+        # the quadrant reduction (z = -0.272 m instead of -0.126 m).
+        q = JointAngles(5.0, 0.3, 0.2)
+        with pytest.raises(SampleError, match="theta1 = 5.0 rad"):
+            forward_kinematics(q, backend=Hybrid())
+        with pytest.raises(SampleError, match="theta1 = 5.0 rad"):
+            jacobian(q, backend=Hybrid())
+        assert forward_kinematics(q).z == pytest.approx(-0.126, abs=1e-3)
+        wide = Hybrid(CordicConfig(fmt=QFormat(18, 13)))
+        assert forward_kinematics(q, backend=wide).z == pytest.approx(-0.126, abs=1e-3)
 
     def test_lipschitz_bound(self):
         # Each Jacobian column norm is at most L1 + L2, so the position moves

@@ -6,14 +6,11 @@ import pytest
 from tactilesim import numerics
 from tactilesim.numerics import (
     CordicConfig,
-    FixedValue,
     NegativeRadicand,
     QFormat,
     S16_13,
-    cordic_acos,
     cordic_atan2,
     cordic_sincos,
-    fixed_to_float,
     float_to_fixed,
     sqrt32,
     tfb_acos,
@@ -54,38 +51,21 @@ class TestQFormat:
         assert S16_13.resolution == LSB
 
 
-class TestFixedValue:
-    def test_value(self):
-        assert FixedValue(8192, S16_13).value == 1.0
-        assert FixedValue(-8192, S16_13).value == -1.0
-        assert FixedValue(1, S16_13).value == LSB
-
-    def test_raw_range_checked(self):
-        with pytest.raises(ValueError):
-            FixedValue(32768, S16_13)
-        with pytest.raises(ValueError):
-            FixedValue(-32769, S16_13)
-
-
 class TestConversions:
     def test_float_to_fixed_examples(self):
-        assert float_to_fixed(1.0, S16_13).raw == 8192
-        assert float_to_fixed(0.5, S16_13).raw == 4096
+        assert float_to_fixed(1.0, S16_13) == 8192
+        assert float_to_fixed(0.5, S16_13) == 4096
+        assert float_to_fixed(LSB, S16_13) == 1
         # Values beyond the format range saturate instead of wrapping.
-        assert float_to_fixed(5.0, S16_13).raw == 32767
-        assert float_to_fixed(-5.0, S16_13).raw == -32768
-        assert float_to_fixed(math.inf, S16_13).raw == 32767
-        assert float_to_fixed(-math.inf, S16_13).raw == -32768
-
-    def test_fixed_to_float_examples(self):
-        assert fixed_to_float(FixedValue(8192, S16_13)) == 1.0
-        assert fixed_to_float(FixedValue(-8192, S16_13)) == -1.0
-        assert fixed_to_float(FixedValue(1, S16_13)) == 2.0 ** -13
+        assert float_to_fixed(5.0, S16_13) == 32767
+        assert float_to_fixed(-5.0, S16_13) == -32768
+        assert float_to_fixed(math.inf, S16_13) == 32767
+        assert float_to_fixed(-math.inf, S16_13) == -32768
 
     def test_ties_to_even(self):
-        assert float_to_fixed(0.5 * LSB, S16_13).raw == 0
-        assert float_to_fixed(1.5 * LSB, S16_13).raw == 2
-        assert float_to_fixed(2.5 * LSB, S16_13).raw == 2
+        assert float_to_fixed(0.5 * LSB, S16_13) == 0
+        assert float_to_fixed(1.5 * LSB, S16_13) == 2
+        assert float_to_fixed(2.5 * LSB, S16_13) == 2
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
@@ -95,12 +75,12 @@ class TestConversions:
         # Every representable s16.13 value must survive the round trip.
         scale = S16_13.scale
         for raw in range(S16_13.raw_min, S16_13.raw_max + 1):
-            assert float_to_fixed(raw / scale, S16_13).raw == raw
+            assert float_to_fixed(raw / scale, S16_13) == raw
 
     def test_monotone(self):
         rng = np.random.default_rng(11)
         xs = np.sort(rng.uniform(-6.0, 6.0, 2000))
-        raws = [float_to_fixed(float(x), S16_13).raw for x in xs]
+        raws = [float_to_fixed(float(x), S16_13) for x in xs]
         assert all(a <= b for a, b in zip(raws, raws[1:]))
 
 
@@ -127,35 +107,49 @@ class TestCordicConfig:
         CordicConfig(fmt=QFormat(3, 0))
 
 
+def value(raw: int) -> float:
+    """Real value of an s16.13 raw value."""
+    return raw / S16_13.scale
+
+
 class TestSinCos:
     def test_zero_is_exact(self):
-        s, c = cordic_sincos(FixedValue(0, S16_13))
-        assert (s.raw, c.raw) == (0, 8192)
+        assert cordic_sincos(0) == (0, 8192)
 
     def test_quadrant_boundary(self):
         s, c = cordic_sincos(float_to_fixed(math.pi / 2, S16_13))
-        assert abs(s.value - 1.0) <= 4 * LSB
-        assert abs(c.value - 0.0) <= 4 * LSB
+        assert abs(value(s) - 1.0) <= 4 * LSB
+        assert abs(value(c) - 0.0) <= 4 * LSB
 
     def test_pi_over_six(self):
         s, _ = cordic_sincos(float_to_fixed(math.pi / 6, S16_13))
-        assert abs(s.value - math.sin(math.pi / 6)) <= 4 * LSB
+        assert abs(value(s) - math.sin(math.pi / 6)) <= 4 * LSB
 
     def test_symmetry_bit_exact(self):
         rng = np.random.default_rng(5)
         raws = list(rng.integers(0, 25736, 500)) + [0, 1, 12868, 25735, 25736]
         for raw in raws:
-            sp, cp = cordic_sincos(FixedValue(int(raw), S16_13))
-            sn, cn = cordic_sincos(FixedValue(-int(raw), S16_13))
-            assert sn.raw == -sp.raw
-            assert cn.raw == cp.raw
+            sp, cp = cordic_sincos(int(raw))
+            sn, cn = cordic_sincos(-int(raw))
+            assert sn == -sp
+            assert cn == cp
 
     def test_error_envelope_sample(self):
         rng = np.random.default_rng(17)
         worst = 0.0
         for a in rng.uniform(-math.pi, math.pi, 10_000):
             s, c = cordic_sincos(float_to_fixed(a, S16_13))
-            worst = max(worst, abs(s.value - math.sin(a)), abs(c.value - math.cos(a)))
+            worst = max(worst, abs(value(s) - math.sin(a)), abs(value(c) - math.cos(a)))
+        assert worst <= 4 * LSB
+
+    def test_error_envelope_exhaustive(self):
+        # Every s16.13 raw angle, including those beyond pi that the kernel
+        # reduces by a whole turn.
+        worst = 0.0
+        for raw in range(S16_13.raw_min, S16_13.raw_max + 1):
+            s, c = cordic_sincos(raw)
+            a = value(raw)
+            worst = max(worst, abs(value(s) - math.sin(a)), abs(value(c) - math.cos(a)))
         assert worst <= 4 * LSB
 
     def test_argument_reduction(self):
@@ -163,19 +157,15 @@ class TestSinCos:
         # wrap adds at most a fraction of an LSB on top of the envelope.
         for a in (3.5, -3.6, 3.9, -3.99):
             s, c = cordic_sincos(float_to_fixed(a, S16_13))
-            assert abs(s.value - math.sin(a)) <= 5 * LSB
-            assert abs(c.value - math.cos(a)) <= 5 * LSB
+            assert abs(value(s) - math.sin(a)) <= 5 * LSB
+            assert abs(value(c) - math.cos(a)) <= 5 * LSB
 
     def test_out_of_range_angle_saturates_first(self):
         # Angles beyond the format range clip at the conversion stage, like
         # the hardware converter; the kernel then sees the clipped angle.
         sat = S16_13.max_value
         s, _ = cordic_sincos(float_to_fixed(2.0 * math.pi + 0.3, S16_13))
-        assert abs(s.value - math.sin(sat)) <= 5 * LSB
-
-    def test_format_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            cordic_sincos(FixedValue(0, QFormat(18, 15)))
+        assert abs(value(s) - math.sin(sat)) <= 5 * LSB
 
     def test_whole_turns_reduced_at_once(self):
         # s64.16 holds angles of 10^12 turns and more; reducing them must not
@@ -184,38 +174,35 @@ class TestSinCos:
         cfg = CordicConfig(iterations=16, fmt=fmt)
         two_pi = 2 * round(math.pi * fmt.scale)
         for raw in (1000, -1000, two_pi // 2 - 1, 1 - two_pi // 2):
-            expected = [v.raw for v in cordic_sincos(FixedValue(raw, fmt), cfg)]
+            expected = cordic_sincos(raw, cfg)
             for turns in (10**12, -(10**12)):
-                got = cordic_sincos(FixedValue(raw + turns * two_pi, fmt), cfg)
-                assert [v.raw for v in got] == expected
+                assert cordic_sincos(raw + turns * two_pi, cfg) == expected
 
 
 class TestAtan2:
     def test_axis_cases(self):
-        assert cordic_atan2(FixedValue(0, S16_13), float_to_fixed(1, S16_13)).raw == 0
+        assert cordic_atan2(0, float_to_fixed(1, S16_13)) == 0
         pi_raw = round(math.pi * 8192)
-        assert cordic_atan2(FixedValue(0, S16_13), float_to_fixed(-1, S16_13)).raw == pi_raw
+        assert cordic_atan2(0, float_to_fixed(-1, S16_13)) == pi_raw
         half = round(math.pi / 2 * 8192)
-        assert cordic_atan2(float_to_fixed(1, S16_13), FixedValue(0, S16_13)).raw == half
-        assert cordic_atan2(float_to_fixed(-1, S16_13), FixedValue(0, S16_13)).raw == -half
+        assert cordic_atan2(float_to_fixed(1, S16_13), 0) == half
+        assert cordic_atan2(float_to_fixed(-1, S16_13), 0) == -half
 
     def test_both_zero_defined(self):
-        assert cordic_atan2(FixedValue(0, S16_13), FixedValue(0, S16_13)).raw == 0
+        assert cordic_atan2(0, 0) == 0
 
     def test_diagonals(self):
         one = float_to_fixed(1, S16_13)
         neg = float_to_fixed(-1, S16_13)
-        assert abs(cordic_atan2(one, one).value - math.pi / 4) <= 4 * LSB
-        assert abs(cordic_atan2(one, neg).value - 3 * math.pi / 4) <= 4 * LSB
+        assert abs(value(cordic_atan2(one, one)) - math.pi / 4) <= 4 * LSB
+        assert abs(value(cordic_atan2(one, neg)) - 3 * math.pi / 4) <= 4 * LSB
 
     def test_antisymmetry_bit_exact(self):
         rng = np.random.default_rng(23)
         for _ in range(300):
             y = float_to_fixed(rng.uniform(0.05, 3.5), S16_13)
             x = float_to_fixed(rng.uniform(-3.5, 3.5), S16_13)
-            pos = cordic_atan2(y, x)
-            neg = cordic_atan2(FixedValue(-y.raw, S16_13), x)
-            assert neg.raw == -pos.raw
+            assert cordic_atan2(-y, x) == -cordic_atan2(y, x)
 
     def test_range(self):
         rng = np.random.default_rng(29)
@@ -223,8 +210,17 @@ class TestAtan2:
         for _ in range(300):
             y = float_to_fixed(rng.uniform(-3.5, 3.5), S16_13)
             x = float_to_fixed(rng.uniform(-3.5, 3.5), S16_13)
-            a = cordic_atan2(y, x)
-            assert -pi_raw < a.raw <= pi_raw
+            assert -pi_raw < cordic_atan2(y, x) <= pi_raw
+
+    @pytest.mark.parametrize("iterations", [1, 10, 16])
+    def test_range_exhaustive(self, iterations):
+        # Every raw operand pair of s8.5: the result stays in [-pi, pi] at
+        # the I/O precision, so it is always a value of the format.
+        cfg = CordicConfig(iterations=iterations, fmt=QFormat(8, 5))
+        pi_raw = round(math.pi * cfg.fmt.scale)
+        operands = range(cfg.fmt.raw_min, cfg.fmt.raw_max + 1)
+        angles = {cordic_atan2(y, x, cfg) for y in operands for x in operands}
+        assert -pi_raw <= min(angles) and max(angles) <= pi_raw
 
     def test_accuracy_against_double(self):
         rng = np.random.default_rng(31)
@@ -234,35 +230,35 @@ class TestAtan2:
             r = rng.uniform(0.5, 3.5)
             y = float_to_fixed(r * math.sin(ang), S16_13)
             x = float_to_fixed(r * math.cos(ang), S16_13)
-            got = cordic_atan2(y, x).value
-            worst = max(worst, abs(got - math.atan2(y.value, x.value)))
+            got = value(cordic_atan2(y, x))
+            worst = max(worst, abs(got - math.atan2(value(y), value(x))))
         assert worst <= 4 * LSB
 
 
 class TestAcos:
+    # The arccosine TFB: float32 operand, float32 result.
+    PI = np.float32(round(math.pi * 8192) / 8192)
+
     def test_endpoints(self):
-        assert cordic_acos(float_to_fixed(1.0, S16_13)).raw == 0
-        pi_raw = round(math.pi * 8192)
-        assert cordic_acos(float_to_fixed(-1.0, S16_13)).raw == pi_raw
+        assert tfb_acos(np.float32(1.0)) == 0.0
+        assert tfb_acos(np.float32(-1.0)) == self.PI
 
     def test_zero(self):
-        a = cordic_acos(FixedValue(0, S16_13))
-        assert abs(a.value - math.pi / 2) <= 8 * LSB
+        a = tfb_acos(np.float32(0.0))
+        assert abs(float(a) - math.pi / 2) <= 8 * LSB
 
     def test_mid_value(self):
-        a = cordic_acos(float_to_fixed(0.7071, S16_13))
-        assert abs(a.value - math.acos(0.7071)) <= 8 * LSB
+        a = tfb_acos(np.float32(0.7071))
+        assert abs(float(a) - math.acos(0.7071)) <= 8 * LSB
 
     def test_clamping(self):
-        assert cordic_acos(float_to_fixed(1.5, S16_13)).raw == 0
-        assert cordic_acos(float_to_fixed(-1.4, S16_13)).raw == round(math.pi * 8192)
+        assert tfb_acos(np.float32(1.5)) == 0.0
+        assert tfb_acos(np.float32(-1.4)) == self.PI
 
     def test_result_in_range(self):
         rng = np.random.default_rng(37)
-        pi_raw = round(math.pi * 8192)
         for t in rng.uniform(-1, 1, 500):
-            a = cordic_acos(float_to_fixed(float(t), S16_13))
-            assert 0 <= a.raw <= pi_raw
+            assert 0.0 <= tfb_acos(np.float32(t)) <= self.PI
 
 
 class TestSqrt32:
@@ -336,10 +332,10 @@ class TestSinCosRom:
         # Every raw angle of the format, through the reduction, signs and
         # saturation, once from the ROM and once rotated per call.
         cfg = CordicConfig(iterations=12, fmt=fmt)
-        angles = [FixedValue(raw, fmt) for raw in range(fmt.raw_min, fmt.raw_max + 1)]
-        from_rom = [tuple(v.raw for v in cordic_sincos(a, cfg)) for a in angles]
+        angles = range(fmt.raw_min, fmt.raw_max + 1)
+        from_rom = [cordic_sincos(a, cfg) for a in angles]
         monkeypatch.setattr(numerics, "_ROM_MAX_FRAC_BITS", -1)
-        rotated = [tuple(v.raw for v in cordic_sincos(a, cfg)) for a in angles]
+        rotated = [cordic_sincos(a, cfg) for a in angles]
         assert from_rom == rotated
 
 
