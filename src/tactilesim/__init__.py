@@ -37,7 +37,6 @@ from tactilesim.kinematics import (
 )
 from tactilesim.latency_model import (
     CalibrationDegenerate,
-    CyclicGraph,
     DataflowGraph,
     OpLatencyTable,
     builtin_graphs,

@@ -21,7 +21,6 @@ from tactilesim.kinematics import (
     Hybrid,
     JointAngles,
     ORACLE,
-    _F32_MAX,
     _require_finite,
     _tfb_angles,
 )
@@ -36,6 +35,10 @@ __all__ = [
     "kinesthetic_feedback",
     "feedback_force",
 ]
+
+# Largest float32 value: the hybrid FBF holds the spring constants as 32-bit
+# floats, so a constant beyond it cannot be cast.
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)

@@ -57,15 +57,24 @@ __all__ = [
 # edge, anything beyond is reported as unreachable.
 EPS_REACH = 1e-6
 
-# Largest float32 value: the hybrid datapath holds its constants as 32-bit
-# floats, so a constant beyond it cannot be cast.
-_F32_MAX = float(np.finfo(np.float32).max)
-
-# Largest coordinate magnitude the hybrid IK takes in: below it the float32
-# sum of the three squared coordinates stays finite.  A position this far out
-# is unreachable anyway; rejecting it before the float32 cast keeps overflow
-# out of the datapath.
-_F32_COORD_MAX = math.sqrt(_F32_MAX / 4.0)
+# Range of the link lengths, [1 / _LINK_MAX, _LINK_MAX] m, and of the hybrid
+# IK's input coordinates, |c| <= _COORD_MAX m.  A reachable point has no
+# coordinate beyond l1 + l2 + max(l3, l4) <= 3 * _LINK_MAX, so none is
+# refused.  Within these ranges every float32 intermediate of the hybrid FK,
+# IK and Jacobian stays finite.  With L = 2^16, C = 2^18 and a sincos TFB
+# output of magnitude at most 2 (it is at most 1; float32 rounding is
+# covered by the margins):
+# - FK: |x| <= 2 * (2L + 2L) = 8L, |y| <= 5L, |z| <= 8L + 8L + L = 17L.
+# - Jacobian: every entry is at most 8L.
+# - IK: |z + l4|, |y - l3| <= C + L < 2^18.4, so the sums of squares, r^2
+#   and the acos numerators stay below 3 * 2^36.7 + 2^33 < 2^39.  Past the
+#   r = 0 check, r >= 2^-74.5, the root of the smallest float32, so
+#   2 * l1 * r >= 2^-89.5 and 2 * l1 * l2 >= 2^-31 never round to zero.
+#   The gamma quotient (l1^2 - l2^2) / (2 l1 r) + r / (2 l1) is below
+#   2^32 / 2^-89.5 + 2^19.2 / 2^-15 < 2^122, the alpha quotient below
+#   2^39 / 2^-31 = 2^70; the float32 maximum is 2^128.
+_LINK_MAX = 2.0**16
+_COORD_MAX = 4 * _LINK_MAX
 
 
 class SampleError(ValueError):
@@ -105,10 +114,14 @@ class DeviceGeometry:
 
     def __post_init__(self) -> None:
         for name in ("l1", "l2", "l3", "l4"):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if not value > 0:
                 raise ValueError(f"{name} must be positive")
-            if getattr(self, name) > _F32_MAX:
-                raise ValueError(f"{name} exceeds the float32 maximum {_F32_MAX:.7g}")
+            # The bound of the hybrid datapath; see _LINK_MAX.
+            if value > _LINK_MAX:
+                raise ValueError(f"{name} exceeds the largest link length {_LINK_MAX:g} m")
+            if value < 1 / _LINK_MAX:
+                raise ValueError(f"{name} is below the smallest link length {1 / _LINK_MAX:g} m")
 
     @cached_property
     def _f32(self) -> tuple[np.float32, np.float32, np.float32, np.float32]:
@@ -315,10 +328,10 @@ def _ik_circuit(p, pos):
 def _ik_hybrid(p: CartesianPosition, g: DeviceGeometry, cfg: CordicConfig):
     pos = p.as_tuple()
     for name, v in zip("xyz", pos):
-        if abs(v) > _F32_COORD_MAX:
+        if abs(v) > _COORD_MAX:
             raise Unreachable(
-                f"{name} = {v!r} m is outside the float32 input range of the hybrid "
-                f"datapath (|{name}| <= {_F32_COORD_MAX:.3g} m)"
+                f"{name} = {v!r} m is outside the input range of the hybrid "
+                f"datapath (|{name}| <= {_COORD_MAX:g} m)"
             )
     return _ik_circuit(_Float32(g, cfg), tuple(np.array(pos, np.float32)))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from tactilesim.force import _fbf_circuit, _jacobian_circuit, _torque_circuit
 from tactilesim.kinematics import _fk_circuit, _ik_circuit
 
 __all__ = [
-    "CyclicGraph",
     "CalibrationDegenerate",
     "OP_KINDS",
     "OpLatencyTable",
@@ -36,19 +35,6 @@ __all__ = [
     "hardware_time",
     "DEFAULT_TARGETS_NS",
 ]
-
-OP_KINDS = (
-    "add",
-    "mul",
-    "div",
-    "tfb_sincos",
-    "tfb_atan2",
-    "tfb_acos",
-    "sqrt",
-    "f2fp",
-    "fp2f",
-    "negate",
-)
 
 # Measured per-module sample periods of the reference FPGA implementation,
 # in nanoseconds; the default calibration targets.
@@ -65,10 +51,6 @@ def linprog(*args, **kwargs):
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
-
-
-class CyclicGraph(ValueError):
-    """The dataflow graph contains a cycle."""
 
 
 class CalibrationDegenerate(ValueError):
@@ -104,12 +86,18 @@ class OpLatencyTable:
         return {k: getattr(self, k) for k in OP_KINDS}
 
 
+# The operator kinds in field order, which is also the variable order of the
+# calibration's linear program.
+OP_KINDS = tuple(f.name for f in fields(OpLatencyTable))
+
+
 @dataclass(frozen=True)
 class DataflowGraph:
     """Operator DAG with designated input terminals and output nodes.
 
-    ``nodes`` maps node id to operator kind; ``edges`` are (producer,
-    consumer) pairs where producers may be input terminal names or node ids;
+    ``nodes`` maps node id to operator kind, in a topological order (the
+    order the recorder creates them in); ``edges`` are (producer, consumer)
+    pairs where each producer is an input terminal name or an earlier node;
     ``outputs`` name the nodes whose results leave the module.
     """
 
@@ -118,57 +106,48 @@ class DataflowGraph:
     edges: tuple[tuple[str, str], ...]
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
+    # Node id -> the nodes feeding it, in edge order.
+    _preds: dict[str, list[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for nid, kind in self.nodes.items():
             if kind not in OP_KINDS:
                 raise ValueError(f"node {nid!r} has unknown kind {kind!r}")
-        ids = set(self.nodes)
         ins = set(self.inputs)
-        if ids & ins:
+        if ins & self.nodes.keys():
             raise ValueError("input terminal names collide with node ids")
+        # Every edge comes from an input or an earlier node: this rules out
+        # cycles and makes the node order topological.
+        position = {nid: i for i, nid in enumerate(self.nodes)}
+        preds: dict[str, list[str]] = {nid: [] for nid in self.nodes}
         for src, dst in self.edges:
-            if dst not in ids:
+            if dst not in position:
                 raise ValueError(f"edge target {dst!r} is not a node")
-            if src not in ids and src not in ins:
-                raise ValueError(f"edge source {src!r} is neither node nor input")
+            if src in position and position[src] < position[dst]:
+                preds[dst].append(src)
+            elif src not in ins:
+                raise ValueError(
+                    f"edge source {src!r} of {dst!r} is neither an input nor an earlier node"
+                )
         for out in self.outputs:
-            if out not in ids:
+            if out not in position:
                 raise ValueError(f"output {out!r} is not a node")
+        object.__setattr__(self, "_preds", preds)
 
 
 def _longest_paths(g: DataflowGraph, t: OpLatencyTable) -> dict[str, tuple[float, str | None]]:
-    """Topological longest-path sweep; returns per node (arrival latency
-    including the node itself, predecessor on the longest path)."""
-    preds: dict[str, list[str]] = {nid: [] for nid in g.nodes}
-    succs: dict[str, list[str]] = {nid: [] for nid in g.nodes}
-    indeg = {nid: 0 for nid in g.nodes}
-    for src, dst in g.edges:
-        preds[dst].append(src)
-        if src in g.nodes:
-            succs[src].append(dst)
-            indeg[dst] += 1
-
-    ready = [nid for nid, d in indeg.items() if d == 0]
+    """Longest-path sweep in node order; returns per node (arrival latency
+    including the node itself, predecessor on the longest path).  Of equally
+    long predecessors the first in edge order wins."""
     best: dict[str, tuple[float, str | None]] = {}
-    seen = 0
-    while ready:
-        nid = ready.pop()
-        seen += 1
+    for nid, kind in g.nodes.items():
         arrival = 0.0
         via: str | None = None
-        for p in preds[nid]:
-            if p in g.nodes:
-                a = best[p][0]
-                if a > arrival:
-                    arrival, via = a, p
-        best[nid] = (arrival + t.get(g.nodes[nid]), via)
-        for s in succs[nid]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                ready.append(s)
-    if seen != len(g.nodes):
-        raise CyclicGraph(f"graph {g.name!r} contains a cycle")
+        for p in g._preds[nid]:
+            a = best[p][0]
+            if a > arrival:
+                arrival, via = a, p
+        best[nid] = (arrival + t.get(kind), via)
     return best
 
 
@@ -325,36 +304,16 @@ class CalibrationResult:
 
 
 def _all_path_signatures(g: DataflowGraph) -> list[np.ndarray]:
-    """Distinct operator-count vectors over all input-to-output paths."""
-    preds: dict[str, list[str]] = {nid: [] for nid in g.nodes}
-    for src, dst in g.edges:
-        if src in g.nodes:
-            preds[dst].append(src)
-
-    memo: dict[str, set[tuple[int, ...]]] = {}
-
-    def vectors(nid: str) -> set[tuple[int, ...]]:
-        cached = memo.get(nid)
-        if cached is not None:
-            return cached
-        idx = OP_KINDS.index(g.nodes[nid])
-        out: set[tuple[int, ...]] = set()
-        if not preds[nid]:
-            base = [0] * len(OP_KINDS)
-            base[idx] += 1
-            out.add(tuple(base))
-        else:
-            for p in preds[nid]:
-                for vec in vectors(p):
-                    ext = list(vec)
-                    ext[idx] += 1
-                    out.add(tuple(ext))
-        memo[nid] = out
-        return out
-
-    result: set[tuple[int, ...]] = set()
-    for o in g.outputs:
-        result |= vectors(o)
+    """Distinct operator-count vectors over all input-to-output paths: per
+    node in node order, the vectors of the paths ending there."""
+    source = {(0,) * len(OP_KINDS)}
+    vectors: dict[str, set[tuple[int, ...]]] = {}
+    for nid, kind in g.nodes.items():
+        i = OP_KINDS.index(kind)
+        preds = g._preds[nid]
+        into = set().union(*(vectors[p] for p in preds)) if preds else source
+        vectors[nid] = {v[:i] + (v[i] + 1,) + v[i + 1 :] for v in into}
+    result = set().union(*(vectors[o] for o in g.outputs))
     return [np.array(v, dtype=float) for v in sorted(result)]
 
 

@@ -41,10 +41,10 @@ __all__ = [
 # shift rounding noise stays below the output resolution.
 _GUARD_BITS = 6
 
-# Formats up to this many fractional bits take sin/cos from a ROM of every
-# first-quadrant angle (see `_sincos_rom`).  At this width the working
-# precision (frac + guard bits) fits int64 with room to spare, and the ROM
-# holds at most about 10^5 entries.
+# The most fractional bits a CORDIC format may have.  sin/cos come from a ROM
+# of every first-quadrant angle (see `_sincos_rom`); at this width the ROM
+# holds about 10^5 entries, and the working precision (frac + guard bits)
+# fits int64 with room to spare.
 _ROM_MAX_FRAC_BITS = 16
 
 _QFORMAT_RE = re.compile(r"^s(\d+)\.(\d+)$")
@@ -119,7 +119,9 @@ def _cordic_gain(iterations: int) -> float:
 class CordicConfig:
     """Rotation count and operand format of the CORDIC datapath; the gain
     compensation follows from the rotation count.  The format must hold pi,
-    the largest angle the kernels return."""
+    the largest angle the kernels return, and have at most
+    ``_ROM_MAX_FRAC_BITS`` fractional bits, the widest the sin/cos ROM
+    covers."""
 
     iterations: int = 16
     fmt: QFormat = S16_13
@@ -131,6 +133,10 @@ class CordicConfig:
             raise ValueError(f"iterations must lie in [1, 64], got {self.iterations}")
         if self.fmt.raw_max < round(math.pi * self.fmt.scale):
             raise ValueError(f"format {self.fmt} cannot hold pi (max {self.fmt.max_value})")
+        if self.fmt.frac_bits > _ROM_MAX_FRAC_BITS:
+            raise ValueError(
+                f"format {self.fmt} has more than {_ROM_MAX_FRAC_BITS} fractional bits"
+            )
 
 
 DEFAULT_CORDIC = CordicConfig()
@@ -173,21 +179,6 @@ def _round_shift(v: int, bits: int) -> int:
     return (v + (1 << (bits - 1))) >> bits
 
 
-def _rotate(z: int, steps, x0: int) -> tuple[int, int]:
-    """Rotation-mode CORDIC: drive the residual angle ``z`` (working-precision
-    raw, in [0, pi/2]) to zero; returns (cos, sin) at working precision."""
-    x = x0
-    y = 0
-    for shift, half, a in steps:
-        dx = (y + half) >> shift
-        dy = (x + half) >> shift
-        if z >= 0:
-            x, y, z = x - dx, y + dy, z - a
-        else:
-            x, y, z = x + dx, y - dy, z + a
-    return x, y
-
-
 def _vector_angle(xr: int, yr: int, steps) -> int:
     """Vectoring-mode CORDIC: rotate (xr, yr) with xr > 0, yr >= 0 onto the
     positive x axis; returns the accumulated angle at working precision."""
@@ -206,14 +197,14 @@ def _vector_angle(xr: int, yr: int, steps) -> int:
 
 @lru_cache(maxsize=16)
 def _sincos_rom(iterations: int, frac_bits: int) -> tuple[array, array]:
-    """(sin, cos) ROM of the rotation kernel: for every reduced raw angle
-    0..pi/2 of the I/O format, the ``_rotate`` result shifted back to I/O
-    precision, before saturation.
+    """(sin, cos) ROM of the rotation-mode CORDIC: for every reduced raw
+    angle 0..pi/2 of the I/O format, the sine and cosine at working
+    precision shifted back to I/O precision, before saturation.
 
-    Built by running the rotation once over all angles as int64 arrays.
-    NumPy's shifts are arithmetic like Python's, and below
-    ``_ROM_MAX_FRAC_BITS`` no intermediate comes near the int64 range, so
-    every entry equals the scalar kernel's result.
+    Built by running the rotation once over all angles as int64 arrays; the
+    residual angle is driven to zero from the gain-compensated start vector.
+    NumPy's shifts are arithmetic like Python's, and up to
+    ``_ROM_MAX_FRAC_BITS`` no intermediate comes near the int64 range.
     """
     steps, x0, _pi_io, half_pi_io = _kernel_constants(iterations, frac_bits)
     z = np.arange(half_pi_io + 1, dtype=np.int64) << _GUARD_BITS
@@ -238,13 +229,11 @@ def cordic_sincos(raw: int, cfg: CordicConfig = DEFAULT_CORDIC) -> tuple[int, in
     The angle is reduced to the first quadrant before rotation; sign symmetry
     is applied on the outputs, so ``sincos(-a)`` mirrors ``sincos(a)`` exactly
     at the raw level.  With the default 16-iteration configuration the error
-    stays within 4 LSB of the output format.  Formats with at most
-    ``_ROM_MAX_FRAC_BITS`` fractional bits read the rotation result from a
-    ROM of the first quadrant, built on first use; wider ones rotate per call.
+    stays within 4 LSB of the output format.  The rotation result comes from
+    a ROM of the first quadrant, built on first use.
     """
     fmt = cfg.fmt
-    iterations, frac_bits = cfg.iterations, fmt.frac_bits
-    steps, x0, pi_io, half_pi_io = _kernel_constants(iterations, frac_bits)
+    _steps, _x0, pi_io, half_pi_io = _kernel_constants(cfg.iterations, fmt.frac_bits)
 
     # Reduce by whole turns: above pi into (-pi, pi], below -pi into [-pi, pi).
     two_pi = 2 * pi_io
@@ -262,14 +251,8 @@ def cordic_sincos(raw: int, cfg: CordicConfig = DEFAULT_CORDIC) -> tuple[int, in
         raw = pi_io - raw
         sign_cos = -1
 
-    if frac_bits <= _ROM_MAX_FRAC_BITS:
-        sin_rom, cos_rom = _sincos_rom(iterations, frac_bits)
-        sin_raw = sin_rom[raw]
-        cos_raw = cos_rom[raw]
-    else:
-        cos_w, sin_w = _rotate(raw << _GUARD_BITS, steps, x0)
-        sin_raw = _round_shift(sin_w, _GUARD_BITS)
-        cos_raw = _round_shift(cos_w, _GUARD_BITS)
+    sin_rom, cos_rom = _sincos_rom(cfg.iterations, fmt.frac_bits)
+    sin_raw, cos_raw = sin_rom[raw], cos_rom[raw]
     lo, hi = fmt.raw_min, fmt.raw_max
     return sign_sin * min(max(sin_raw, lo), hi), sign_cos * min(max(cos_raw, lo), hi)
 

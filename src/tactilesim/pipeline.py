@@ -138,26 +138,26 @@ def generate_trajectory(spec: TrajectorySpec) -> list[JointAngles]:
     return out
 
 
-SurfaceFn = Callable[[int, CartesianPosition], CartesianPosition]
+SurfaceFn = Callable[[CartesianPosition], CartesianPosition]
 
 
 @dataclass(frozen=True)
 class Scene:
     """Environment model: the elasticity of the touched object and a surface
-    function giving the nearest object point for a sample index and tool
-    position (equal to the tool position when nothing is touched, which makes
-    the contact force vanish)."""
+    function giving the nearest object point for a tool position (equal to
+    the tool position when nothing is touched, which makes the contact force
+    vanish)."""
 
     elasticity: Elasticity
     surface: SurfaceFn
 
-    def object_position(self, n: int, tool: CartesianPosition) -> CartesianPosition:
-        return self.surface(n, tool)
+    def object_position(self, tool: CartesianPosition) -> CartesianPosition:
+        return self.surface(tool)
 
     @classmethod
     def free_space(cls, elasticity: Elasticity) -> "Scene":
         """No object anywhere: zero contact force for the whole run."""
-        return cls(elasticity=elasticity, surface=lambda n, tool: tool)
+        return cls(elasticity=elasticity, surface=lambda tool: tool)
 
     @classmethod
     def contact_plane(
@@ -177,7 +177,7 @@ class Scene:
         nvec = nvec / norm
         n_x, n_y, n_z = nvec.tolist()
 
-        def surface(n: int, tool: CartesianPosition) -> CartesianPosition:
+        def surface(tool: CartesianPosition) -> CartesianPosition:
             # The depth stays numpy's dot.  On x86-64 it rounds as the
             # fused multiply-add chain fma(n_z, z, fma(n_y, y, n_x * x)); a
             # plain Python sum differs in the last bit on about 40 % of
@@ -218,26 +218,7 @@ def speedup_report(t_hardware: float, limits: Sequence[float]) -> list[tuple[flo
     return [(lim, int(hardware_time_limit(lim) / t_hardware)) for lim in limits]
 
 
-# Trace column layout.  Module output signals exist once per backend; the
-# other columns are chain signals, shared between backends in a dual-backend
-# run.
-MODULE_OUTPUT_SIGNALS = (
-    "c_x",
-    "c_y",
-    "c_z",
-    "theta_hsd_1",
-    "theta_hsd_2",
-    "theta_hsd_3",
-    "l_x",
-    "l_y",
-    "l_z",
-    "h_x",
-    "h_y",
-    "h_z",
-    "p_1",
-    "p_2",
-    "p_3",
-)
+# Trace column layout.
 COLUMN_ORDER = (
     "n",
     "b1",
@@ -281,6 +262,12 @@ MODULE_SIGNALS = {
     "IK-HSD": ("theta_hsd_1", "theta_hsd_2", "theta_hsd_3"),
     "FBF-HSD": ("h_x", "h_y", "h_z"),
 }
+
+# The module outputs, in column order, exist once per backend; the other
+# columns are chain signals, shared between backends in a dual-backend run.
+MODULE_OUTPUT_SIGNALS = tuple(
+    name for name in COLUMN_ORDER if any(name in sigs for sigs in MODULE_SIGNALS.values())
+)
 
 
 @dataclass
@@ -377,7 +364,7 @@ def run_pipeline(
             theta_sd_q = JointAngles(*theta_sd)
 
             l_pos = forward_kinematics(theta_sd_q, geometry, backend)
-            s_obj = scene.object_position(n, l_pos)
+            s_obj = scene.object_position(l_pos)
             h = feedback_force(s_obj, l_pos, scene.elasticity, backend)
             qv = channel_step(bc_state, bc, h.as_tuple(), n)
             f_in = ForceVector(*qv.tolist())

@@ -126,7 +126,7 @@ class TestScenarioParsing:
         from tactilesim.kinematics import CartesianPosition
 
         tool = CartesianPosition(0.0, 0.0, 0.0)
-        assert sc.scene.object_position(0, tool) == tool
+        assert sc.scene.object_position(tool) == tool
 
 
 def short_scenario() -> dict:
@@ -194,11 +194,26 @@ def test_any_leaf_replacement_ends_cleanly(path, value):
     "changes, code, message",
     [
         ({("cordic", "iterations"): 65}, 1, "field 'cordic': iterations must lie in [1, 64], got 65"),
+        # sin/cos come from a ROM of at most 16 fractional bits.
+        (
+            {("cordic", "format"): "s32.20"},
+            1,
+            "field 'cordic': format s32.20 has more than 16 fractional bits",
+        ),
         ({("budget", "t_hardware"): 1e-320}, 1, "field 'budget.t_hardware'"),
         ({("budget", "t_latency_limits"): [1e308]}, 1, "field 'budget.t_latency_limits[0]'"),
         ({("scene", "normal"): [1e308, 1e308, 0.0]}, 1, "field 'scene.normal'"),
         ({("scene", "elasticity", "hx"): 1e308}, 1, "field 'scene.elasticity': hx exceeds"),
         ({("geometry", "l4"): 1e308}, 1, "field 'geometry': l4 exceeds"),
+        # Links of 3e38 m overflowed the hybrid float32 FK sums (two numpy
+        # warnings, then "x must be finite"); links below 2^-16 m can make
+        # the IK's gamma quotient overflow or divide by zero.
+        (
+            {("geometry", "l1"): 3.0e38, ("geometry", "l2"): 3.0e38},
+            1,
+            "field 'geometry': l1 exceeds the largest link length 65536 m",
+        ),
+        ({("geometry", "l1"): 1e-30}, 1, "field 'geometry': l1 is below the smallest link length"),
         (
             {("bc", "initial_hold"): [1e308, 0.0, 0.0], ("bc", "delay"): 2},
             2,
@@ -212,8 +227,8 @@ def test_any_leaf_replacement_ends_cleanly(path, value):
             "field 'trajectory.segments[0]': end - start is not finite",
         ),
     ],
-    ids=["iterations", "t_hardware", "t_latency_limits", "normal", "elasticity", "geometry",
-         "hold", "offset", "segment"],
+    ids=["iterations", "format", "t_hardware", "t_latency_limits", "normal", "elasticity",
+         "geometry", "long_links", "short_link", "hold", "offset", "segment"],
 )
 def test_huge_and_tiny_values_end_cleanly(changes, code, message, tmp_path, capsys):
     # Finite values whose arithmetic overflows: a configuration error names

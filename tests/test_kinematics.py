@@ -1,8 +1,12 @@
+import itertools
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import sample_workspace_poses
 from tactilesim.kinematics import (
@@ -19,7 +23,7 @@ from tactilesim.kinematics import (
     inverse_kinematics,
 )
 from tactilesim.force import jacobian
-from tactilesim.numerics import CordicConfig, QFormat
+from tactilesim.numerics import S16_13, CordicConfig, QFormat, cordic_sincos
 from tactilesim.pipeline import TrajectorySpec, generate_trajectory
 
 
@@ -35,6 +39,63 @@ class TestGeometry:
             DeviceGeometry(l1=0.0)
         with pytest.raises(ValueError):
             DeviceGeometry(l3=-0.01)
+
+    @pytest.mark.parametrize("name", ["l1", "l2", "l3", "l4"])
+    def test_length_bounds(self, name):
+        # The hybrid datapath stays finite for lengths in [2^-16, 2^16] m.
+        DeviceGeometry(**{name: 2.0**16})
+        DeviceGeometry(**{name: 2.0**-16})
+        for value in (math.nextafter(2.0**16, math.inf), 3e38):
+            with pytest.raises(ValueError, match=f"^{name} exceeds the largest link length"):
+                DeviceGeometry(**{name: value})
+        for value in (math.nextafter(2.0**-16, 0.0), 1e-300):
+            with pytest.raises(ValueError, match=f"^{name} is below the smallest link length"):
+                DeviceGeometry(**{name: value})
+
+
+# Every geometry whose links sit at the ends of their range.
+CORNER_GEOMETRIES = [
+    DeviceGeometry(*lengths) for lengths in itertools.product((2.0**-16, 2.0**16), repeat=4)
+]
+CORNER_BACKENDS = [Hybrid(CordicConfig(iterations=i)) for i in (1, 10, 16)]
+
+
+class TestHybridStaysFinite:
+    # Each call either returns finite values or raises a SampleError; with
+    # warnings turned into errors, a float32 overflow or a division by zero
+    # would fail the test.
+
+    @pytest.mark.parametrize("backend", CORNER_BACKENDS, ids=["i1", "i10", "i16"])
+    def test_fk_and_jacobian_at_corner_geometries(self, backend):
+        angles = (-4.0, -math.pi, -math.pi / 2, -0.3, 0.0, math.pi / 4, math.pi / 2, 3.999)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for g in CORNER_GEOMETRIES:
+                for q in itertools.product(angles, repeat=3):
+                    q = JointAngles(*q)
+                    assert all(map(math.isfinite, forward_kinematics(q, g, backend).as_tuple()))
+                    assert np.isfinite(jacobian(q, g, backend).as_array()).all()
+
+    @pytest.mark.parametrize("backend", CORNER_BACKENDS, ids=["i1", "i10", "i16"])
+    def test_ik_at_corner_geometries_and_coordinates(self, backend):
+        big = 2.0**18
+        for g in CORNER_GEOMETRIES:
+            # The input range's corners, and points a tiny step away from
+            # the shoulder center (0, l3, -l4), where r is smallest.
+            coords = (-big, -1e-22, 0.0, 2e-45, big)
+            points = [CartesianPosition(*p) for p in itertools.product(coords, repeat=3)]
+            points += [
+                CartesianPosition(dx, g.l3 + dy, -g.l4 + dz)
+                for dx, dy, dz in itertools.product((0.0, 1e-22, -3e-23), repeat=3)
+            ]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for p in points:
+                    try:
+                        q = inverse_kinematics(p, g, backend)
+                    except SampleError:
+                        continue
+                    assert all(map(math.isfinite, q.as_tuple()))
 
 
 class TestForwardKinematics:
@@ -199,3 +260,60 @@ class TestBackendConsistency:
             assert max(
                 abs(a - b) for a, b in zip(qo.as_tuple(), qh.as_tuple())
             ) <= 5e-3
+
+
+# Worst sin/cos error of the s16.13 TFB over every raw angle, in LSB, per
+# iteration count (measured 16.12 and 0.82; test_worst_sincos_error checks
+# the stated values).
+WORST_SINCOS_LSB = {10: 16.2, 16: 0.9}
+
+
+@pytest.mark.parametrize("iterations", [10, 16])
+def test_worst_sincos_error(iterations):
+    cfg = CordicConfig(iterations=iterations)
+    worst = 0.0
+    scale = S16_13.scale
+    for raw in range(S16_13.raw_min, S16_13.raw_max + 1):
+        s, c = cordic_sincos(raw, cfg)
+        a = raw / scale
+        worst = max(worst, abs(s - math.sin(a) * scale), abs(c - math.cos(a) * scale))
+    assert worst <= WORST_SINCOS_LSB[iterations]
+
+
+LINK = st.floats(2.0**-16, 2.0**16)
+
+
+@pytest.mark.parametrize("iterations", [10, 16])
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    angles=st.tuples(*[st.floats(2 * S16_13.min_value, 2 * S16_13.max_value)] * 3),
+    links=st.tuples(LINK, LINK, LINK, LINK),
+)
+def test_hybrid_fk_within_cordic_envelope(iterations, angles, links):
+    # Joint angles over twice the s16.13 range and links over their whole
+    # range.  An angle the format holds reaches the TFB with an F2FP rounding
+    # error of at most 1/2 LSB, which moves its sine and cosine by as much,
+    # so each TFB output is within e = (worst + 1/2) LSB of the oracle's.
+    # x and z are sums of l1 and l2 times a product of two such outputs, each
+    # at most 1 in magnitude, and y is a sum of l1 and l2 times one: every
+    # coordinate is within 2 e (1 + e) (l1 + l2) of the oracle.  The float32
+    # constants and the at most eight float32 roundings per coordinate add
+    # less than 2^-20 (l1 + l2 + l3 + l4).
+    g = DeviceGeometry(*links)
+    q = JointAngles(*angles)
+    backend = Hybrid(CordicConfig(iterations=iterations))
+    outside = [
+        (f"theta{i}", a)
+        for i, a in enumerate(angles, 1)
+        if not S16_13.min_value <= a <= S16_13.max_value
+    ]
+    if outside:
+        name, a = outside[0]
+        with pytest.raises(SampleError, match=f"^{name} = {re.escape(repr(a))} rad"):
+            forward_kinematics(q, g, backend)
+        return
+    e = (WORST_SINCOS_LSB[iterations] + 0.5) * S16_13.resolution
+    envelope = 2 * e * (1 + e) * (g.l1 + g.l2) + 2.0**-20 * sum(links)
+    hybrid = forward_kinematics(q, g, backend).as_tuple()
+    oracle = forward_kinematics(q, g).as_tuple()
+    assert max(abs(h - o) for h, o in zip(hybrid, oracle)) <= envelope

@@ -5,7 +5,6 @@ from scipy.optimize import OptimizeResult
 from tactilesim import latency_model
 from tactilesim.latency_model import (
     CalibrationDegenerate,
-    CyclicGraph,
     DEFAULT_TARGETS_NS,
     DataflowGraph,
     OP_KINDS,
@@ -65,15 +64,14 @@ class TestCriticalPath:
         assert critical_path(g, table(mul=10.0, div=12.0, add=5.0)) == 17.0
 
     def test_cycle_detected(self):
-        g = DataflowGraph(
-            name="loop",
-            nodes={"a": "add", "b": "mul"},
-            edges=(("a", "b"), ("b", "a")),
-            inputs=(),
-            outputs=("a",),
-        )
-        with pytest.raises(CyclicGraph):
-            critical_path(g, table(add=1.0, mul=1.0))
+        with pytest.raises(ValueError, match="'b' of 'a' is neither an input nor an earlier"):
+            DataflowGraph(
+                name="loop",
+                nodes={"a": "add", "b": "mul"},
+                edges=(("a", "b"), ("b", "a")),
+                inputs=(),
+                outputs=("a",),
+            )
 
     def test_chain_additivity(self):
         kinds = ["add", "mul", "sqrt", "div", "tfb_sincos", "negate"]
@@ -112,6 +110,77 @@ class TestGraphValidation:
     def test_output_must_exist(self):
         with pytest.raises(ValueError):
             DataflowGraph("bad", {"a": "add"}, (), (), ("b",))
+
+    def test_nodes_must_be_in_topological_order(self):
+        # The chain in -> a -> m, with m listed before a.
+        with pytest.raises(ValueError, match="'a' of 'm' is neither an input nor an earlier"):
+            DataflowGraph(
+                "bad", {"m": "mul", "a": "add"}, (("in", "a"), ("a", "m")), ("in",), ("m",)
+            )
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="'a' of 'a'"):
+            DataflowGraph("bad", {"a": "add"}, (("in", "a"), ("a", "a")), ("in",), ("a",))
+
+
+def every_path(g: DataflowGraph) -> list[list[str]]:
+    """Every input-to-output path as a list of node ids, input side first,
+    found by walking the edges back from each output to a node that no other
+    node feeds."""
+    feeders = {nid: [] for nid in g.nodes}
+    for src, dst in g.edges:
+        if src in g.nodes:
+            feeders[dst].append(src)
+
+    def ending_at(nid):
+        if not feeders[nid]:
+            return [[nid]]
+        return [path + [nid] for p in feeders[nid] for path in ending_at(p)]
+
+    return [path for out in g.outputs for path in ending_at(out)]
+
+
+def random_dag(rng: np.random.Generator, size: int) -> DataflowGraph:
+    """A DAG of ``size`` random operators over two inputs; each node takes
+    one to three operands from the inputs and earlier nodes, repeats
+    allowed, and the outputs are two to four random nodes."""
+    nodes = {f"n{i}": str(rng.choice(OP_KINDS)) for i in range(size)}
+    edges = []
+    for i in range(size):
+        sources = ["x", "y"] + [f"n{j}" for j in range(i)]
+        for src in rng.choice(sources, rng.integers(1, 4)):
+            edges.append((str(src), f"n{i}"))
+    outputs = rng.choice(list(nodes), min(size, rng.integers(2, 5)), replace=False)
+    return DataflowGraph("random", nodes, tuple(edges), ("x", "y"), tuple(map(str, outputs)))
+
+
+class TestAgainstPathEnumeration:
+    @pytest.mark.parametrize("case", ["FK", "IK", "KFF", "FBF", "random"])
+    def test_critical_path_and_signatures(self, case):
+        rng = np.random.default_rng(43)
+        if case == "random":
+            graphs = [random_dag(rng, int(rng.integers(1, 12))) for _ in range(200)]
+        else:
+            graphs = [builtin_graphs()[case]]
+        for g in graphs:
+            paths = every_path(g)
+            counts = {
+                tuple(float([g.nodes[n] for n in path].count(k)) for k in OP_KINDS)
+                for path in paths
+            }
+            assert [tuple(v) for v in latency_model._all_path_signatures(g)] == sorted(counts)
+            for _ in range(10):
+                # Small integer latencies make ties between paths common.
+                t = OpLatencyTable(**dict(zip(OP_KINDS, rng.integers(0, 4, len(OP_KINDS)) * 1.0)))
+                # Float addition is monotone, so the longest sum taken in
+                # path order equals the sweep's result exactly.
+                longest = max(sum(t.get(g.nodes[n]) for n in path) for path in paths)
+                assert critical_path(g, t) == longest
+                # The reported path leaves out leading nodes that add no
+                # latency.
+                nodes = critical_path_nodes(g, t)
+                assert any(path[len(path) - len(nodes) :] == nodes for path in paths)
+                assert sum(t.get(g.nodes[n]) for n in nodes) == longest
 
 
 class TestBuiltinGraphs:

@@ -106,6 +106,12 @@ class TestCordicConfig:
         # raw_max of s3.0 is 3 == round(pi).
         CordicConfig(fmt=QFormat(3, 0))
 
+    @pytest.mark.parametrize("text", ["s20.17", "s32.20", "s64.17"])
+    def test_fraction_wider_than_rom_rejected(self, text):
+        # sin/cos come from a ROM of at most 16 fractional bits.
+        with pytest.raises(ValueError, match=f"{text} has more than 16 fractional bits"):
+            CordicConfig(fmt=QFormat.from_string(text))
+
 
 def value(raw: int) -> float:
     """Real value of an s16.13 raw value."""
@@ -314,6 +320,48 @@ class TestTfbWrappers:
         assert abs(float(a) - math.acos(0.5)) <= 8 * LSB
 
 
+def rotate(z: int, steps, x0: int) -> tuple[int, int]:
+    """Rotation-mode CORDIC on Python ints, one angle at a time: drive the
+    residual angle ``z`` (working-precision raw, in [0, pi/2]) to zero;
+    returns (cos, sin) at working precision.  The bit-exact reference of the
+    ROM."""
+    x = x0
+    y = 0
+    for shift, half, a in steps:
+        dx = (y + half) >> shift
+        dy = (x + half) >> shift
+        if z >= 0:
+            x, y, z = x - dx, y + dy, z - a
+        else:
+            x, y, z = x + dx, y - dy, z + a
+    return x, y
+
+
+def rotated_sincos(raw: int, cfg: CordicConfig) -> tuple[int, int]:
+    """`cordic_sincos` with the rotation run per call instead of read from
+    the ROM: whole-turn reduction, quadrant folding, output signs and
+    saturation written out again."""
+    fmt = cfg.fmt
+    steps, x0, pi_io, half_pi_io = numerics._kernel_constants(cfg.iterations, fmt.frac_bits)
+    if raw > pi_io:
+        raw = pi_io - (pi_io - raw) % (2 * pi_io)
+    elif raw < -pi_io:
+        raw = (raw + pi_io) % (2 * pi_io) - pi_io
+    sign_sin = -1 if raw < 0 else 1
+    raw = abs(raw)
+    sign_cos = 1
+    if raw > half_pi_io:
+        raw = pi_io - raw
+        sign_cos = -1
+    cos_w, sin_w = rotate(raw << numerics._GUARD_BITS, steps, x0)
+
+    def io(w: int) -> int:
+        v = numerics._round_shift(w, numerics._GUARD_BITS)
+        return min(max(v, fmt.raw_min), fmt.raw_max)
+
+    return sign_sin * io(sin_w), sign_cos * io(cos_w)
+
+
 class TestSinCosRom:
     @pytest.mark.parametrize("iterations", [10, 16])
     def test_rom_matches_scalar_kernel(self, iterations):
@@ -323,20 +371,20 @@ class TestSinCosRom:
         assert len(sin_rom) == len(cos_rom) == half_pi_io + 1
         guard = numerics._GUARD_BITS
         for raw in range(half_pi_io + 1):
-            cos_w, sin_w = numerics._rotate(raw << guard, steps, x0)
+            cos_w, sin_w = rotate(raw << guard, steps, x0)
             assert sin_rom[raw] == numerics._round_shift(sin_w, guard)
             assert cos_rom[raw] == numerics._round_shift(cos_w, guard)
 
-    @pytest.mark.parametrize("fmt", [QFormat(12, 9), QFormat(4, 1)])
-    def test_rom_and_rotation_paths_agree(self, fmt, monkeypatch):
+    @pytest.mark.parametrize("fmt", [QFormat(12, 9), QFormat(4, 1), S16_13])
+    def test_rom_and_rotation_paths_agree(self, fmt):
         # Every raw angle of the format, through the reduction, signs and
-        # saturation, once from the ROM and once rotated per call.
-        cfg = CordicConfig(iterations=12, fmt=fmt)
+        # saturation: the kernel against the rotation run per call.
         angles = range(fmt.raw_min, fmt.raw_max + 1)
-        from_rom = [cordic_sincos(a, cfg) for a in angles]
-        monkeypatch.setattr(numerics, "_ROM_MAX_FRAC_BITS", -1)
-        rotated = [cordic_sincos(a, cfg) for a in angles]
-        assert from_rom == rotated
+        for iterations in (10, 16):
+            cfg = CordicConfig(iterations=iterations, fmt=fmt)
+            assert [cordic_sincos(a, cfg) for a in angles] == [
+                rotated_sincos(a, cfg) for a in angles
+            ]
 
 
 class TestTfbKernelCalls:

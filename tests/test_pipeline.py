@@ -71,16 +71,16 @@ class TestScene:
         from tactilesim.kinematics import CartesianPosition
 
         tool = CartesianPosition(0.1, 0.0, -0.1)
-        assert scene.object_position(5, tool) == tool
+        assert scene.object_position(tool) == tool
 
     def test_plane_projection(self):
         from tactilesim.kinematics import CartesianPosition
 
         scene = Scene.contact_plane((0, 0, 1.0), offset=0.0, elasticity=Elasticity(1, 1, 1))
         inside = CartesianPosition(0.0, 0.0, -0.1)
-        assert scene.object_position(0, inside) == inside
+        assert scene.object_position(inside) == inside
         beyond = CartesianPosition(0.2, 0.1, 0.05)
-        touch = scene.object_position(0, beyond)
+        touch = scene.object_position(beyond)
         assert touch.x == beyond.x and touch.y == beyond.y
         assert touch.z == pytest.approx(0.0, abs=1e-15)
 
@@ -93,7 +93,7 @@ class TestScene:
         scene = Scene.contact_plane(normal, 0.01, Elasticity(1, 1, 1))
         nvec = normal / np.linalg.norm(normal)
         for p in np.random.default_rng(4).uniform(-0.3, 0.3, (2000, 3)):
-            got = scene.object_position(0, CartesianPosition(*p.tolist())).as_tuple()
+            got = scene.object_position(CartesianPosition(*p.tolist())).as_tuple()
             depth = float(nvec @ p) - 0.01
             want = tuple(p - depth * nvec) if depth > 0 else tuple(p)
             assert got == want
