@@ -19,7 +19,6 @@ from tactilesim.force import (
     kinesthetic_feedback,
 )
 from tactilesim.kinematics import (
-    Backend,
     CartesianPosition,
     DEFAULT_GEOMETRY,
     DeviceGeometry,

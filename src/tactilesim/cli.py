@@ -16,17 +16,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from tactilesim.channel import ChannelConfig, ConstantDelay, OutOfOrderSample, RandomWalkDelay
 from tactilesim.force import Elasticity
-from tactilesim.kinematics import (
-    Backend,
-    DeviceGeometry,
-    Hybrid,
-    Oracle,
-    SampleError,
-)
+from tactilesim.kinematics import DeviceGeometry, Hybrid, Oracle, SampleError
 from tactilesim.latency_model import (
     CalibrationDegenerate,
     DEFAULT_TARGETS_NS,
@@ -36,7 +31,6 @@ from tactilesim.latency_model import (
 from tactilesim.numerics import CordicConfig, QFormat
 from tactilesim.pipeline import (
     Scene,
-    SeriesLengthMismatch,
     TrajectorySegment,
     TrajectorySpec,
     compute_mse,
@@ -81,7 +75,7 @@ class Scenario:
     budget_limits: tuple[float, ...]
     budget_t_hardware: float
 
-    def backend_objects(self) -> tuple[Backend, Backend | None]:
+    def backend_objects(self) -> tuple[Oracle | Hybrid, Hybrid | None]:
         """(driver, shadow): with both backends selected the oracle drives the
         chain and the hybrid is evaluated on the same module inputs."""
         hybrid = Hybrid(self.cordic)
@@ -416,10 +410,11 @@ def cmd_latency(args) -> int:
         if not isinstance(raw, dict) or not raw:
             print("error: targets must be a non-empty JSON object", file=sys.stderr)
             return 1
+        # Numbers as the scenario rules read them: no strings, no booleans.
         try:
-            targets = {str(k): float(v) for k, v in raw.items()}
-        except (TypeError, ValueError) as exc:
-            print(f"error: targets must map module names to numbers: {exc}", file=sys.stderr)
+            targets = {k: _check(v, float, k) for k, v in raw.items()}
+        except ScenarioError as exc:
+            print(f"error: targets: {exc}", file=sys.stderr)
             return 1
     try:
         result = calibrate(targets)
@@ -467,13 +462,15 @@ def cmd_mse(args) -> int:
             file=sys.stderr,
         )
         return 1
-    try:
+    # Finite values far apart still overflow the squared difference.
+    with np.errstate(over="ignore"):
         table = {
             name: compute_mse(data_a[:, i], data_b[:, i]) for i, name in enumerate(header_a)
         }
-    except SeriesLengthMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    for name, mse in table.items():
+        if not math.isfinite(mse):
+            print(f"error: the MSE of column {name!r} overflows", file=sys.stderr)
+            return 1
     text = json.dumps(table, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -1,7 +1,8 @@
 """Closed-form forward and inverse kinematics of a 3-DoF pen-style haptic arm
-(two equal arm segments on a rotating base).
+(two equal arm segments on a rotating base), and its Jacobian.
 
-Every operation runs on one of two interchangeable backends:
+Every operation runs on one of two interchangeable backends, each a class
+that carries its own module code (``fk``, ``ik``, ``jacobian`` and ``run``):
 
 * ``Oracle``  - full double precision, the reference model.
 * ``Hybrid``  - float32 arithmetic with fixed-point CORDIC trigonometry,
@@ -9,12 +10,12 @@ Every operation runs on one of two interchangeable backends:
   float32 multipliers/adders, float32 geometry constants).
 
 The hybrid modules are written once, as circuit functions (``_fk_circuit``,
-``_ik_circuit``) over an arithmetic policy: the float32/CORDIC policy here
+``_ik_circuit``, ``_jacobian_circuit``) over an arithmetic policy and the
+link constants ``(l1, l2, l3, l4)``: ``Hybrid`` itself is the policy that
 computes the numbers, and the recorder in ``tactilesim.latency_model`` runs
-the same functions to build the latency DAGs.  A policy supplies the geometry
-constants ``l1``..``l4``, ``const``, ``sincos``, ``atan2``, ``acos``,
-``sqrt`` and ``reach``; ``+ - * /`` and unary minus are the operators of its
-values.
+the same functions to build the latency DAGs.  A policy supplies ``const``,
+``sincos``, ``atan2``, ``acos``, ``sqrt`` and ``reach``; ``+ - * /`` and
+unary minus are the operators of its values.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "JointAngles",
     "CartesianPosition",
     "IkIntermediates",
-    "Backend",
     "Oracle",
     "Hybrid",
     "ORACLE",
@@ -174,101 +174,11 @@ class IkIntermediates:
     alpha: float
 
 
-class Backend:
-    """Marker base for the numeric backend selection."""
-
-
-@dataclass(frozen=True)
-class Oracle(Backend):
-    """Double-precision reference backend."""
-
-
-@dataclass(frozen=True)
-class Hybrid(Backend):
-    """Float32 datapath with fixed-point CORDIC trigonometry."""
-
-    cordic: CordicConfig = DEFAULT_CORDIC
-
-
-ORACLE = Oracle()
-
-
-class _Float32:
-    """Arithmetic policy of the hybrid datapath: float32 constants and
-    operators, a CORDIC TFB per trig function."""
-
-    const = staticmethod(np.float32)
-    sqrt = staticmethod(sqrt32)
-
-    def __init__(self, g: DeviceGeometry, cfg: CordicConfig):
-        self.l1, self.l2, self.l3, self.l4 = g._f32
-        self.cfg = cfg
-
-    def sincos(self, angle):
-        return tfb_sincos(angle, self.cfg)
-
-    def atan2(self, y, x):
-        return tfb_atan2(y, x, self.cfg)
-
-    def acos(self, arg, what: str):
-        return tfb_acos(_acos_arg_check(float(arg), what), self.cfg)
-
-    def reach(self, r):
-        """The full reach ``r``, which must be nonzero."""
-        if r == 0.0:
-            raise Unreachable("tool position coincides with the shoulder center (r = 0)")
-        return r
-
-
-def _tfb_angles(q: JointAngles, cfg: CordicConfig) -> tuple[float, float, float]:
-    """The joint angles as sincos TFB operands.  F2FP saturates an angle
-    outside the format's range before the TFB reduces it, and the sine and
-    cosine of the saturated angle would be silently wrong, so such an angle
-    is a SampleError."""
-    fmt = cfg.fmt
-    angles = q.as_tuple()
-    for name, a in zip(("theta1", "theta2", "theta3"), angles):
-        if not fmt.min_value <= a <= fmt.max_value:
-            raise SampleError(
-                f"{name} = {a!r} rad is outside the range [{fmt.min_value}, "
-                f"{fmt.max_value}] of the {fmt} sincos TFB"
-            )
-    return angles
-
-
-def forward_kinematics(
-    q: JointAngles,
-    g: DeviceGeometry = DEFAULT_GEOMETRY,
-    backend: Backend = ORACLE,
-) -> CartesianPosition:
-    """Tool position for the given joint angles.
-
-    x = -sin(t1) (L2 sin(t3) + L1 cos(t2))
-    y = -L2 cos(t3) + L1 sin(t2) + L3
-    z =  L2 cos(t1) sin(t3) + L1 cos(t1) cos(t2) - L4
-    """
-    if isinstance(backend, Hybrid):
-        x, y, z = _fk_circuit(_Float32(g, backend.cordic), _tfb_angles(q, backend.cordic))
-        return CartesianPosition(float(x), float(y), float(z))
-    s1, c1 = math.sin(q.theta1), math.cos(q.theta1)
-    s2, c2 = math.sin(q.theta2), math.cos(q.theta2)
-    s3, c3 = math.sin(q.theta3), math.cos(q.theta3)
-    x = -s1 * (g.l2 * s3 + g.l1 * c2)
-    y = -g.l2 * c3 + g.l1 * s2 + g.l3
-    z = g.l2 * c1 * s3 + g.l1 * c1 * c2 - g.l4
-    return CartesianPosition(x, y, z)
-
-
-def _fk_circuit(p, theta):
-    """FK circuit: one TFB per joint angle, then a circuit per coordinate.
-    The angles enter the TFBs unrounded (F2FP quantizes them directly)."""
-    s1, c1 = p.sincos(theta[0])
-    s2, c2 = p.sincos(theta[1])
-    s3, c3 = p.sincos(theta[2])
-    x = -(s1 * (p.l2 * s3 + p.l1 * c2))
-    y = (-(p.l2 * c3) + p.l1 * s2) + p.l3
-    z = (p.l2 * (c1 * s3) + p.l1 * (c1 * c2)) + (-p.l4)
-    return x, y, z
+def _reach(r):
+    """The full reach ``r``, which must be nonzero."""
+    if r == 0.0:
+        raise Unreachable("tool position coincides with the shoulder center (r = 0)")
+    return r
 
 
 def _acos_arg_check(arg: float, what: str) -> float:
@@ -279,45 +189,180 @@ def _acos_arg_check(arg: float, what: str) -> float:
     return min(max(arg, -1.0), 1.0)
 
 
-def _ik_oracle(p: CartesianPosition, g: DeviceGeometry) -> tuple[float, IkIntermediates]:
-    zz = p.z + g.l4
-    theta1 = -math.atan2(p.x, zz)
-    big_r = math.sqrt(p.x * p.x + zz * zz)
-    yy = p.y - g.l3
-    r_sq = p.x * p.x + zz * zz + yy * yy
-    r = math.sqrt(r_sq)
-    if r == 0.0:
-        raise Unreachable("tool position coincides with the shoulder center (r = 0)")
-    g_arg = _acos_arg_check((g.l1 * g.l1 - g.l2 * g.l2 + r_sq) / (2.0 * g.l1 * r), "gamma")
-    a_arg = _acos_arg_check((g.l1 * g.l1 + g.l2 * g.l2 - r_sq) / (2.0 * g.l1 * g.l2), "alpha")
-    gamma = math.acos(g_arg)
-    beta = math.atan2(yy, big_r)
-    alpha = math.acos(a_arg)
-    return theta1, IkIntermediates(big_r, r, gamma, beta, alpha)
+@dataclass(frozen=True)
+class Oracle:
+    """Double-precision reference backend.  Its formulas are its own, not the
+    hybrid circuits: they associate differently, and the oracle trace digests
+    pin them."""
+
+    name = "oracle"
+
+    def fk(self, theta, g: DeviceGeometry) -> tuple[float, float, float]:
+        s1, c1 = math.sin(theta[0]), math.cos(theta[0])
+        s2, c2 = math.sin(theta[1]), math.cos(theta[1])
+        s3, c3 = math.sin(theta[2]), math.cos(theta[2])
+        x = -s1 * (g.l2 * s3 + g.l1 * c2)
+        y = -g.l2 * c3 + g.l1 * s2 + g.l3
+        z = g.l2 * c1 * s3 + g.l1 * c1 * c2 - g.l4
+        return x, y, z
+
+    def ik(self, pos, g: DeviceGeometry):
+        x, y, z = pos
+        zz = z + g.l4
+        theta1 = -math.atan2(x, zz)
+        big_r = math.sqrt(x * x + zz * zz)
+        yy = y - g.l3
+        r_sq = x * x + zz * zz + yy * yy
+        r = _reach(math.sqrt(r_sq))
+        g_arg = _acos_arg_check((g.l1 * g.l1 - g.l2 * g.l2 + r_sq) / (2.0 * g.l1 * r), "gamma")
+        a_arg = _acos_arg_check((g.l1 * g.l1 + g.l2 * g.l2 - r_sq) / (2.0 * g.l1 * g.l2), "alpha")
+        gamma = math.acos(g_arg)
+        beta = math.atan2(yy, big_r)
+        alpha = math.acos(a_arg)
+        theta2 = gamma + beta
+        theta3 = theta2 + alpha - math.pi / 2.0
+        return (theta1, theta2, theta3), (big_r, r, gamma, beta, alpha)
+
+    def jacobian(self, theta, g: DeviceGeometry) -> tuple[float, ...]:
+        s1, c1 = math.sin(theta[0]), math.cos(theta[0])
+        s2, c2 = math.sin(theta[1]), math.cos(theta[1])
+        s3, c3 = math.sin(theta[2]), math.cos(theta[2])
+        l1, l2 = g.l1, g.l2
+        return (
+            -c1 * (l2 * s3 + l1 * c2),
+            l1 * s1 * s2,
+            -l2 * s1 * c3,
+            l1 * c2,
+            l2 * s3,
+            -(l1 * c2 * s1 + l2 * s3 * s1),
+            -l1 * s2 * c1,
+            l2 * c3 * c1,
+        )
+
+    def run(self, circuit, *operands):
+        """A circuit shared with the hybrid datapath, in double precision."""
+        return circuit(*operands)
 
 
-def _ik_circuit(p, pos):
+@dataclass(frozen=True)
+class Hybrid:
+    """Float32 datapath with fixed-point CORDIC trigonometry, and the
+    arithmetic policy its circuit functions run on: float32 constants and
+    operators, a CORDIC TFB per trig function."""
+
+    cordic: CordicConfig = DEFAULT_CORDIC
+
+    name = "hybrid"
+    const = staticmethod(np.float32)
+    sqrt = staticmethod(sqrt32)
+    reach = staticmethod(_reach)
+
+    # The TFBs are looked up as module names on every call: the benchmark's
+    # traced run spans them there.
+    def sincos(self, angle):
+        return tfb_sincos(angle, self.cordic)
+
+    def atan2(self, y, x):
+        return tfb_atan2(y, x, self.cordic)
+
+    def acos(self, arg, what: str):
+        return tfb_acos(_acos_arg_check(float(arg), what), self.cordic)
+
+    def _angles(self, theta):
+        """The joint angles as sincos TFB operands.  F2FP saturates an angle
+        outside the format's range before the TFB reduces it, and the sine
+        and cosine of the saturated angle would be silently wrong, so such an
+        angle is a SampleError."""
+        fmt = self.cordic.fmt
+        for name, a in zip(("theta1", "theta2", "theta3"), theta):
+            if not fmt.min_value <= a <= fmt.max_value:
+                raise SampleError(
+                    f"{name} = {a!r} rad is outside the range [{fmt.min_value}, "
+                    f"{fmt.max_value}] of the {fmt} sincos TFB"
+                )
+        return theta
+
+    def fk(self, theta, g: DeviceGeometry) -> tuple[float, float, float]:
+        return tuple(map(float, _fk_circuit(self, g._f32, self._angles(theta))))
+
+    def ik(self, pos, g: DeviceGeometry):
+        for name, v in zip("xyz", pos):
+            if abs(v) > _COORD_MAX:
+                raise Unreachable(
+                    f"{name} = {v!r} m is outside the input range of the hybrid "
+                    f"datapath (|{name}| <= {_COORD_MAX:g} m)"
+                )
+        angles, inter = _ik_circuit(self, g._f32, tuple(np.array(pos, np.float32)))
+        return tuple(map(float, angles)), tuple(map(float, inter))
+
+    def jacobian(self, theta, g: DeviceGeometry) -> tuple[float, ...]:
+        return tuple(map(float, _jacobian_circuit(self, g._f32, self._angles(theta))))
+
+    def run(self, circuit, *operands):
+        """A shared circuit on float32 copies of the operands.  A value beyond
+        the float32 range becomes inf, as in the datapath."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return tuple(map(float, circuit(*(np.array(x, np.float32) for x in operands))))
+
+
+ORACLE = Oracle()
+
+
+def _fk_circuit(p, links, theta):
+    """FK circuit: one TFB per joint angle, then a circuit per coordinate.
+    The angles enter the TFBs unrounded (F2FP quantizes them directly)."""
+    l1, l2, l3, l4 = links
+    s1, c1 = p.sincos(theta[0])
+    s2, c2 = p.sincos(theta[1])
+    s3, c3 = p.sincos(theta[2])
+    x = -(s1 * (l2 * s3 + l1 * c2))
+    y = (-(l2 * c3) + l1 * s2) + l3
+    z = (l2 * (c1 * s3) + l1 * (c1 * c2)) + (-l4)
+    return x, y, z
+
+
+def _jacobian_circuit(p, links, theta):
+    """One circuit per nonzero entry, returned in row order without J21.
+    Products associate length-constant first, then the remaining trig factors
+    left to right."""
+    l1, l2 = links[:2]
+    s1, c1 = p.sincos(theta[0])
+    s2, c2 = p.sincos(theta[1])
+    s3, c3 = p.sincos(theta[2])
+    j11 = -(c1 * (l2 * s3 + l1 * c2))
+    j12 = l1 * (s1 * s2)
+    j13 = -(l2 * (s1 * c3))
+    j22 = l1 * c2
+    j23 = l2 * s3
+    j31 = -(((l1 * c2) * s1) + ((l2 * s3) * s1))
+    j32 = -(l1 * (s2 * c1))
+    j33 = l2 * (c3 * c1)
+    return j11, j12, j13, j22, j23, j31, j32, j33
+
+
+def _ik_circuit(p, links, pos):
     """IK circuit in three stages; returns the joint angles and the
     intermediates (R, r, gamma, beta, alpha)."""
+    l1, l2, l3, l4 = links
     x, y, z = pos
     # First stage: theta1, R and r in parallel.
-    zz = z + p.l4
+    zz = z + l4
     theta1 = -p.atan2(x, zz)
     sum_xz = x * x + zz * zz
     big_r = p.sqrt(sum_xz)
     # The hardware negates L3 and r^2 and adds: in float32, a + (-b) == a - b.
-    yy = y + (-p.l3)
+    yy = y + (-l3)
     r = p.reach(p.sqrt(sum_xz + yy * yy))
 
     # Second stage: gamma, beta and alpha in parallel.
     r_sq = r * r
     # The gamma and alpha circuits each square the link lengths themselves.
     two = p.const(2.0)
-    g_num = (p.l1 * p.l1 - p.l2 * p.l2) + r_sq
-    gamma = p.acos(g_num / (two * (p.l1 * r)), "gamma")
+    g_num = (l1 * l1 - l2 * l2) + r_sq
+    gamma = p.acos(g_num / (two * (l1 * r)), "gamma")
     beta = p.atan2(yy, big_r)
-    a_num = (p.l1 * p.l1 + p.l2 * p.l2) + (-r_sq)
-    alpha = p.acos(a_num / (two * (p.l1 * p.l2)), "alpha")
+    a_num = (l1 * l1 + l2 * l2) + (-r_sq)
+    alpha = p.acos(a_num / (two * (l1 * l2)), "alpha")
 
     # Third stage: theta2 and theta3.
     theta2 = gamma + beta
@@ -325,32 +370,33 @@ def _ik_circuit(p, pos):
     return (theta1, theta2, theta3), (big_r, r, gamma, beta, alpha)
 
 
-def _ik_hybrid(p: CartesianPosition, g: DeviceGeometry, cfg: CordicConfig):
-    pos = p.as_tuple()
-    for name, v in zip("xyz", pos):
-        if abs(v) > _COORD_MAX:
-            raise Unreachable(
-                f"{name} = {v!r} m is outside the input range of the hybrid "
-                f"datapath (|{name}| <= {_COORD_MAX:g} m)"
-            )
-    return _ik_circuit(_Float32(g, cfg), tuple(np.array(pos, np.float32)))
+def forward_kinematics(
+    q: JointAngles,
+    g: DeviceGeometry = DEFAULT_GEOMETRY,
+    backend: Oracle | Hybrid = ORACLE,
+) -> CartesianPosition:
+    """Tool position for the given joint angles.
+
+    x = -sin(t1) (L2 sin(t3) + L1 cos(t2))
+    y = -L2 cos(t3) + L1 sin(t2) + L3
+    z =  L2 cos(t1) sin(t3) + L1 cos(t1) cos(t2) - L4
+    """
+    return CartesianPosition(*backend.fk(q.as_tuple(), g))
 
 
 def ik_intermediates(
     p: CartesianPosition,
     g: DeviceGeometry = DEFAULT_GEOMETRY,
-    backend: Backend = ORACLE,
+    backend: Oracle | Hybrid = ORACLE,
 ) -> IkIntermediates:
     """R, r, gamma, beta, alpha of the inverse solution for ``p``."""
-    if isinstance(backend, Hybrid):
-        return IkIntermediates(*map(float, _ik_hybrid(p, g, backend.cordic)[1]))
-    return _ik_oracle(p, g)[1]
+    return IkIntermediates(*backend.ik(p.as_tuple(), g)[1])
 
 
 def inverse_kinematics(
     p: CartesianPosition,
     g: DeviceGeometry = DEFAULT_GEOMETRY,
-    backend: Backend = ORACLE,
+    backend: Oracle | Hybrid = ORACLE,
 ) -> JointAngles:
     """Joint angles that place the tool at ``p``.
 
@@ -358,9 +404,4 @@ def inverse_kinematics(
     theta3 = theta2 + alpha - pi/2.  Raises ``Unreachable`` when the acos
     operands leave [-1, 1] by more than ``EPS_REACH``.
     """
-    if isinstance(backend, Hybrid):
-        return JointAngles(*map(float, _ik_hybrid(p, g, backend.cordic)[0]))
-    theta1, inter = _ik_oracle(p, g)
-    theta2 = inter.gamma + inter.beta
-    theta3 = theta2 + inter.alpha - math.pi / 2.0
-    return JointAngles(theta1, theta2, theta3)
+    return JointAngles(*backend.ik(p.as_tuple(), g)[0])

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from tactilesim.force import _fbf_circuit, _jacobian_circuit, _torque_circuit
-from tactilesim.kinematics import _fk_circuit, _ik_circuit
+from tactilesim.force import _fbf_circuit, _torque_circuit
+from tactilesim.kinematics import _fk_circuit, _ik_circuit, _jacobian_circuit
 
 __all__ = [
     "CalibrationDegenerate",
@@ -145,7 +145,7 @@ def _longest_paths(g: DataflowGraph, t: OpLatencyTable) -> dict[str, tuple[float
         via: str | None = None
         for p in g._preds[nid]:
             a = best[p][0]
-            if a > arrival:
+            if via is None or a > arrival:
                 arrival, via = a, p
         best[nid] = (arrival + t.get(kind), via)
     return best
@@ -207,7 +207,8 @@ class _Recorder:
         self.inputs: list[str] = []
         self.nodes: dict[str, str] = {}
         self.edges: list[tuple[str, str]] = []
-        self.l1 = self.l2 = self.l3 = self.l4 = _Signal(self, None)
+        # The link constants l1..l4 of the circuit functions.
+        self.links = (_Signal(self, None),) * 4
 
     def terminals(self, *names: str) -> list[_Signal]:
         self.inputs.extend(names)
@@ -263,9 +264,9 @@ def _recorded_graphs() -> dict[str, DataflowGraph]:
     obj = fbf.terminals("obj_x", "obj_y", "obj_z")
     env = fbf.terminals("env_x", "env_y", "env_z")
     return {
-        "FK": fk.graph(_fk_circuit(fk, fk.terminals("th1", "th2", "th3"))),
-        "IK": ik.graph(_ik_circuit(ik, ik.terminals("x", "y", "z"))[0]),
-        "KFF": kff.graph(_torque_circuit(_jacobian_circuit(kff, theta), force)),
+        "FK": fk.graph(_fk_circuit(fk, fk.links, fk.terminals("th1", "th2", "th3"))),
+        "IK": ik.graph(_ik_circuit(ik, ik.links, ik.terminals("x", "y", "z"))[0]),
+        "KFF": kff.graph(_torque_circuit(_jacobian_circuit(kff, kff.links, theta), force)),
         "FBF": fbf.graph(_fbf_circuit(obj, env, [fbf.const(None)] * 3)),
     }
 

@@ -24,13 +24,13 @@ import numpy as np
 from tactilesim.channel import ChannelConfig, ChannelState, channel_step
 from tactilesim.force import Elasticity, ForceVector, feedback_force, kinesthetic_feedback
 from tactilesim.kinematics import (
-    Backend,
     CartesianPosition,
     DEFAULT_GEOMETRY,
     DeviceGeometry,
     Hybrid,
     JointAngles,
     ORACLE,
+    Oracle,
     SampleError,
     forward_kinematics,
     inverse_kinematics,
@@ -306,19 +306,15 @@ class SimulationTrace:
         return (self.driver,) if self.shadow is None else (self.driver, self.shadow)
 
 
-def _backend_label(b: Backend) -> str:
-    return "hybrid" if isinstance(b, Hybrid) else "oracle"
-
-
 def run_pipeline(
     spec: TrajectorySpec,
     scene: Scene,
     fc: ChannelConfig,
     bc: ChannelConfig,
-    backend: Backend = ORACLE,
+    backend: Oracle | Hybrid = ORACLE,
     *,
     geometry: DeviceGeometry = DEFAULT_GEOMETRY,
-    shadow: Backend | None = None,
+    shadow: Oracle | Hybrid | None = None,
     fcs_pole: float = 0.0,
 ) -> SimulationTrace:
     """Simulate the loop for every sample of the trajectory.
@@ -405,8 +401,8 @@ def run_pipeline(
     return SimulationTrace(
         q=q_len,
         sample_period=spec.sample_period,
-        driver=_backend_label(backend),
-        shadow=None if shadow is None else _backend_label(shadow),
+        driver=backend.name,
+        shadow=None if shadow is None else shadow.name,
         signals=dict(zip(COLUMN_ORDER, table)),
         shadow_signals={} if shadow is None else dict(zip(MODULE_OUTPUT_SIGNALS, shadow_table)),
     )
@@ -463,14 +459,32 @@ def write_trace_csv(trace: SimulationTrace, path, backend: str) -> None:
 
 
 def read_trace_csv(path) -> tuple[list[str], np.ndarray]:
-    """Read a trace written by ``write_trace_csv``; returns (header, data)."""
+    """Read a trace written by ``write_trace_csv``; returns (header, data).
+    The header names each column once, every row holds one finite number per
+    column, and there is at least one row; a ValueError names the file and
+    the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty trace file") from None
-        rows = [[float(v) for v in row] for row in reader]
+        if len(set(header)) != len(header):
+            raise ValueError(f"{path}, line 1: the header repeats a column name")
+        rows = []
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: {len(row)} fields, the header has {len(header)}")
+            try:
+                values = [float(v) for v in row]
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{where}: values must be finite")
+            rows.append(values)
+    if not rows:
+        raise ValueError(f"{path}: trace has no rows")
     return header, np.array(rows, dtype=float)
 
 

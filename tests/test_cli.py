@@ -400,12 +400,15 @@ class TestLatencyCommand:
         assert main(["latency", "--targets", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: field '--limits[0]'")
 
-    @pytest.mark.parametrize("value", ['"abc"', "null", "[47]"])
+    # A numeric string or a boolean is no number either.
+    @pytest.mark.parametrize("value", ['"abc"', "null", "[47]", '"47"', "true"])
     def test_non_numeric_target_rejected(self, tmp_path, capsys, value):
         path = tmp_path / "targets.json"
         path.write_text('{"FK": %s}' % value)
         assert main(["latency", "--targets", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: targets: field 'FK' must be float")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
 class TestMseCommand:
@@ -442,6 +445,40 @@ class TestMseCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "1200" in err and "600" in err
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("x,y\n", "trace has no rows"),
+            ("x,y\n1.0,2.0\n3.0\n", "line 3: 1 fields, the header has 2"),
+            ("x,y\n1.0,2.0,3.0\n", "line 2: 3 fields, the header has 2"),
+            ("x,y\n1.0,nan\n", "line 2: values must be finite"),
+            ("x,y\n1.0,-inf\n", "line 2: values must be finite"),
+            ("x,y\n1.0,abc\n", "line 2: could not convert"),
+            ("x,x\n1.0,2.0\n", "line 1: the header repeats a column name"),
+        ],
+        ids=["header-only", "short-row", "long-row", "nan", "inf", "text", "repeated-name"],
+    )
+    def test_malformed_trace_rejected(self, tmp_path, capsys, body, message):
+        good = tmp_path / "good.csv"
+        good.write_text("x,y\n1.0,2.0\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(body)
+        assert main(["mse", str(good), str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}") and message in captured.err
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+    def test_overflowing_mse_rejected(self, tmp_path, capsys):
+        # Both traces are finite, but their difference squared is not.
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("x,y\n1e200,1.0\n")
+        b.write_text("x,y\n-1e200,1.0\n")
+        assert main(["mse", str(a), str(b)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: the MSE of column 'x' overflows\n"
+        assert captured.out == ""
 
     def test_schema_mismatch(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import sample_workspace_poses
 from tactilesim.force import (
@@ -162,3 +164,40 @@ class TestFeedbackForce:
     def test_elasticity_nonnegative(self):
         with pytest.raises(ValueError):
             Elasticity(-1.0, 0.0, 0.0)
+
+
+def reference_fbf(obj: CartesianPosition, env: CartesianPosition, h: Elasticity):
+    """The double-precision spring law written out per axis."""
+    return (h.hx * (obj.x - env.x), h.hy * (obj.y - env.y), h.hz * (obj.z - env.z))
+
+
+def reference_torque(jm: JacobianMatrix, f: ForceVector):
+    """The double-precision tau = J^T F written out, J21 skipped."""
+    tau1 = jm.j11 * f.fx + jm.j31 * f.fz
+    tau2 = (jm.j12 * f.fx + jm.j22 * f.fy) + jm.j32 * f.fz
+    tau3 = (jm.j13 * f.fx + jm.j23 * f.fy) + jm.j33 * f.fz
+    return (tau1, tau2, tau3)
+
+
+def _triple(lo: float, hi: float):
+    return st.tuples(*[st.floats(lo, hi, allow_nan=False)] * 3)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    obj=_triple(-10.0, 10.0),
+    env=_triple(-10.0, 10.0),
+    h=_triple(0.0, 1e6),
+    theta=_triple(-math.pi, math.pi),
+    f=_triple(-1e3, 1e3),
+)
+def test_oracle_shared_circuits_match_reference(obj, env, h, theta, f):
+    # The oracle runs the hybrid's J^T F and FBF circuits in double
+    # precision; the written-out formulas pin their association bit for bit.
+    obj, env, h = CartesianPosition(*obj), CartesianPosition(*env), Elasticity(*h)
+    q, fv = JointAngles(*theta), ForceVector(*f)
+    got = feedback_force(obj, env, h, ORACLE).as_tuple()
+    assert list(map(float.hex, got)) == list(map(float.hex, reference_fbf(obj, env, h)))
+    got = kinesthetic_feedback(q, fv, backend=ORACLE).as_tuple()
+    want = reference_torque(jacobian(q, backend=ORACLE), fv)
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
