@@ -354,6 +354,12 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(data, source=str(path))
 
 
+def _write_failed(path, exc: OSError) -> int:
+    """Report an output that cannot be written; the exit code."""
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 1
+
+
 def cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
@@ -361,7 +367,15 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    out_dir = args.out_dir or os.environ.get(OUTDIR_ENV) or scenario.output_dir
+    out = Path(args.out_dir or os.environ.get(OUTDIR_ENV) or scenario.output_dir)
+    # Made before the run, so that an unusable directory fails at once rather
+    # than after the whole simulation.  A run that fails removes the
+    # directories it made, and so leaves nothing behind.
+    made = [p for p in (out, *out.parents) if not p.exists()]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _write_failed(out, exc)
     driver, shadow = scenario.backend_objects()
     try:
         trace = run_pipeline(
@@ -375,15 +389,18 @@ def cmd_run(args) -> int:
             fcs_pole=scenario.fcs_pole,
         )
     except (SampleError, OutOfOrderSample) as exc:
+        for p in made:
+            p.rmdir()
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written = []
     for backend in trace.backends:
         path = out / f"{scenario.output_prefix}_{backend}.csv"
-        write_trace_csv(trace, path, backend)
+        try:
+            write_trace_csv(trace, path, backend)
+        except OSError as exc:
+            return _write_failed(path, exc)
         written.append(path)
     report = summary_report(
         trace,
@@ -392,7 +409,10 @@ def cmd_run(args) -> int:
     )
     report["traces"] = [p.name for p in written]
     summary_path = out / f"{scenario.output_prefix}_summary.json"
-    summary_path.write_text(json.dumps(report, indent=2) + "\n")
+    try:
+        summary_path.write_text(json.dumps(report, indent=2) + "\n")
+    except OSError as exc:
+        return _write_failed(summary_path, exc)
     print(f"wrote {', '.join(str(p) for p in written)} and {summary_path}")
     return 0
 
@@ -441,7 +461,10 @@ def cmd_latency(args) -> int:
     }
     text = json.dumps(report, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            return _write_failed(args.out, exc)
     print(text)
     return 0
 
@@ -473,7 +496,10 @@ def cmd_mse(args) -> int:
             return 1
     text = json.dumps(table, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            return _write_failed(args.out, exc)
     print(text)
     return 0
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -266,19 +267,26 @@ class Hybrid:
         return tfb_atan2(y, x, self.cordic)
 
     def acos(self, arg, what: str):
-        return tfb_acos(_acos_arg_check(float(arg), what), self.cordic)
+        # The TFB clamps the float32 operand itself, to the same value.
+        _acos_arg_check(float(arg), what)
+        return tfb_acos(arg, self.cordic)
+
+    @cached_property
+    def _angle_range(self) -> tuple[float, float]:
+        fmt = self.cordic.fmt
+        return fmt.min_value, fmt.max_value
 
     def _angles(self, theta):
         """The joint angles as sincos TFB operands.  F2FP saturates an angle
         outside the format's range before the TFB reduces it, and the sine
         and cosine of the saturated angle would be silently wrong, so such an
         angle is a SampleError."""
-        fmt = self.cordic.fmt
+        lo, hi = self._angle_range
         for name, a in zip(("theta1", "theta2", "theta3"), theta):
-            if not fmt.min_value <= a <= fmt.max_value:
+            if not lo <= a <= hi:
                 raise SampleError(
-                    f"{name} = {a!r} rad is outside the range [{fmt.min_value}, "
-                    f"{fmt.max_value}] of the {fmt} sincos TFB"
+                    f"{name} = {a!r} rad is outside the range [{lo}, {hi}] of the "
+                    f"{self.cordic.fmt} sincos TFB"
                 )
         return theta
 
@@ -292,7 +300,7 @@ class Hybrid:
                     f"{name} = {v!r} m is outside the input range of the hybrid "
                     f"datapath (|{name}| <= {_COORD_MAX:g} m)"
                 )
-        angles, inter = _ik_circuit(self, g._f32, tuple(np.array(pos, np.float32)))
+        angles, inter = _ik_circuit(self, g._f32, tuple(map(np.float32, pos)))
         return tuple(map(float, angles)), tuple(map(float, inter))
 
     def jacobian(self, theta, g: DeviceGeometry) -> tuple[float, ...]:
@@ -302,7 +310,10 @@ class Hybrid:
         """A shared circuit on float32 copies of the operands.  A value beyond
         the float32 range becomes inf, as in the datapath."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return tuple(map(float, circuit(*(np.array(x, np.float32) for x in operands))))
+            # One cast for every operand value; each operand takes its share
+            # of the float32 scalars in turn.
+            values = iter(np.array([v for x in operands for v in x], np.float32))
+            return tuple(map(float, circuit(*(tuple(islice(values, len(x))) for x in operands))))
 
 
 ORACLE = Oracle()

@@ -4,11 +4,11 @@ square root.
 
 The trig functions mirror a hardware trigonometric function block (TFB): a
 float32 operand is quantized to fixed point (F2FP), rotated by the integer
-CORDIC datapath and converted back to float32 (FP2F).  Fixed-point values are
-plain Python ints ("raw" values) in the format of the ``CordicConfig`` that
-processes them.  All other arithmetic in the surrounding circuits stays in
-32-bit floats; see `tfb_sincos` and friends for the float32-facing
-composites.
+CORDIC datapath and converted back to float32 (FP2F, a lookup in a table of
+every raw value the kernels return).  Fixed-point values are plain Python
+ints ("raw" values) in the format of the ``CordicConfig`` that processes
+them.  All other arithmetic in the surrounding circuits stays in 32-bit
+floats; see `tfb_sincos` and friends for the float32-facing composites.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ __all__ = [
 # stays at the configured Q-format; the internal registers are wider so that
 # shift rounding noise stays below the output resolution.
 _GUARD_BITS = 6
+# The rounding offset of the shift from working back to I/O precision.
+_GUARD_HALF = 1 << (_GUARD_BITS - 1)
 
 # The most fractional bits a CORDIC format may have.  sin/cos come from a ROM
 # of every first-quadrant angle (see `_sincos_rom`); at this width the ROM
@@ -48,6 +50,8 @@ _GUARD_BITS = 6
 _ROM_MAX_FRAC_BITS = 16
 
 _QFORMAT_RE = re.compile(r"^s(\d+)\.(\d+)$")
+
+_F32 = np.float32
 
 
 class NegativeRadicand(ValueError):
@@ -138,20 +142,42 @@ class CordicConfig:
                 f"format {self.fmt} has more than {_ROM_MAX_FRAC_BITS} fractional bits"
             )
 
+    # The kernels and the TFBs read these on every call; each is built on
+    # first use and then kept by the instance.
+    @cached_property
+    def _rotation(self) -> tuple[int, int, array, array]:
+        """(pi, pi/2, sin ROM, cos ROM) of the rotation-mode kernel, the
+        angles raw at I/O precision."""
+        _steps, _x0, pi_io, half_pi_io = _kernel_constants(self.iterations, self.fmt.frac_bits)
+        return (pi_io, half_pi_io, *_sincos_rom(self.iterations, self.fmt))
+
+    @cached_property
+    def _vectoring(self) -> tuple[tuple, int, int]:
+        """(rotation steps, pi, pi/2) of the vectoring-mode kernel."""
+        steps, _x0, pi_io, half_pi_io = _kernel_constants(self.iterations, self.fmt.frac_bits)
+        return steps, pi_io, half_pi_io
+
+    @cached_property
+    def _fp2f(self) -> np.ndarray:
+        """The FP2F table of the kernel outputs; see `_fp2f_table`."""
+        return _fp2f_table(self.iterations, self.fmt.frac_bits)
+
 
 DEFAULT_CORDIC = CordicConfig()
 
 
 def float_to_fixed(x: float, fmt: QFormat) -> int:
     """F2FP: the raw value of ``x`` in ``fmt``, rounded to nearest with ties
-    to even and saturated instead of overflowing."""
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("cannot quantize NaN")
-    scaled = x * fmt.scale
-    if math.isinf(scaled):
-        return fmt.raw_max if scaled > 0 else fmt.raw_min
-    return min(max(round(scaled), fmt.raw_min), fmt.raw_max)
+    to even and saturated instead of overflowing.  NaN raises ValueError."""
+    scaled = float(x) * fmt.scale
+    # The bounds are integers, so a value at or past one rounds to at least
+    # that bound; comparing first also saturates infinities, which round()
+    # rejects.  NaN passes both tests and round() rejects it.
+    if scaled >= fmt.raw_max:
+        return fmt.raw_max
+    if scaled <= fmt.raw_min:
+        return fmt.raw_min
+    return round(scaled)
 
 
 @lru_cache(maxsize=16)
@@ -181,7 +207,8 @@ def _round_shift(v: int, bits: int) -> int:
 
 def _vector_angle(xr: int, yr: int, steps) -> int:
     """Vectoring-mode CORDIC: rotate (xr, yr) with xr > 0, yr >= 0 onto the
-    positive x axis; returns the accumulated angle at working precision."""
+    positive x axis; returns the accumulated angle, rounded from working to
+    I/O precision."""
     x = xr << _GUARD_BITS
     y = yr << _GUARD_BITS
     z = 0
@@ -192,21 +219,21 @@ def _vector_angle(xr: int, yr: int, steps) -> int:
             x, y, z = x + dx, y - dy, z + a
         else:
             x, y, z = x - dx, y + dy, z - a
-    return z
+    return (z + _GUARD_HALF) >> _GUARD_BITS
 
 
 @lru_cache(maxsize=16)
-def _sincos_rom(iterations: int, frac_bits: int) -> tuple[array, array]:
+def _sincos_rom(iterations: int, fmt: QFormat) -> tuple[array, array]:
     """(sin, cos) ROM of the rotation-mode CORDIC: for every reduced raw
-    angle 0..pi/2 of the I/O format, the sine and cosine at working
-    precision shifted back to I/O precision, before saturation.
+    angle 0..pi/2 of ``fmt``, the sine and cosine at working precision
+    shifted back to I/O precision and saturated to the format.
 
     Built by running the rotation once over all angles as int64 arrays; the
     residual angle is driven to zero from the gain-compensated start vector.
     NumPy's shifts are arithmetic like Python's, and up to
     ``_ROM_MAX_FRAC_BITS`` no intermediate comes near the int64 range.
     """
-    steps, x0, _pi_io, half_pi_io = _kernel_constants(iterations, frac_bits)
+    steps, x0, _pi_io, half_pi_io = _kernel_constants(iterations, fmt.frac_bits)
     z = np.arange(half_pi_io + 1, dtype=np.int64) << _GUARD_BITS
     x = np.full_like(z, x0)
     y = np.zeros_like(z)
@@ -217,9 +244,43 @@ def _sincos_rom(iterations: int, frac_bits: int) -> tuple[array, array]:
         x = np.where(down, x - dx, x + dx)
         y = np.where(down, y + dy, y - dy)
         z = np.where(down, z - a, z + a)
-    return array("q", _round_shift(y, _GUARD_BITS).tolist()), array(
-        "q", _round_shift(x, _GUARD_BITS).tolist()
-    )
+
+    def io(v: np.ndarray) -> array:
+        v = np.clip(_round_shift(v, _GUARD_BITS), fmt.raw_min, fmt.raw_max)
+        return array("q", v.tobytes())
+
+    return io(y), io(x)
+
+
+@lru_cache(maxsize=16)
+def _fp2f_table(iterations: int, frac_bits: int) -> np.ndarray:
+    """FP2F as a table: the float32 value of every raw value the kernels can
+    return at ``iterations`` rotations and ``frac_bits`` fractional bits.
+    Entry ``k`` holds raw value ``k`` and a negative raw value counts from
+    the end, so a signed raw value indexes its own entry as a Python index
+    does.
+
+    The range is [-pi, pi] and a margin: the vectoring angle starts at the
+    first step angle and each later step moves it by its own angle, so for
+    x < 0 the result pi - angle can pass pi by up to the sum of the later
+    step angles less the first (at 16 fractional bits and 16 iterations,
+    ``cordic_atan2(1, -96546)`` is pi + 1 LSB).  sin and cos stay within 1.
+
+    Each entry is ``np.float32(raw / 2**frac_bits)``.  The table is built
+    in float32 with no rounding at all: every raw value lies below 2**18
+    (at most ``_ROM_MAX_FRAC_BITS`` fractional bits), so it and its quotient
+    by a power of two are float32 values.  Building it in wider types only
+    raises the peak memory.  A negative entry comes from its own raw value,
+    never from negating the positive one, so zero is +0.0 as on the integer
+    path.
+    """
+    steps, _x0, pi_io, _half_pi_io = _kernel_constants(iterations, frac_bits)
+    over = sum(a for _, _, a in steps[1:]) - steps[0][2]
+    top = pi_io + max(0, (over >> _GUARD_BITS) + 1)
+    table = np.arange(2 * top + 1, dtype=np.float32)
+    table[top + 1 :] -= 2 * top + 1
+    table /= 1 << frac_bits
+    return table
 
 
 def cordic_sincos(raw: int, cfg: CordicConfig = DEFAULT_CORDIC) -> tuple[int, int]:
@@ -229,44 +290,39 @@ def cordic_sincos(raw: int, cfg: CordicConfig = DEFAULT_CORDIC) -> tuple[int, in
     The angle is reduced to the first quadrant before rotation; sign symmetry
     is applied on the outputs, so ``sincos(-a)`` mirrors ``sincos(a)`` exactly
     at the raw level.  With the default 16-iteration configuration the error
-    stays within 4 LSB of the output format.  The rotation result comes from
-    a ROM of the first quadrant, built on first use.
+    stays within 4 LSB of the output format.  The rotation result, saturated,
+    comes from a ROM of the first quadrant, built on first use.
     """
-    fmt = cfg.fmt
-    _steps, _x0, pi_io, half_pi_io = _kernel_constants(cfg.iterations, fmt.frac_bits)
+    pi_io, half_pi_io, sin_rom, cos_rom = cfg._rotation
 
     # Reduce by whole turns: above pi into (-pi, pi], below -pi into [-pi, pi).
-    two_pi = 2 * pi_io
     if raw > pi_io:
-        raw = pi_io - (pi_io - raw) % two_pi
+        raw = pi_io - (pi_io - raw) % (2 * pi_io)
     elif raw < -pi_io:
-        raw = (raw + pi_io) % two_pi - pi_io
+        raw = (raw + pi_io) % (2 * pi_io) - pi_io
 
-    sign_sin = 1
+    # Fold into the first quadrant; the signs go on the outputs.
     if raw < 0:
-        raw = -raw
-        sign_sin = -1
-    sign_cos = 1
+        if raw < -half_pi_io:
+            return -sin_rom[pi_io + raw], -cos_rom[pi_io + raw]
+        return -sin_rom[-raw], cos_rom[-raw]
     if raw > half_pi_io:
-        raw = pi_io - raw
-        sign_cos = -1
-
-    sin_rom, cos_rom = _sincos_rom(cfg.iterations, fmt.frac_bits)
-    sin_raw, cos_raw = sin_rom[raw], cos_rom[raw]
-    lo, hi = fmt.raw_min, fmt.raw_max
-    return sign_sin * min(max(sin_raw, lo), hi), sign_cos * min(max(cos_raw, lo), hi)
+        return sin_rom[pi_io - raw], -cos_rom[pi_io - raw]
+    return sin_rom[raw], cos_rom[raw]
 
 
 def cordic_atan2(y: int, x: int, cfg: CordicConfig = DEFAULT_CORDIC) -> int:
     """Fixed-point four-quadrant arctangent of the raw operands ``y``, ``x``
     in ``cfg.fmt`` via vectoring-mode CORDIC; returns the raw angle.
 
-    The result lies in [-pi, pi] at the resolution of the format; (0, 0) maps
-    to 0 by convention.  Accuracy degrades for operands only a few LSB in
-    magnitude, as in the hardware, where the datapath resolution limits the
-    representable direction of short vectors.
+    The result lies in [-pi, pi] at the resolution of the format, give or
+    take the vectoring error: at 16 fractional bits and 16 iterations it can
+    pass pi by 1 LSB.  (0, 0) maps to 0 by convention.  Accuracy degrades
+    for operands only a few LSB in magnitude, as in the hardware, where the
+    datapath resolution limits the representable direction of short
+    vectors.
     """
-    steps, _x0, pi_io, half_pi_io = _kernel_constants(cfg.iterations, cfg.fmt.frac_bits)
+    steps, pi_io, half_pi_io = cfg._vectoring
     sign = 1
     if y < 0:
         y = -y
@@ -277,32 +333,32 @@ def cordic_atan2(y: int, x: int, cfg: CordicConfig = DEFAULT_CORDIC) -> int:
     if x == 0:
         return sign * half_pi_io
     if x > 0:
-        return sign * _round_shift(_vector_angle(x, y, steps), _GUARD_BITS)
-    return sign * (pi_io - _round_shift(_vector_angle(-x, y, steps), _GUARD_BITS))
+        return sign * _vector_angle(x, y, steps)
+    return sign * (pi_io - _vector_angle(-x, y, steps))
 
 
 def sqrt32(x) -> np.float32:
     """Correctly rounded single-precision square root.
 
-    The double-precision root of a float32 operand, rounded to float32, is
-    the correctly rounded float32 root: 53 >= 2 * 24 + 2 bits make the double
-    rounding innocuous.
+    ``np.sqrt`` of a float32 is the IEEE 754 float32 root, which equals the
+    double-precision root rounded to float32: 53 >= 2 * 24 + 2 bits make the
+    double rounding innocuous.
     """
-    xf = np.float32(x)
+    xf = x if type(x) is _F32 else _F32(x)
     if xf < 0:
         raise NegativeRadicand(f"sqrt of negative value {x!r}")
-    return np.float32(math.sqrt(xf))
+    return np.sqrt(xf)
 
 
-_F32_ONE = np.float32(1.0)
-_F32_MINUS_ONE = np.float32(-1.0)
+_F32_ONE = _F32(1.0)
+_F32_MINUS_ONE = _F32(-1.0)
 
 
 def tfb_sincos(angle, cfg: CordicConfig = DEFAULT_CORDIC) -> tuple[np.float32, np.float32]:
     """Float32-facing TFB: F2FP, CORDIC rotation, FP2F on both outputs."""
-    scale = cfg.fmt.scale
+    fp2f = cfg._fp2f
     s, c = cordic_sincos(float_to_fixed(angle, cfg.fmt), cfg)
-    return np.float32(s / scale), np.float32(c / scale)
+    return fp2f[s], fp2f[c]
 
 
 def tfb_atan2(y, x, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
@@ -316,16 +372,15 @@ def tfb_atan2(y, x, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
     subnormal operands; a float32 product would differ only where it is
     subnormal, and such values quantize to 0 in any Q-format either way.
     """
-    yf = float(np.float32(y))
-    xf = float(np.float32(x))
+    yf = float(y if type(y) is _F32 else _F32(y))
+    xf = float(x if type(x) is _F32 else _F32(x))
     m = max(abs(yf), abs(xf))
     if m > 0.0:
         e = 1 - math.frexp(m)[1]
         yf = math.ldexp(yf, e)
         xf = math.ldexp(xf, e)
     fmt = cfg.fmt
-    raw = cordic_atan2(float_to_fixed(yf, fmt), float_to_fixed(xf, fmt), cfg)
-    return np.float32(raw / fmt.scale)
+    return cfg._fp2f[cordic_atan2(float_to_fixed(yf, fmt), float_to_fixed(xf, fmt), cfg)]
 
 
 def tfb_acos(t, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
@@ -337,8 +392,11 @@ def tfb_acos(t, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
     operands; in that form the angle is well conditioned, whereas quantizing
     ``t`` before the square root would amplify the grid error near |t| = 1.
     """
-    tf = min(max(np.float32(t), _F32_MINUS_ONE), _F32_ONE)
+    tf = t if type(t) is _F32 else _F32(t)
+    if tf > _F32_ONE:
+        tf = _F32_ONE
+    elif tf < _F32_MINUS_ONE:
+        tf = _F32_MINUS_ONE
     s = sqrt32(_F32_ONE - tf * tf)
     fmt = cfg.fmt
-    raw = cordic_atan2(float_to_fixed(s, fmt), float_to_fixed(tf, fmt), cfg)
-    return np.float32(raw / fmt.scale)
+    return cfg._fp2f[cordic_atan2(float_to_fixed(s, fmt), float_to_fixed(tf, fmt), cfg)]

@@ -358,6 +358,53 @@ class TestRunCommand:
         assert report["mse"] is None
 
 
+class TestUnwritableOutputs:
+    # An output that cannot be written ends in one error line and exit 1.
+
+    def test_out_dir_below_a_file_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr("tactilesim.cli.run_pipeline", lambda *a, **k: pytest.fail("ran"))
+        assert main(["run", str(SCENARIO_PATH), "--out-dir", str(blocker / "sub")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {blocker / 'sub'}: Not a directory\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("name", ["trace_oracle.csv", "trace_hybrid.csv", "trace_summary.json"])
+    def test_output_file_that_is_a_directory(self, name, tmp_path, capsys):
+        (tmp_path / name).mkdir()
+        assert main(["run", str(SCENARIO_PATH), "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {tmp_path / name}: Is a directory\n"
+        assert captured.out == ""
+
+    def test_failed_run_removes_the_directories_it_made(self, tmp_path, capsys):
+        noisy = scenario_dict()
+        noisy["fc"]["sigma2"] = 1.0
+        path = tmp_path / "noisy.yaml"
+        path.write_text(yaml.safe_dump(noisy))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "a" / "b" / "c")]) == 2
+        assert "sample" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["noisy.yaml"]
+
+    @pytest.mark.parametrize("command", ["latency", "mse"])
+    def test_report_out_below_a_file(self, command, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "report.json"
+        if command == "latency":
+            argv = ["latency", "--out", str(out)]
+        else:
+            assert main(["run", str(SCENARIO_PATH), "--out-dir", str(tmp_path)]) == 0
+            capsys.readouterr()
+            trace = str(tmp_path / "trace_oracle.csv")
+            argv = ["mse", trace, trace, "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: Not a directory\n"
+        assert captured.out == ""
+
+
 class TestLatencyCommand:
     def test_default_targets(self, capsys):
         assert main(["latency"]) == 0

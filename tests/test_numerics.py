@@ -294,6 +294,16 @@ class TestSqrt32:
     def test_returns_float32(self):
         assert isinstance(sqrt32(2.0), np.float32)
 
+    def test_equals_double_root_then_round(self):
+        # 10^6 float32 bit patterns spread from the smallest subnormal to the
+        # float32 maximum, plus both zeros: sqrt32 returns the same bytes as
+        # the double-precision root rounded to float32.
+        bits = np.linspace(1, 0x7F7FFFFF, 10**6).astype(np.uint32)
+        xs = np.concatenate((bits.view(np.float32), np.float32([0.0, -0.0])))
+        expected = np.array([math.sqrt(v) for v in xs.tolist()]).astype(np.float32)
+        got = np.array([sqrt32(x) for x in xs], dtype=np.float32)
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestTfbWrappers:
     def test_sincos(self):
@@ -318,6 +328,54 @@ class TestTfbWrappers:
     def test_acos(self):
         a = tfb_acos(np.float32(0.5))
         assert abs(float(a) - math.acos(0.5)) <= 8 * LSB
+
+
+class TestFp2f:
+    # FP2F in the TFBs is a table lookup; each output must carry the bytes of
+    # np.float32(raw / scale), the sign of zero included.
+
+    @pytest.mark.parametrize("iterations", [10, 16])
+    @pytest.mark.parametrize("fmt", [QFormat(4, 1), QFormat(12, 9), S16_13], ids=str)
+    def test_sincos_bytes_every_raw_angle(self, fmt, iterations):
+        cfg = CordicConfig(iterations=iterations, fmt=fmt)
+        for raw in range(fmt.raw_min, fmt.raw_max + 1):
+            s, c = cordic_sincos(raw, cfg)
+            got = tfb_sincos(raw / fmt.scale, cfg)
+            expected = (np.float32(s / fmt.scale), np.float32(c / fmt.scale))
+            assert got[0].tobytes() + got[1].tobytes() == (
+                expected[0].tobytes() + expected[1].tobytes()
+            ), raw
+
+    @pytest.mark.parametrize("iterations", [1, 10, 16])
+    def test_atan2_bytes_every_output(self, iterations):
+        # Every raw operand pair of s8.5, and at s20.16 the pairs (+-1, x)
+        # that give the widest angles; at 16 iterations some of those pass
+        # pi by 1 LSB.
+        small = CordicConfig(iterations=iterations, fmt=QFormat(8, 5))
+        wide = CordicConfig(iterations=iterations, fmt=QFormat(20, 16))
+        operands = range(small.fmt.raw_min, small.fmt.raw_max + 1)
+        cases = [(small, {cordic_atan2(y, x, small) for y in operands for x in operands})]
+        xs = range(-2 * wide.fmt.scale, 0, 7)
+        cases.append((wide, {cordic_atan2(y, x, wide) for y in (-1, 1) for x in xs}))
+        for cfg, outputs in cases:
+            for raw in outputs:
+                got = cfg._fp2f[raw]
+                assert got.tobytes() == np.float32(raw / cfg.fmt.scale).tobytes(), raw
+        if iterations == 16:
+            pi_io = round(math.pi * wide.fmt.scale)
+            assert cordic_atan2(1, -96546, wide) == pi_io + 1
+            assert tfb_atan2(1 / wide.fmt.scale, -96546 / wide.fmt.scale, wide) == np.float32(
+                (pi_io + 1) / wide.fmt.scale
+            )
+
+    @pytest.mark.parametrize("fmt", [QFormat(4, 1), S16_13, QFormat(20, 16)], ids=str)
+    def test_whole_table(self, fmt):
+        cfg = CordicConfig(iterations=16, fmt=fmt)
+        table = cfg._fp2f
+        top = len(table) // 2
+        raws = np.arange(-top, top + 1)
+        expected = np.array([np.float32(r / fmt.scale) for r in raws.tolist()], np.float32)
+        assert table[raws].tobytes() == expected.tobytes()
 
 
 def rotate(z: int, steps, x0: int) -> tuple[int, int]:
@@ -367,7 +425,7 @@ class TestSinCosRom:
     def test_rom_matches_scalar_kernel(self, iterations):
         # Every first-quadrant raw angle of s16.13.
         steps, x0, _pi_io, half_pi_io = numerics._kernel_constants(iterations, 13)
-        sin_rom, cos_rom = numerics._sincos_rom(iterations, 13)
+        sin_rom, cos_rom = numerics._sincos_rom(iterations, S16_13)
         assert len(sin_rom) == len(cos_rom) == half_pi_io + 1
         guard = numerics._GUARD_BITS
         for raw in range(half_pi_io + 1):

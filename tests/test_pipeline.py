@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from tactilesim import kinematics, pipeline
 from tactilesim.channel import ChannelConfig, ConstantDelay
 from tactilesim.force import Elasticity
 from tactilesim.kinematics import Hybrid, JointAngles, NonFiniteSignal, ORACLE, Unreachable
@@ -310,6 +312,54 @@ class TestRunPipeline:
         )
         for k in ("h_x", "h_y", "h_z"):
             assert abs(trace.signals[k][600] - trace.shadow_signals[k][600]) <= 1e-12
+
+
+class TestCallGraph:
+    def test_calls_per_sample_of_a_dual_run(self, monkeypatch):
+        # The benchmark's traced run counts calls through these module
+        # attributes, and its self-check pins the counts per sample.
+        counts = Counter()
+
+        def count(module, name, per_backend=False):
+            fn = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                counts[(name, args[2].name) if per_backend else name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        for name in ("tfb_sincos", "tfb_atan2", "tfb_acos"):
+            count(kinematics, name)
+        count(pipeline, "forward_kinematics", per_backend=True)
+        count(pipeline, "inverse_kinematics", per_backend=True)
+        count(pipeline, "channel_step")
+        spec = TrajectorySpec(
+            segments=(
+                TrajectorySegment(0, 0.0, 0.5, 7),
+                TrajectorySegment(1, 0.0, 0.5, 7),
+                TrajectorySegment(2, 0.0, 0.5, 6),
+            )
+        )
+        run_pipeline(
+            spec,
+            Scene.default(),
+            transparent(),
+            transparent(),
+            ORACLE,
+            shadow=Hybrid(CordicConfig(iterations=10)),
+        )
+        per_sample = {
+            "tfb_sincos": 9,
+            "tfb_atan2": 2,
+            "tfb_acos": 2,
+            ("forward_kinematics", "oracle"): 2,
+            ("forward_kinematics", "hybrid"): 2,
+            ("inverse_kinematics", "oracle"): 1,
+            ("inverse_kinematics", "hybrid"): 1,
+            "channel_step": 2,
+        }
+        assert counts == {key: 20 * n for key, n in per_sample.items()}
 
 
 class TestTraceCsv:
