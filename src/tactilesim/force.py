@@ -8,8 +8,8 @@ to FK in ``tactilesim.kinematics``.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from collections import namedtuple
+from math import isfinite
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from tactilesim.kinematics import (
     ORACLE,
     Oracle,
     _require_finite,
+    _tuple_new,
+    _Validated,
 )
 
 # Not called here: the benchmark's traced run spans this module's
@@ -43,83 +45,61 @@ __all__ = [
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
-@dataclass(frozen=True)
-class ForceVector:
-    fx: float
-    fy: float
-    fz: float
+class ForceVector(_Validated, namedtuple("ForceVector", "fx fy fz")):
+    """Force in N: a named tuple of finite values."""
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.fx) and math.isfinite(self.fy) and math.isfinite(self.fz)):
-            _require_finite(self, ("fx", "fy", "fz"))
+    __slots__ = ()
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.fx, self.fy, self.fz)
+    def __new__(cls, fx, fy, fz):
+        self = _tuple_new(cls, (fx, fy, fz))
+        if not (isfinite(fx) and isfinite(fy) and isfinite(fz)):
+            _require_finite(self)
+        return self
 
 
-@dataclass(frozen=True)
-class TorqueVector:
-    tau1: float
-    tau2: float
-    tau3: float
+class TorqueVector(_Validated, namedtuple("TorqueVector", "tau1 tau2 tau3")):
+    """Joint torques in N m: a named tuple of finite values."""
 
-    def __post_init__(self) -> None:
-        if not (
-            math.isfinite(self.tau1) and math.isfinite(self.tau2) and math.isfinite(self.tau3)
-        ):
-            _require_finite(self, ("tau1", "tau2", "tau3"))
+    __slots__ = ()
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.tau1, self.tau2, self.tau3)
+    def __new__(cls, tau1, tau2, tau3):
+        self = _tuple_new(cls, (tau1, tau2, tau3))
+        if not (isfinite(tau1) and isfinite(tau2) and isfinite(tau3)):
+            _require_finite(self)
+        return self
 
 
-@dataclass(frozen=True)
-class JacobianMatrix:
-    """Partial derivatives of the tool position w.r.t. the joint angles; row =
-    Cartesian coordinate, column = joint.  J21 is identically zero (the y
-    coordinate does not depend on the base rotation)."""
+class JacobianMatrix(
+    _Validated, namedtuple("JacobianMatrix", "j11 j12 j13 j21 j22 j23 j31 j32 j33")
+):
+    """Partial derivatives of the tool position w.r.t. the joint angles, in
+    row order; row = Cartesian coordinate, column = joint.  J21 is identically
+    zero (the y coordinate does not depend on the base rotation)."""
 
-    j11: float
-    j12: float
-    j13: float
-    j21: float
-    j22: float
-    j23: float
-    j31: float
-    j32: float
-    j33: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.j21 != 0.0:
+    def __new__(cls, j11, j12, j13, j21, j22, j23, j31, j32, j33):
+        if j21 != 0.0:
             raise ValueError("J21 must be identically zero")
+        return _tuple_new(cls, (j11, j12, j13, j21, j22, j23, j31, j32, j33))
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.j11, self.j12, self.j13],
-                [self.j21, self.j22, self.j23],
-                [self.j31, self.j32, self.j33],
-            ]
-        )
+        return np.array(self).reshape(3, 3)
 
 
-@dataclass(frozen=True)
-class Elasticity:
+class Elasticity(_Validated, namedtuple("Elasticity", "hx hy hz")):
     """Per-axis spring constants of the contact model, in N/m."""
 
-    hx: float
-    hy: float
-    hz: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("hx", "hy", "hz"):
-            if getattr(self, name) < 0:
+    def __new__(cls, hx, hy, hz):
+        self = _tuple_new(cls, (hx, hy, hz))
+        for name, value in zip(self._fields, self):
+            if value < 0:
                 raise ValueError(f"{name} must be nonnegative")
-            if getattr(self, name) > _F32_MAX:
+            if value > _F32_MAX:
                 raise ValueError(f"{name} exceeds the float32 maximum {_F32_MAX:.7g}")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.hx, self.hy, self.hz)
+        return self
 
 
 def jacobian(
@@ -131,7 +111,7 @@ def jacobian(
 
     J21 is emitted as constant zero with no computation, as in the hardware.
     """
-    j11, j12, j13, j22, j23, j31, j32, j33 = backend.jacobian(q.as_tuple(), g)
+    j11, j12, j13, j22, j23, j31, j32, j33 = backend.jacobian(q, g)
     return JacobianMatrix(j11, j12, j13, 0.0, j22, j23, j31, j32, j33)
 
 
@@ -162,8 +142,8 @@ def kinesthetic_feedback(
     products accumulate in a fixed order so results are bit-reproducible.
     """
     jm = jacobian(q, g, backend)
-    j = (jm.j11, jm.j12, jm.j13, jm.j22, jm.j23, jm.j31, jm.j32, jm.j33)
-    return TorqueVector(*backend.run(_torque_circuit, j, f.as_tuple()))
+    # The entries without J21.
+    return TorqueVector(*backend.run(_torque_circuit, jm[:3] + jm[4:], f))
 
 
 def feedback_force(
@@ -173,4 +153,4 @@ def feedback_force(
     backend: Oracle | Hybrid = ORACLE,
 ) -> ForceVector:
     """Spring-law contact force, per axis: h_i * (obj_i - env_i)."""
-    return ForceVector(*backend.run(_fbf_circuit, obj.as_tuple(), env.as_tuple(), h.as_tuple()))
+    return ForceVector(*backend.run(_fbf_circuit, obj, env, h))

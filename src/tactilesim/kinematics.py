@@ -21,9 +21,11 @@ unary minus are the operators of its values.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from math import isfinite
 
 import numpy as np
 
@@ -77,6 +79,9 @@ EPS_REACH = 1e-6
 _LINK_MAX = 2.0**16
 _COORD_MAX = 4 * _LINK_MAX
 
+# namedtuple's own idiom: the tuple constructor without the class lookup.
+_tuple_new = tuple.__new__
+
 
 class SampleError(ValueError):
     """A loop signal failed a check; ``run_pipeline`` re-raises it with the
@@ -95,12 +100,25 @@ class NonFiniteSignal(SampleError):
     """A signal value is NaN or infinite."""
 
 
-def _require_finite(value, names: tuple[str, ...]) -> None:
-    """Raise NonFiniteSignal naming the first field of ``value`` that is not
-    finite."""
-    for name in names:
-        if not math.isfinite(getattr(value, name)):
+def _require_finite(value) -> None:
+    """Raise NonFiniteSignal naming the first field of the named tuple
+    ``value`` that is not finite."""
+    for name, v in zip(value._fields, value):
+        if not isfinite(v):
             raise NonFiniteSignal(f"{name} must be finite")
+
+
+class _Validated:
+    """Base of the validated named tuples: their ``__new__`` checks the
+    values.  namedtuple's ``_make`` (and ``_replace``, which calls it) would
+    build the tuple without ``__new__``; here it calls the constructor.
+    Pickle and ``copy`` rebuild through ``__new__`` already."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -133,34 +151,28 @@ class DeviceGeometry:
 DEFAULT_GEOMETRY = DeviceGeometry()
 
 
-@dataclass(frozen=True)
-class JointAngles:
-    theta1: float
-    theta2: float
-    theta3: float
+class JointAngles(_Validated, namedtuple("JointAngles", "theta1 theta2 theta3")):
+    """Joint angles in rad: a named tuple of finite values."""
 
-    def __post_init__(self) -> None:
-        if not (
-            math.isfinite(self.theta1) and math.isfinite(self.theta2) and math.isfinite(self.theta3)
-        ):
-            _require_finite(self, ("theta1", "theta2", "theta3"))
+    __slots__ = ()
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.theta1, self.theta2, self.theta3)
+    def __new__(cls, theta1, theta2, theta3):
+        self = _tuple_new(cls, (theta1, theta2, theta3))
+        if not (isfinite(theta1) and isfinite(theta2) and isfinite(theta3)):
+            _require_finite(self)
+        return self
 
 
-@dataclass(frozen=True)
-class CartesianPosition:
-    x: float
-    y: float
-    z: float
+class CartesianPosition(_Validated, namedtuple("CartesianPosition", "x y z")):
+    """Tool position in meters: a named tuple of finite values."""
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            _require_finite(self, ("x", "y", "z"))
+    __slots__ = ()
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
+    def __new__(cls, x, y, z):
+        self = _tuple_new(cls, (x, y, z))
+        if not (isfinite(x) and isfinite(y) and isfinite(z)):
+            _require_finite(self)
+        return self
 
 
 @dataclass(frozen=True)
@@ -294,8 +306,9 @@ class Hybrid:
         return tuple(map(float, _fk_circuit(self, g._f32, self._angles(theta))))
 
     def ik(self, pos, g: DeviceGeometry):
+        # Written to refuse NaN too: a plain tuple reaches here unchecked.
         for name, v in zip("xyz", pos):
-            if abs(v) > _COORD_MAX:
+            if not abs(v) <= _COORD_MAX:
                 raise Unreachable(
                     f"{name} = {v!r} m is outside the input range of the hybrid "
                     f"datapath (|{name}| <= {_COORD_MAX:g} m)"
@@ -392,7 +405,7 @@ def forward_kinematics(
     y = -L2 cos(t3) + L1 sin(t2) + L3
     z =  L2 cos(t1) sin(t3) + L1 cos(t1) cos(t2) - L4
     """
-    return CartesianPosition(*backend.fk(q.as_tuple(), g))
+    return CartesianPosition(*backend.fk(q, g))
 
 
 def ik_intermediates(
@@ -401,7 +414,7 @@ def ik_intermediates(
     backend: Oracle | Hybrid = ORACLE,
 ) -> IkIntermediates:
     """R, r, gamma, beta, alpha of the inverse solution for ``p``."""
-    return IkIntermediates(*backend.ik(p.as_tuple(), g)[1])
+    return IkIntermediates(*backend.ik(p, g)[1])
 
 
 def inverse_kinematics(
@@ -415,4 +428,4 @@ def inverse_kinematics(
     theta3 = theta2 + alpha - pi/2.  Raises ``Unreachable`` when the acos
     operands leave [-1, 1] by more than ``EPS_REACH``.
     """
-    return JointAngles(*backend.ik(p.as_tuple(), g)[0])
+    return JointAngles(*backend.ik(p, g)[0])

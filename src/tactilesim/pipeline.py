@@ -178,16 +178,15 @@ class Scene:
         n_x, n_y, n_z = nvec.tolist()
 
         def surface(tool: CartesianPosition) -> CartesianPosition:
-            # The depth stays numpy's dot.  On x86-64 it rounds as the
-            # fused multiply-add chain fma(n_z, z, fma(n_y, y, n_x * x)); a
-            # plain Python sum differs in the last bit on about 40 % of
+            # The depth stays numpy's dot product.  On x86-64 it rounds as
+            # the fused multiply-add chain fma(n_z, z, fma(n_y, y, n_x * x));
+            # a plain Python sum differs in the last bit on about 40 % of
             # points, and the golden trace digests pin those bits.
-            depth = float(nvec @ np.array(tool.as_tuple())) - offset
+            depth = float(nvec.dot(tool)) - offset
             if depth <= 0:
                 return tool
-            return CartesianPosition(
-                tool.x - depth * n_x, tool.y - depth * n_y, tool.z - depth * n_z
-            )
+            x, y, z = tool
+            return CartesianPosition(x - depth * n_x, y - depth * n_y, z - depth * n_z)
 
         return cls(elasticity=elasticity, surface=surface)
 
@@ -335,66 +334,44 @@ def run_pipeline(
     fc_state = ChannelState(fc)
     bc_state = ChannelState(bc)
 
-    # One row per signal, one column per sample; each row becomes a trace
-    # column.
-    table = np.empty((len(COLUMN_ORDER), q_len))
-    shadow_table = np.empty((len(MODULE_OUTPUT_SIGNALS), q_len)) if shadow is not None else None
+    # One row per sample, one column per signal; each column becomes a trace
+    # column.  A row is one contiguous store.
+    table = np.empty((q_len, len(COLUMN_ORDER)))
+    shadow_table = np.empty((q_len, len(MODULE_OUTPUT_SIGNALS))) if shadow is not None else None
 
-    theta_sd_prev: tuple[float, float, float] | None = None
+    keep = 1.0 - fcs_pole
+    theta_sd = None
     for n in range(q_len):
         try:
             b = traj[n]
             c = forward_kinematics(b, geometry, backend)
-            v = channel_step(fc_state, fc, c.as_tuple(), n)
-            v_pos = CartesianPosition(*v.tolist())
-            theta_hsd = inverse_kinematics(v_pos, geometry, backend)
-
-            if fcs_pole == 0.0 or theta_sd_prev is None:
-                theta_sd = theta_hsd.as_tuple()
+            v = CartesianPosition(*channel_step(fc_state, fc, c, n))
+            theta_hsd = inverse_kinematics(v, geometry, backend)
+            if fcs_pole == 0.0 or theta_sd is None:
+                theta_sd = theta_hsd
             else:
-                theta_sd = tuple(
-                    fcs_pole * prev + (1.0 - fcs_pole) * cur
-                    for prev, cur in zip(theta_sd_prev, theta_hsd.as_tuple())
+                theta_sd = JointAngles(
+                    *[fcs_pole * prev + keep * cur for prev, cur in zip(theta_sd, theta_hsd)]
                 )
-            theta_sd_prev = theta_sd
-            theta_sd_q = JointAngles(*theta_sd)
-
-            l_pos = forward_kinematics(theta_sd_q, geometry, backend)
+            l_pos = forward_kinematics(theta_sd, geometry, backend)
             s_obj = scene.object_position(l_pos)
             h = feedback_force(s_obj, l_pos, scene.elasticity, backend)
-            qv = channel_step(bc_state, bc, h.as_tuple(), n)
-            f_in = ForceVector(*qv.tolist())
+            f_in = ForceVector(*channel_step(bc_state, bc, h, n))
             p = kinesthetic_feedback(b, f_in, geometry, backend)
 
             # In COLUMN_ORDER.
-            table[:, n] = (
-                n,
-                *b.as_tuple(),
-                *c.as_tuple(),
-                *v.tolist(),
-                *theta_hsd.as_tuple(),
-                *theta_sd,
-                *l_pos.as_tuple(),
-                *s_obj.as_tuple(),
-                *h.as_tuple(),
-                *qv.tolist(),
-                *p.as_tuple(),
+            table[n] = (
+                n, *b, *c, *v, *theta_hsd, *theta_sd, *l_pos, *s_obj, *h, *f_in, *p
             )
 
             if shadow is not None:
                 c_s = forward_kinematics(b, geometry, shadow)
-                theta_s = inverse_kinematics(v_pos, geometry, shadow)
-                l_s = forward_kinematics(theta_sd_q, geometry, shadow)
+                theta_s = inverse_kinematics(v, geometry, shadow)
+                l_s = forward_kinematics(theta_sd, geometry, shadow)
                 h_s = feedback_force(s_obj, l_pos, scene.elasticity, shadow)
                 p_s = kinesthetic_feedback(b, f_in, geometry, shadow)
                 # In MODULE_OUTPUT_SIGNALS order.
-                shadow_table[:, n] = (
-                    *c_s.as_tuple(),
-                    *theta_s.as_tuple(),
-                    *l_s.as_tuple(),
-                    *h_s.as_tuple(),
-                    *p_s.as_tuple(),
-                )
+                shadow_table[n] = (*c_s, *theta_s, *l_s, *h_s, *p_s)
         except SampleError as exc:
             raise type(exc)(f"sample {n}: {exc}", sample_index=n) from exc
 
@@ -403,8 +380,8 @@ def run_pipeline(
         sample_period=spec.sample_period,
         driver=backend.name,
         shadow=None if shadow is None else shadow.name,
-        signals=dict(zip(COLUMN_ORDER, table)),
-        shadow_signals={} if shadow is None else dict(zip(MODULE_OUTPUT_SIGNALS, shadow_table)),
+        signals=dict(zip(COLUMN_ORDER, table.T)),
+        shadow_signals={} if shadow is None else dict(zip(MODULE_OUTPUT_SIGNALS, shadow_table.T)),
     )
 
 

@@ -118,12 +118,12 @@ def test_criterion_4_round_trip_suite():
         back = inverse_kinematics(forward_kinematics(q))
         worst_oracle = max(
             worst_oracle,
-            max(abs(a - b) for a, b in zip(back.as_tuple(), q.as_tuple())),
+            max(abs(a - b) for a, b in zip(back, q)),
         )
         back_h = inverse_kinematics(forward_kinematics(q, backend=hybrid), backend=hybrid)
         worst_hybrid = max(
             worst_hybrid,
-            max(abs(a - b) for a, b in zip(back_h.as_tuple(), q.as_tuple())),
+            max(abs(a - b) for a, b in zip(back_h, q)),
         )
     elapsed = time.monotonic() - start
     ok = worst_oracle <= 1e-9 and worst_hybrid <= 5e-3 and elapsed < 10.0
@@ -140,14 +140,14 @@ def test_criterion_5_jacobian_finite_difference():
     worst = 0.0
     for q in sample_workspace_poses(rng, 1000):
         jm = jacobian(q).as_array()
-        base = np.array(q.as_tuple())
+        base = np.array(q)
         fd = np.empty((3, 3))
         for j in range(3):
             plus, minus = base.copy(), base.copy()
             plus[j] += h
             minus[j] -= h
-            fp = np.array(forward_kinematics(JointAngles(*plus)).as_tuple())
-            fm = np.array(forward_kinematics(JointAngles(*minus)).as_tuple())
+            fp = np.array(forward_kinematics(JointAngles(*plus)))
+            fm = np.array(forward_kinematics(JointAngles(*minus)))
             fd[:, j] = (fp - fm) / (2 * h)
         worst = max(worst, float(np.abs(jm - fd).max()))
     criterion(

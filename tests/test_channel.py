@@ -176,3 +176,26 @@ def test_block_draws_match_per_sample_draws(cfg):
     want = reference_channel(cfg, inputs)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ChannelConfig.transparent(),
+        ChannelConfig(
+            noise_variance=(1e-6, 0.0, 4e-6),
+            delay=RandomWalkDelay(1, 3),
+            seed=11,
+            initial_hold=(0.5, -0.5, 0.0),
+        ),
+    ],
+    ids=["transparent", "noisy-delayed"],
+)
+def test_step_returns_a_tuple_of_floats(cfg):
+    # Inputs of other number types (ints, numpy scalars) come out as floats.
+    state = ChannelState(cfg)
+    for n in range(40):
+        sample = (n, np.float64(0.25 * n), np.float32(-n))
+        out = channel_step(state, cfg, sample, n)
+        assert type(out) is tuple and len(out) == 3
+        assert all(type(v) is float for v in out)

@@ -358,6 +358,21 @@ class TestRunCommand:
         assert report["mse"] is None
 
 
+@pytest.mark.parametrize("prefix", ["sub/x", "/abs/x", "../x"])
+def test_prefix_with_a_path_is_refused_before_the_run(prefix, tmp_path, capsys, monkeypatch):
+    data = scenario_dict()
+    data["output"] = {"prefix": prefix}
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(data))
+    out = tmp_path / "out"
+    monkeypatch.setattr("tactilesim.cli.run_pipeline", lambda *a, **k: pytest.fail("ran"))
+    assert main(["run", str(path), "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: field 'output.prefix' must not contain a path separator")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.yaml"]
+
+
 class TestUnwritableOutputs:
     # An output that cannot be written ends in one error line and exit 1.
 

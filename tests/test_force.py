@@ -27,15 +27,15 @@ from tactilesim.kinematics import (
 def fd_jacobian(q: JointAngles, h: float = 1e-6) -> np.ndarray:
     """Independent oracle: central finite differences on the forward
     kinematics."""
-    base = np.array(q.as_tuple())
+    base = np.array(q)
     cols = []
     for j in range(3):
         plus = base.copy()
         plus[j] += h
         minus = base.copy()
         minus[j] -= h
-        fp = np.array(forward_kinematics(JointAngles(*plus)).as_tuple())
-        fm = np.array(forward_kinematics(JointAngles(*minus)).as_tuple())
+        fp = np.array(forward_kinematics(JointAngles(*plus)))
+        fm = np.array(forward_kinematics(JointAngles(*minus)))
         cols.append((fp - fm) / (2 * h))
     return np.stack(cols, axis=1)
 
@@ -72,7 +72,7 @@ class TestJacobian:
 class TestKinestheticFeedback:
     def test_zero_force(self):
         tau = kinesthetic_feedback(JointAngles(0.4, 0.2, 0.9), ForceVector(0, 0, 0))
-        assert tau.as_tuple() == (0.0, 0.0, 0.0)
+        assert tau == (0.0, 0.0, 0.0)
 
     def test_home_unit_forces(self):
         tau = kinesthetic_feedback(JointAngles(0, 0, 0), ForceVector(1, 0, 0))
@@ -89,7 +89,7 @@ class TestKinestheticFeedback:
         for q in sample_workspace_poses(rng, 50):
             f = rng.uniform(-3, 3, 3)
             tau = np.array(
-                kinesthetic_feedback(q, ForceVector(*f)).as_tuple()
+                kinesthetic_feedback(q, ForceVector(*f))
             )
             expected = jacobian(q).as_array().T @ f
             assert np.allclose(tau, expected, atol=1e-12)
@@ -104,16 +104,16 @@ class TestKinestheticFeedback:
             a, b = rng.uniform(-2, 2, 2)
             combo = kinesthetic_feedback(q, ForceVector(*(a * f1 + b * f2)))
             parts = a * np.array(
-                kinesthetic_feedback(q, ForceVector(*f1)).as_tuple()
-            ) + b * np.array(kinesthetic_feedback(q, ForceVector(*f2)).as_tuple())
-            assert np.allclose(combo.as_tuple(), parts, atol=1e-12)
+                kinesthetic_feedback(q, ForceVector(*f1))
+            ) + b * np.array(kinesthetic_feedback(q, ForceVector(*f2)))
+            assert np.allclose(combo, parts, atol=1e-12)
             combo_h = kinesthetic_feedback(q, ForceVector(*(a * f1 + b * f2)), backend=hybrid)
             parts_h = a * np.array(
-                kinesthetic_feedback(q, ForceVector(*f1), backend=hybrid).as_tuple()
+                kinesthetic_feedback(q, ForceVector(*f1), backend=hybrid)
             ) + b * np.array(
-                kinesthetic_feedback(q, ForceVector(*f2), backend=hybrid).as_tuple()
+                kinesthetic_feedback(q, ForceVector(*f2), backend=hybrid)
             )
-            assert np.allclose(combo_h.as_tuple(), parts_h, atol=1e-5)
+            assert np.allclose(combo_h, parts_h, atol=1e-5)
 
     def test_power_consistency(self):
         # tau . qdot == F . (J qdot): mechanical power must match on both
@@ -122,7 +122,7 @@ class TestKinestheticFeedback:
         for q in sample_workspace_poses(rng, 100):
             qdot = rng.uniform(-1, 1, 3)
             f = rng.uniform(-3, 3, 3)
-            tau = np.array(kinesthetic_feedback(q, ForceVector(*f)).as_tuple())
+            tau = np.array(kinesthetic_feedback(q, ForceVector(*f)))
             jm = jacobian(q).as_array()
             assert abs(tau @ qdot - f @ (jm @ qdot)) <= 1e-9
 
@@ -131,7 +131,7 @@ class TestFeedbackForce:
     def test_zero_when_coincident(self):
         p = CartesianPosition(0.1, -0.05, -0.02)
         f = feedback_force(p, p, Elasticity(100, 100, 100))
-        assert f.as_tuple() == (0.0, 0.0, 0.0)
+        assert f == (0.0, 0.0, 0.0)
 
     def test_unit_example(self):
         obj = CartesianPosition(0.06, 0.0, 0.0)
@@ -157,8 +157,8 @@ class TestFeedbackForce:
         for _ in range(50):
             obj = CartesianPosition(*rng.uniform(-0.2, 0.2, 3))
             env = CartesianPosition(*rng.uniform(-0.2, 0.2, 3))
-            fo = np.array(feedback_force(obj, env, h).as_tuple())
-            fh = np.array(feedback_force(obj, env, h, backend=hybrid).as_tuple())
+            fo = np.array(feedback_force(obj, env, h))
+            fh = np.array(feedback_force(obj, env, h, backend=hybrid))
             assert np.abs(fo - fh).max() <= 1e-5
 
     def test_elasticity_nonnegative(self):
@@ -196,8 +196,8 @@ def test_oracle_shared_circuits_match_reference(obj, env, h, theta, f):
     # precision; the written-out formulas pin their association bit for bit.
     obj, env, h = CartesianPosition(*obj), CartesianPosition(*env), Elasticity(*h)
     q, fv = JointAngles(*theta), ForceVector(*f)
-    got = feedback_force(obj, env, h, ORACLE).as_tuple()
+    got = feedback_force(obj, env, h, ORACLE)
     assert list(map(float.hex, got)) == list(map(float.hex, reference_fbf(obj, env, h)))
-    got = kinesthetic_feedback(q, fv, backend=ORACLE).as_tuple()
+    got = kinesthetic_feedback(q, fv, backend=ORACLE)
     want = reference_torque(jacobian(q, backend=ORACLE), fv)
     assert list(map(float.hex, got)) == list(map(float.hex, want))

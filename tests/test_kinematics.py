@@ -73,7 +73,7 @@ class TestHybridStaysFinite:
             for g in CORNER_GEOMETRIES:
                 for q in itertools.product(angles, repeat=3):
                     q = JointAngles(*q)
-                    assert all(map(math.isfinite, forward_kinematics(q, g, backend).as_tuple()))
+                    assert all(map(math.isfinite, forward_kinematics(q, g, backend)))
                     assert np.isfinite(jacobian(q, g, backend).as_array()).all()
 
     @pytest.mark.parametrize("backend", CORNER_BACKENDS, ids=["i1", "i10", "i16"])
@@ -95,7 +95,15 @@ class TestHybridStaysFinite:
                         q = inverse_kinematics(p, g, backend)
                     except SampleError:
                         continue
-                    assert all(map(math.isfinite, q.as_tuple()))
+                    assert all(map(math.isfinite, q))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hybrid_ik_refuses_a_non_finite_plain_tuple(bad):
+    # A plain tuple skips CartesianPosition's check; the hybrid input range
+    # check must still refuse it before F2FP sees it.
+    with pytest.raises(Unreachable, match="^y = .* m is outside the input range"):
+        inverse_kinematics((0.1, bad, 0.0), backend=Hybrid())
 
 
 class TestForwardKinematics:
@@ -139,8 +147,8 @@ class TestForwardKinematics:
         for q in sample_workspace_poses(rng, 200):
             delta = rng.uniform(-1e-3, 1e-3, 3)
             q2 = JointAngles(q.theta1 + delta[0], q.theta2 + delta[1], q.theta3 + delta[2])
-            d = np.array(forward_kinematics(q2).as_tuple()) - np.array(
-                forward_kinematics(q).as_tuple()
+            d = np.array(forward_kinematics(q2)) - np.array(
+                forward_kinematics(q)
             )
             assert np.linalg.norm(d) <= bound * np.abs(delta).sum() * (1 + 1e-9)
 
@@ -163,7 +171,7 @@ class TestInverseKinematics:
     def test_oracle_round_trip_example(self):
         q = JointAngles(0.3, 0.2, 0.5)
         back = inverse_kinematics(forward_kinematics(q))
-        for a, b in zip(back.as_tuple(), q.as_tuple()):
+        for a, b in zip(back, q):
             assert abs(a - b) <= 1e-9
 
     def test_round_trip_sampled(self):
@@ -174,12 +182,12 @@ class TestInverseKinematics:
             p = forward_kinematics(q)
             back = inverse_kinematics(p)
             assert max(
-                abs(a - b) for a, b in zip(back.as_tuple(), q.as_tuple())
+                abs(a - b) for a, b in zip(back, q)
             ) <= 1e-9
             p_h = forward_kinematics(q, backend=hybrid)
             back_h = inverse_kinematics(p_h, backend=hybrid)
             assert max(
-                abs(a - b) for a, b in zip(back_h.as_tuple(), q.as_tuple())
+                abs(a - b) for a, b in zip(back_h, q)
             ) <= 5e-3
 
     def test_theta1_ignores_y(self):
@@ -258,7 +266,7 @@ class TestBackendConsistency:
             qo = inverse_kinematics(p)
             qh = inverse_kinematics(p, backend=hybrid)
             assert max(
-                abs(a - b) for a, b in zip(qo.as_tuple(), qh.as_tuple())
+                abs(a - b) for a, b in zip(qo, qh)
             ) <= 5e-3
 
 
@@ -314,6 +322,6 @@ def test_hybrid_fk_within_cordic_envelope(iterations, angles, links):
         return
     e = (WORST_SINCOS_LSB[iterations] + 0.5) * S16_13.resolution
     envelope = 2 * e * (1 + e) * (g.l1 + g.l2) + 2.0**-20 * sum(links)
-    hybrid = forward_kinematics(q, g, backend).as_tuple()
-    oracle = forward_kinematics(q, g).as_tuple()
+    hybrid = forward_kinematics(q, g, backend)
+    oracle = forward_kinematics(q, g)
     assert max(abs(h - o) for h, o in zip(hybrid, oracle)) <= envelope

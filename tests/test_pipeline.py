@@ -38,10 +38,10 @@ class TestTrajectory:
         assert spec.sample_period == 0.01
         traj = generate_trajectory(spec)
         assert len(traj) == 1200
-        assert traj[0].as_tuple() == (0.0, 0.0, 0.0)
-        assert traj[399].as_tuple() == (math.pi / 2, 0.0, 0.0)
-        assert traj[400].as_tuple() == (math.pi / 2, 0.0, 0.0)
-        assert traj[1199].as_tuple() == (math.pi / 2, math.pi / 4, math.pi / 4)
+        assert traj[0] == (0.0, 0.0, 0.0)
+        assert traj[399] == (math.pi / 2, 0.0, 0.0)
+        assert traj[400] == (math.pi / 2, 0.0, 0.0)
+        assert traj[1199] == (math.pi / 2, math.pi / 4, math.pi / 4)
 
     def test_ramp_midpoint(self):
         traj = generate_trajectory(TrajectorySpec.default())
@@ -95,7 +95,7 @@ class TestScene:
         scene = Scene.contact_plane(normal, 0.01, Elasticity(1, 1, 1))
         nvec = normal / np.linalg.norm(normal)
         for p in np.random.default_rng(4).uniform(-0.3, 0.3, (2000, 3)):
-            got = scene.object_position(CartesianPosition(*p.tolist())).as_tuple()
+            got = scene.object_position(CartesianPosition(*p.tolist()))
             depth = float(nvec @ p) - 0.01
             want = tuple(p - depth * nvec) if depth > 0 else tuple(p)
             assert got == want
