@@ -88,8 +88,9 @@ class ChannelConfig:
             nv = tuple(float(v) for v in nv)
         if len(nv) != 3:
             raise ValueError("noise_variance must be a scalar or a 3-vector")
-        if any(v < 0 for v in nv):
-            raise ValueError("noise variance must be nonnegative")
+        # NaN fails the test too: it would otherwise run noise-free.
+        if not all(0 <= v < math.inf for v in nv):
+            raise ValueError(f"noise_variance must be finite and nonnegative, got {nv}")
         object.__setattr__(self, "noise_variance", nv)
         if self.initial_hold is not None:
             hold = tuple(float(v) for v in self.initial_hold)

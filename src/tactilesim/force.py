@@ -95,7 +95,8 @@ class Elasticity(_Validated, namedtuple("Elasticity", "hx hy hz")):
     def __new__(cls, hx, hy, hz):
         self = _tuple_new(cls, (hx, hy, hz))
         for name, value in zip(self._fields, self):
-            if value < 0:
+            # NaN fails the test too.
+            if not value >= 0:
                 raise ValueError(f"{name} must be nonnegative")
             if value > _F32_MAX:
                 raise ValueError(f"{name} exceeds the float32 maximum {_F32_MAX:.7g}")

@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import islice
+from functools import cached_property, lru_cache
 from math import isfinite
 
 import numpy as np
@@ -59,6 +58,7 @@ __all__ = [
 # Tolerance on the acos operands: |arg| <= 1 + EPS_REACH clamps to the domain
 # edge, anything beyond is reported as unreachable.
 EPS_REACH = 1e-6
+_ACOS_BOUND = 1.0 + EPS_REACH
 
 # Range of the link lengths, [1 / _LINK_MAX, _LINK_MAX] m, and of the hybrid
 # IK's input coordinates, |c| <= _COORD_MAX m.  A reachable point has no
@@ -197,7 +197,7 @@ def _reach(r):
 def _acos_arg_check(arg: float, what: str) -> float:
     # NaN fails the test too: it arises only when r overflows, and must raise
     # here rather than reach a TFB.
-    if not abs(arg) <= 1.0 + EPS_REACH:
+    if not abs(arg) <= _ACOS_BOUND:
         raise Unreachable(f"{what} operand {arg!r} outside [-1, 1]: position not reachable")
     return min(max(arg, -1.0), 1.0)
 
@@ -266,7 +266,9 @@ class Hybrid:
     cordic: CordicConfig = DEFAULT_CORDIC
 
     name = "hybrid"
-    const = staticmethod(np.float32)
+    # One float32 per constant.  The circuits' constants are nonzero, so the
+    # cache never confuses 0.0 with -0.0.
+    const = staticmethod(lru_cache(maxsize=None)(np.float32))
     sqrt = staticmethod(sqrt32)
     reach = staticmethod(_reach)
 
@@ -279,8 +281,11 @@ class Hybrid:
         return tfb_atan2(y, x, self.cordic)
 
     def acos(self, arg, what: str):
-        # The TFB clamps the float32 operand itself, to the same value.
-        _acos_arg_check(float(arg), what)
+        # The TFB clamps the float32 operand itself, to the same value.  The
+        # bound is compared in double precision, as `_acos_arg_check` does.
+        a = float(arg)
+        if not -_ACOS_BOUND <= a <= _ACOS_BOUND:
+            _acos_arg_check(a, what)
         return tfb_acos(arg, self.cordic)
 
     @cached_property
@@ -294,26 +299,36 @@ class Hybrid:
         and cosine of the saturated angle would be silently wrong, so such an
         angle is a SampleError."""
         lo, hi = self._angle_range
+        t1, t2, t3 = theta
+        if lo <= t1 <= hi and lo <= t2 <= hi and lo <= t3 <= hi:
+            return theta
         for name, a in zip(("theta1", "theta2", "theta3"), theta):
             if not lo <= a <= hi:
                 raise SampleError(
                     f"{name} = {a!r} rad is outside the range [{lo}, {hi}] of the "
                     f"{self.cordic.fmt} sincos TFB"
                 )
-        return theta
 
     def fk(self, theta, g: DeviceGeometry) -> tuple[float, float, float]:
-        return tuple(map(float, _fk_circuit(self, g._f32, self._angles(theta))))
+        x, y, z = _fk_circuit(self, g._f32, self._angles(theta))
+        return float(x), float(y), float(z)
 
     def ik(self, pos, g: DeviceGeometry):
+        x, y, z = pos
         # Written to refuse NaN too: a plain tuple reaches here unchecked.
-        for name, v in zip("xyz", pos):
-            if not abs(v) <= _COORD_MAX:
-                raise Unreachable(
-                    f"{name} = {v!r} m is outside the input range of the hybrid "
-                    f"datapath (|{name}| <= {_COORD_MAX:g} m)"
-                )
-        angles, inter = _ik_circuit(self, g._f32, tuple(map(np.float32, pos)))
+        if not (
+            -_COORD_MAX <= x <= _COORD_MAX
+            and -_COORD_MAX <= y <= _COORD_MAX
+            and -_COORD_MAX <= z <= _COORD_MAX
+        ):
+            for name, v in zip("xyz", pos):
+                if not abs(v) <= _COORD_MAX:
+                    raise Unreachable(
+                        f"{name} = {v!r} m is outside the input range of the hybrid "
+                        f"datapath (|{name}| <= {_COORD_MAX:g} m)"
+                    )
+        f32 = np.float32
+        angles, inter = _ik_circuit(self, g._f32, (f32(x), f32(y), f32(z)))
         return tuple(map(float, angles)), tuple(map(float, inter))
 
     def jacobian(self, theta, g: DeviceGeometry) -> tuple[float, ...]:
@@ -323,10 +338,16 @@ class Hybrid:
         """A shared circuit on float32 copies of the operands.  A value beyond
         the float32 range becomes inf, as in the datapath."""
         with np.errstate(over="ignore", invalid="ignore"):
-            # One cast for every operand value; each operand takes its share
-            # of the float32 scalars in turn.
-            values = iter(np.array([v for x in operands for v in x], np.float32))
-            return tuple(map(float, circuit(*(tuple(islice(values, len(x))) for x in operands))))
+            # One cast for every operand value; each operand takes its slice
+            # of the float32 scalars.
+            values = list(np.array([v for x in operands for v in x], np.float32))
+            args = []
+            start = 0
+            for x in operands:
+                stop = start + len(x)
+                args.append(values[start:stop])
+                start = stop
+            return tuple(map(float, circuit(*args)))
 
 
 ORACLE = Oracle()

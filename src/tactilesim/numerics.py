@@ -260,11 +260,8 @@ def _fp2f_table(iterations: int, frac_bits: int) -> np.ndarray:
     the end, so a signed raw value indexes its own entry as a Python index
     does.
 
-    The range is [-pi, pi] and a margin: the vectoring angle starts at the
-    first step angle and each later step moves it by its own angle, so for
-    x < 0 the result pi - angle can pass pi by up to the sum of the later
-    step angles less the first (at 16 fractional bits and 16 iterations,
-    ``cordic_atan2(1, -96546)`` is pi + 1 LSB).  sin and cos stay within 1.
+    The range is [-pi, pi]: `cordic_atan2` saturates its result to it, and
+    sin and cos stay within 1.
 
     Each entry is ``np.float32(raw / 2**frac_bits)``.  The table is built
     in float32 with no rounding at all: every raw value lies below 2**18
@@ -274,11 +271,9 @@ def _fp2f_table(iterations: int, frac_bits: int) -> np.ndarray:
     never from negating the positive one, so zero is +0.0 as on the integer
     path.
     """
-    steps, _x0, pi_io, _half_pi_io = _kernel_constants(iterations, frac_bits)
-    over = sum(a for _, _, a in steps[1:]) - steps[0][2]
-    top = pi_io + max(0, (over >> _GUARD_BITS) + 1)
-    table = np.arange(2 * top + 1, dtype=np.float32)
-    table[top + 1 :] -= 2 * top + 1
+    pi_io = _kernel_constants(iterations, frac_bits)[2]
+    table = np.arange(2 * pi_io + 1, dtype=np.float32)
+    table[pi_io + 1 :] -= 2 * pi_io + 1
     table /= 1 << frac_bits
     return table
 
@@ -315,9 +310,10 @@ def cordic_atan2(y: int, x: int, cfg: CordicConfig = DEFAULT_CORDIC) -> int:
     """Fixed-point four-quadrant arctangent of the raw operands ``y``, ``x``
     in ``cfg.fmt`` via vectoring-mode CORDIC; returns the raw angle.
 
-    The result lies in [-pi, pi] at the resolution of the format, give or
-    take the vectoring error: at 16 fractional bits and 16 iterations it can
-    pass pi by 1 LSB.  (0, 0) maps to 0 by convention.  Accuracy degrades
+    The result lies in [-pi, pi] at the resolution of the format.  The
+    vectoring error can carry pi - angle past pi (at 16 fractional bits and
+    16 iterations, ``cordic_atan2(1, -96546)`` by 1 LSB), so the result
+    saturates to pi.  (0, 0) maps to 0 by convention.  Accuracy degrades
     for operands only a few LSB in magnitude, as in the hardware, where the
     datapath resolution limits the representable direction of short
     vectors.
@@ -334,7 +330,7 @@ def cordic_atan2(y: int, x: int, cfg: CordicConfig = DEFAULT_CORDIC) -> int:
         return sign * half_pi_io
     if x > 0:
         return sign * _vector_angle(x, y, steps)
-    return sign * (pi_io - _vector_angle(-x, y, steps))
+    return sign * min(pi_io - _vector_angle(-x, y, steps), pi_io)
 
 
 def sqrt32(x) -> np.float32:

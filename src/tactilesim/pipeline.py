@@ -5,11 +5,12 @@ rendering, plus trace recording, MSE evaluation and the latency budget
 arithmetic.
 
 Validation methodology: when a shadow backend is requested, the driving
-backend computes the signal chain and the shadow backend is evaluated on the
-same per-module inputs each sample.  The resulting per-module output pairs
-differ only by the datapath arithmetic, which is what the hardware-vs-golden
-comparison measures; a cascaded comparison would re-measure upstream error at
-every stage and say nothing about the module under test.
+backend computes the signal chain, and after the loop the shadow backend is
+evaluated module by module on the same per-module inputs, read back from the
+recorded chain.  The resulting per-module output pairs differ only by the
+datapath arithmetic, which is what the hardware-vs-golden comparison
+measures; a cascaded comparison would re-measure upstream error at every
+stage and say nothing about the module under test.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -324,8 +326,14 @@ def run_pipeline(
 
     The slave tracking is ideal by default; ``fcs_pole`` in (0, 1) enables a
     first-order lag for sensitivity studies.  With ``shadow`` set, the shadow
-    backend's modules are evaluated on the driving chain's inputs sample by
-    sample and recorded alongside.
+    backend's modules are evaluated after the loop on the recorded chain
+    inputs (see `_shadow_pass`) and recorded alongside.
+
+    A failing sample raises its SampleError with ``sample {n}: `` before the
+    message and ``n`` in ``sample_index``.  In a dual run that is the first
+    failing sample of either backend; at the same sample the driver's error
+    comes first, then the shadow's in module order FK master, IK, FK slave,
+    FBF, KFF.
     """
     if not 0.0 <= fcs_pole < 1.0:
         raise ValueError("fcs_pole must lie in [0, 1)")
@@ -337,10 +345,11 @@ def run_pipeline(
     # One row per sample, one column per signal; each column becomes a trace
     # column.  A row is one contiguous store.
     table = np.empty((q_len, len(COLUMN_ORDER)))
-    shadow_table = np.empty((q_len, len(MODULE_OUTPUT_SIGNALS))) if shadow is not None else None
 
     keep = 1.0 - fcs_pole
     theta_sd = None
+    # The driver's first failure: the sample and its exception.
+    stop, error = q_len, None
     for n in range(q_len):
         try:
             b = traj[n]
@@ -358,22 +367,22 @@ def run_pipeline(
             h = feedback_force(s_obj, l_pos, scene.elasticity, backend)
             f_in = ForceVector(*channel_step(bc_state, bc, h, n))
             p = kinesthetic_feedback(b, f_in, geometry, backend)
+        except Exception as exc:
+            # Any exception, not only a SampleError: whichever backend fails
+            # at the earlier sample raises, as when the backends alternated.
+            stop, error = n, exc
+            break
+        # In COLUMN_ORDER.
+        table[n] = (n, *b, *c, *v, *theta_hsd, *theta_sd, *l_pos, *s_obj, *h, *f_in, *p)
 
-            # In COLUMN_ORDER.
-            table[n] = (
-                n, *b, *c, *v, *theta_hsd, *theta_sd, *l_pos, *s_obj, *h, *f_in, *p
-            )
-
-            if shadow is not None:
-                c_s = forward_kinematics(b, geometry, shadow)
-                theta_s = inverse_kinematics(v, geometry, shadow)
-                l_s = forward_kinematics(theta_sd, geometry, shadow)
-                h_s = feedback_force(s_obj, l_pos, scene.elasticity, shadow)
-                p_s = kinesthetic_feedback(b, f_in, geometry, shadow)
-                # In MODULE_OUTPUT_SIGNALS order.
-                shadow_table[n] = (*c_s, *theta_s, *l_s, *h_s, *p_s)
-        except SampleError as exc:
-            raise type(exc)(f"sample {n}: {exc}", sample_index=n) from exc
+    shadow_table = None
+    if shadow is not None:
+        # The shadow's samples before the driver's failure come first: one of
+        # them may fail earlier.
+        shadow_table = np.empty((q_len, len(MODULE_OUTPUT_SIGNALS)))
+        _shadow_pass(table, stop, shadow, scene.elasticity, geometry, shadow_table)
+    if error is not None:
+        _raise_at(error, stop)
 
     return SimulationTrace(
         q=q_len,
@@ -383,6 +392,71 @@ def run_pipeline(
         signals=dict(zip(COLUMN_ORDER, table.T)),
         shadow_signals={} if shadow is None else dict(zip(MODULE_OUTPUT_SIGNALS, shadow_table.T)),
     )
+
+
+def _raise_at(exc: Exception, n: int):
+    """Raise ``exc``, a SampleError as one that names sample ``n``."""
+    if isinstance(exc, SampleError):
+        raise type(exc)(f"sample {n}: {exc}", sample_index=n) from exc
+    raise exc
+
+
+def _columns(names: tuple[str, ...], first: str) -> slice:
+    """The three columns from ``first`` on in a table laid out as ``names``."""
+    i = names.index(first)
+    return slice(i, i + 3)
+
+
+# Rows per block of the shadow pass.
+_SHADOW_BLOCK = 256
+
+
+def _shadow_pass(
+    table: np.ndarray,
+    rows: int,
+    shadow: Oracle | Hybrid,
+    elasticity: Elasticity,
+    geometry: DeviceGeometry,
+    out: np.ndarray,
+) -> None:
+    """Evaluate the shadow's modules on the chain signals of the first
+    ``rows`` rows of ``table`` and write their outputs to ``out``, in
+    ``MODULE_OUTPUT_SIGNALS`` order.
+
+    The table holds the chain signals as the driver passed them on, so each
+    module sees the inputs it had inside the loop.  The pass runs
+    ``_SHADOW_BLOCK`` rows at a time, one module over the whole block before
+    the next, through the module's public function.  A module that fails at
+    a sample stops there, and later modules run only on the samples before
+    it; the first failing sample is raised, the earlier module first.
+    """
+    chain = partial(_columns, COLUMN_ORDER)
+    module = partial(_columns, MODULE_OUTPUT_SIGNALS)
+    # Per module, in evaluation order: the function, the signals of its
+    # per-sample operands, its constant operand and its output signal.
+    stages = (
+        (forward_kinematics, (chain("b1"),), geometry, module("c_x")),
+        (inverse_kinematics, (chain("v_x"),), geometry, module("theta_hsd_1")),
+        (forward_kinematics, (chain("theta_sd_1"),), geometry, module("l_x")),
+        (feedback_force, (chain("s_obj_x"), chain("l_x")), elasticity, module("h_x")),
+        (kinesthetic_feedback, (chain("b1"), chain("q_x")), geometry, module("p_1")),
+    )
+    for start in range(0, rows, _SHADOW_BLOCK):
+        stop = min(start + _SHADOW_BLOCK, rows)
+        error = None
+        for fn, inputs, const, output in stages:
+            block = table[start:stop]
+            results = []
+            append = results.append
+            try:
+                for operands in zip(*[block[:, cols].tolist() for cols in inputs]):
+                    append(fn(*operands, const, shadow))
+            except Exception as exc:
+                stop, error = start + len(results), exc
+            if results:
+                out[start:stop, output] = results
+        if error is not None:
+            _raise_at(error, stop)
 
 
 def compute_mse(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:

@@ -30,6 +30,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ChannelConfig(noise_variance=(-1e-6, 0, 0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_variance_rejected(self, bad):
+        # A NaN variance used to build a channel that ran noise-free.
+        for nv in (bad, (0.0, bad, 1e-6)):
+            with pytest.raises(ValueError, match="^noise_variance must be finite"):
+                ChannelConfig(noise_variance=nv)
+
     def test_delay_validation(self):
         with pytest.raises(ValueError):
             ConstantDelay(-1)

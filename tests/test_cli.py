@@ -301,6 +301,28 @@ def test_ik_angle_beyond_cordic_format_ends_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_shadow_failure_ends_cleanly(tmp_path, capsys):
+    # The same run with the oracle driving: the hybrid shadow's slave FK
+    # refuses the oracle's theta2 at the same sample, after the driver has
+    # run every sample.
+    data = scenario_dict()
+    data["backends"] = ["oracle", "hybrid"]
+    data["geometry"] = {"l1": 0.05, "l2": 0.135, "l3": 0.025, "l4": 0.17}
+    data["trajectory"] = {
+        "segments": [
+            {"joint": 3, "start": 3.0, "end": 3.0, "samples": 1},
+            {"joint": 2, "start": 0.0, "end": -1.7, "samples": 20},
+        ]
+    }
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text(yaml.safe_dump(data))
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: sample 18: theta2 = 4.159") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 class TestRunCommand:
     def test_run_default_scenario(self, tmp_path, capsys):
         rc = main(["run", str(SCENARIO_PATH), "--out-dir", str(tmp_path)])

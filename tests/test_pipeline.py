@@ -1,13 +1,26 @@
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from tactilesim import kinematics, pipeline
-from tactilesim.channel import ChannelConfig, ConstantDelay
-from tactilesim.force import Elasticity
-from tactilesim.kinematics import Hybrid, JointAngles, NonFiniteSignal, ORACLE, Unreachable
+from tactilesim.channel import ChannelConfig, ConstantDelay, RandomWalkDelay
+from tactilesim.force import Elasticity, ForceVector, feedback_force, kinesthetic_feedback
+from tactilesim.kinematics import (
+    DEFAULT_GEOMETRY,
+    CartesianPosition,
+    Hybrid,
+    JointAngles,
+    NonFiniteSignal,
+    ORACLE,
+    Oracle,
+    SampleError,
+    Unreachable,
+    forward_kinematics,
+    inverse_kinematics,
+)
 from tactilesim.numerics import CordicConfig
 from tactilesim.pipeline import (
     MODULE_SIGNALS,
@@ -312,6 +325,206 @@ class TestRunPipeline:
         )
         for k in ("h_x", "h_y", "h_z"):
             assert abs(trace.signals[k][600] - trace.shadow_signals[k][600]) <= 1e-12
+
+
+# Longer than one block of the shadow pass and not a multiple of it.
+LONG_SPEC = TrajectorySpec(
+    segments=(
+        TrajectorySegment(0, 0.0, math.pi / 2, 250),
+        TrajectorySegment(1, 0.0, math.pi / 4, 250),
+        TrajectorySegment(2, 0.0, math.pi / 4, 203),
+    )
+)
+
+# Dual runs in both driver/shadow orders.
+ORDERS = {
+    "oracle-drives": (ORACLE, Hybrid(CordicConfig(iterations=10))),
+    "hybrid-drives": (Hybrid(CordicConfig(iterations=10)), ORACLE),
+}
+
+
+def chain_rows(trace: SimulationTrace, first: str) -> list[tuple[float, ...]]:
+    """Per sample, the three trace columns from ``first`` on."""
+    names = pipeline.COLUMN_ORDER
+    i = names.index(first)
+    return list(zip(*(trace.signals[name].tolist() for name in names[i : i + 3])))
+
+
+class TestShadowContract:
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_shadow_columns_are_the_modules_on_the_recorded_chain(self, order):
+        # Noise, a random-walk delay, FCS lag and contact: the shadow sees
+        # the chain exactly as the driver recorded it.
+        backend, shadow = ORDERS[order]
+        fc = ChannelConfig(noise_variance=1e-8, delay=RandomWalkDelay(0, 5), seed=11)
+        bc = ChannelConfig(noise_variance=1e-4, delay=RandomWalkDelay(0, 3), seed=12)
+        scene = Scene.default()
+        trace = run_pipeline(LONG_SPEC, scene, fc, bc, backend, shadow=shadow, fcs_pole=0.5)
+        alone = run_pipeline(LONG_SPEC, scene, fc, bc, backend, fcs_pole=0.5)
+        for name in pipeline.COLUMN_ORDER:
+            assert trace.signals[name].tobytes() == alone.signals[name].tobytes(), name
+
+        b, v, theta_sd, l_pos, s_obj, f_in = (
+            chain_rows(trace, first)
+            for first in ("b1", "v_x", "theta_sd_1", "l_x", "s_obj_x", "q_x")
+        )
+        assert any(s != l for s, l in zip(s_obj, l_pos)), "no contact sample"
+        g = DEFAULT_GEOMETRY
+        expected = [
+            (
+                *forward_kinematics(JointAngles(*b[n]), g, shadow),
+                *inverse_kinematics(CartesianPosition(*v[n]), g, shadow),
+                *forward_kinematics(JointAngles(*theta_sd[n]), g, shadow),
+                *feedback_force(
+                    CartesianPosition(*s_obj[n]), CartesianPosition(*l_pos[n]),
+                    scene.elasticity, shadow,
+                ),
+                *kinesthetic_feedback(JointAngles(*b[n]), ForceVector(*f_in[n]), g, shadow),
+            )
+            for n in range(trace.q)
+        ]
+        got = np.stack([trace.shadow_signals[name] for name in pipeline.MODULE_OUTPUT_SIGNALS])
+        assert got.T.tobytes() == np.array(expected).tobytes()
+
+
+class _Trips:
+    """A shadow backend that fails a module on the operands listed for it
+    in ``trips``, as (module, operand tuple) pairs; the modules are "fk",
+    "ik" and the names of the circuits that ``run`` takes."""
+
+    def _check(self, module, operand):
+        key = (module, tuple(operand))
+        if key in self.trips:
+            raise SampleError(f"{module} tripped on {key[1]}")
+
+    def fk(self, theta, g):
+        self._check("fk", theta)
+        return super().fk(theta, g)
+
+    def ik(self, pos, g):
+        self._check("ik", pos)
+        return super().ik(pos, g)
+
+    def run(self, circuit, *operands):
+        self._check(circuit.__name__, operands[0])
+        return super().run(circuit, *operands)
+
+
+@dataclass(frozen=True)
+class OracleTrips(_Trips, Oracle):
+    trips: frozenset = frozenset()
+
+
+@dataclass(frozen=True)
+class HybridTrips(_Trips, Hybrid):
+    trips: frozenset = frozenset()
+
+
+class FailingSurface:
+    """The default scene's surface, raising SampleError on the call of
+    sample ``at`` (None: never); only the driver calls it, once per
+    sample."""
+
+    def __init__(self, at: int | None):
+        self.at = at
+        self.calls = 0
+        self.surface = Scene.default().surface
+
+    def __call__(self, tool):
+        n, self.calls = self.calls, self.calls + 1
+        if n == self.at:
+            raise SampleError("surface tripped")
+        return self.surface(tool)
+
+
+SHADOW_STAGES = ("fk_master", "ik", "fk_slave", "fbf", "kff")
+
+
+def stage_keys(trace, shadow):
+    """Per sample, the trip key of each shadow module by stage name, in
+    module order."""
+    rows = zip(*(chain_rows(trace, first) for first in ("b1", "v_x", "theta_sd_1", "s_obj_x")))
+    return [
+        dict(
+            zip(
+                SHADOW_STAGES,
+                (
+                    ("fk", b),
+                    ("ik", v),
+                    ("fk", theta_sd),
+                    ("_fbf_circuit", s_obj),
+                    ("_torque_circuit", tuple(shadow.jacobian(b, DEFAULT_GEOMETRY))),
+                ),
+            )
+        )
+        for b, v, theta_sd, s_obj in rows
+    ]
+
+
+def first_failure(keys, trips, driver_at):
+    """(sample, message) of the first failure in sample order: at each
+    sample the driver's, then the shadow's modules in module order."""
+    for n, sample_keys in enumerate(keys):
+        if n == driver_at:
+            return n, "surface tripped"
+        for module, operand in sample_keys.values():
+            if (module, operand) in trips:
+                return n, f"{module} tripped on {operand}"
+    return None
+
+
+class TestFirstFailureAcrossBackends:
+    # Each case: the driver's failing sample (None: it runs through) and the
+    # sample at which each listed shadow module trips.  256 rows make one
+    # block of the shadow pass.
+    CASES = {
+        "shadow-earlier": (400, {"ik": 300}),
+        "driver-earlier": (100, {"fk_slave": 300}),
+        "same-sample": (300, {"fbf": 300, "fk_master": 300}),
+        "modules-tie": (None, {"kff": 256, "fk_master": 256, "ik": 256}),
+        "later-module-earlier": (None, {"fk_master": 290, "kff": 260}),
+        "across-blocks": (None, {"fk_master": 520, "fbf": 511, "ik": 700}),
+        "block-edges": (600, {"fk_slave": 255, "ik": 256}),
+        "last-sample": (None, {"kff": 702}),
+    }
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("case", CASES)
+    def test_the_first_failing_sample_wins(self, order, case):
+        backend, base = ORDERS[order]
+
+        def tripping(trips=frozenset()):
+            if base is ORACLE:
+                return OracleTrips(trips=trips)
+            return HybridTrips(base.cordic, trips)
+
+        driver_at, stages = self.CASES[case]
+        clean = run_pipeline(LONG_SPEC, Scene.default(), transparent(), transparent(), backend)
+        keys = stage_keys(clean, tripping())
+        trips = frozenset(keys[n][stage] for stage, n in stages.items())
+        n, message = first_failure(keys, trips, driver_at)
+        shadow = tripping(trips)
+        scene = Scene(Scene.default().elasticity, FailingSurface(driver_at))
+        with pytest.raises(SampleError) as err:
+            run_pipeline(LONG_SPEC, scene, transparent(), transparent(), backend, shadow=shadow)
+        assert str(err.value) == f"sample {n}: {message}"
+        assert err.value.sample_index == n
+
+    # The trajectory's theta1 passes the s16.13 range [-4, 4) at sample 10.
+    BEYOND = TrajectorySpec(segments=(TrajectorySegment(0, 3.9, 4.1, 21),))
+
+    @pytest.mark.parametrize("driver_at, n", [(None, 10), (15, 10), (10, 10), (4, 4)])
+    def test_angle_beyond_the_shadow_tfb_range(self, driver_at, n):
+        scene = Scene(Scene.default().elasticity, FailingSurface(driver_at))
+        with pytest.raises(SampleError) as err:
+            run_pipeline(
+                self.BEYOND, scene, transparent(), transparent(), ORACLE, shadow=Hybrid()
+            )
+        if n == driver_at:
+            assert str(err.value) == f"sample {n}: surface tripped"
+        else:
+            assert str(err.value).startswith(f"sample {n}: theta1 = 4.0 rad is outside the range")
+        assert err.value.sample_index == n
 
 
 class TestCallGraph:

@@ -122,3 +122,7 @@ def test_elasticity_checks_each_builder(how):
         values[i] = 1e39
         with pytest.raises(ValueError, match=f"^{name} exceeds the float32 maximum"):
             build(Elasticity, tuple(values))
+        # Refused when built, not at the first contact sample.
+        values[i] = math.nan
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
+            build(Elasticity, tuple(values))
