@@ -4,6 +4,13 @@ spring-law contact force of the slave-side force synthesis.
 J^T F and the spring law are written once, as ``_*_circuit`` functions that
 both backends run (``backend.run``); the Jacobian is a backend method, next
 to FK in ``tactilesim.kinematics``.
+
+``feedback_force`` and ``kinesthetic_feedback`` take one sample.  Their
+block forms, ``feedback_force_block`` and ``kinesthetic_feedback_block``,
+take an array with one row per sample and run each circuit once over the
+block's columns (``backend.run_block``, ``backend.jacobian_block``).  They
+return the rows the per-sample functions give, up to the first failing row,
+and the exception the per-sample function raises on that row.
 """
 
 from __future__ import annotations
@@ -38,6 +45,8 @@ __all__ = [
     "jacobian",
     "kinesthetic_feedback",
     "feedback_force",
+    "kinesthetic_feedback_block",
+    "feedback_force_block",
 ]
 
 # Largest float32 value: the hybrid FBF holds the spring constants as 32-bit
@@ -155,3 +164,30 @@ def feedback_force(
 ) -> ForceVector:
     """Spring-law contact force, per axis: h_i * (obj_i - env_i)."""
     return ForceVector(*backend.run(_fbf_circuit, obj, env, h))
+
+
+def kinesthetic_feedback_block(
+    q: np.ndarray,
+    f: np.ndarray,
+    g: DeviceGeometry = DEFAULT_GEOMETRY,
+    backend: Oracle | Hybrid = ORACLE,
+) -> tuple[np.ndarray, Exception | None]:
+    """``kinesthetic_feedback`` of each row of the (m, 3) arrays ``q`` and
+    ``f``: an array of the torque rows before the first failing row, and the
+    exception of that row (None when every row passes)."""
+    jm, error = backend.jacobian_block(q, g)
+    tau, tau_error = backend.run_block(_torque_circuit, TorqueVector, jm, f[: len(jm)])
+    # A torque row that fails comes before the Jacobian's failing row.
+    return tau, error if tau_error is None else tau_error
+
+
+def feedback_force_block(
+    obj: np.ndarray,
+    env: np.ndarray,
+    h: Elasticity,
+    backend: Oracle | Hybrid = ORACLE,
+) -> tuple[np.ndarray, Exception | None]:
+    """``feedback_force`` of each row of the (m, 3) arrays ``obj`` and ``env``:
+    an array of the force rows before the first failing row, and the
+    exception of that row (None when every row passes)."""
+    return backend.run_block(_fbf_circuit, ForceVector, obj, env, h)

@@ -2,7 +2,9 @@
 (two equal arm segments on a rotating base), and its Jacobian.
 
 Every operation runs on one of two interchangeable backends, each a class
-that carries its own module code (``fk``, ``ik``, ``jacobian`` and ``run``):
+that carries its own module code (``fk``, ``ik``, ``jacobian`` and ``run``,
+and the block entry points ``jacobian_block`` and ``run_block``, which take
+one row per sample):
 
 * ``Oracle``  - full double precision, the reference model.
 * ``Hybrid``  - float32 arithmetic with fixed-point CORDIC trigonometry,
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isfinite
@@ -78,6 +81,17 @@ _ACOS_BOUND = 1.0 + EPS_REACH
 #   2^39 / 2^-31 = 2^70; the float32 maximum is 2^128.
 _LINK_MAX = 2.0**16
 _COORD_MAX = 4 * _LINK_MAX
+
+# Largest operand magnitude for which `Hybrid.run` needs no np.errstate.
+# With every operand at most B = 2^62 in magnitude, the float32 cast stays
+# finite (2^62 is a float32).  In `_fbf_circuit`, |o - e| <= 2^63 and
+# |h * (o - e)| <= 2^125.  In `_torque_circuit` each product is at most
+# 2^124, so each sum is below 3 * 2^124 < 2^126.  The float32 maximum is
+# above 2^127, so nothing overflows, and without an infinity no operation is
+# invalid.  A NaN operand needs no errstate either: arithmetic on a quiet
+# NaN raises no flag.
+_RUN_QUIET_MAX = 2.0**62
+_QUIET = nullcontext()
 
 # namedtuple's own idiom: the tuple constructor without the class lookup.
 _tuple_new = tuple.__new__
@@ -187,6 +201,36 @@ class IkIntermediates:
     alpha: float
 
 
+def _exception(check, *args) -> SampleError:
+    """The SampleError that ``check(*args)`` raises for a failing row."""
+    try:
+        check(*args)
+    except SampleError as exc:
+        return exc
+    raise AssertionError(f"{check.__qualname__} accepted a row its block refused")
+
+
+def _valid_rows(vector, rows: np.ndarray):
+    """The rows of ``rows`` before the first non-finite one, and the exception
+    ``vector`` raises on that row (None when every row is finite)."""
+    finite = np.isfinite(rows).all(axis=1)
+    if finite.all():
+        return rows, None
+    k = int(finite.argmin())
+    return rows[:k], _exception(vector, *rows[k].tolist())
+
+
+def _run_block(dtype, circuit, vector, operands):
+    """A shared circuit over blocks of rows, in ``dtype``; see
+    ``Oracle.run_block``."""
+    # A value beyond the dtype's range becomes inf, as in the datapath.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # One cast per operand block; iterating its transpose yields the
+        # columns (or, for a constant operand, its values).
+        out = circuit(*[np.asarray(x, dtype).T for x in operands])
+    return _valid_rows(vector, np.array(out, float).T)
+
+
 def _reach(r):
     """The full reach ``r``, which must be nonzero."""
     if r == 0.0:
@@ -236,10 +280,11 @@ class Oracle:
         theta3 = theta2 + alpha - math.pi / 2.0
         return (theta1, theta2, theta3), (big_r, r, gamma, beta, alpha)
 
-    def jacobian(self, theta, g: DeviceGeometry) -> tuple[float, ...]:
-        s1, c1 = math.sin(theta[0]), math.cos(theta[0])
-        s2, c2 = math.sin(theta[1]), math.cos(theta[1])
-        s3, c3 = math.sin(theta[2]), math.cos(theta[2])
+    def jacobian(self, theta, g: DeviceGeometry, sin=math.sin, cos=math.cos) -> tuple[float, ...]:
+        # `jacobian_block` evaluates the same expression over columns.
+        s1, c1 = sin(theta[0]), cos(theta[0])
+        s2, c2 = sin(theta[1]), cos(theta[1])
+        s3, c3 = sin(theta[2]), cos(theta[2])
         l1, l2 = g.l1, g.l2
         return (
             -c1 * (l2 * s3 + l1 * c2),
@@ -255,6 +300,25 @@ class Oracle:
     def run(self, circuit, *operands):
         """A circuit shared with the hybrid datapath, in double precision."""
         return circuit(*operands)
+
+    def jacobian_block(self, theta: np.ndarray, g: DeviceGeometry):
+        """``jacobian`` of each row of the (m, 3) array ``theta``: an (m, 8)
+        array, and no failing row (None)."""
+        sin, cos = _over_column(math.sin), _over_column(math.cos)
+        return np.array(self.jacobian(theta.T, g, sin, cos)).T, None
+
+    def run_block(self, circuit, vector, *operands):
+        """``vector(*run(circuit, *row))`` for each row of the operands, an
+        (m, k) array each or a constant tuple.  Returns the output rows before
+        the first one ``vector`` refuses, as an array, and the exception of
+        that row (None when every row passes)."""
+        return _run_block(float, circuit, vector, operands)
+
+
+def _over_column(fn):
+    """``fn`` mapped over a column.  The oracle maps libm's sin and cos:
+    np.sin and np.cos are not guaranteed to equal them on every host."""
+    return lambda column: np.array(list(map(fn, column.tolist())))
 
 
 @dataclass(frozen=True)
@@ -337,10 +401,18 @@ class Hybrid:
     def run(self, circuit, *operands):
         """A shared circuit on float32 copies of the operands.  A value beyond
         the float32 range becomes inf, as in the datapath."""
-        with np.errstate(over="ignore", invalid="ignore"):
+        flat = [v for x in operands for v in x]
+        # max() returns a NaN that comes first, which fails the test, and
+        # skips one elsewhere, which is safe (see _RUN_QUIET_MAX); it skips
+        # no value beyond the bound unless its result is a NaN.
+        if max(map(abs, flat)) <= _RUN_QUIET_MAX:
+            quiet = _QUIET
+        else:
+            quiet = np.errstate(over="ignore", invalid="ignore")
+        with quiet:
             # One cast for every operand value; each operand takes its slice
             # of the float32 scalars.
-            values = list(np.array([v for x in operands for v in x], np.float32))
+            values = list(np.array(flat, np.float32))
             args = []
             start = 0
             for x in operands:
@@ -348,6 +420,42 @@ class Hybrid:
                 args.append(values[start:stop])
                 start = stop
             return tuple(map(float, circuit(*args)))
+
+    def jacobian_block(self, theta: np.ndarray, g: DeviceGeometry):
+        """``jacobian`` of each row of the (m, 3) array ``theta``: an array of
+        the rows before the first with an angle outside the sincos TFB's
+        range, and the SampleError of that row (None when every row passes).
+        """
+        columns = theta.T
+        lo, hi = self._angle_range
+        # NaN fails the test too.
+        inside = ((lo <= columns) & (columns <= hi)).all(axis=0)
+        error = None
+        if not inside.all():
+            k = int(inside.argmin())
+            columns, error = columns[:, :k], _exception(self._angles, theta[k].tolist())
+        out = _jacobian_circuit(_HybridColumns(self.cordic), g._f32, columns)
+        return np.array(out, float).T, error
+
+    def run_block(self, circuit, vector, *operands):
+        """``Oracle.run_block`` on float32 copies of the operands, cast once
+        per operand block."""
+        return _run_block(np.float32, circuit, vector, operands)
+
+
+@dataclass(frozen=True)
+class _HybridColumns:
+    """The hybrid arithmetic policy over float32 columns, for the circuits
+    that need only ``sincos``: the sincos TFB mapped over a column of angles.
+    """
+
+    cordic: CordicConfig
+
+    def sincos(self, angles: np.ndarray):
+        # Looked up as a module name on every call, as in `Hybrid.sincos`.
+        cfg = self.cordic
+        pairs = [tfb_sincos(a, cfg) for a in angles.tolist()]
+        return np.array(pairs, np.float32).reshape(-1, 2).T
 
 
 ORACLE = Oracle()

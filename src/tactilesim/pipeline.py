@@ -7,7 +7,8 @@ arithmetic.
 Validation methodology: when a shadow backend is requested, the driving
 backend computes the signal chain, and after the loop the shadow backend is
 evaluated module by module on the same per-module inputs, read back from the
-recorded chain.  The resulting per-module output pairs differ only by the
+recorded chain: FK and IK per sample, FBF and KFF once per block of samples
+over its columns.  The resulting per-module output pairs differ only by the
 datapath arithmetic, which is what the hardware-vs-golden comparison
 measures; a cascaded comparison would re-measure upstream error at every
 stage and say nothing about the module under test.
@@ -24,7 +25,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from tactilesim.channel import ChannelConfig, ChannelState, channel_step
-from tactilesim.force import Elasticity, ForceVector, feedback_force, kinesthetic_feedback
+from tactilesim.force import (
+    Elasticity,
+    ForceVector,
+    feedback_force,
+    feedback_force_block,
+    kinesthetic_feedback,
+    kinesthetic_feedback_block,
+)
 from tactilesim.kinematics import (
     CartesianPosition,
     DEFAULT_GEOMETRY,
@@ -411,6 +419,25 @@ def _columns(names: tuple[str, ...], first: str) -> slice:
 _SHADOW_BLOCK = 256
 
 
+def _row_by_row(fn, *consts):
+    """A stage of the shadow pass that calls ``fn`` on each row of its
+    operand blocks, with ``consts`` after the row's operands.  It returns, as
+    the block functions of ``tactilesim.force`` do, the results before the
+    first failing row and that row's exception (None when no row fails)."""
+
+    def stage(*blocks):
+        results = []
+        append = results.append
+        try:
+            for operands in zip(*[block.tolist() for block in blocks]):
+                append(fn(*operands, *consts))
+        except Exception as exc:
+            return results, exc
+        return results, None
+
+    return stage
+
+
 def _shadow_pass(
     table: np.ndarray,
     rows: int,
@@ -426,34 +453,37 @@ def _shadow_pass(
     The table holds the chain signals as the driver passed them on, so each
     module sees the inputs it had inside the loop.  The pass runs
     ``_SHADOW_BLOCK`` rows at a time, one module over the whole block before
-    the next, through the module's public function.  A module that fails at
-    a sample stops there, and later modules run only on the samples before
-    it; the first failing sample is raised, the earlier module first.
+    the next.  FK master, IK and FK slave call the module's public function
+    per sample; FBF and KFF make one call per block, over the block's
+    columns (``feedback_force_block``, ``kinesthetic_feedback_block``).  A
+    module that fails at a sample stops there, and later modules run only
+    on the samples before it; the first failing sample is raised, the
+    earlier module first.
     """
     chain = partial(_columns, COLUMN_ORDER)
     module = partial(_columns, MODULE_OUTPUT_SIGNALS)
-    # Per module, in evaluation order: the function, the signals of its
-    # per-sample operands, its constant operand and its output signal.
+    # Per module, in evaluation order: the stage, the signals of its
+    # per-sample operands and its output signal.
+    fk = _row_by_row(forward_kinematics, geometry, shadow)
+    ik = _row_by_row(inverse_kinematics, geometry, shadow)
+    fbf = partial(feedback_force_block, h=elasticity, backend=shadow)
+    kff = partial(kinesthetic_feedback_block, g=geometry, backend=shadow)
     stages = (
-        (forward_kinematics, (chain("b1"),), geometry, module("c_x")),
-        (inverse_kinematics, (chain("v_x"),), geometry, module("theta_hsd_1")),
-        (forward_kinematics, (chain("theta_sd_1"),), geometry, module("l_x")),
-        (feedback_force, (chain("s_obj_x"), chain("l_x")), elasticity, module("h_x")),
-        (kinesthetic_feedback, (chain("b1"), chain("q_x")), geometry, module("p_1")),
+        (fk, (chain("b1"),), module("c_x")),
+        (ik, (chain("v_x"),), module("theta_hsd_1")),
+        (fk, (chain("theta_sd_1"),), module("l_x")),
+        (fbf, (chain("s_obj_x"), chain("l_x")), module("h_x")),
+        (kff, (chain("b1"), chain("q_x")), module("p_1")),
     )
     for start in range(0, rows, _SHADOW_BLOCK):
         stop = min(start + _SHADOW_BLOCK, rows)
         error = None
-        for fn, inputs, const, output in stages:
+        for stage, inputs, output in stages:
             block = table[start:stop]
-            results = []
-            append = results.append
-            try:
-                for operands in zip(*[block[:, cols].tolist() for cols in inputs]):
-                    append(fn(*operands, const, shadow))
-            except Exception as exc:
+            results, exc = stage(*[block[:, cols] for cols in inputs])
+            if exc is not None:
                 stop, error = start + len(results), exc
-            if results:
+            if len(results):
                 out[start:stop, output] = results
         if error is not None:
             _raise_at(error, stop)

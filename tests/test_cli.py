@@ -220,6 +220,30 @@ def test_any_leaf_replacement_ends_cleanly(path, value):
             "runtime error: sample 0: tau1 must be finite",
         ),
         ({("scene", "offset"): -1e308}, 2, "runtime error: sample 0: fx must be finite"),
+        # A contact depth of about 1e37 m: the float32 spring-law multiply
+        # overflows.  At 1e39 m the float32 cast of the positions does.  The
+        # dual run's hybrid shadow takes the block path, a hybrid-only run
+        # the per-sample one.
+        (
+            {("scene", "offset"): -1e37, ("backends",): ["oracle", "hybrid"]},
+            2,
+            "runtime error: sample 0: fx must be finite",
+        ),
+        (
+            {("scene", "offset"): -1e37, ("backends",): ["hybrid"]},
+            2,
+            "runtime error: sample 0: fx must be finite",
+        ),
+        (
+            {("scene", "offset"): -1e39, ("backends",): ["oracle", "hybrid"]},
+            2,
+            "runtime error: sample 0: fx must be finite",
+        ),
+        (
+            {("scene", "offset"): -1e39, ("backends",): ["hybrid"]},
+            2,
+            "runtime error: sample 0: fx must be finite",
+        ),
         (
             {("trajectory", "segments", 0, "start"): 1e308,
              ("trajectory", "segments", 0, "end"): -1e308},
@@ -228,7 +252,9 @@ def test_any_leaf_replacement_ends_cleanly(path, value):
         ),
     ],
     ids=["iterations", "format", "t_hardware", "t_latency_limits", "normal", "elasticity",
-         "geometry", "long_links", "short_link", "hold", "offset", "segment"],
+         "geometry", "long_links", "short_link", "hold", "offset",
+         "offset-f32-multiply-dual", "offset-f32-multiply-hybrid",
+         "offset-f32-cast-dual", "offset-f32-cast-hybrid", "segment"],
 )
 def test_huge_and_tiny_values_end_cleanly(changes, code, message, tmp_path, capsys):
     # Finite values whose arithmetic overflows: a configuration error names

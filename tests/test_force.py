@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import sample_workspace_poses
@@ -11,8 +11,10 @@ from tactilesim.force import (
     ForceVector,
     JacobianMatrix,
     feedback_force,
+    feedback_force_block,
     jacobian,
     kinesthetic_feedback,
+    kinesthetic_feedback_block,
 )
 from tactilesim.kinematics import (
     CartesianPosition,
@@ -22,6 +24,7 @@ from tactilesim.kinematics import (
     ORACLE,
     forward_kinematics,
 )
+from tactilesim.numerics import CordicConfig
 
 
 def fd_jacobian(q: JointAngles, h: float = 1e-6) -> np.ndarray:
@@ -201,3 +204,106 @@ def test_oracle_shared_circuits_match_reference(obj, env, h, theta, f):
     got = kinesthetic_feedback(q, fv, backend=ORACLE)
     want = reference_torque(jacobian(q, backend=ORACLE), fv)
     assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+
+def per_sample(fn, rows, *consts):
+    """``fn`` on each row's operands: the results before the first row that
+    raises, and that row's exception (None when none raises)."""
+    out = []
+    for operands in rows:
+        try:
+            out.append(fn(*operands, *consts))
+        except Exception as exc:
+            return out, exc
+    return out, None
+
+
+@st.composite
+def _block(draw, row, failing_row):
+    """Rows of ``row``, with up to three of ``failing_row`` inserted."""
+    rows = draw(st.lists(row, max_size=40))
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(failing_row))
+    return rows
+
+
+# Near or beyond the float32 range (3.4e38), where a float32 cast or
+# product overflows; 1e303 times a spring constant of 1e6 overflows double
+# precision.
+_HUGE = st.sampled_from([1e37, -1e37, 3e38, -3e38, 1e39, -1e39, 1e303, -1e303])
+# Angles beyond the s16.13 range [-4, 4 - 2^-13] of the sincos TFB.
+_BEYOND = st.one_of(st.floats(4.0, 6.0), st.floats(-6.0, -4.0, exclude_max=True))
+
+
+def _with_one(values, special):
+    """A triple of ``values`` with one component drawn from ``special``."""
+    return st.tuples(st.integers(0, 2), _triple(*values), special).map(
+        lambda t: t[1][: t[0]] + (t[2],) + t[1][t[0] + 1 :]
+    )
+
+
+def _assert_same_outcome(got, want):
+    (got_rows, got_exc), (want_rows, want_exc) = got, want
+    assert got_rows.tobytes() == np.array(want_rows, float).reshape(-1, 3).tobytes()
+    assert type(got_exc) is type(want_exc)
+    assert str(got_exc) == str(want_exc)
+
+
+BACKENDS = {"oracle": ORACLE, "hybrid": Hybrid(CordicConfig(iterations=10))}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    rows=_block(
+        st.tuples(_triple(-10.0, 10.0), _triple(-10.0, 10.0)),
+        st.one_of(
+            st.tuples(_with_one((-10.0, 10.0), _HUGE), _triple(-10.0, 10.0)),
+            st.tuples(_triple(-10.0, 10.0), _with_one((-10.0, 10.0), _HUGE)),
+        ),
+    ),
+    h=_triple(0.0, 1e6),
+)
+def test_feedback_force_block_is_the_per_sample_function(backend, rows, h):
+    # Rows before the first failure are the per-sample forces bit for bit;
+    # the failing row raises the same exception, and nothing after it runs.
+    backend, h = BACKENDS[backend], Elasticity(*h)
+    obj = np.array([o for o, _ in rows]).reshape(-1, 3)
+    env = np.array([e for _, e in rows]).reshape(-1, 3)
+    want = per_sample(
+        feedback_force,
+        [(CartesianPosition(*o), CartesianPosition(*e)) for o, e in rows],
+        h,
+        backend,
+    )
+    _assert_same_outcome(feedback_force_block(obj, env, h, backend), want)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    rows=_block(
+        st.tuples(_triple(-3.9, 3.9), _triple(-1e3, 1e3)),
+        st.one_of(
+            st.tuples(_with_one((-3.9, 3.9), _BEYOND), _triple(-1e3, 1e3)),
+            st.tuples(_triple(-3.9, 3.9), _with_one((-1e3, 1e3), _HUGE)),
+        ),
+    )
+)
+# A hybrid torque row that overflows, before and after an angle beyond the
+# TFB range: the earlier row's exception wins.
+@example(rows=[((0.1, 0.2, 0.3), (1.0, 2.0, 3.0)), ((0.1, 0.2, 0.3), (1e39, 0.0, 0.0)),
+               ((4.5, 0.0, 0.0), (1.0, 1.0, 1.0))])
+@example(rows=[((0.1, 0.2, 0.3), (1.0, 2.0, 3.0)), ((4.5, 0.0, 0.0), (1.0, 1.0, 1.0)),
+               ((0.1, 0.2, 0.3), (1e39, 0.0, 0.0))])
+def test_kinesthetic_feedback_block_is_the_per_sample_function(backend, rows):
+    backend = BACKENDS[backend]
+    q = np.array([t for t, _ in rows]).reshape(-1, 3)
+    f = np.array([v for _, v in rows]).reshape(-1, 3)
+    want = per_sample(
+        kinesthetic_feedback,
+        [(JointAngles(*t), ForceVector(*v)) for t, v in rows],
+        DEFAULT_GEOMETRY,
+        backend,
+    )
+    _assert_same_outcome(kinesthetic_feedback_block(q, f, DEFAULT_GEOMETRY, backend), want)

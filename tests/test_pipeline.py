@@ -390,24 +390,32 @@ class TestShadowContract:
 class _Trips:
     """A shadow backend that fails a module on the operands listed for it
     in ``trips``, as (module, operand tuple) pairs; the modules are "fk",
-    "ik" and the names of the circuits that ``run`` takes."""
+    "ik" and the names of the circuits that ``run_block`` takes.  A circuit
+    trips per row, on the row's first operand, before the row is computed."""
 
-    def _check(self, module, operand):
+    def _trip(self, module, operand):
         key = (module, tuple(operand))
         if key in self.trips:
-            raise SampleError(f"{module} tripped on {key[1]}")
+            return SampleError(f"{module} tripped on {key[1]}")
+        return None
 
     def fk(self, theta, g):
-        self._check("fk", theta)
+        if error := self._trip("fk", theta):
+            raise error
         return super().fk(theta, g)
 
     def ik(self, pos, g):
-        self._check("ik", pos)
+        if error := self._trip("ik", pos):
+            raise error
         return super().ik(pos, g)
 
-    def run(self, circuit, *operands):
-        self._check(circuit.__name__, operands[0])
-        return super().run(circuit, *operands)
+    def run_block(self, circuit, vector, *operands):
+        rows, error = super().run_block(circuit, vector, *operands)
+        # The rows computed, and the failing row: a trip there comes first.
+        for k, operand in enumerate(operands[0][: len(rows) + 1].tolist()):
+            if trip := self._trip(circuit.__name__, operand):
+                return rows[:k], trip
+        return rows, error
 
 
 @dataclass(frozen=True)
@@ -487,9 +495,15 @@ class TestFirstFailureAcrossBackends:
         "block-edges": (600, {"fk_slave": 255, "ik": 256}),
         "last-sample": (None, {"kff": 702}),
     }
+    # The two block stages failing at the same sample: FBF, the earlier
+    # module, wins.
+    BLOCK_STAGE_TIES = {
+        "fbf-kff-tie": (None, {"kff": 380, "fbf": 380}),
+        "fbf-kff-tie-at-block-start": (600, {"kff": 512, "fbf": 512}),
+    }
 
     @pytest.mark.parametrize("order", ORDERS)
-    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("case", [*CASES, *BLOCK_STAGE_TIES])
     def test_the_first_failing_sample_wins(self, order, case):
         backend, base = ORDERS[order]
 
@@ -498,7 +512,7 @@ class TestFirstFailureAcrossBackends:
                 return OracleTrips(trips=trips)
             return HybridTrips(base.cordic, trips)
 
-        driver_at, stages = self.CASES[case]
+        driver_at, stages = {**self.CASES, **self.BLOCK_STAGE_TIES}[case]
         clean = run_pipeline(LONG_SPEC, Scene.default(), transparent(), transparent(), backend)
         keys = stage_keys(clean, tripping())
         trips = frozenset(keys[n][stage] for stage, n in stages.items())
