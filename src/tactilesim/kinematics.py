@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isfinite
@@ -81,17 +80,6 @@ _ACOS_BOUND = 1.0 + EPS_REACH
 #   2^39 / 2^-31 = 2^70; the float32 maximum is 2^128.
 _LINK_MAX = 2.0**16
 _COORD_MAX = 4 * _LINK_MAX
-
-# Largest operand magnitude for which `Hybrid.run` needs no np.errstate.
-# With every operand at most B = 2^62 in magnitude, the float32 cast stays
-# finite (2^62 is a float32).  In `_fbf_circuit`, |o - e| <= 2^63 and
-# |h * (o - e)| <= 2^125.  In `_torque_circuit` each product is at most
-# 2^124, so each sum is below 3 * 2^124 < 2^126.  The float32 maximum is
-# above 2^127, so nothing overflows, and without an infinity no operation is
-# invalid.  A NaN operand needs no errstate either: arithmetic on a quiet
-# NaN raises no flag.
-_RUN_QUIET_MAX = 2.0**62
-_QUIET = nullcontext()
 
 # namedtuple's own idiom: the tuple constructor without the class lookup.
 _tuple_new = tuple.__new__
@@ -280,11 +268,10 @@ class Oracle:
         theta3 = theta2 + alpha - math.pi / 2.0
         return (theta1, theta2, theta3), (big_r, r, gamma, beta, alpha)
 
-    def jacobian(self, theta, g: DeviceGeometry, sin=math.sin, cos=math.cos) -> tuple[float, ...]:
-        # `jacobian_block` evaluates the same expression over columns.
-        s1, c1 = sin(theta[0]), cos(theta[0])
-        s2, c2 = sin(theta[1]), cos(theta[1])
-        s3, c3 = sin(theta[2]), cos(theta[2])
+    def jacobian(self, theta, g: DeviceGeometry) -> tuple[float, ...]:
+        s1, c1 = math.sin(theta[0]), math.cos(theta[0])
+        s2, c2 = math.sin(theta[1]), math.cos(theta[1])
+        s3, c3 = math.sin(theta[2]), math.cos(theta[2])
         l1, l2 = g.l1, g.l2
         return (
             -c1 * (l2 * s3 + l1 * c2),
@@ -304,8 +291,7 @@ class Oracle:
     def jacobian_block(self, theta: np.ndarray, g: DeviceGeometry):
         """``jacobian`` of each row of the (m, 3) array ``theta``: an (m, 8)
         array, and no failing row (None)."""
-        sin, cos = _over_column(math.sin), _over_column(math.cos)
-        return np.array(self.jacobian(theta.T, g, sin, cos)).T, None
+        return np.array([self.jacobian(t, g) for t in theta.tolist()]).reshape(-1, 8), None
 
     def run_block(self, circuit, vector, *operands):
         """``vector(*run(circuit, *row))`` for each row of the operands, an
@@ -313,12 +299,6 @@ class Oracle:
         the first one ``vector`` refuses, as an array, and the exception of
         that row (None when every row passes)."""
         return _run_block(float, circuit, vector, operands)
-
-
-def _over_column(fn):
-    """``fn`` mapped over a column.  The oracle maps libm's sin and cos:
-    np.sin and np.cos are not guaranteed to equal them on every host."""
-    return lambda column: np.array(list(map(fn, column.tolist())))
 
 
 @dataclass(frozen=True)
@@ -401,18 +381,10 @@ class Hybrid:
     def run(self, circuit, *operands):
         """A shared circuit on float32 copies of the operands.  A value beyond
         the float32 range becomes inf, as in the datapath."""
-        flat = [v for x in operands for v in x]
-        # max() returns a NaN that comes first, which fails the test, and
-        # skips one elsewhere, which is safe (see _RUN_QUIET_MAX); it skips
-        # no value beyond the bound unless its result is a NaN.
-        if max(map(abs, flat)) <= _RUN_QUIET_MAX:
-            quiet = _QUIET
-        else:
-            quiet = np.errstate(over="ignore", invalid="ignore")
-        with quiet:
+        with np.errstate(over="ignore", invalid="ignore"):
             # One cast for every operand value; each operand takes its slice
             # of the float32 scalars.
-            values = list(np.array(flat, np.float32))
+            values = list(np.array([v for x in operands for v in x], np.float32))
             args = []
             start = 0
             for x in operands:
