@@ -96,6 +96,9 @@ class ChannelConfig:
             hold = tuple(float(v) for v in self.initial_hold)
             if len(hold) != 3:
                 raise ValueError("initial_hold must be a 3-vector")
+            # The run would otherwise fail only at its first sample.
+            if not all(map(math.isfinite, hold)):
+                raise ValueError(f"initial_hold must be finite, got {hold}")
             object.__setattr__(self, "initial_hold", hold)
 
     @cached_property

@@ -4,19 +4,23 @@ tracking, contact force synthesis, backwards channel and master torque
 rendering, plus trace recording, MSE evaluation and the latency budget
 arithmetic.
 
+The chain is feed-forward, so a run is one pass of stages over a table with
+one row per sample, a block of samples at a time, each stage over the whole
+block before the next (see ``run_pipeline``).
+
 Validation methodology: when a shadow backend is requested, the driving
-backend computes the signal chain, and after the loop the shadow backend is
-evaluated module by module on the same per-module inputs, read back from the
-recorded chain: FK and IK per sample, FBF and KFF once per block of samples
-over its columns.  The resulting per-module output pairs differ only by the
-datapath arithmetic, which is what the hardware-vs-golden comparison
-measures; a cascaded comparison would re-measure upstream error at every
-stage and say nothing about the module under test.
+backend computes the signal chain, and the shadow backend's modules are
+further stages of the same pass, evaluated on the per-module inputs the
+driver recorded in the chain.  The resulting per-module output pairs differ
+only by the datapath arithmetic, which is what the hardware-vs-golden
+comparison measures; a cascaded comparison would re-measure upstream error
+at every stage and say nothing about the module under test.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -28,11 +32,13 @@ from tactilesim.channel import ChannelConfig, ChannelState, channel_step
 from tactilesim.force import (
     Elasticity,
     ForceVector,
-    feedback_force,
     feedback_force_block,
-    kinesthetic_feedback,
     kinesthetic_feedback_block,
 )
+
+# Not called here: the benchmark's traced run spans this module's
+# `feedback_force` and `kinesthetic_feedback`, so the names must exist.
+from tactilesim.force import feedback_force, kinesthetic_feedback  # noqa: F401
 from tactilesim.kinematics import (
     CartesianPosition,
     DEFAULT_GEOMETRY,
@@ -334,149 +340,75 @@ def run_pipeline(
 
     The slave tracking is ideal by default; ``fcs_pole`` in (0, 1) enables a
     first-order lag for sensitivity studies.  With ``shadow`` set, the shadow
-    backend's modules are evaluated after the loop on the recorded chain
-    inputs (see `_shadow_pass`) and recorded alongside.
+    backend's FK master, IK, FK slave, FBF and KFF are evaluated on the chain
+    signals the driver recorded and recorded alongside.
 
-    A failing sample raises its SampleError with ``sample {n}: `` before the
-    message and ``n`` in ``sample_index``.  In a dual run that is the first
-    failing sample of either backend; at the same sample the driver's error
-    comes first, then the shadow's in module order FK master, IK, FK slave,
-    FBF, KFF.
+    Only the FCS lag and the channels carry state from one sample to the
+    next, so the run is one pass of stages, ``_BLOCK`` samples at a time:
+    the driver's FK master, forward channel, IK, FCS lag, FK slave, scene,
+    FBF, backwards channel and KFF, then the shadow's five modules.  FBF and
+    KFF make one call per block over the block's columns; the other stages
+    call their function per sample (``_row_by_row``).  A stage that fails at
+    a sample stops there, and later stages run only on the samples before
+    it.  So the run raises the first failing sample's error, at that sample
+    the earlier stage's: the driver's, then the shadow's in module order; a
+    SampleError with ``sample {n}: `` before its message and ``n`` in
+    ``sample_index``.
     """
     if not 0.0 <= fcs_pole < 1.0:
         raise ValueError("fcs_pole must lie in [0, 1)")
     traj = generate_trajectory(spec)
     q_len = spec.q
-    fc_state = ChannelState(fc)
-    bc_state = ChannelState(bc)
+    width = len(COLUMN_ORDER)
 
-    # One row per sample, one column per signal; each column becomes a trace
-    # column.  A row is one contiguous store.
-    table = np.empty((q_len, len(COLUMN_ORDER)))
+    def chain(first: str, names: tuple[str, ...] = COLUMN_ORDER, offset: int = 0) -> slice:
+        """The three table columns from ``first`` on, of the signals laid out
+        as ``names`` from column ``offset`` on."""
+        i = offset + names.index(first)
+        return slice(i, i + 3)
 
-    keep = 1.0 - fcs_pole
-    theta_sd = None
-    # The driver's first failure: the sample and its exception.
-    stop, error = q_len, None
-    for n in range(q_len):
-        try:
-            b = traj[n]
-            c = forward_kinematics(b, geometry, backend)
-            v = CartesianPosition(*channel_step(fc_state, fc, c, n))
-            theta_hsd = inverse_kinematics(v, geometry, backend)
-            if fcs_pole == 0.0 or theta_sd is None:
-                theta_sd = theta_hsd
-            else:
-                theta_sd = JointAngles(
-                    *[fcs_pole * prev + keep * cur for prev, cur in zip(theta_sd, theta_hsd)]
-                )
-            l_pos = forward_kinematics(theta_sd, geometry, backend)
-            s_obj = scene.object_position(l_pos)
-            h = feedback_force(s_obj, l_pos, scene.elasticity, backend)
-            f_in = ForceVector(*channel_step(bc_state, bc, h, n))
-            p = kinesthetic_feedback(b, f_in, geometry, backend)
-        except Exception as exc:
-            # Any exception, not only a SampleError: whichever backend fails
-            # at the earlier sample raises, as when the backends alternated.
-            stop, error = n, exc
-            break
-        # In COLUMN_ORDER.
-        table[n] = (n, *b, *c, *v, *theta_hsd, *theta_sd, *l_pos, *s_obj, *h, *f_in, *p)
+    def modules(be: Oracle | Hybrid, out: Callable[[str], slice]) -> tuple:
+        """``be``'s FK master, IK, FK slave, FBF and KFF stages, writing to
+        the columns ``out`` gives."""
+        fk = _row_by_row(forward_kinematics, geometry, be)
+        ik = _row_by_row(inverse_kinematics, geometry, be)
+        fbf = partial(feedback_force_block, h=scene.elasticity, backend=be)
+        kff = partial(kinesthetic_feedback_block, g=geometry, backend=be)
+        return (
+            (fk, (chain("b1"),), out("c_x")),
+            (ik, (chain("v_x"),), out("theta_hsd_1")),
+            (fk, (chain("theta_sd_1"),), out("l_x")),
+            (fbf, (chain("s_obj_x"), chain("l_x")), out("h_x")),
+            (kff, (chain("b1"), chain("q_x")), out("p_1")),
+        )
 
-    shadow_table = None
+    surface = _row_by_row(lambda tool: scene.object_position(CartesianPosition(*tool)))
+    # Per stage, in evaluation order: the stage, the table columns of its
+    # operands (0: the sample index n) and its output columns.  The shadow's
+    # modules see the chain signals as the driver passed them on.
+    fk_master, ik, fk_slave, fbf, kff = modules(backend, chain)
+    stages = [
+        fk_master,
+        (_channel(fc, CartesianPosition), (chain("c_x"), 0), chain("v_x")),
+        ik,
+        (_lag(fcs_pole), (chain("theta_hsd_1"),), chain("theta_sd_1")),
+        fk_slave,
+        (surface, (chain("l_x"),), chain("s_obj_x")),
+        fbf,
+        (_channel(bc, ForceVector), (chain("h_x"), 0), chain("q_x")),
+        kff,
+    ]
     if shadow is not None:
-        # The shadow's samples before the driver's failure come first: one of
-        # them may fail earlier.
-        shadow_table = np.empty((q_len, len(MODULE_OUTPUT_SIGNALS)))
-        _shadow_pass(table, stop, shadow, scene.elasticity, geometry, shadow_table)
-    if error is not None:
-        _raise_at(error, stop)
+        stages += modules(shadow, partial(chain, names=MODULE_OUTPUT_SIGNALS, offset=width))
 
-    return SimulationTrace(
-        q=q_len,
-        sample_period=spec.sample_period,
-        driver=backend.name,
-        shadow=None if shadow is None else shadow.name,
-        signals=dict(zip(COLUMN_ORDER, table.T)),
-        shadow_signals={} if shadow is None else dict(zip(MODULE_OUTPUT_SIGNALS, shadow_table.T)),
-    )
-
-
-def _raise_at(exc: Exception, n: int):
-    """Raise ``exc``, a SampleError as one that names sample ``n``."""
-    if isinstance(exc, SampleError):
-        raise type(exc)(f"sample {n}: {exc}", sample_index=n) from exc
-    raise exc
-
-
-def _columns(names: tuple[str, ...], first: str) -> slice:
-    """The three columns from ``first`` on in a table laid out as ``names``."""
-    i = names.index(first)
-    return slice(i, i + 3)
-
-
-# Rows per block of the shadow pass.
-_SHADOW_BLOCK = 256
-
-
-def _row_by_row(fn, *consts):
-    """A stage of the shadow pass that calls ``fn`` on each row of its
-    operand blocks, with ``consts`` after the row's operands.  It returns, as
-    the block functions of ``tactilesim.force`` do, the results before the
-    first failing row and that row's exception (None when no row fails)."""
-
-    def stage(*blocks):
-        results = []
-        append = results.append
-        try:
-            for operands in zip(*[block.tolist() for block in blocks]):
-                append(fn(*operands, *consts))
-        except Exception as exc:
-            return results, exc
-        return results, None
-
-    return stage
-
-
-def _shadow_pass(
-    table: np.ndarray,
-    rows: int,
-    shadow: Oracle | Hybrid,
-    elasticity: Elasticity,
-    geometry: DeviceGeometry,
-    out: np.ndarray,
-) -> None:
-    """Evaluate the shadow's modules on the chain signals of the first
-    ``rows`` rows of ``table`` and write their outputs to ``out``, in
-    ``MODULE_OUTPUT_SIGNALS`` order.
-
-    The table holds the chain signals as the driver passed them on, so each
-    module sees the inputs it had inside the loop.  The pass runs
-    ``_SHADOW_BLOCK`` rows at a time, one module over the whole block before
-    the next.  FK master, IK and FK slave call the module's public function
-    per sample; FBF and KFF make one call per block, over the block's
-    columns (``feedback_force_block``, ``kinesthetic_feedback_block``).  A
-    module that fails at a sample stops there, and later modules run only
-    on the samples before it; the first failing sample is raised, the
-    earlier module first.
-    """
-    chain = partial(_columns, COLUMN_ORDER)
-    module = partial(_columns, MODULE_OUTPUT_SIGNALS)
-    # Per module, in evaluation order: the stage, the signals of its
-    # per-sample operands and its output signal.
-    fk = _row_by_row(forward_kinematics, geometry, shadow)
-    ik = _row_by_row(inverse_kinematics, geometry, shadow)
-    fbf = partial(feedback_force_block, h=elasticity, backend=shadow)
-    kff = partial(kinesthetic_feedback_block, g=geometry, backend=shadow)
-    stages = (
-        (fk, (chain("b1"),), module("c_x")),
-        (ik, (chain("v_x"),), module("theta_hsd_1")),
-        (fk, (chain("theta_sd_1"),), module("l_x")),
-        (fbf, (chain("s_obj_x"), chain("l_x")), module("h_x")),
-        (kff, (chain("b1"), chain("q_x")), module("p_1")),
-    )
-    for start in range(0, rows, _SHADOW_BLOCK):
-        stop = min(start + _SHADOW_BLOCK, rows)
+    # One row per sample: the chain signals and the driver's module outputs
+    # in COLUMN_ORDER, then the shadow's in MODULE_OUTPUT_SIGNALS order.
+    table = np.empty((q_len, width + (0 if shadow is None else len(MODULE_OUTPUT_SIGNALS))))
+    for start in range(0, q_len, _BLOCK):
+        stop = min(start + _BLOCK, q_len)
+        table[start:stop, 0] = range(start, stop)
+        flat = list(itertools.chain.from_iterable(traj[start:stop]))
+        table[start:stop, chain("b1")] = np.reshape(flat, (-1, 3))
         error = None
         for stage, inputs, output in stages:
             block = table[start:stop]
@@ -484,9 +416,76 @@ def _shadow_pass(
             if exc is not None:
                 stop, error = start + len(results), exc
             if len(results):
-                out[start:stop, output] = results
+                table[start:stop, output] = results
+        if isinstance(error, SampleError):
+            raise type(error)(f"sample {stop}: {error}", sample_index=stop) from error
         if error is not None:
-            _raise_at(error, stop)
+            raise error
+
+    return SimulationTrace(
+        q=q_len,
+        sample_period=spec.sample_period,
+        driver=backend.name,
+        shadow=None if shadow is None else shadow.name,
+        signals=dict(zip(COLUMN_ORDER, table.T)),
+        shadow_signals=dict(zip(MODULE_OUTPUT_SIGNALS, table.T[width:])),
+    )
+
+
+# Samples per block of the stage pass.
+_BLOCK = 256
+
+
+def _row_by_row(fn, *consts):
+    """A stage that calls ``fn`` on each row of its operand blocks, with
+    ``consts`` after the row's operands, and takes three values from each
+    call.  It returns, as the block functions of ``tactilesim.force`` do, an
+    (m, 3) array of the results before the first failing row and that row's
+    exception (None when no row fails)."""
+
+    def stage(*blocks):
+        # A flat list: numpy converts a list of tuples three times slower.
+        flat = []
+        extend = flat.extend
+        try:
+            for operands in zip(*[block.tolist() for block in blocks]):
+                extend(fn(*operands, *consts))
+        except Exception as exc:
+            return np.reshape(flat, (-1, 3)), exc
+        return np.reshape(flat, (-1, 3)), None
+
+    return stage
+
+
+def _channel(cfg: ChannelConfig, vector: type):
+    """The stage of one channel: ``channel_step`` per row, on the row's signal
+    and its sample index ``n``, with the output checked as ``vector``."""
+    state = ChannelState(cfg)
+
+    def step(sample, n):
+        return vector(*channel_step(state, cfg, sample, int(n)))
+
+    return _row_by_row(step)
+
+
+def _lag(pole: float):
+    """The stage of the slave tracking: theta_sd = theta_hsd, or with a pole
+    the first-order lag pole * theta_sd(n - 1) + (1 - pole) * theta_hsd(n),
+    which starts at theta_hsd(0) and carries theta_sd across blocks."""
+    if pole == 0.0:
+        return lambda theta: (theta, None)
+    keep = 1.0 - pole
+    prev = None
+
+    def lag(theta):
+        nonlocal prev
+        if prev is None:
+            prev = theta
+        else:
+            prev = JointAngles(*[pole * p + keep * cur for p, cur in zip(prev, theta)])
+        return prev
+
+    return _row_by_row(lag)
 
 
 def compute_mse(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:

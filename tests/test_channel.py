@@ -37,6 +37,13 @@ class TestConfig:
             with pytest.raises(ValueError, match="^noise_variance must be finite"):
                 ChannelConfig(noise_variance=nv)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_hold_rejected(self, bad):
+        # A non-finite hold used to fail the run only at sample 0, as a
+        # NonFiniteSignal from the channel's output.
+        with pytest.raises(ValueError, match="^initial_hold must be finite"):
+            ChannelConfig(initial_hold=(bad, 0.0, 0.0), delay=ConstantDelay(2))
+
     def test_delay_validation(self):
         with pytest.raises(ValueError):
             ConstantDelay(-1)

@@ -121,6 +121,22 @@ class TestScene:
         with pytest.raises(ValueError, match="finite nonzero norm"):
             Scene.contact_plane((1e308, 1e308, 0.0), 0.0, Elasticity(1, 1, 1))
 
+    def test_run_hands_the_surface_a_cartesian_position(self):
+        # A user surface may read the tool's fields by name: here a floor
+        # the tool sinks below during the final segment.
+        seen = set()
+
+        def floor(tool):
+            seen.add(type(tool))
+            return CartesianPosition(tool.x, tool.y, max(tool.z, -0.1))
+
+        scene = Scene(Elasticity(80.0, 80.0, 80.0), floor)
+        trace = run_pipeline(TrajectorySpec.default(), scene, transparent(), transparent(), ORACLE)
+        assert seen == {CartesianPosition}
+        s_obj, l_pos = chain_rows(trace, "s_obj_x"), chain_rows(trace, "l_x")
+        assert s_obj == [floor(CartesianPosition(*tool)) for tool in l_pos]
+        assert any(s != tool for s, tool in zip(s_obj, l_pos)), "no contact sample"
+
 
 class TestBudget:
     def test_hardware_time_limit_exact(self):
@@ -327,7 +343,7 @@ class TestRunPipeline:
             assert abs(trace.signals[k][600] - trace.shadow_signals[k][600]) <= 1e-12
 
 
-# Longer than one block of the shadow pass and not a multiple of it.
+# Longer than one block of the stage pass and not a multiple of it.
 LONG_SPEC = TrajectorySpec(
     segments=(
         TrajectorySegment(0, 0.0, math.pi / 2, 250),
@@ -388,10 +404,11 @@ class TestShadowContract:
 
 
 class _Trips:
-    """A shadow backend that fails a module on the operands listed for it
-    in ``trips``, as (module, operand tuple) pairs; the modules are "fk",
-    "ik" and the names of the circuits that ``run_block`` takes.  A circuit
-    trips per row, on the row's first operand, before the row is computed."""
+    """A backend that fails a module on the operands listed for it in
+    ``trips``, as (module, operand tuple) pairs; the modules are "fk", "ik"
+    and the names of the circuits that ``run`` and ``run_block`` take.  A
+    circuit trips per row, on the row's first operand, before the row is
+    computed."""
 
     def _trip(self, module, operand):
         key = (module, tuple(operand))
@@ -408,6 +425,11 @@ class _Trips:
         if error := self._trip("ik", pos):
             raise error
         return super().ik(pos, g)
+
+    def run(self, circuit, *operands):
+        if error := self._trip(circuit.__name__, operands[0]):
+            raise error
+        return super().run(circuit, *operands)
 
     def run_block(self, circuit, vector, *operands):
         rows, error = super().run_block(circuit, vector, *operands)
@@ -426,6 +448,13 @@ class OracleTrips(_Trips, Oracle):
 @dataclass(frozen=True)
 class HybridTrips(_Trips, Hybrid):
     trips: frozenset = frozenset()
+
+
+def tripping(base, trips=frozenset()):
+    """A backend with ``base``'s arithmetic that trips on ``trips``."""
+    if base is ORACLE:
+        return OracleTrips(trips=trips)
+    return HybridTrips(base.cordic, trips)
 
 
 class FailingSurface:
@@ -469,12 +498,12 @@ def stage_keys(trace, shadow):
     ]
 
 
-def first_failure(keys, trips, driver_at):
+def first_failure(keys, trips, driver_at, driver_message="surface tripped"):
     """(sample, message) of the first failure in sample order: at each
     sample the driver's, then the shadow's modules in module order."""
     for n, sample_keys in enumerate(keys):
         if n == driver_at:
-            return n, "surface tripped"
+            return n, driver_message
         for module, operand in sample_keys.values():
             if (module, operand) in trips:
                 return n, f"{module} tripped on {operand}"
@@ -484,7 +513,7 @@ def first_failure(keys, trips, driver_at):
 class TestFirstFailureAcrossBackends:
     # Each case: the driver's failing sample (None: it runs through) and the
     # sample at which each listed shadow module trips.  256 rows make one
-    # block of the shadow pass.
+    # block of the stage pass.
     CASES = {
         "shadow-earlier": (400, {"ik": 300}),
         "driver-earlier": (100, {"fk_slave": 300}),
@@ -506,21 +535,64 @@ class TestFirstFailureAcrossBackends:
     @pytest.mark.parametrize("case", [*CASES, *BLOCK_STAGE_TIES])
     def test_the_first_failing_sample_wins(self, order, case):
         backend, base = ORDERS[order]
-
-        def tripping(trips=frozenset()):
-            if base is ORACLE:
-                return OracleTrips(trips=trips)
-            return HybridTrips(base.cordic, trips)
-
         driver_at, stages = {**self.CASES, **self.BLOCK_STAGE_TIES}[case]
         clean = run_pipeline(LONG_SPEC, Scene.default(), transparent(), transparent(), backend)
-        keys = stage_keys(clean, tripping())
+        keys = stage_keys(clean, tripping(base))
         trips = frozenset(keys[n][stage] for stage, n in stages.items())
         n, message = first_failure(keys, trips, driver_at)
-        shadow = tripping(trips)
+        shadow = tripping(base, trips)
         scene = Scene(Scene.default().elasticity, FailingSurface(driver_at))
         with pytest.raises(SampleError) as err:
             run_pipeline(LONG_SPEC, scene, transparent(), transparent(), backend, shadow=shadow)
+        assert str(err.value) == f"sample {n}: {message}"
+        assert err.value.sample_index == n
+
+    # Each case: the driver's failing stage and sample, the sample at which
+    # each listed shadow module trips, and which backend's error the run
+    # raises: the driver's at its sample, or the shadow's one sample before.
+    # The driver's FBF and KFF trip in their block stages; "bc" is the
+    # backwards channel's channel_step.
+    DRIVER_STAGE_CASES = {
+        "driver-fbf-ties": ("fbf", 302, {"ik": 302}, "driver"),
+        "driver-kff-ties-at-block-end": ("kff", 255, {"kff": 255, "fbf": 302}, "driver"),
+        "driver-bc-ties-at-block-start": ("bc", 256, {"fk_master": 256}, "driver"),
+        "driver-fbf-after-shadow-at-block-edge": ("fbf", 256, {"fk_slave": 255}, "shadow"),
+        "driver-kff-after-shadow": ("kff", 303, {"fbf": 302}, "shadow"),
+        "driver-bc-after-shadow-at-block-end": ("bc", 512, {"kff": 511}, "shadow"),
+        "driver-bc-after-shadow": ("bc", 303, {"ik": 302}, "shadow"),
+    }
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("case", DRIVER_STAGE_CASES)
+    def test_a_failing_driver_stage_against_the_shadow(self, order, case, monkeypatch):
+        backend, base = ORDERS[order]
+        stage, driver_at, modules, winner = self.DRIVER_STAGE_CASES[case]
+        clean = run_pipeline(LONG_SPEC, Scene.default(), transparent(), transparent(), backend)
+        keys = stage_keys(clean, tripping(base))
+        trips = frozenset(keys[n][module] for module, n in modules.items())
+        bc = transparent()
+        if stage == "bc":
+            driver, driver_message = backend, "bc tripped"
+            step = pipeline.channel_step
+
+            def channel_step(state, cfg, sample, n):
+                if cfg is bc and n == driver_at:
+                    raise SampleError(driver_message)
+                return step(state, cfg, sample, n)
+
+            monkeypatch.setattr(pipeline, "channel_step", channel_step)
+        else:
+            driver_keys = [sample_keys[stage] for sample_keys in stage_keys(clean, backend)]
+            key = driver_keys[driver_at]
+            assert driver_keys.index(key) == driver_at, "the trip would fire earlier"
+            driver = tripping(backend, frozenset({key}))
+            driver_message = f"{key[0]} tripped on {key[1]}"
+        n, message = first_failure(keys, trips, driver_at, driver_message)
+        assert n == (driver_at if winner == "driver" else driver_at - 1)
+        with pytest.raises(SampleError) as err:
+            run_pipeline(
+                LONG_SPEC, Scene.default(), transparent(), bc, driver, shadow=tripping(base, trips)
+            )
         assert str(err.value) == f"sample {n}: {message}"
         assert err.value.sample_index == n
 
