@@ -11,10 +11,10 @@ successive 3-vector draws, so the block size does not change a trace.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
 from typing import Callable, Iterator
 
 import numpy as np
@@ -117,22 +117,35 @@ class ChannelConfig:
 
 class ChannelState:
     """Single-owner mutable state of one channel instance: the input history
-    ring buffer, the per-component delays and the RNG streams."""
+    ring buffer, the per-component delays, the walk bounds and the RNG
+    streams."""
 
     def __init__(self, cfg: ChannelConfig):
         depth = cfg.delay.max_delay + 1
-        self.buffer = [[0.0, 0.0, 0.0] for _ in range(depth)]
+        self.buffer = [(0.0, 0.0, 0.0)] * depth
         self.expected_n = 0
-        self.hold = None if cfg.initial_hold is None else list(cfg.initial_hold)
+        self.hold = cfg.initial_hold
         if isinstance(cfg.delay, RandomWalkDelay):
             self.delays = [cfg.delay.d_min] * 3
+            self.walk = (cfg.delay.d_min, cfg.delay.d_max)
         else:
             self.delays = [cfg.delay.delay] * 3
+            self.walk = None
         noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
         delay_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-        # One row per step as a list of Python numbers: noise draws, and walk
-        # steps of -1 or +1.  A stream that is never read never draws.
-        self.noise = _rows(lambda: noise_rng.standard_normal((_BLOCK, 3)))
+        # One row per step as a list of Python numbers: the noise terms
+        # eps_i * sigma_i, and walk steps of -1 or +1.  A stream that is never
+        # read never draws.  A noiseless component's term is -0.0, which
+        # x + (-0.0) returns as x for every x, the sign of zero included; a
+        # channel with no noisy component draws no noise.
+        sigma = cfg._noise_sigma
+        if sigma is None:
+            self.noise = itertools.repeat((-0.0, -0.0, -0.0))
+        else:
+            noisy = np.array(sigma) > 0
+            self.noise = _rows(
+                lambda: np.where(noisy, noise_rng.standard_normal((_BLOCK, 3)) * sigma, -0.0)
+            )
         self.steps = _rows(lambda: 2 * delay_rng.integers(0, 2, (_BLOCK, 3)) - 1)
 
 
@@ -153,46 +166,48 @@ def channel_step(
 
     out_i = in_i(n - d_i(n)) + r_i(n), with r_i drawn from N(0, sigma_i^2).
     Before the first delayed sample is available the component emits the hold
-    value exactly (no noise).  ``n`` must increase by one per call.
+    value exactly (no noise).  ``n`` must increase by one per call.  ``state``
+    holds everything the step reads of ``cfg``.
     """
     if n != state.expected_n:
         raise OutOfOrderSample(f"expected sample {state.expected_n}, got {n}")
     state.expected_n = n + 1
 
-    x = list(map(float, sample))
-    if len(x) != 3:
-        raise ValueError("sample must be a 3-vector")
-    if state.hold is None:
-        state.hold = x
+    try:
+        x0, x1, x2 = sample
+    except ValueError:
+        raise ValueError("sample must be a 3-vector") from None
+    x = (float(x0), float(x1), float(x2))
+    hold = state.hold
+    if hold is None:
+        hold = state.hold = x
 
     buffer = state.buffer
     depth = len(buffer)
     buffer[n % depth] = x
 
-    sigma = cfg._noise_sigma
-    # One row per sample keeps the noise stream aligned with the sample index
-    # regardless of delays.
-    eps = next(state.noise) if sigma is not None else None
+    # One noise row per sample keeps the noise stream aligned with the sample
+    # index regardless of delays.
+    r0, r1, r2 = next(state.noise)
+    d0, d1, d2 = state.delays
+    out = (
+        hold[0] if n < d0 else buffer[(n - d0) % depth][0] + r0,
+        hold[1] if n < d1 else buffer[(n - d1) % depth][1] + r1,
+        hold[2] if n < d2 else buffer[(n - d2) % depth][2] + r2,
+    )
 
-    out = []
-    for i, d in enumerate(state.delays):
-        k = n - d
-        if k < 0:
-            out.append(state.hold[i])
-        # Not `+ 0.0 * eps`: that would turn a -0.0 input into 0.0.
-        elif sigma is not None and sigma[i] > 0:
-            out.append(buffer[k % depth][i] + eps[i] * sigma[i])
-        else:
-            out.append(buffer[k % depth][i])
-
-    delay = cfg.delay
-    if isinstance(delay, RandomWalkDelay):
-        lo, hi = delay.d_min, delay.d_max
+    if state.walk is not None:
+        lo, hi = state.walk
+        s0, s1, s2 = next(state.steps)
+        d0 += s0
+        d1 += s1
+        d2 += s2
         # Clamped with comparisons: min() and max() calls cost three times as
         # much.
         state.delays = [
-            lo if d < lo else hi if d > hi else d
-            for d in map(add, state.delays, next(state.steps))
+            lo if d0 < lo else hi if d0 > hi else d0,
+            lo if d1 < lo else hi if d1 > hi else d1,
+            lo if d2 < lo else hi if d2 > hi else d2,
         ]
 
-    return tuple(out)
+    return out

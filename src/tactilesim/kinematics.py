@@ -6,7 +6,9 @@ that carries its own module code (``fk``, ``ik``, ``jacobian`` and ``run``,
 and the block entry points ``jacobian_block`` and ``run_block``, which take
 one row per sample):
 
-* ``Oracle``  - full double precision, the reference model.
+* ``Oracle``  - full double precision, the reference model.  Its
+  Jacobian formula is written once, over three floats or three columns:
+  ``jacobian_block`` runs it over ``np.sin``/``np.cos`` columns.
 * ``Hybrid``  - float32 arithmetic with fixed-point CORDIC trigonometry,
   matching the structure of the hardware circuits (TFB per trig term,
   float32 multipliers/adders, float32 geometry constants).
@@ -234,6 +236,29 @@ def _acos_arg_check(arg: float, what: str) -> float:
     return min(max(arg, -1.0), 1.0)
 
 
+def _oracle_jacobian(sin, cos, theta, g: DeviceGeometry) -> tuple:
+    """The oracle Jacobian without J21, in row order, for the angles
+    ``theta``: three floats with ``math.sin`` and ``math.cos``, or three
+    columns with ``np.sin`` and ``np.cos``.  The numpy operators round as
+    the float ones, and on the x86-64 hosts checked so do the numpy sine
+    and cosine, so a column gives the bits of each of its rows; the oracle
+    trace digests pin them."""
+    s1, c1 = sin(theta[0]), cos(theta[0])
+    s2, c2 = sin(theta[1]), cos(theta[1])
+    s3, c3 = sin(theta[2]), cos(theta[2])
+    l1, l2 = g.l1, g.l2
+    return (
+        -c1 * (l2 * s3 + l1 * c2),
+        l1 * s1 * s2,
+        -l2 * s1 * c3,
+        l1 * c2,
+        l2 * s3,
+        -(l1 * c2 * s1 + l2 * s3 * s1),
+        -l1 * s2 * c1,
+        l2 * c3 * c1,
+    )
+
+
 @dataclass(frozen=True)
 class Oracle:
     """Double-precision reference backend.  Its formulas are its own, not the
@@ -269,29 +294,16 @@ class Oracle:
         return (theta1, theta2, theta3), (big_r, r, gamma, beta, alpha)
 
     def jacobian(self, theta, g: DeviceGeometry) -> tuple[float, ...]:
-        s1, c1 = math.sin(theta[0]), math.cos(theta[0])
-        s2, c2 = math.sin(theta[1]), math.cos(theta[1])
-        s3, c3 = math.sin(theta[2]), math.cos(theta[2])
-        l1, l2 = g.l1, g.l2
-        return (
-            -c1 * (l2 * s3 + l1 * c2),
-            l1 * s1 * s2,
-            -l2 * s1 * c3,
-            l1 * c2,
-            l2 * s3,
-            -(l1 * c2 * s1 + l2 * s3 * s1),
-            -l1 * s2 * c1,
-            l2 * c3 * c1,
-        )
+        return _oracle_jacobian(math.sin, math.cos, theta, g)
 
     def run(self, circuit, *operands):
         """A circuit shared with the hybrid datapath, in double precision."""
         return circuit(*operands)
 
     def jacobian_block(self, theta: np.ndarray, g: DeviceGeometry):
-        """``jacobian`` of each row of the (m, 3) array ``theta``: an (m, 8)
-        array, and no failing row (None)."""
-        return np.array([self.jacobian(t, g) for t in theta.tolist()]).reshape(-1, 8), None
+        """``jacobian`` of each row of the (m, 3) array ``theta``, over its
+        columns: an (m, 8) array, and no failing row (None)."""
+        return np.array(_oracle_jacobian(np.sin, np.cos, theta.T, g)).T, None
 
     def run_block(self, circuit, vector, *operands):
         """``vector(*run(circuit, *row))`` for each row of the operands, an

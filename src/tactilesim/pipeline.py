@@ -20,7 +20,6 @@ at every stage and say nothing about the module under test.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -48,6 +47,7 @@ from tactilesim.kinematics import (
     ORACLE,
     Oracle,
     SampleError,
+    _valid_rows,
     forward_kinematics,
     inverse_kinematics,
 )
@@ -89,6 +89,12 @@ class TrajectorySegment:
             raise ValueError(f"joint must be 0, 1 or 2, got {self.joint}")
         if self.samples < 1:
             raise ValueError("segment needs at least one sample")
+        # A non-finite ramp would fail the run only at its first sample.
+        for name in ("start", "end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not math.isfinite(self.end - self.start):
+            raise ValueError(f"end - start must be finite ({self.end!r} - {self.start!r})")
 
 
 @dataclass(frozen=True)
@@ -133,28 +139,72 @@ class TrajectorySpec:
 
 def generate_trajectory(spec: TrajectorySpec) -> list[JointAngles]:
     """Sampled joint-space trajectory, one JointAngles per sample."""
-    current = [0.0, 0.0, 0.0]
+    return [JointAngles(*row) for row in _trajectory_table(spec).tolist()]
+
+
+def _trajectory_table(spec: TrajectorySpec) -> np.ndarray:
+    """The sampled trajectory as a (q, 3) array, one row of joint angles per
+    sample.  Sample k of a segment sets its joint to
+    start + (end - start) * (k / (samples - 1)), or to ``end`` when the
+    segment has one sample; the other joints hold."""
+    table = np.empty((spec.q, 3))
     # Joints start at the first value their first segment gives them; joints
     # that never move stay at zero.
-    first_seen: set[int] = set()
+    current = [0.0, 0.0, 0.0]
+    for seg in reversed(spec.segments):
+        current[seg.joint] = seg.start
+    start = 0
     for seg in spec.segments:
-        if seg.joint not in first_seen:
-            current[seg.joint] = seg.start
-            first_seen.add(seg.joint)
-    out: list[JointAngles] = []
-    for seg in spec.segments:
-        for k in range(seg.samples):
-            if seg.samples == 1:
-                current[seg.joint] = seg.end
-            else:
-                current[seg.joint] = seg.start + (seg.end - seg.start) * (
-                    k / (seg.samples - 1)
-                )
-            out.append(JointAngles(*current))
-    return out
+        rows = table[start : start + seg.samples]
+        rows[:] = current
+        if seg.samples == 1:
+            rows[:, seg.joint] = seg.end
+        else:
+            ramp = np.arange(seg.samples) / (seg.samples - 1)
+            # A sum beyond the float range becomes inf; the run refuses it as
+            # a non-finite angle at its sample.
+            with np.errstate(over="ignore"):
+                rows[:, seg.joint] = seg.start + (seg.end - seg.start) * ramp
+        current[seg.joint] = rows[-1, seg.joint]
+        start += seg.samples
+    return table
 
 
 SurfaceFn = Callable[[CartesianPosition], CartesianPosition]
+
+
+class _Surface:
+    """A built-in surface function: ``block`` maps an (m, 3) array of tool
+    positions to the nearest object points, and the per-point call is that
+    block form on one row."""
+
+    def __call__(self, tool: CartesianPosition) -> CartesianPosition:
+        return CartesianPosition(*self.block(np.array([tool], dtype=float))[0].tolist())
+
+
+class _FreeSpace(_Surface):
+    def block(self, tools: np.ndarray) -> np.ndarray:
+        return tools
+
+
+@dataclass(frozen=True, eq=False)
+class _Plane(_Surface):
+    """The plane {p : n.p = offset}, with ``normal`` the unit normal n."""
+
+    normal: np.ndarray
+    offset: float
+
+    def block(self, tools: np.ndarray) -> np.ndarray:
+        # The depth is numpy's matmul of each row with the normal, which on
+        # x86-64 rounds as numpy's dot product of a point with it, the fused
+        # multiply-add chain fma(n_z, z, fma(n_y, y, n_x * x)).  `tools @
+        # normal` differs in the last bit on about a third of points, and the
+        # golden trace digests pin those bits.
+        nvec = self.normal
+        with np.errstate(over="ignore", invalid="ignore"):
+            depth = np.matmul(tools[:, None, :], nvec[:, None])[:, 0] - self.offset
+            # NaN takes the projection too, and fails there as non-finite.
+            return np.where(depth <= 0, tools, tools - depth * nvec)
 
 
 @dataclass(frozen=True)
@@ -173,7 +223,7 @@ class Scene:
     @classmethod
     def free_space(cls, elasticity: Elasticity) -> "Scene":
         """No object anywhere: zero contact force for the whole run."""
-        return cls(elasticity=elasticity, surface=lambda tool: tool)
+        return cls(elasticity=elasticity, surface=_FreeSpace())
 
     @classmethod
     def contact_plane(
@@ -190,21 +240,10 @@ class Scene:
             norm = float(np.linalg.norm(nvec))
         if not (math.isfinite(norm) and norm > 0):
             raise ValueError(f"plane normal must have a finite nonzero norm, got {norm!r}")
-        nvec = nvec / norm
-        n_x, n_y, n_z = nvec.tolist()
-
-        def surface(tool: CartesianPosition) -> CartesianPosition:
-            # The depth stays numpy's dot product.  On x86-64 it rounds as
-            # the fused multiply-add chain fma(n_z, z, fma(n_y, y, n_x * x));
-            # a plain Python sum differs in the last bit on about 40 % of
-            # points, and the golden trace digests pin those bits.
-            depth = float(nvec.dot(tool)) - offset
-            if depth <= 0:
-                return tool
-            x, y, z = tool
-            return CartesianPosition(x - depth * n_x, y - depth * n_y, z - depth * n_z)
-
-        return cls(elasticity=elasticity, surface=surface)
+        # An infinite offset would never touch, a NaN one fail at sample 0.
+        if not math.isfinite(offset):
+            raise ValueError(f"plane offset must be finite, got {offset!r}")
+        return cls(elasticity=elasticity, surface=_Plane(nvec / norm, float(offset)))
 
     @classmethod
     def default(cls) -> "Scene":
@@ -344,12 +383,15 @@ def run_pipeline(
     signals the driver recorded and recorded alongside.
 
     Only the FCS lag and the channels carry state from one sample to the
-    next, so the run is one pass of stages, ``_BLOCK`` samples at a time:
-    the driver's FK master, forward channel, IK, FCS lag, FK slave, scene,
-    FBF, backwards channel and KFF, then the shadow's five modules.  FBF and
-    KFF make one call per block over the block's columns; the other stages
-    call their function per sample (``_row_by_row``).  A stage that fails at
-    a sample stops there, and later stages run only on the samples before
+    next, so the run is one pass of stages over a table whose trajectory
+    columns ``_trajectory_table`` fills, ``_BLOCK`` samples at a time: the
+    trajectory check, the driver's FK master, forward channel, IK, FCS lag,
+    FK slave, scene, FBF, backwards channel and KFF, then the shadow's five
+    modules.  Column stages make one call per block: the trajectory check,
+    the FCS lag (one float loop), a built-in scene's surface, FBF and KFF.
+    FK, IK and the channels call their function per sample
+    (``_row_by_row``), as does a user's surface.  A stage that fails at a
+    sample stops there, and later stages run only on the samples before
     it.  So the run raises the first failing sample's error, at that sample
     the earlier stage's: the driver's, then the shadow's in module order; a
     SampleError with ``sample {n}: `` before its message and ``n`` in
@@ -357,7 +399,6 @@ def run_pipeline(
     """
     if not 0.0 <= fcs_pole < 1.0:
         raise ValueError("fcs_pole must lie in [0, 1)")
-    traj = generate_trajectory(spec)
     q_len = spec.q
     width = len(COLUMN_ORDER)
 
@@ -382,18 +423,18 @@ def run_pipeline(
             (kff, (chain("b1"), chain("q_x")), out("p_1")),
         )
 
-    surface = _row_by_row(lambda tool: scene.object_position(CartesianPosition(*tool)))
     # Per stage, in evaluation order: the stage, the table columns of its
     # operands (0: the sample index n) and its output columns.  The shadow's
     # modules see the chain signals as the driver passed them on.
     fk_master, ik, fk_slave, fbf, kff = modules(backend, chain)
     stages = [
+        (partial(_valid_rows, JointAngles), (chain("b1"),), chain("b1")),
         fk_master,
         (_channel(fc, CartesianPosition), (chain("c_x"), 0), chain("v_x")),
         ik,
         (_lag(fcs_pole), (chain("theta_hsd_1"),), chain("theta_sd_1")),
         fk_slave,
-        (surface, (chain("l_x"),), chain("s_obj_x")),
+        (_surface(scene), (chain("l_x"),), chain("s_obj_x")),
         fbf,
         (_channel(bc, ForceVector), (chain("h_x"), 0), chain("q_x")),
         kff,
@@ -404,11 +445,10 @@ def run_pipeline(
     # One row per sample: the chain signals and the driver's module outputs
     # in COLUMN_ORDER, then the shadow's in MODULE_OUTPUT_SIGNALS order.
     table = np.empty((q_len, width + (0 if shadow is None else len(MODULE_OUTPUT_SIGNALS))))
+    table[:, 0] = np.arange(q_len)
+    table[:, chain("b1")] = _trajectory_table(spec)
     for start in range(0, q_len, _BLOCK):
         stop = min(start + _BLOCK, q_len)
-        table[start:stop, 0] = range(start, stop)
-        flat = list(itertools.chain.from_iterable(traj[start:stop]))
-        table[start:stop, chain("b1")] = np.reshape(flat, (-1, 3))
         error = None
         for stage, inputs, output in stages:
             block = table[start:stop]
@@ -459,13 +499,23 @@ def _row_by_row(fn, *consts):
 
 def _channel(cfg: ChannelConfig, vector: type):
     """The stage of one channel: ``channel_step`` per row, on the row's signal
-    and its sample index ``n``, with the output checked as ``vector``."""
-    state = ChannelState(cfg)
+    and its sample index ``n``, with the output rows checked as ``vector``."""
+    steps = _row_by_row(partial(channel_step, ChannelState(cfg), cfg))
 
-    def step(sample, n):
-        return vector(*channel_step(state, cfg, sample, int(n)))
+    def stage(signal, n):
+        out, error = steps(signal, n.astype(int))
+        rows, bad = _valid_rows(vector, out)
+        return rows, error if bad is None else bad
 
-    return _row_by_row(step)
+    return stage
+
+
+def _surface(scene: Scene):
+    """The stage of the scene: the block form of a built-in surface, checked
+    as positions, or a user's surface per row."""
+    if isinstance(scene.surface, _Surface):
+        return lambda tools: _valid_rows(CartesianPosition, scene.surface.block(tools))
+    return _row_by_row(lambda tool: scene.object_position(CartesianPosition(*tool)))
 
 
 def _lag(pole: float):
@@ -479,13 +529,24 @@ def _lag(pole: float):
 
     def lag(theta):
         nonlocal prev
+        rows = theta.tolist()
+        # An earlier stage that fails at the block's first row leaves none.
+        if not rows:
+            return theta, None
+        flat = []
         if prev is None:
-            prev = theta
-        else:
-            prev = JointAngles(*[pole * p + keep * cur for p, cur in zip(prev, theta)])
-        return prev
+            prev = rows.pop(0)
+            flat += prev
+        p1, p2, p3 = prev
+        for t1, t2, t3 in rows:
+            p1 = pole * p1 + keep * t1
+            p2 = pole * p2 + keep * t2
+            p3 = pole * p3 + keep * t3
+            flat += p1, p2, p3
+        prev = p1, p2, p3
+        return _valid_rows(JointAngles, np.reshape(flat, (-1, 3)))
 
-    return _row_by_row(lag)
+    return lag
 
 
 def compute_mse(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:

@@ -1,4 +1,5 @@
 import math
+from operator import add
 
 import numpy as np
 import pytest
@@ -213,3 +214,118 @@ def test_step_returns_a_tuple_of_floats(cfg):
         out = channel_step(state, cfg, sample, n)
         assert type(out) is tuple and len(out) == 3
         assert all(type(v) is float for v in out)
+
+
+class LoopState:
+    """The channel state the loop-form step reads: lists for the ring
+    buffer, the hold and the delays, and raw standard-normal noise rows."""
+
+    def __init__(self, cfg: ChannelConfig):
+        depth = cfg.delay.max_delay + 1
+        self.buffer = [[0.0, 0.0, 0.0] for _ in range(depth)]
+        self.expected_n = 0
+        self.hold = None if cfg.initial_hold is None else list(cfg.initial_hold)
+        if isinstance(cfg.delay, RandomWalkDelay):
+            self.delays = [cfg.delay.d_min] * 3
+        else:
+            self.delays = [cfg.delay.delay] * 3
+        noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
+        delay_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
+        self.noise = channel._rows(lambda: noise_rng.standard_normal((channel._BLOCK, 3)))
+        self.steps = channel._rows(lambda: 2 * delay_rng.integers(0, 2, (channel._BLOCK, 3)) - 1)
+
+
+def loop_channel_step(state: LoopState, cfg: ChannelConfig, sample, n: int):
+    """The step as a loop over the components, as it was written before the
+    straight-line form; the reference that form must reproduce."""
+    if n != state.expected_n:
+        raise OutOfOrderSample(f"expected sample {state.expected_n}, got {n}")
+    state.expected_n = n + 1
+
+    x = list(map(float, sample))
+    if len(x) != 3:
+        raise ValueError("sample must be a 3-vector")
+    if state.hold is None:
+        state.hold = x
+
+    buffer = state.buffer
+    depth = len(buffer)
+    buffer[n % depth] = x
+
+    sigma = cfg._noise_sigma
+    eps = next(state.noise) if sigma is not None else None
+
+    out = []
+    for i, d in enumerate(state.delays):
+        k = n - d
+        if k < 0:
+            out.append(state.hold[i])
+        elif sigma is not None and sigma[i] > 0:
+            out.append(buffer[k % depth][i] + eps[i] * sigma[i])
+        else:
+            out.append(buffer[k % depth][i])
+
+    delay = cfg.delay
+    if isinstance(delay, RandomWalkDelay):
+        lo, hi = delay.d_min, delay.d_max
+        state.delays = [
+            lo if d < lo else hi if d > hi else d
+            for d in map(add, state.delays, next(state.steps))
+        ]
+    return tuple(out)
+
+
+STEP_CONFIGS = {
+    "transparent": ChannelConfig.transparent(),
+    "constant-noisy": ChannelConfig(noise_variance=1e-4, delay=ConstantDelay(2), seed=3),
+    "constant-quiet-hold": ChannelConfig(
+        delay=ConstantDelay(4), seed=4, initial_hold=(0.5, -0.0, -0.25)
+    ),
+    "walk-noisy": ChannelConfig(noise_variance=1e-4, delay=RandomWalkDelay(0, 5), seed=5),
+    "walk-pinned": ChannelConfig(noise_variance=1e-6, delay=RandomWalkDelay(3, 3), seed=6),
+    "walk-zero-variance-components": ChannelConfig(
+        noise_variance=(0.0, 1e-4, 0.0),
+        delay=RandomWalkDelay(1, 3),
+        seed=7,
+        initial_hold=(-0.0, 0.0, 1.5),
+    ),
+    "walk-quiet": ChannelConfig(delay=RandomWalkDelay(0, 2), seed=8),
+}
+
+
+@pytest.mark.parametrize("cfg", list(STEP_CONFIGS.values()), ids=list(STEP_CONFIGS))
+def test_step_is_the_loop_form(cfg):
+    q = 3 * channel._BLOCK + 7
+    rng = np.random.default_rng(9)
+    inputs = rng.uniform(-1, 1, (q, 3))
+    inputs[::3, 0] = -0.0
+    inputs[1::4, 1] = -0.0
+    inputs[:2, 2] = -0.0
+    state, loop = ChannelState(cfg), LoopState(cfg)
+    for n, sample in enumerate(inputs.tolist()):
+        got = channel_step(state, cfg, sample, n)
+        want = loop_channel_step(loop, cfg, sample, n)
+        assert type(got) is tuple
+        assert list(map(float.hex, got)) == list(map(float.hex, want)), n
+        assert state.delays == loop.delays
+
+
+@pytest.mark.parametrize(
+    "sample, n, message",
+    [
+        ((1.0, 2.0, 3.0), 2, "expected sample 1, got 2"),
+        ((1.0, 2.0, 3.0), 0, "expected sample 1, got 0"),
+        ((1.0, 2.0), 1, "sample must be a 3-vector"),
+        ((1.0, 2.0, 3.0, 4.0), 1, "sample must be a 3-vector"),
+    ],
+)
+def test_step_errors_are_the_loop_forms(sample, n, message):
+    cfg = STEP_CONFIGS["walk-noisy"]
+    errors = []
+    for step, state in ((channel_step, ChannelState(cfg)), (loop_channel_step, LoopState(cfg))):
+        step(state, cfg, (0.0, 0.0, 0.0), 0)
+        with pytest.raises((OutOfOrderSample, ValueError)) as err:
+            step(state, cfg, sample, n)
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == message

@@ -19,6 +19,7 @@ from tactilesim.force import (
 from tactilesim.kinematics import (
     CartesianPosition,
     DEFAULT_GEOMETRY,
+    DeviceGeometry,
     Hybrid,
     JointAngles,
     ORACLE,
@@ -307,3 +308,26 @@ def test_kinesthetic_feedback_block_is_the_per_sample_function(backend, rows):
         backend,
     )
     _assert_same_outcome(kinesthetic_feedback_block(q, f, DEFAULT_GEOMETRY, backend), want)
+
+
+_LINK = st.floats(1 / 2**16, 2.0**16)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    rows=st.lists(
+        st.tuples(*[st.one_of(st.floats(-10.0, 10.0), st.sampled_from([-0.0, 1e6, -3e15]))] * 3),
+        max_size=40,
+    ),
+    links=st.tuples(_LINK, _LINK, _LINK, _LINK),
+)
+def test_oracle_jacobian_block_is_the_per_sample_jacobian(rows, links):
+    # np.sin and np.cos over a column give math.sin and math.cos of each
+    # row, and the column operators the float ones, bit for bit.
+    g = DeviceGeometry(*links)
+    table = np.zeros((len(rows), 5))
+    table[:, 1:4] = np.array(rows).reshape(-1, 3)
+    got, error = ORACLE.jacobian_block(table[:, 1:4], g)
+    assert error is None
+    want = np.array([ORACLE.jacobian(row, g) for row in rows]).reshape(-1, 8)
+    assert got.tobytes() == want.tobytes()

@@ -59,6 +59,14 @@ def test_long_oracle_outputs(tmp_path, capsys):
     assert run_outputs(scenario, tmp_path / "out") == DIGESTS["long_oracle@500"]["0"]["cli"]
 
 
+@pytest.mark.parametrize("seed", [3, 11])
+def test_full_length_long_oracle_outputs(seed, tmp_path, capsys):
+    # 10^4 samples cross 39 block edges of the stage pass, against one at
+    # 500 samples.
+    scenario = load_workloads().write_long_oracle(seed, tmp_path)
+    assert run_outputs(scenario, tmp_path / "out") == DIGESTS["long_oracle"][str(seed)]["cli"]
+
+
 # The long_oracle scenario of seed 0 at 500 samples, driven by the hybrid
 # backend alone and shadowed by it, at both iteration grades: the only pins
 # of hybrid bytes under noise, a random-walk delay, FCS lag and contact.

@@ -1,9 +1,12 @@
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tactilesim import kinematics, pipeline
 from tactilesim.channel import ChannelConfig, ConstantDelay, RandomWalkDelay
@@ -79,6 +82,29 @@ class TestTrajectory:
         traj = generate_trajectory(spec)
         assert traj[0].theta2 == 0.5
 
+    @pytest.mark.parametrize("field", ["start", "end"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_ramp_rejected(self, field, bad):
+        # An infinite end used to build, and the run then failed with
+        # "theta1 must be finite" and no sample index.
+        values = {"start": 0.0, "end": 1.0, field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TrajectorySegment(0, values["start"], values["end"], 3)
+
+    def test_overflowing_ramp_rejected(self):
+        with pytest.raises(ValueError, match="^end - start must be finite"):
+            TrajectorySegment(0, -1e308, 1e308, 3)
+
+    def test_ramp_rounding_past_the_float_range_names_its_sample(self):
+        # end - start rounds down, a tie, and start + (end - start) then
+        # ties at the overflow threshold: the ramp's last angle is inf.
+        seg = TrajectorySegment(0, 3 * 2.0**970, sys.float_info.max, 2)
+        with pytest.raises(NonFiniteSignal, match="^sample 1: theta1 must be finite$") as err:
+            run_pipeline(
+                TrajectorySpec(segments=(seg,)), Scene.default(), transparent(), transparent()
+            )
+        assert err.value.sample_index == 1
+
 
 class TestScene:
     def test_free_space_never_touches(self):
@@ -112,6 +138,13 @@ class TestScene:
             depth = float(nvec @ p) - 0.01
             want = tuple(p - depth * nvec) if depth > 0 else tuple(p)
             assert got == want
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_offset_rejected(self, bad):
+        # An infinite offset used to build a plane that never touches, a NaN
+        # one a run that failed at sample 0.
+        with pytest.raises(ValueError, match="^plane offset must be finite"):
+            Scene.contact_plane((0, 0, 1.0), bad, Elasticity(1, 1, 1))
 
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
@@ -659,6 +692,228 @@ class TestCallGraph:
             "channel_step": 2,
         }
         assert counts == {key: 20 * n for key, n in per_sample.items()}
+
+
+def per_sample(fn, rows):
+    """``fn`` on each row: the results before the first row that raises, as
+    an (m, 3) array, and that row's exception (None when none raises)."""
+    out = []
+    for row in rows:
+        try:
+            out.append(tuple(fn(row)))
+        except Exception as exc:
+            return np.array(out, float).reshape(-1, 3), exc
+    return np.array(out, float).reshape(-1, 3), None
+
+
+def assert_same_outcome(got, want):
+    (got_rows, got_exc), (want_rows, want_exc) = got, want
+    assert got_rows.tobytes() == want_rows.tobytes()
+    assert type(got_exc) is type(want_exc)
+    assert str(got_exc) == str(want_exc)
+
+
+def in_wide_table(rows: np.ndarray) -> np.ndarray:
+    """``rows`` as the stage pass hands a block over: columns of a wider
+    table, not a contiguous array."""
+    table = np.zeros((len(rows), 7))
+    table[:, 2:5] = rows
+    return table[:, 2:5]
+
+
+def reference_trajectory(spec: TrajectorySpec) -> list[tuple[float, float, float]]:
+    """The trajectory one sample at a time, as the per-sample loop built it."""
+    current = [0.0, 0.0, 0.0]
+    first_seen: set[int] = set()
+    for seg in spec.segments:
+        if seg.joint not in first_seen:
+            current[seg.joint] = seg.start
+            first_seen.add(seg.joint)
+    out = []
+    for seg in spec.segments:
+        for k in range(seg.samples):
+            if seg.samples == 1:
+                current[seg.joint] = seg.end
+            else:
+                current[seg.joint] = seg.start + (seg.end - seg.start) * (
+                    k / (seg.samples - 1)
+                )
+            out.append(tuple(current))
+    return out
+
+
+_ANGLE = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([-0.0, 0.0, math.pi, -1e300, 1e300]))
+_SEGMENTS = st.lists(
+    st.builds(
+        TrajectorySegment,
+        joint=st.integers(0, 2),
+        start=_ANGLE,
+        end=_ANGLE,
+        samples=st.one_of(st.just(1), st.integers(2, 300)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(segments=_SEGMENTS)
+# One-sample segments, a joint ramped twice, and a ramp that does not end
+# on its ``end`` in the last bit.
+@example(
+    segments=[
+        TrajectorySegment(1, 0.5, -0.0, 1),
+        TrajectorySegment(0, 0.1, 0.7, 3),
+        TrajectorySegment(1, 0.2, 0.3, 1),
+        TrajectorySegment(0, -0.3, 0.1, 300),
+    ]
+)
+def test_trajectory_table_is_the_per_sample_ramp(segments):
+    spec = TrajectorySpec(segments=tuple(segments))
+    want = reference_trajectory(spec)
+    assert pipeline._trajectory_table(spec).tobytes() == np.array(want).tobytes()
+    traj = generate_trajectory(spec)
+    assert all(type(row) is JointAngles for row in traj)
+    assert np.array(traj).tobytes() == np.array(want).tobytes()
+
+
+def reference_plane(normal, offset):
+    """The plane surface per point, as it was written before its block form:
+    numpy's dot product for the depth, Python floats for the projection."""
+    nvec = np.asarray(normal, dtype=float)
+    nvec = nvec / np.linalg.norm(nvec)
+    n_x, n_y, n_z = nvec.tolist()
+
+    def surface(tool):
+        with np.errstate(over="ignore", invalid="ignore"):
+            depth = float(nvec.dot(tool)) - offset
+        if depth <= 0:
+            return tool
+        x, y, z = tool
+        return CartesianPosition(x - depth * n_x, y - depth * n_y, z - depth * n_z)
+
+    return surface
+
+
+_COORD = st.one_of(st.floats(-0.5, 0.5), st.just(-0.0))
+# Coordinates whose depth or projection leaves the float range.
+_HUGE = st.sampled_from([1.5e308, -1.5e308, 1e308, -1e308, 8e307])
+_NORMALS = st.sampled_from(
+    [(-2.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0), (0.0, 0.0, 1.0), (1.0, 1.0, 0.0), (0.0, -1.0, 0.0)]
+)
+
+
+@st.composite
+def _tools(draw):
+    """Tool rows, some of them huge, and an offset that puts one row exactly
+    on the plane when ``on_plane`` is drawn."""
+    rows = draw(st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=1, max_size=40))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(rows) - 1))
+        i = draw(st.integers(0, 2))
+        row = list(rows[k])
+        row[i] = draw(_HUGE)
+        rows[k] = tuple(row)
+    return rows
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(normal=_NORMALS, tools=_tools(), offset=st.floats(-0.3, 0.3), on_plane=st.booleans())
+# A depth of exactly 0 keeps the tool, -0.0 components included.
+@example(normal=(0.0, 0.0, 1.0), tools=[(-0.0, 0.1, 0.2)], offset=0.2, on_plane=False)
+@example(normal=(0.0, 0.0, 1.0), tools=[(-0.0, -0.0, 0.3)], offset=0.2, on_plane=False)
+# The depth overflows, then the projection is inf and inf * 0 is NaN.
+@example(normal=(1.0, 1.0, 0.0), tools=[(0.1, 0.0, 0.0), (1.5e308, 1.5e308, -0.0)],
+         offset=0.0, on_plane=False)
+def test_plane_block_is_the_per_point_surface(normal, tools, offset, on_plane):
+    if on_plane:
+        nvec = np.asarray(normal) / np.linalg.norm(normal)
+        with np.errstate(over="ignore"):
+            offset = float(nvec.dot(tools[0]))
+        if not math.isfinite(offset):
+            return
+    scene = Scene.contact_plane(normal, offset, Elasticity(1.0, 1.0, 1.0))
+    want = per_sample(reference_plane(normal, offset), tools)
+    stage = pipeline._surface(scene)
+    assert_same_outcome(stage(in_wide_table(np.array(tools))), want)
+    # The per-point call is the block form on one row.
+    rows, error = want
+    for tool, expected in zip(tools, rows.tolist()):
+        got = scene.object_position(CartesianPosition(*tool))
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+    if error is not None:
+        with pytest.raises(type(error), match=f"^{error}$"):
+            scene.object_position(tools[len(rows)])
+
+
+def test_free_space_block_is_the_identity():
+    tools = in_wide_table(np.array([(0.1, -0.0, 0.3), (-0.2, 0.0, 1e308)]))
+    rows, error = pipeline._surface(Scene.free_space(Elasticity(1.0, 1.0, 1.0)))(tools)
+    assert error is None and rows.tobytes() == tools.tobytes()
+
+
+def reference_lag(pole, thetas):
+    """The FCS lag one sample at a time, as the per-sample stage ran it; a
+    zero pole passes the angles on as they are."""
+    if pole == 0.0:
+        return np.array(thetas)
+    out, prev = [], None
+    for theta in thetas:
+        prev = theta if prev is None else [pole * p + (1.0 - pole) * t for p, t in zip(prev, theta)]
+        out.append(tuple(prev))
+    return np.array(out)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    pole=st.one_of(st.sampled_from([0.0, 0.5, 0.999, 1e-300]), st.floats(0.0, 1.0, exclude_max=True)),
+    # Across the 255/256 and 511/512 block edges.
+    q=st.sampled_from([1, 255, 256, 257, 511, 512, 513]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lag_stage_is_the_per_sample_lag(pole, q, seed):
+    thetas = np.random.default_rng(seed).uniform(-3.0, 3.0, (q, 3))
+    thetas[::7, 1] = -0.0
+    stage = pipeline._lag(pole)
+    blocks = []
+    for start in range(0, q, pipeline._BLOCK):
+        rows, error = stage(in_wide_table(thetas[start : start + pipeline._BLOCK]))
+        assert error is None
+        blocks.append(np.array(rows))
+    assert np.concatenate(blocks).tobytes() == reference_lag(pole, thetas.tolist()).tobytes()
+
+
+@pytest.mark.parametrize("pole", [0.0, 0.5])
+def test_lag_stage_passes_an_empty_block(pole):
+    stage = pipeline._lag(pole)
+    for rows in (np.empty((0, 3)), np.ones((2, 3)), np.empty((0, 3))):
+        out, error = stage(rows)
+        assert error is None and out.tobytes() == rows.tobytes()
+
+
+class TestFailureAtABlockStart:
+    # The stage before the FCS lag fails at the first row of a block, so the
+    # lag and every later stage get an empty block.
+    @pytest.mark.parametrize("at", [0, 256])
+    @pytest.mark.parametrize("module, chain_first", [("fk", "b1"), ("ik", "v_x")])
+    def test_the_run_reports_the_failing_sample(self, at, module, chain_first):
+        clean = run_pipeline(
+            LONG_SPEC, Scene.default(), transparent(), transparent(), ORACLE, fcs_pole=0.5
+        )
+        operands = chain_rows(clean, chain_first)
+        key = (module, operands[at])
+        assert operands.index(key[1]) == at, "the trip would fire earlier"
+        with pytest.raises(SampleError) as err:
+            run_pipeline(
+                LONG_SPEC,
+                Scene.default(),
+                transparent(),
+                transparent(),
+                tripping(ORACLE, frozenset({key})),
+                fcs_pole=0.5,
+            )
+        assert str(err.value) == f"sample {at}: {module} tripped on {key[1]}"
+        assert err.value.sample_index == at
 
 
 class TestTraceCsv:
