@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from array import array
+from math import isfinite
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -367,9 +368,13 @@ def tfb_atan2(y, x, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
     are scaled in double precision, where the scaling is exact even for
     subnormal operands; a float32 product would differ only where it is
     subnormal, and such values quantize to 0 in any Q-format either way.
+    A NaN or infinite operand has no direction and raises ValueError.
     """
     yf = float(y if type(y) is _F32 else _F32(y))
     xf = float(x if type(x) is _F32 else _F32(x))
+    if not (isfinite(yf) and isfinite(xf)):
+        bad = ", ".join(f"{n} = {v!r}" for n, v in (("y", yf), ("x", xf)) if not isfinite(v))
+        raise ValueError(f"tfb_atan2 operands must be finite, got {bad}")
     m = max(abs(yf), abs(xf))
     if m > 0.0:
         e = 1 - math.frexp(m)[1]

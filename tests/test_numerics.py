@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tactilesim import numerics
 from tactilesim.numerics import (
@@ -328,6 +331,143 @@ class TestTfbWrappers:
     def test_acos(self):
         a = tfb_acos(np.float32(0.5))
         assert abs(float(a) - math.acos(0.5)) <= 8 * LSB
+
+
+# Float32 values, subnormals and both zeros included.
+FLOAT32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+# One configuration per operand format the tests cover; each holds pi.
+TFB_CONFIGS = [
+    CordicConfig(iterations=6, fmt=QFormat(8, 5)),
+    CordicConfig(iterations=10, fmt=S16_13),
+    CordicConfig(iterations=16, fmt=QFormat(20, 16)),
+]
+
+
+def conditioned(y, x) -> tuple[float, float]:
+    """The operand conditioning of `tfb_atan2`: the float32 pair as doubles,
+    scaled by the common power of two that puts the larger magnitude in
+    [1, 2)."""
+    yf, xf = float(np.float32(y)), float(np.float32(x))
+    m = max(abs(yf), abs(xf))
+    if m > 0.0:
+        e = 1 - math.frexp(m)[1]
+        yf, xf = math.ldexp(yf, e), math.ldexp(xf, e)
+    return yf, xf
+
+
+def acos_operands(t) -> tuple[float, float]:
+    """The vectoring operands (sqrt(1 - t^2), t) of `tfb_acos`, the float32
+    operand clamped to [-1, 1]."""
+    tf = np.float32(min(max(float(np.float32(t)), -1.0), 1.0))
+    return float(sqrt32(np.float32(1.0) - tf * tf)), float(tf)
+
+
+def saturating_tfb(operands, cfg: CordicConfig) -> np.float32:
+    """A vectoring TFB with the saturating F2FP on its two operands."""
+    y, x = operands
+    return cfg._fp2f[cordic_atan2(float_to_fixed(y, cfg.fmt), float_to_fixed(x, cfg.fmt), cfg)]
+
+
+def assert_plain_f2fp(operands, cfg: CordicConfig) -> None:
+    """Each operand lies within +-2, so its F2FP never saturates: rounding
+    ``v * scale`` gives the raw value `float_to_fixed` gives."""
+    for v in operands:
+        assert abs(v) <= 2.0
+        assert round(v * cfg.fmt.scale) == float_to_fixed(v, cfg.fmt)
+
+
+def half_lsb(k: int, frac_bits: int) -> float:
+    """The tie (k + 1/2) LSB of a format with ``frac_bits`` fractional bits."""
+    return (2 * k + 1) * 2.0 ** (-frac_bits - 1)
+
+
+class TestTfbOperands:
+    # The atan2 and acos TFBs feed the kernel operands within +-2, which
+    # every configuration's format holds (it holds pi): their F2FP never
+    # saturates, and the TFB output is the one with the saturating F2FP.
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(y=FLOAT32, x=FLOAT32)
+    @example(y=2.0**-149, x=1.0)
+    @example(y=-(2.0**-149), x=2.0**-149)
+    @example(y=2.0**-126, x=-(2.0**-127))
+    @example(y=2.0**127, x=-(2.0**-149))
+    @example(y=1.0, x=0.0)
+    @example(y=-0.0, x=-0.0)
+    @example(y=1.0, x=half_lsb(0, 13))
+    @example(y=1.5, x=half_lsb(1, 13))
+    @example(y=-1.0, x=half_lsb(2, 13))
+    @example(y=1.0 + half_lsb(0, 13), x=-half_lsb(5, 13))
+    @example(y=1.0, x=half_lsb(0, 5))
+    @example(y=-1.75, x=half_lsb(3, 5))
+    @example(y=1.0, x=-half_lsb(0, 16))
+    @example(y=1.0 + half_lsb(0, 16), x=half_lsb(7, 16))
+    def test_atan2_operands(self, y, x):
+        operands = conditioned(y, x)
+        for cfg in TFB_CONFIGS:
+            assert_plain_f2fp(operands, cfg)
+            got = tfb_atan2(np.float32(y), np.float32(x), cfg)
+            assert got.tobytes() == saturating_tfb(operands, cfg).tobytes()
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(t=st.floats(-1.5, 1.5, width=32))
+    @example(t=1.0)
+    @example(t=-1.0)
+    @example(t=0.0)
+    @example(t=-0.0)
+    @example(t=2.0**-149)
+    @example(t=half_lsb(0, 13))
+    @example(t=-half_lsb(4, 13))
+    @example(t=1.0 - half_lsb(0, 13))
+    @example(t=half_lsb(2, 5))
+    @example(t=-(1.0 - half_lsb(0, 5)))
+    @example(t=half_lsb(9, 16))
+    def test_acos_operands(self, t):
+        operands = acos_operands(t)
+        for cfg in TFB_CONFIGS:
+            assert_plain_f2fp(operands, cfg)
+            got = tfb_acos(np.float32(t), cfg)
+            assert got.tobytes() == saturating_tfb(operands, cfg).tobytes()
+
+
+class TestNonFiniteOperands:
+    PI = np.float32(round(math.pi * 8192) / 8192)
+
+    @pytest.mark.parametrize(
+        "y, x, named",
+        [
+            (math.inf, 1.0, "y = inf"),
+            (-math.inf, 1.0, "y = -inf"),
+            (1.0, math.inf, "x = inf"),
+            (0.0, -math.inf, "x = -inf"),
+            (math.nan, 1.0, "y = nan"),
+            (1.0, math.nan, "x = nan"),
+            (math.inf, math.nan, "y = inf, x = nan"),
+        ],
+    )
+    def test_atan2_refuses_non_finite(self, y, x, named):
+        # An infinite operand has no direction: scaled alone, the finite
+        # one would give a silently wrong angle.
+        with pytest.raises(ValueError, match=re.escape(f"finite, got {named}")):
+            tfb_atan2(np.float32(y), np.float32(x))
+
+    def test_acos_nan_refused(self):
+        with pytest.raises(ValueError):
+            tfb_acos(np.float32(math.nan))
+
+    def test_acos_infinity_clamps(self):
+        assert tfb_acos(np.float32(math.inf)) == 0.0
+        assert tfb_acos(np.float32(-math.inf)) == self.PI
+
+    def test_sincos_nan_refused(self):
+        with pytest.raises(ValueError):
+            tfb_sincos(np.float32(math.nan))
+
+    def test_sincos_infinity_saturates(self):
+        # F2FP saturates the angle before the kernel reduces it.
+        for sign, edge in ((1, S16_13.max_value), (-1, S16_13.min_value)):
+            got = tfb_sincos(np.float32(sign * math.inf))
+            assert got == tfb_sincos(np.float32(edge))
 
 
 class TestFp2f:
