@@ -28,7 +28,8 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import isfinite
+from itertools import chain
+from math import acos, atan2, cos, isfinite, sin, sqrt
 
 import numpy as np
 
@@ -82,6 +83,8 @@ _ACOS_BOUND = 1.0 + EPS_REACH
 #   2^39 / 2^-31 = 2^70; the float32 maximum is 2^128.
 _LINK_MAX = 2.0**16
 _COORD_MAX = 4 * _LINK_MAX
+
+_HALF_PI = math.pi / 2.0
 
 # namedtuple's own idiom: the tuple constructor without the class lookup.
 _tuple_new = tuple.__new__
@@ -268,29 +271,39 @@ class Oracle:
     name = "oracle"
 
     def fk(self, theta, g: DeviceGeometry) -> tuple[float, float, float]:
-        s1, c1 = math.sin(theta[0]), math.cos(theta[0])
-        s2, c2 = math.sin(theta[1]), math.cos(theta[1])
-        s3, c3 = math.sin(theta[2]), math.cos(theta[2])
-        x = -s1 * (g.l2 * s3 + g.l1 * c2)
-        y = -g.l2 * c3 + g.l1 * s2 + g.l3
-        z = g.l2 * c1 * s3 + g.l1 * c1 * c2 - g.l4
+        t1, t2, t3 = theta
+        l1, l2, l3, l4 = g.l1, g.l2, g.l3, g.l4
+        s1, c1 = sin(t1), cos(t1)
+        s2, c2 = sin(t2), cos(t2)
+        s3, c3 = sin(t3), cos(t3)
+        x = -s1 * (l2 * s3 + l1 * c2)
+        y = -l2 * c3 + l1 * s2 + l3
+        z = l2 * c1 * s3 + l1 * c1 * c2 - l4
         return x, y, z
 
     def ik(self, pos, g: DeviceGeometry):
         x, y, z = pos
-        zz = z + g.l4
-        theta1 = -math.atan2(x, zz)
-        big_r = math.sqrt(x * x + zz * zz)
-        yy = y - g.l3
+        l1, l2, l3, l4 = g.l1, g.l2, g.l3, g.l4
+        zz = z + l4
+        theta1 = -atan2(x, zz)
+        big_r = sqrt(x * x + zz * zz)
+        yy = y - l3
         r_sq = x * x + zz * zz + yy * yy
-        r = _reach(math.sqrt(r_sq))
-        g_arg = _acos_arg_check((g.l1 * g.l1 - g.l2 * g.l2 + r_sq) / (2.0 * g.l1 * r), "gamma")
-        a_arg = _acos_arg_check((g.l1 * g.l1 + g.l2 * g.l2 - r_sq) / (2.0 * g.l1 * g.l2), "alpha")
-        gamma = math.acos(g_arg)
-        beta = math.atan2(yy, big_r)
-        alpha = math.acos(a_arg)
+        r = sqrt(r_sq)
+        if r == 0.0:
+            _reach(r)
+        g_arg = (l1 * l1 - l2 * l2 + r_sq) / (2.0 * l1 * r)
+        a_arg = (l1 * l1 + l2 * l2 - r_sq) / (2.0 * l1 * l2)
+        # Written to refuse NaN too.  An operand outside [-1, 1] is clamped or
+        # refused by the check, gamma's first.
+        if not (-1.0 <= g_arg <= 1.0 and -1.0 <= a_arg <= 1.0):
+            g_arg = _acos_arg_check(g_arg, "gamma")
+            a_arg = _acos_arg_check(a_arg, "alpha")
+        gamma = acos(g_arg)
+        beta = atan2(yy, big_r)
+        alpha = acos(a_arg)
         theta2 = gamma + beta
-        theta3 = theta2 + alpha - math.pi / 2.0
+        theta3 = theta2 + alpha - _HALF_PI
         return (theta1, theta2, theta3), (big_r, r, gamma, beta, alpha)
 
     def jacobian(self, theta, g: DeviceGeometry) -> tuple[float, ...]:
@@ -383,9 +396,11 @@ class Hybrid:
                         f"{name} = {v!r} m is outside the input range of the hybrid "
                         f"datapath (|{name}| <= {_COORD_MAX:g} m)"
                     )
-        f32 = np.float32
-        angles, inter = _ik_circuit(self, g._f32, (f32(x), f32(y), f32(z)))
-        return tuple(map(float, angles)), tuple(map(float, inter))
+        # One cast; indexing the array yields float32 scalars.
+        operand = np.array(pos, np.float32)
+        angles, inter = _ik_circuit(self, g._f32, (operand[0], operand[1], operand[2]))
+        t1, t2, t3 = angles
+        return (float(t1), float(t2), float(t3)), inter
 
     def jacobian(self, theta, g: DeviceGeometry) -> tuple[float, ...]:
         return tuple(map(float, _jacobian_circuit(self, g._f32, self._angles(theta))))
@@ -439,7 +454,9 @@ class _HybridColumns:
         # Looked up as a module name on every call, as in `Hybrid.sincos`.
         cfg = self.cordic
         pairs = [tfb_sincos(a, cfg) for a in angles.tolist()]
-        return np.array(pairs, np.float32).reshape(-1, 2).T
+        # fromiter copies the float32 scalars; np.array converts each tuple.
+        values = np.fromiter(chain.from_iterable(pairs), np.float32, 2 * len(pairs))
+        return values.reshape(-1, 2).T
 
 
 ORACLE = Oracle()
@@ -527,7 +544,7 @@ def ik_intermediates(
     backend: Oracle | Hybrid = ORACLE,
 ) -> IkIntermediates:
     """R, r, gamma, beta, alpha of the inverse solution for ``p``."""
-    return IkIntermediates(*backend.ik(p, g)[1])
+    return IkIntermediates(*map(float, backend.ik(p, g)[1]))
 
 
 def inverse_kinematics(

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from math import isfinite
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import isfinite
 
 import numpy as np
 
@@ -49,6 +49,9 @@ _GUARD_HALF = 1 << (_GUARD_BITS - 1)
 # holds about 10^5 entries, and the working precision (frac + guard bits)
 # fits int64 with room to spare.
 _ROM_MAX_FRAC_BITS = 16
+
+# Rows of the unit-circle ROM built at a time (see `_circle_rom`).
+_CIRCLE_CHUNK = 4096
 
 _QFORMAT_RE = re.compile(r"^s(\d+)\.(\d+)$")
 
@@ -88,6 +91,11 @@ class QFormat:
     @cached_property
     def raw_max(self) -> int:
         return (1 << (self.total_bits - 1)) - 1
+
+    @cached_property
+    def _f2fp(self) -> tuple[int, int, int]:
+        """(scale, raw_min, raw_max): what `float_to_fixed` reads."""
+        return self.scale, self.raw_min, self.raw_max
 
     @property
     def min_value(self) -> float:
@@ -159,9 +167,21 @@ class CordicConfig:
         return steps, pi_io, half_pi_io
 
     @cached_property
+    def _circle(self) -> tuple[int, array, array, array, array]:
+        """(one, low, high, base, angles) of the unit-circle ROM of the
+        vectoring-mode kernel, ``one`` the raw value of 1; see
+        `_circle_rom`."""
+        return (self.fmt.scale, *_circle_rom(self.iterations, self.fmt.frac_bits))
+
+    @cached_property
     def _fp2f(self) -> np.ndarray:
         """The FP2F table of the kernel outputs; see `_fp2f_table`."""
         return _fp2f_table(self.iterations, self.fmt.frac_bits)
+
+    @cached_property
+    def _tfb(self) -> tuple[QFormat, int, np.ndarray]:
+        """(format, scale, FP2F table): what the TFBs read."""
+        return self.fmt, self.fmt.scale, self._fp2f
 
 
 DEFAULT_CORDIC = CordicConfig()
@@ -170,14 +190,15 @@ DEFAULT_CORDIC = CordicConfig()
 def float_to_fixed(x: float, fmt: QFormat) -> int:
     """F2FP: the raw value of ``x`` in ``fmt``, rounded to nearest with ties
     to even and saturated instead of overflowing.  NaN raises ValueError."""
-    scaled = float(x) * fmt.scale
+    scale, raw_min, raw_max = fmt._f2fp
+    scaled = float(x) * scale
     # The bounds are integers, so a value at or past one rounds to at least
     # that bound; comparing first also saturates infinities, which round()
     # rejects.  NaN passes both tests and round() rejects it.
-    if scaled >= fmt.raw_max:
-        return fmt.raw_max
-    if scaled <= fmt.raw_min:
-        return fmt.raw_min
+    if scaled >= raw_max:
+        return raw_max
+    if scaled <= raw_min:
+        return raw_min
     return round(scaled)
 
 
@@ -253,6 +274,98 @@ def _sincos_rom(iterations: int, fmt: QFormat) -> tuple[array, array]:
     return io(y), io(x)
 
 
+def _circle_band(frac_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high): for each raw value k = 0..2**frac_bits of a `tfb_acos`
+    operand t in [0, 1], the raw square roots it pairs with lie in
+    low[k]..high[k].
+
+    F2FP maps the float32 operands in a cell around k / 2**frac_bits to k, and the
+    raw root of a float32 t, rounded from sqrt(1 - t*t) taken in float32,
+    falls as |t| grows (each float32 operation rounds monotonically).  So
+    the roots of a cell lie between those of its two extreme float32
+    operands: the cell's edges, or their float32 neighbours inside the cell
+    where F2FP sends a tie to the neighbouring raw value.  The largest
+    operand of the top cell is 1, where `tfb_acos` clamps.  A raw -t pairs
+    with the roots of t.  tests/check_circle_band.py feeds every float32
+    t in [0, 1] through F2FP at 13 fractional bits and finds each root in
+    its band.
+    """
+    scale = 1 << frac_bits
+    k = np.arange(scale + 1)
+
+    def f2fp(t: np.ndarray) -> np.ndarray:
+        return np.rint(t.astype(np.float64) * scale).astype(np.int64)
+
+    def raw_root(t: np.ndarray) -> np.ndarray:
+        return f2fp(np.sqrt(_F32(1.0) - t * t))
+
+    # Each edge (k -+ 1/2) / scale is a float32; F2FP rounds it to even.
+    first = ((k - 0.5) / scale).astype(np.float32)
+    first[0] = 0.0
+    ties = f2fp(first) != k
+    first[ties] = np.nextafter(first[ties], _F32(2.0))
+    last = ((k + 0.5) / scale).astype(np.float32)
+    last[-1] = 1.0
+    ties = f2fp(last) != k
+    last[ties] = np.nextafter(last[ties], _F32(0.0))
+    return raw_root(last), raw_root(first)
+
+
+@lru_cache(maxsize=16)
+def _circle_rom(iterations: int, frac_bits: int) -> tuple[array, array, array, array]:
+    """(low, high, base, angles): the unit-circle ROM of `cordic_atan2`,
+    the kernel's result for every operand pair (y, x) that `tfb_acos` can
+    feed it at ``iterations`` rotations and ``frac_bits`` fractional bits:
+    x a raw t in [-1, 1], y a raw root in its band (see `_circle_band`).
+    Pair (y, x) is in the ROM when low[x] <= y <= high[x], and its result is
+    angles[base[x] + y]; a negative x indexes from the end, as in the FP2F
+    table.  At 13 fractional bits the ROM holds 32 757 angles.
+
+    Built by running the vectoring once over the pairs with x >= 0 as int64
+    arrays, as `_sincos_rom` runs the rotation; the axis cases and the
+    mirrored angles of x < 0 follow `cordic_atan2`.  Kept as C ints: the
+    angles lie within pi at no more than ``_ROM_MAX_FRAC_BITS`` fractional
+    bits.
+    """
+    steps, _x0, pi_io, half_pi_io = _kernel_constants(iterations, frac_bits)
+    low, high = _circle_band(frac_bits)
+    width = high - low + 1
+    base = np.cumsum(width) - width - low
+    # One row per pair with x = 0..1, in order of x and then y.
+    xs = np.repeat(np.arange(len(low)), width)
+    ys = np.arange(len(xs)) - np.repeat(base, width)
+    angle = np.empty_like(xs)
+    # In chunks, which keeps the temporaries small: their peak is the
+    # process's peak resident memory.
+    for start in range(0, len(xs), _CIRCLE_CHUNK):
+        rows = slice(start, start + _CIRCLE_CHUNK)
+        x = xs[rows] << _GUARD_BITS
+        y = ys[rows] << _GUARD_BITS
+        z = np.zeros_like(x)
+        for shift, half, a in steps:
+            dx = (y + half) >> shift
+            dy = (x + half) >> shift
+            turn = np.where(y > 0, 1, -1)
+            x, y, z = x + turn * dx, y - turn * dy, z + turn * a
+        angle[rows] = (z + _GUARD_HALF) >> _GUARD_BITS
+    angle[xs == 0] = half_pi_io
+    angle[ys == 0] = 0
+    # x = -1..-1 LSB, stored after x = 0..1: the pairs of x = 1 LSB..1 again,
+    # mirrored about the y axis (y = 0 gives pi).
+    mirrored = np.minimum(pi_io - angle, pi_io)[width[0] :]
+    mirrored_base = base[1:] + (len(xs) - width[0])
+
+    def ints(*parts: np.ndarray) -> array:
+        return array("i", np.concatenate(parts).astype(np.int32).tobytes())
+
+    return (
+        ints(low, low[:0:-1]),
+        ints(high, high[:0:-1]),
+        ints(base, mirrored_base[::-1]),
+        ints(angle, mirrored),
+    )
+
+
 @lru_cache(maxsize=16)
 def _fp2f_table(iterations: int, frac_bits: int) -> np.ndarray:
     """FP2F as a table: the float32 value of every raw value the kernels can
@@ -318,7 +431,14 @@ def cordic_atan2(y: int, x: int, cfg: CordicConfig = DEFAULT_CORDIC) -> int:
     for operands only a few LSB in magnitude, as in the hardware, where the
     datapath resolution limits the representable direction of short
     vectors.
+
+    The pairs `tfb_acos` feeds the kernel, on the unit circle, read their
+    result from a ROM built on first use (see `_circle_rom`); every other
+    pair runs the vectoring.  Both give the same bits.
     """
+    one, low, high, base, angles = cfg._circle
+    if -one <= x <= one and low[x] <= y <= high[x]:
+        return angles[base[x] + y]
     steps, pi_io, half_pi_io = cfg._vectoring
     sign = 1
     if y < 0:
@@ -353,8 +473,8 @@ _F32_MINUS_ONE = _F32(-1.0)
 
 def tfb_sincos(angle, cfg: CordicConfig = DEFAULT_CORDIC) -> tuple[np.float32, np.float32]:
     """Float32-facing TFB: F2FP, CORDIC rotation, FP2F on both outputs."""
-    fp2f = cfg._fp2f
-    s, c = cordic_sincos(float_to_fixed(angle, cfg.fmt), cfg)
+    fmt, _scale, fp2f = cfg._tfb
+    s, c = cordic_sincos(float_to_fixed(angle, fmt), cfg)
     return fp2f[s], fp2f[c]
 
 
@@ -375,13 +495,12 @@ def tfb_atan2(y, x, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
     if not (isfinite(yf) and isfinite(xf)):
         bad = ", ".join(f"{n} = {v!r}" for n, v in (("y", yf), ("x", xf)) if not isfinite(v))
         raise ValueError(f"tfb_atan2 operands must be finite, got {bad}")
-    m = max(abs(yf), abs(xf))
-    if m > 0.0:
-        e = 1 - math.frexp(m)[1]
-        yf = math.ldexp(yf, e)
-        xf = math.ldexp(xf, e)
-    fmt = cfg.fmt
-    return cfg._fp2f[cordic_atan2(float_to_fixed(yf, fmt), float_to_fixed(xf, fmt), cfg)]
+    _fmt, scale, fp2f = cfg._tfb
+    # The common power of two times the F2FP scale; both products are exact.
+    # Scaled, both operands lie within 2 and the format holds pi, so F2FP
+    # is a plain rounding: it cannot saturate.  (0, 0) stays (0, 0).
+    k = math.ldexp(scale, 1 - math.frexp(max(abs(yf), abs(xf)))[1])
+    return fp2f[cordic_atan2(round(yf * k), round(xf * k), cfg)]
 
 
 def tfb_acos(t, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
@@ -393,11 +512,14 @@ def tfb_acos(t, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
     operands; in that form the angle is well conditioned, whereas quantizing
     ``t`` before the square root would amplify the grid error near |t| = 1.
     """
+    _fmt, scale, fp2f = cfg._tfb
     tf = t if type(t) is _F32 else _F32(t)
     if tf > _F32_ONE:
         tf = _F32_ONE
     elif tf < _F32_MINUS_ONE:
         tf = _F32_MINUS_ONE
-    s = sqrt32(_F32_ONE - tf * tf)
-    fmt = cfg.fmt
-    return cfg._fp2f[cordic_atan2(float_to_fixed(s, fmt), float_to_fixed(tf, fmt), cfg)]
+    # |tf| <= 1: the float32 radicand is at least 0, as `sqrt32` requires,
+    # and both operands lie within 1, which the format holds (it holds pi),
+    # so F2FP is a plain rounding.
+    s = np.sqrt(_F32_ONE - tf * tf)
+    return fp2f[cordic_atan2(round(float(s) * scale), round(float(tf) * scale), cfg)]

@@ -325,3 +325,79 @@ def test_hybrid_fk_within_cordic_envelope(iterations, angles, links):
     hybrid = forward_kinematics(q, g, backend)
     oracle = forward_kinematics(q, g)
     assert max(abs(h - o) for h, o in zip(hybrid, oracle)) <= envelope
+
+
+def checked_oracle_ik(pos, g: DeviceGeometry):
+    """`Oracle.ik` with each acos operand checked as it is computed, gamma's
+    first, through the module's reach and operand checks: the reference of
+    the inline checks."""
+    from tactilesim.kinematics import _acos_arg_check, _reach
+
+    x, y, z = pos
+    zz = z + g.l4
+    theta1 = -math.atan2(x, zz)
+    big_r = math.sqrt(x * x + zz * zz)
+    yy = y - g.l3
+    r_sq = x * x + zz * zz + yy * yy
+    r = _reach(math.sqrt(r_sq))
+    g_arg = _acos_arg_check((g.l1 * g.l1 - g.l2 * g.l2 + r_sq) / (2.0 * g.l1 * r), "gamma")
+    a_arg = _acos_arg_check((g.l1 * g.l1 + g.l2 * g.l2 - r_sq) / (2.0 * g.l1 * g.l2), "alpha")
+    gamma = math.acos(g_arg)
+    beta = math.atan2(yy, big_r)
+    alpha = math.acos(a_arg)
+    theta2 = gamma + beta
+    theta3 = theta2 + alpha - math.pi / 2.0
+    return (theta1, theta2, theta3), (big_r, r, gamma, beta, alpha)
+
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type and message it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(
+    angles=st.tuples(*[st.floats(-math.pi, math.pi)] * 3),
+    stretch=st.sampled_from([1.0, 1.0 + 1e-7, 1.0 + 2e-6, 0.5, 3.0])
+    | st.floats(0.999, 1.001),
+    links=st.tuples(*[st.floats(0.01, 1.0)] * 4),
+)
+def test_oracle_ik_checks_as_the_reference(angles, stretch, links):
+    # Reachable points, points pushed past the workspace edge by less and by
+    # more than EPS_REACH, and points far outside: the same angles and
+    # intermediates, or the same error.
+    g = DeviceGeometry(*links)
+    x, y, z = ORACLE.fk(angles, g)
+    pos = (x * stretch, (y - g.l3) * stretch + g.l3, (z + g.l4) * stretch - g.l4)
+    assert outcome(ORACLE.ik, pos, g) == outcome(checked_oracle_ik, pos, g)
+
+
+@pytest.mark.parametrize(
+    "pos, links, message",
+    [
+        ((0.5, 0.5, 0.5), (0.135, 0.135), "^gamma operand .* outside \\[-1, 1\\]"),
+        ((0.0, 0.295 + 1.5e-7, -0.170), (0.135, 0.135), "^alpha operand .* outside \\[-1, 1\\]"),
+        ((0.0, 0.025, -0.170), (0.135, 0.135), "^tool position coincides with the shoulder"),
+    ],
+)
+def test_oracle_ik_error_order(pos, links, message):
+    # Far beyond r = l1 + l2 both operands fail, and gamma's error comes
+    # first.  1.5e-7 m beyond it, gamma's operand exceeds 1 by 5.6e-7 and
+    # clamps, while alpha's exceeds it by 2.2e-6 > EPS_REACH.
+    g = DeviceGeometry(*links, 0.025, 0.170)
+    assert outcome(ORACLE.ik, pos, g) == outcome(checked_oracle_ik, pos, g)
+    with pytest.raises(Unreachable, match=message):
+        ORACLE.ik(pos, g)
+
+
+def test_hybrid_intermediates_are_floats():
+    # Hybrid.ik leaves its intermediates in float32; ik_intermediates
+    # converts them.
+    p = forward_kinematics(JointAngles(0.2, 0.4, 0.3))
+    inter = ik_intermediates(p, backend=Hybrid())
+    values = (inter.big_r, inter.r, inter.gamma, inter.beta, inter.alpha)
+    assert all(type(v) is float for v in values)
+    assert all(type(v) is float for v in inverse_kinematics(p, backend=Hybrid()))

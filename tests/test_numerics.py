@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tactilesim import numerics
+from tactilesim.kinematics import EPS_REACH
 from tactilesim.numerics import (
     CordicConfig,
     NegativeRadicand,
@@ -586,6 +587,160 @@ class TestSinCosRom:
             assert [cordic_sincos(a, cfg) for a in angles] == [
                 rotated_sincos(a, cfg) for a in angles
             ]
+
+
+def vectored_atan2(y: int, x: int, cfg: CordicConfig) -> int:
+    """`cordic_atan2` with the vectoring run on every call instead of read
+    from the unit-circle ROM: axis cases, signs and saturation written out
+    again.  The bit-exact reference of the ROM."""
+    steps, pi_io, half_pi_io = cfg._vectoring
+    if y == 0:
+        return 0 if x >= 0 else pi_io
+    if x == 0:
+        return half_pi_io if y > 0 else -half_pi_io
+    angle = numerics._vector_angle(abs(x), abs(y), steps)
+    if x < 0:
+        angle = min(pi_io - angle, pi_io)
+    return angle if y > 0 else -angle
+
+
+def vectored_acos(t, cfg: CordicConfig) -> np.float32:
+    """`tfb_acos` on `vectored_atan2`, with the saturating F2FP."""
+    y, x = acos_operands(t)
+    return cfg._fp2f[vectored_atan2(float_to_fixed(y, cfg.fmt), float_to_fixed(x, cfg.fmt), cfg)]
+
+
+def circle_arrays(cfg: CordicConfig) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The unit-circle ROM of ``cfg`` as numpy arrays."""
+    one, *arrays = cfg._circle
+    return (one, *(np.frombuffer(a, np.int32) for a in arrays))
+
+
+def edge_neighbours(fmt: QFormat, ulps: int) -> np.ndarray:
+    """Every float32 within ``ulps`` ULP of an F2FP cell edge (k + 1/2) LSB
+    of ``fmt`` in [-1 - 1/2 LSB, 1 + 1/2 LSB]."""
+    scale = fmt.scale
+    edges = ((np.arange(-scale - 1, scale + 1) + 0.5) / scale).astype(np.float32)
+    values = [edges]
+    for toward in (np.float32(np.inf), np.float32(-np.inf)):
+        t = edges
+        for _ in range(ulps):
+            t = np.nextafter(t, toward)
+            values.append(t)
+    return np.concatenate(values)
+
+
+def circle_pairs(t: np.ndarray, scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """The raw vectoring operands (y, x) `tfb_acos` feeds the kernel for the
+    float32 operands ``t``, in float32 array arithmetic."""
+    t = np.clip(t, np.float32(-1.0), np.float32(1.0))
+    root = np.sqrt(np.float32(1.0) - t * t)
+    return (
+        np.rint(root.astype(float) * scale).astype(np.int64),
+        np.rint(t.astype(float) * scale).astype(np.int64),
+    )
+
+
+# The configurations the unit-circle ROM is checked at.
+CIRCLE_CONFIGS = [
+    CordicConfig(iterations=10, fmt=S16_13),
+    CordicConfig(iterations=16, fmt=S16_13),
+    CordicConfig(iterations=16, fmt=QFormat(20, 16)),
+    CordicConfig(iterations=6, fmt=QFormat(8, 5)),
+]
+
+
+def cell_edge_operand(frac_bits: int):
+    """A float32 operand within 2 ULP of an F2FP cell edge (k +- 1/2) LSB in
+    [-1, 1] at ``frac_bits`` fractional bits."""
+    scale = 1 << frac_bits
+
+    def build(k, half, ulps):
+        t = np.float32((k + half) / scale)
+        toward = np.float32(np.inf if ulps > 0 else -np.inf)
+        for _ in range(abs(ulps)):
+            t = np.nextafter(t, toward)
+        return float(t)
+
+    return st.builds(
+        build, st.integers(-scale, scale), st.sampled_from([-0.5, 0.5]), st.integers(-2, 2)
+    )
+
+
+class TestCircleRom:
+    # `cordic_atan2` reads the pairs `tfb_acos` feeds it from a ROM; every
+    # result must be the vectoring loop's.
+
+    @pytest.mark.parametrize("cfg", CIRCLE_CONFIGS, ids=lambda c: f"{c.iterations}-{c.fmt}")
+    def test_every_entry_is_the_loop(self, cfg):
+        one, low, high, base, angles = cfg._circle
+        assert len(low) == len(high) == len(base) == 2 * one + 1
+        pairs = [(y, x) for x in range(-one, one + 1) for y in range(low[x], high[x] + 1)]
+        # Each angle belongs to one pair.
+        assert sorted(base[x] + y for y, x in pairs) == list(range(len(angles)))
+        rom = [angles[base[x] + y] for y, x in pairs]
+        assert rom == [vectored_atan2(y, x, cfg) for y, x in pairs]
+        assert [cordic_atan2(y, x, cfg) for y, x in pairs] == rom
+        if cfg.fmt == S16_13:
+            assert len(angles) == 32757
+
+    @settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @given(
+        t=st.floats(-1.5, 1.5, width=32) | cell_edge_operand(13) | cell_edge_operand(5)
+    )
+    @example(t=1.0)
+    @example(t=-1.0)
+    @example(t=0.0)
+    @example(t=-0.0)
+    @example(t=float(np.nextafter(np.float32(1 + EPS_REACH), np.float32(2))))
+    @example(t=-float(np.nextafter(np.float32(1 + EPS_REACH), np.float32(2))))
+    @example(t=float(np.nextafter(np.float32(1.0), np.float32(0.0))))
+    @example(t=half_lsb(0, 13))
+    @example(t=-half_lsb(8191, 13))
+    @example(t=half_lsb(31, 5))
+    def test_acos_equals_loop(self, t):
+        for cfg in CIRCLE_CONFIGS:
+            assert tfb_acos(np.float32(t), cfg).tobytes() == vectored_acos(t, cfg).tobytes()
+
+    @pytest.mark.parametrize("fmt", [QFormat(8, 5), S16_13], ids=str)
+    def test_cell_edges_hit(self, fmt):
+        # Where F2FP changes its raw value, and 4 ULP either side.
+        cfg = CordicConfig(iterations=10, fmt=fmt)
+        _one, low, high, _base, _angles = circle_arrays(cfg)
+        y, x = circle_pairs(edge_neighbours(fmt, 4), fmt.scale)
+        assert ((low[x] <= y) & (y <= high[x])).all()
+
+    def test_cell_edges_never_run_the_loop(self, monkeypatch):
+        # The same operands through `tfb_acos` itself, at s8.5.
+        cfg = CordicConfig(iterations=6, fmt=QFormat(8, 5))
+        expected = [vectored_acos(t, cfg) for t in edge_neighbours(cfg.fmt, 4).tolist()]
+
+        def refused(*args):
+            raise AssertionError("vectoring loop run")
+
+        monkeypatch.setattr(numerics, "_vector_angle", refused)
+        got = [tfb_acos(np.float32(t), cfg) for t in edge_neighbours(cfg.fmt, 4).tolist()]
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("cfg", CIRCLE_CONFIGS[::3], ids=lambda c: f"{c.iterations}-{c.fmt}")
+    def test_pairs_outside_the_band_run_the_loop(self, cfg):
+        one, low, high, _base, _angles = cfg._circle
+        xs = range(-one - 2, one + 3)
+        pairs = []
+        for x in xs:
+            if -one <= x <= one:
+                pairs += [(low[x] - 1, x), (high[x] + 1, x), (-low[x], x), (-high[x], x)]
+            else:
+                pairs += [(y, x) for y in (-one, -1, 0, 1, one // 2, one)]
+        for y, x in pairs:
+            assert cordic_atan2(y, x, cfg) == vectored_atan2(y, x, cfg), (y, x)
+
+    def test_built_on_first_vectoring_call(self):
+        cfg = CordicConfig(iterations=7, fmt=QFormat(12, 9))
+        tfb_sincos(np.float32(0.5), cfg)
+        assert "_circle" not in vars(cfg)
+        tfb_acos(np.float32(0.5), cfg)
+        assert "_circle" in vars(cfg)
 
 
 class TestTfbKernelCalls:
