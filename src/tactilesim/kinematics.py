@@ -383,6 +383,9 @@ class Hybrid:
         return float(x), float(y), float(z)
 
     def ik(self, pos, g: DeviceGeometry):
+        """The joint angles as floats, and the intermediates (R, r, gamma,
+        beta, alpha) as the float32 values of the circuit, which
+        `ik_intermediates` converts."""
         x, y, z = pos
         # Written to refuse NaN too: a plain tuple reaches here unchecked.
         if not (
