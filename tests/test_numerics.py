@@ -363,10 +363,11 @@ def acos_operands(t) -> tuple[float, float]:
     return float(sqrt32(np.float32(1.0) - tf * tf)), float(tf)
 
 
-def saturating_tfb(operands, cfg: CordicConfig) -> np.float32:
-    """A vectoring TFB with the saturating F2FP on its two operands."""
+def saturating_tfb(operands, cfg: CordicConfig, kernel=cordic_atan2) -> np.float32:
+    """A vectoring TFB on ``kernel`` with the saturating F2FP on its two
+    operands."""
     y, x = operands
-    return cfg._fp2f[cordic_atan2(float_to_fixed(y, cfg.fmt), float_to_fixed(x, cfg.fmt), cfg)]
+    return cfg._fp2f[kernel(float_to_fixed(y, cfg.fmt), float_to_fixed(x, cfg.fmt), cfg)]
 
 
 def assert_plain_f2fp(operands, cfg: CordicConfig) -> None:
@@ -606,8 +607,7 @@ def vectored_atan2(y: int, x: int, cfg: CordicConfig) -> int:
 
 def vectored_acos(t, cfg: CordicConfig) -> np.float32:
     """`tfb_acos` on `vectored_atan2`, with the saturating F2FP."""
-    y, x = acos_operands(t)
-    return cfg._fp2f[vectored_atan2(float_to_fixed(y, cfg.fmt), float_to_fixed(x, cfg.fmt), cfg)]
+    return saturating_tfb(acos_operands(t), cfg, vectored_atan2)
 
 
 def circle_arrays(cfg: CordicConfig) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
