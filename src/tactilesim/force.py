@@ -2,15 +2,14 @@
 spring-law contact force of the slave-side force synthesis.
 
 J^T F and the spring law are written once, as ``_*_circuit`` functions that
-both backends run (``backend.run``); the Jacobian is a backend method, next
-to FK in ``tactilesim.kinematics``.
+both backends run (``backend.run_block``); the Jacobian is a backend method,
+``backend.jacobian_block``, next to FK in ``tactilesim.kinematics``.
 
-``feedback_force`` and ``kinesthetic_feedback`` take one sample.  Their
-block forms, ``feedback_force_block`` and ``kinesthetic_feedback_block``,
-take an array with one row per sample and run each circuit once over the
-block's columns (``backend.run_block``, ``backend.jacobian_block``).  They
-return the rows the per-sample functions give, up to the first failing row,
-and the exception the per-sample function raises on that row.
+``feedback_force_block`` and ``kinesthetic_feedback_block`` take arrays with
+one row per sample, and return the rows before the first failing row and
+that row's exception.  ``jacobian``, ``feedback_force`` and
+``kinesthetic_feedback`` are the block forms on one row of doubles; a
+failing row raises its exception.
 """
 
 from __future__ import annotations
@@ -121,8 +120,21 @@ def jacobian(
 
     J21 is emitted as constant zero with no computation, as in the hardware.
     """
-    j11, j12, j13, j22, j23, j31, j32, j33 = backend.jacobian(q, g)
+    j11, j12, j13, j22, j23, j31, j32, j33 = _row(backend.jacobian_block(_rows(q), g))
     return JacobianMatrix(j11, j12, j13, 0.0, j22, j23, j31, j32, j33)
+
+
+def _rows(values) -> np.ndarray:
+    """One sample as a block of one row of doubles."""
+    return np.array([values], float)
+
+
+def _row(block) -> list[float]:
+    """The row of a one-row block form's result, or its exception."""
+    rows, error = block
+    if error is not None:
+        raise error
+    return rows[0].tolist()
 
 
 def _torque_circuit(j, f):
@@ -151,9 +163,7 @@ def kinesthetic_feedback(
     The J21 product is skipped (no circuit exists for it); the remaining
     products accumulate in a fixed order so results are bit-reproducible.
     """
-    jm = jacobian(q, g, backend)
-    # The entries without J21.
-    return TorqueVector(*backend.run(_torque_circuit, jm[:3] + jm[4:], f))
+    return TorqueVector(*_row(kinesthetic_feedback_block(_rows(q), _rows(f), g, backend)))
 
 
 def feedback_force(
@@ -163,7 +173,7 @@ def feedback_force(
     backend: Oracle | Hybrid = ORACLE,
 ) -> ForceVector:
     """Spring-law contact force, per axis: h_i * (obj_i - env_i)."""
-    return ForceVector(*backend.run(_fbf_circuit, obj, env, h))
+    return ForceVector(*_row(feedback_force_block(_rows(obj), _rows(env), h, backend)))
 
 
 def kinesthetic_feedback_block(

@@ -2,13 +2,12 @@
 (two equal arm segments on a rotating base), and its Jacobian.
 
 Every operation runs on one of two interchangeable backends, each a class
-that carries its own module code (``fk``, ``ik``, ``jacobian`` and ``run``,
-and the block entry points ``jacobian_block`` and ``run_block``, which take
-one row per sample):
+that carries its own module code in four entry points.  ``fk`` and ``ik``
+take one sample; ``jacobian_block`` and ``run_block``, which runs the
+circuits of ``tactilesim.force``, take one row per sample:
 
 * ``Oracle``  - full double precision, the reference model.  Its
-  Jacobian formula is written once, over three floats or three columns:
-  ``jacobian_block`` runs it over ``np.sin``/``np.cos`` columns.
+  Jacobian formula is written once, over ``np.sin``/``np.cos`` columns.
 * ``Hybrid``  - float32 arithmetic with fixed-point CORDIC trigonometry,
   matching the structure of the hardware circuits (TFB per trig term,
   float32 multipliers/adders, float32 geometry constants).
@@ -16,7 +15,8 @@ one row per sample):
 The hybrid modules are written once, as circuit functions (``_fk_circuit``,
 ``_ik_circuit``, ``_jacobian_circuit``) over an arithmetic policy and the
 link constants ``(l1, l2, l3, l4)``: ``Hybrid`` itself is the policy that
-computes the numbers, and the recorder in ``tactilesim.latency_model`` runs
+computes FK and IK, ``_HybridColumns`` the one that computes the Jacobian
+over float32 columns, and the recorder in ``tactilesim.latency_model`` runs
 the same functions to build the latency DAGs.  A policy supplies ``const``,
 ``sincos``, ``atan2``, ``acos``, ``sqrt`` and ``reach``; ``+ - * /`` and
 unary minus are the operators of its values.
@@ -203,24 +203,28 @@ def _exception(check, *args) -> SampleError:
     raise AssertionError(f"{check.__qualname__} accepted a row its block refused")
 
 
-def _valid_rows(vector, rows: np.ndarray):
-    """The rows of ``rows`` before the first non-finite one, and the exception
-    ``vector`` raises on that row (None when every row is finite)."""
-    finite = np.isfinite(rows).all(axis=1)
-    if finite.all():
+def _valid_rows(vector, rows: np.ndarray, passes=None):
+    """The rows of ``rows`` before the first one that fails the boolean
+    array ``passes`` (by default: the non-finite one), and the exception
+    ``vector`` raises on that row (None when every row passes)."""
+    ok = (np.isfinite(rows) if passes is None else passes).all(axis=1)
+    if ok.all():
         return rows, None
-    k = int(finite.argmin())
+    k = int(ok.argmin())
     return rows[:k], _exception(vector, *rows[k].tolist())
 
 
-def _run_block(dtype, circuit, vector, operands):
-    """A shared circuit over blocks of rows, in ``dtype``; see
-    ``Oracle.run_block``."""
+def _run_block(self, circuit, vector, *operands):
+    """``vector(*circuit(*row))`` for each row of the operands, an (m, k)
+    array each or a constant tuple, in the backend's ``_dtype``.  Returns the
+    output rows before the first one ``vector`` refuses, as an array, and
+    the exception of that row (None when every row passes).  Both backends'
+    ``run_block``."""
     # A value beyond the dtype's range becomes inf, as in the datapath.
     with np.errstate(over="ignore", invalid="ignore"):
         # One cast per operand block; iterating its transpose yields the
         # columns (or, for a constant operand, its values).
-        out = circuit(*[np.asarray(x, dtype).T for x in operands])
+        out = circuit(*[np.asarray(x, self._dtype).T for x in operands])
     return _valid_rows(vector, np.array(out, float).T)
 
 
@@ -239,16 +243,14 @@ def _acos_arg_check(arg: float, what: str) -> float:
     return min(max(arg, -1.0), 1.0)
 
 
-def _oracle_jacobian(sin, cos, theta, g: DeviceGeometry) -> tuple:
-    """The oracle Jacobian without J21, in row order, for the angles
-    ``theta``: three floats with ``math.sin`` and ``math.cos``, or three
-    columns with ``np.sin`` and ``np.cos``.  The numpy operators round as
-    the float ones, and on the x86-64 hosts checked so do the numpy sine
-    and cosine, so a column gives the bits of each of its rows; the oracle
-    trace digests pin them."""
-    s1, c1 = sin(theta[0]), cos(theta[0])
-    s2, c2 = sin(theta[1]), cos(theta[1])
-    s3, c3 = sin(theta[2]), cos(theta[2])
+def _oracle_jacobian(theta, g: DeviceGeometry) -> tuple:
+    """The oracle Jacobian without J21, in row order, over the three angle
+    columns ``theta``.  On the x86-64 hosts checked ``np.sin``/``np.cos``
+    round as libm's and the operators as the float ones, so each row has the
+    bits of the libm formula; the oracle trace digests pin them."""
+    s1, c1 = np.sin(theta[0]), np.cos(theta[0])
+    s2, c2 = np.sin(theta[1]), np.cos(theta[1])
+    s3, c3 = np.sin(theta[2]), np.cos(theta[2])
     l1, l2 = g.l1, g.l2
     return (
         -c1 * (l2 * s3 + l1 * c2),
@@ -269,6 +271,8 @@ class Oracle:
     pin them."""
 
     name = "oracle"
+    _dtype = float
+    run_block = _run_block
 
     def fk(self, theta, g: DeviceGeometry) -> tuple[float, float, float]:
         t1, t2, t3 = theta
@@ -306,24 +310,12 @@ class Oracle:
         theta3 = theta2 + alpha - _HALF_PI
         return (theta1, theta2, theta3), (big_r, r, gamma, beta, alpha)
 
-    def jacobian(self, theta, g: DeviceGeometry) -> tuple[float, ...]:
-        return _oracle_jacobian(math.sin, math.cos, theta, g)
-
-    def run(self, circuit, *operands):
-        """A circuit shared with the hybrid datapath, in double precision."""
-        return circuit(*operands)
-
     def jacobian_block(self, theta: np.ndarray, g: DeviceGeometry):
-        """``jacobian`` of each row of the (m, 3) array ``theta``, over its
-        columns: an (m, 8) array, and no failing row (None)."""
-        return np.array(_oracle_jacobian(np.sin, np.cos, theta.T, g)).T, None
-
-    def run_block(self, circuit, vector, *operands):
-        """``vector(*run(circuit, *row))`` for each row of the operands, an
-        (m, k) array each or a constant tuple.  Returns the output rows before
-        the first one ``vector`` refuses, as an array, and the exception of
-        that row (None when every row passes)."""
-        return _run_block(float, circuit, vector, operands)
+        """The Jacobian without J21 of each row of the (m, 3) array ``theta``:
+        an array of the rows before the first with a non-finite angle, and
+        that row's NonFiniteSignal (None when every row passes)."""
+        theta, error = _valid_rows(JointAngles, theta)
+        return np.array(_oracle_jacobian(theta.T, g)).T, error
 
 
 @dataclass(frozen=True)
@@ -335,6 +327,8 @@ class Hybrid:
     cordic: CordicConfig = DEFAULT_CORDIC
 
     name = "hybrid"
+    _dtype = np.float32
+    run_block = _run_block
     # One float32 per constant.  The circuits' constants are nonzero, so the
     # cache never confuses 0.0 with -0.0.
     const = staticmethod(lru_cache(maxsize=None)(np.float32))
@@ -405,44 +399,16 @@ class Hybrid:
         t1, t2, t3 = angles
         return (float(t1), float(t2), float(t3)), inter
 
-    def jacobian(self, theta, g: DeviceGeometry) -> tuple[float, ...]:
-        return tuple(map(float, _jacobian_circuit(self, g._f32, self._angles(theta))))
-
-    def run(self, circuit, *operands):
-        """A shared circuit on float32 copies of the operands.  A value beyond
-        the float32 range becomes inf, as in the datapath."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            # One cast for every operand value; each operand takes its slice
-            # of the float32 scalars.
-            values = list(np.array([v for x in operands for v in x], np.float32))
-            args = []
-            start = 0
-            for x in operands:
-                stop = start + len(x)
-                args.append(values[start:stop])
-                start = stop
-            return tuple(map(float, circuit(*args)))
-
     def jacobian_block(self, theta: np.ndarray, g: DeviceGeometry):
-        """``jacobian`` of each row of the (m, 3) array ``theta``: an array of
-        the rows before the first with an angle outside the sincos TFB's
-        range, and the SampleError of that row (None when every row passes).
-        """
-        columns = theta.T
+        """``Oracle.jacobian_block`` by the Jacobian circuit, which takes the
+        double angles unrounded; an angle outside the sincos TFB's range
+        fails its row with a SampleError."""
         lo, hi = self._angle_range
         # NaN fails the test too.
-        inside = ((lo <= columns) & (columns <= hi)).all(axis=0)
-        error = None
-        if not inside.all():
-            k = int(inside.argmin())
-            columns, error = columns[:, :k], _exception(self._angles, theta[k].tolist())
-        out = _jacobian_circuit(_HybridColumns(self.cordic), g._f32, columns)
+        inside = (lo <= theta) & (theta <= hi)
+        theta, error = _valid_rows(lambda *row: self._angles(row), theta, inside)
+        out = _jacobian_circuit(_HybridColumns(self.cordic), g._f32, theta.T)
         return np.array(out, float).T, error
-
-    def run_block(self, circuit, vector, *operands):
-        """``Oracle.run_block`` on float32 copies of the operands, cast once
-        per operand block."""
-        return _run_block(np.float32, circuit, vector, operands)
 
 
 @dataclass(frozen=True)

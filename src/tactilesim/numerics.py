@@ -476,12 +476,27 @@ def sqrt32(x) -> np.float32:
 
 _F32_ONE = _F32(1.0)
 _F32_MINUS_ONE = _F32(-1.0)
+# The smallest double the float32 cast rounds to inf: the maximum + ULP / 2.
+_F32_OVERFLOW = 2.0**128 - 2.0**103
+
+
+def _atan2_operand(v, name: str) -> float:
+    """A double ``tfb_atan2`` operand as its float32 value, a double; one
+    the cast would carry to inf raises ValueError."""
+    if isfinite(v) and abs(v) >= _F32_OVERFLOW:
+        raise ValueError(f"tfb_atan2 operand {name} = {float(v)!r} is beyond the float32 range")
+    return float(_F32(v))
 
 
 def tfb_sincos(angle, cfg: CordicConfig = DEFAULT_CORDIC) -> tuple[np.float32, np.float32]:
-    """Float32-facing TFB: F2FP, CORDIC rotation, FP2F on both outputs."""
+    """Float32-facing TFB: F2FP, CORDIC rotation, FP2F on both outputs; NaN raises ValueError."""
     fmt, _scale, fp2f = cfg._tfb
-    s, c = cordic_sincos(float_to_fixed(angle, fmt), cfg)
+    try:
+        raw = float_to_fixed(angle, fmt)
+    except ValueError:
+        a = float(angle)
+        raise ValueError(f"tfb_sincos operand must not be NaN, got angle = {a!r}") from None
+    s, c = cordic_sincos(raw, cfg)
     return fp2f[s], fp2f[c]
 
 
@@ -495,10 +510,11 @@ def tfb_atan2(y, x, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
     are scaled in double precision, where the scaling is exact even for
     subnormal operands; a float32 product would differ only where it is
     subnormal, and such values quantize to 0 in any Q-format either way.
-    A NaN or infinite operand has no direction and raises ValueError.
+    A NaN or infinite operand has no direction and raises ValueError, and
+    so does a double beyond the float32 range.
     """
-    yf = float(y if type(y) is _F32 else _F32(y))
-    xf = float(x if type(x) is _F32 else _F32(x))
+    yf = float(y) if type(y) is _F32 else _atan2_operand(y, "y")
+    xf = float(x) if type(x) is _F32 else _atan2_operand(x, "x")
     if not (isfinite(yf) and isfinite(xf)):
         bad = ", ".join(f"{n} = {v!r}" for n, v in (("y", yf), ("x", xf)) if not isfinite(v))
         raise ValueError(f"tfb_atan2 operands must be finite, got {bad}")
@@ -513,14 +529,16 @@ def tfb_atan2(y, x, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
 def tfb_acos(t, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
     """Float32-facing TFB for the arccosine: sqrt(1 - t^2) in the float32
     domain, then the vectoring stage on (sqrt, t).  The operand is clamped
-    to [-1, 1]; the result lies in [0, pi].
+    to [-1, 1], NaN raises ValueError; the result lies in [0, pi].
 
     Quantization happens after the square root, on the two vectoring
     operands; in that form the angle is well conditioned, whereas quantizing
     ``t`` before the square root would amplify the grid error near |t| = 1.
     """
     _fmt, scale, fp2f = cfg._tfb
-    tf = t if type(t) is _F32 else _F32(t)
+    # A double is clamped before its cast, which could overflow; +-1 are
+    # float32 values, so it is the float32 clamp.  min and max keep a NaN.
+    tf = t if type(t) is _F32 else _F32(min(max(t, -1.0), 1.0))
     if tf > _F32_ONE:
         tf = _F32_ONE
     elif tf < _F32_MINUS_ONE:
@@ -529,4 +547,8 @@ def tfb_acos(t, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
     # without its check, and both operands lie within 1, which the format
     # holds (it holds pi), so F2FP is a plain rounding.
     s = np.sqrt(_F32_ONE - tf * tf)
-    return fp2f[cordic_atan2(round(float(s) * scale), round(float(tf) * scale), cfg)]
+    try:
+        y, x = round(float(s) * scale), round(float(tf) * scale)
+    except ValueError:
+        raise ValueError(f"tfb_acos operand must not be NaN, got t = {float(t)!r}") from None
+    return fp2f[cordic_atan2(y, x, cfg)]

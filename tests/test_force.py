@@ -22,6 +22,7 @@ from tactilesim.kinematics import (
     DeviceGeometry,
     Hybrid,
     JointAngles,
+    NonFiniteSignal,
     ORACLE,
     forward_kinematics,
 )
@@ -187,6 +188,19 @@ def _triple(lo: float, hi: float):
     return st.tuples(*[st.floats(lo, hi, allow_nan=False)] * 3)
 
 
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+# Each backend, and the scalar type its shared circuits compute in.
+PRECISIONS = {
+    "oracle": (ORACLE, float),
+    "hybrid-10": (Hybrid(CordicConfig(iterations=10)), np.float32),
+    "hybrid-16": (Hybrid(), np.float32),
+}
+
+
+@pytest.mark.parametrize("backend", PRECISIONS)
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(
     obj=_triple(-10.0, 10.0),
@@ -195,16 +209,18 @@ def _triple(lo: float, hi: float):
     theta=_triple(-math.pi, math.pi),
     f=_triple(-1e3, 1e3),
 )
-def test_oracle_shared_circuits_match_reference(obj, env, h, theta, f):
-    # The oracle runs the hybrid's J^T F and FBF circuits in double
-    # precision; the written-out formulas pin their association bit for bit.
+def test_shared_circuits_match_reference(backend, obj, env, h, theta, f):
+    # Both backends run the J^T F and FBF circuits, the oracle in double
+    # precision and the hybrid in float32; the written-out formulas on the
+    # operands rounded to that precision pin their association bit for bit.
+    backend, scalar = PRECISIONS[backend]
     obj, env, h = CartesianPosition(*obj), CartesianPosition(*env), Elasticity(*h)
     q, fv = JointAngles(*theta), ForceVector(*f)
-    got = feedback_force(obj, env, h, ORACLE)
-    assert list(map(float.hex, got)) == list(map(float.hex, reference_fbf(obj, env, h)))
-    got = kinesthetic_feedback(q, fv, backend=ORACLE)
-    want = reference_torque(jacobian(q, backend=ORACLE), fv)
-    assert list(map(float.hex, got)) == list(map(float.hex, want))
+    want = reference_fbf(*(type(v)(*map(scalar, v)) for v in (obj, env, h)))
+    assert _hex(feedback_force(obj, env, h, backend)) == _hex(want)
+    jm = jacobian(q, backend=backend)
+    want = reference_torque(JacobianMatrix(*map(scalar, jm)), ForceVector(*map(scalar, fv)))
+    assert _hex(kinesthetic_feedback(q, fv, backend=backend)) == _hex(want)
 
 
 def per_sample(fn, rows, *consts):
@@ -268,6 +284,9 @@ BACKENDS = {"oracle": ORACLE, "hybrid": Hybrid(CordicConfig(iterations=10))}
 def test_feedback_force_block_is_the_per_sample_function(backend, rows, h):
     # Rows before the first failure are the per-sample forces bit for bit;
     # the failing row raises the same exception, and nothing after it runs.
+    # The per-sample function is the block form on one row, so this checks
+    # that rows do not interact; test_shared_circuits_match_reference
+    # checks the arithmetic.
     backend, h = BACKENDS[backend], Elasticity(*h)
     obj = np.array([o for o, _ in rows]).reshape(-1, 3)
     env = np.array([e for _, e in rows]).reshape(-1, 3)
@@ -322,12 +341,59 @@ _LINK = st.floats(1 / 2**16, 2.0**16)
     links=st.tuples(_LINK, _LINK, _LINK, _LINK),
 )
 def test_oracle_jacobian_block_is_the_per_sample_jacobian(rows, links):
-    # np.sin and np.cos over a column give math.sin and math.cos of each
-    # row, and the column operators the float ones, bit for bit.
+    # np.sin and np.cos over a column, and over the one row of the
+    # per-sample Jacobian, give math.sin and math.cos of each row, and the
+    # column operators the float ones, bit for bit.
     g = DeviceGeometry(*links)
     table = np.zeros((len(rows), 5))
     table[:, 1:4] = np.array(rows).reshape(-1, 3)
     got, error = ORACLE.jacobian_block(table[:, 1:4], g)
     assert error is None
-    want = np.array([ORACLE.jacobian(row, g) for row in rows]).reshape(-1, 8)
+    want = np.array([libm_jacobian(row, g) for row in rows]).reshape(-1, 8)
     assert got.tobytes() == want.tobytes()
+    for row, entries in zip(rows, want):
+        jm = jacobian(JointAngles(*row), g)
+        assert jm.j21 == 0.0
+        assert _hex(jm[:3] + jm[4:]) == _hex(entries)
+
+
+def libm_jacobian(theta, g: DeviceGeometry):
+    """The oracle Jacobian without J21, in row order, on libm's sine and
+    cosine of three floats."""
+    s1, c1 = math.sin(theta[0]), math.cos(theta[0])
+    s2, c2 = math.sin(theta[1]), math.cos(theta[1])
+    s3, c3 = math.sin(theta[2]), math.cos(theta[2])
+    l1, l2 = g.l1, g.l2
+    return (
+        -c1 * (l2 * s3 + l1 * c2),
+        l1 * s1 * s2,
+        -l2 * s1 * c3,
+        l1 * c2,
+        l2 * s3,
+        -(l1 * c2 * s1 + l2 * s3 * s1),
+        -l1 * s2 * c1,
+        l2 * c3 * c1,
+    )
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_oracle_jacobian_refuses_a_non_finite_angle(bad, column):
+    # The rows before the first non-finite angle, and that row's
+    # NonFiniteSignal; a later non-finite row is not reached.
+    theta = np.array([[0.1, -0.2, 0.3], [1.0, 0.5, -2.0], [0.4, 0.6, 0.8], [0.2, 0.2, 0.2]])
+    theta[2, column] = bad
+    theta[3, 0] = math.nan
+    rows, error = ORACLE.jacobian_block(theta, DEFAULT_GEOMETRY)
+    want = np.array([libm_jacobian(row, DEFAULT_GEOMETRY) for row in theta[:2].tolist()])
+    assert rows.tobytes() == want.tobytes()
+    message = f"theta{column + 1} must be finite"
+    assert type(error) is NonFiniteSignal
+    assert str(error) == message
+    # The per-sample functions take a plain tuple unchecked; they raise the
+    # same error, with no warning and no NaN.
+    q = tuple(theta[2].tolist())
+    with pytest.raises(NonFiniteSignal, match=f"^{message}$"):
+        jacobian(q)
+    with pytest.raises(NonFiniteSignal, match=f"^{message}$"):
+        kinesthetic_feedback(q, (1.0, 2.0, 3.0))

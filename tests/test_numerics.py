@@ -453,23 +453,60 @@ class TestNonFiniteOperands:
         with pytest.raises(ValueError, match=re.escape(f"finite, got {named}")):
             tfb_atan2(np.float32(y), np.float32(x))
 
-    def test_acos_nan_refused(self):
-        with pytest.raises(ValueError):
-            tfb_acos(np.float32(math.nan))
+    @pytest.mark.parametrize("nan", [np.float32(math.nan), math.nan], ids=["float32", "double"])
+    def test_acos_nan_refused(self, nan):
+        with pytest.raises(ValueError, match="^tfb_acos operand must not be NaN, got t = nan$"):
+            tfb_acos(nan)
 
     def test_acos_infinity_clamps(self):
         assert tfb_acos(np.float32(math.inf)) == 0.0
         assert tfb_acos(np.float32(-math.inf)) == self.PI
 
-    def test_sincos_nan_refused(self):
-        with pytest.raises(ValueError):
-            tfb_sincos(np.float32(math.nan))
+    @pytest.mark.parametrize("nan", [np.float32(math.nan), math.nan], ids=["float32", "double"])
+    def test_sincos_nan_refused(self, nan):
+        with pytest.raises(
+            ValueError, match="^tfb_sincos operand must not be NaN, got angle = nan$"
+        ):
+            tfb_sincos(nan)
 
     def test_sincos_infinity_saturates(self):
         # F2FP saturates the angle before the kernel reduces it.
         for sign, edge in ((1, S16_13.max_value), (-1, S16_13.min_value)):
             got = tfb_sincos(np.float32(sign * math.inf))
             assert got == tfb_sincos(np.float32(edge))
+
+
+class TestDoublesBeyondFloat32:
+    # A double operand the float32 cast would carry to inf; the suite turns
+    # the cast's overflow warning into an error.
+    F32_MAX = float(np.finfo(np.float32).max)
+    # The smallest double that rounds to inf in float32.
+    OVERFLOW = 2.0**128 - 2.0**103
+
+    @pytest.mark.parametrize("t", [1e300, OVERFLOW, math.inf])
+    def test_acos_clamps(self, t):
+        assert tfb_acos(t) == tfb_acos(np.float32(1.0)) == 0.0
+        assert tfb_acos(-t) == tfb_acos(np.float32(-1.0)) == TestNonFiniteOperands.PI
+
+    @pytest.mark.parametrize(
+        "y, x, named",
+        [
+            (1e300, 1.0, "y = 1e+300"),
+            (1.0, -1e300, "x = -1e+300"),
+            (-OVERFLOW, 0.0, f"y = {-OVERFLOW!r}"),
+        ],
+        ids=["y", "x", "y-at-the-overflow-edge"],
+    )
+    def test_atan2_refuses(self, y, x, named):
+        with pytest.raises(
+            ValueError, match=f"^tfb_atan2 operand {re.escape(named)} is beyond the float32 range$"
+        ):
+            tfb_atan2(y, x)
+
+    def test_atan2_takes_a_double_that_rounds_to_the_float32_maximum(self):
+        below = math.nextafter(self.OVERFLOW, 0.0)
+        assert np.float32(below) == self.F32_MAX
+        assert tfb_atan2(below, 1.0) == tfb_atan2(np.float32(self.F32_MAX), np.float32(1.0))
 
 
 class TestFp2f:
