@@ -24,6 +24,7 @@ from tactilesim.kinematics import (
     JointAngles,
     NonFiniteSignal,
     ORACLE,
+    _jacobian_circuit,
     forward_kinematics,
 )
 from tactilesim.numerics import CordicConfig
@@ -285,8 +286,8 @@ def test_feedback_force_block_is_the_per_sample_function(backend, rows, h):
     # Rows before the first failure are the per-sample forces bit for bit;
     # the failing row raises the same exception, and nothing after it runs.
     # The per-sample function is the block form on one row, so this checks
-    # that rows do not interact; test_shared_circuits_match_reference
-    # checks the arithmetic.
+    # that rows do not interact; test_shared_circuits_match_reference checks
+    # the spring law against a formula written in the test.
     backend, h = BACKENDS[backend], Elasticity(*h)
     obj = np.array([o for o, _ in rows]).reshape(-1, 3)
     env = np.array([e for _, e in rows]).reshape(-1, 3)
@@ -353,6 +354,33 @@ def test_oracle_jacobian_block_is_the_per_sample_jacobian(rows, links):
     assert got.tobytes() == want.tobytes()
     for row, entries in zip(rows, want):
         jm = jacobian(JointAngles(*row), g)
+        assert jm.j21 == 0.0
+        assert _hex(jm[:3] + jm[4:]) == _hex(entries)
+
+
+# The s16.13 range [-4, 4 - 2^-13] of the sincos TFB.
+_INSIDE = st.floats(-4.0, 4.0 - 2.0**-13)
+
+
+@pytest.mark.parametrize("iterations", [10, 16])
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    rows=st.lists(st.tuples(_INSIDE, _INSIDE, _INSIDE), max_size=40),
+    links=st.tuples(_LINK, _LINK, _LINK, _LINK),
+)
+def test_hybrid_jacobian_block_is_the_scalar_circuit(iterations, rows, links):
+    # The Jacobian circuit on the scalar Hybrid policy, one sincos TFB call
+    # and one float32 scalar operation at a time, is the reference for the
+    # column policy that jacobian_block runs, bit for bit.
+    backend, g = Hybrid(CordicConfig(iterations=iterations)), DeviceGeometry(*links)
+    want = np.array(
+        [_jacobian_circuit(backend, g._f32, row) for row in rows], float
+    ).reshape(-1, 8)
+    got, error = backend.jacobian_block(np.array(rows).reshape(-1, 3), g)
+    assert error is None
+    assert got.tobytes() == want.tobytes()
+    for row, entries in zip(rows, want):
+        jm = jacobian(JointAngles(*row), g, backend)
         assert jm.j21 == 0.0
         assert _hex(jm[:3] + jm[4:]) == _hex(entries)
 
