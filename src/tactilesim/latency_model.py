@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import functools
 import math
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -73,9 +75,12 @@ class OpLatencyTable:
     negate: float = 0.0
 
     def __post_init__(self) -> None:
+        # A NaN would lose every comparison of the longest-path sweep and
+        # drop its path silently.
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"latency of {f.name} must be nonnegative")
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"latency of {f.name} must be finite and nonnegative, got {value}")
 
     def get(self, kind: str) -> float:
         if kind not in OP_KINDS:
@@ -99,17 +104,30 @@ class DataflowGraph:
     order the recorder creates them in); ``edges`` are (producer, consumer)
     pairs where each producer is an input terminal name or an earlier node;
     ``outputs`` name the nodes whose results leave the module.
+
+    A graph cannot change once built: ``nodes`` is a read-only copy of the
+    mapping given and the other fields are tuples.  It compiles itself on
+    construction into node positions (each node's kind index and the
+    positions of its feeders), which the longest-path sweep runs on, and
+    enumerates its path signatures on first use for `calibrate`.
     """
 
     name: str
-    nodes: dict[str, str]
+    nodes: Mapping[str, str]
     edges: tuple[tuple[str, str], ...]
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    # Node id -> the nodes feeding it, in edge order.
-    _preds: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    # Per node in node order: its kind's index in OP_KINDS, and the positions
+    # of the nodes feeding it, in edge order.
+    _kinds: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _feeders: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _output_positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", types.MappingProxyType(dict(self.nodes)))
+        object.__setattr__(self, "edges", tuple((src, dst) for src, dst in self.edges))
+        object.__setattr__(self, "inputs", tuple(self.inputs))
+        object.__setattr__(self, "outputs", tuple(self.outputs))
         for nid, kind in self.nodes.items():
             if kind not in OP_KINDS:
                 raise ValueError(f"node {nid!r} has unknown kind {kind!r}")
@@ -119,12 +137,12 @@ class DataflowGraph:
         # Every edge comes from an input or an earlier node: this rules out
         # cycles and makes the node order topological.
         position = {nid: i for i, nid in enumerate(self.nodes)}
-        preds: dict[str, list[str]] = {nid: [] for nid in self.nodes}
+        feeders: list[list[int]] = [[] for _ in position]
         for src, dst in self.edges:
             if dst not in position:
                 raise ValueError(f"edge target {dst!r} is not a node")
             if src in position and position[src] < position[dst]:
-                preds[dst].append(src)
+                feeders[position[dst]].append(position[src])
             elif src not in ins:
                 raise ValueError(
                     f"edge source {src!r} of {dst!r} is neither an input nor an earlier node"
@@ -132,44 +150,63 @@ class DataflowGraph:
         for out in self.outputs:
             if out not in position:
                 raise ValueError(f"output {out!r} is not a node")
-        object.__setattr__(self, "_preds", preds)
+        object.__setattr__(self, "_kinds", tuple(OP_KINDS.index(k) for k in self.nodes.values()))
+        object.__setattr__(self, "_feeders", tuple(map(tuple, feeders)))
+        object.__setattr__(self, "_output_positions", tuple(position[o] for o in self.outputs))
+
+    @functools.cached_property
+    def _path_signatures(self) -> tuple[np.ndarray, ...]:
+        """`_all_path_signatures` of this graph, enumerated on first use; the
+        arrays are read-only."""
+        signatures = _all_path_signatures(self)
+        for v in signatures:
+            v.flags.writeable = False
+        return tuple(signatures)
+
+    @functools.cached_property
+    def _longest_by_count(self) -> np.ndarray | None:
+        """The first path signature with the most operators, `calibrate`'s
+        starting selection; None without paths."""
+        return max(self._path_signatures, key=lambda v: v.sum(), default=None)
 
 
-def _longest_paths(g: DataflowGraph, t: OpLatencyTable) -> dict[str, tuple[float, str | None]]:
-    """Longest-path sweep in node order; returns per node (arrival latency
-    including the node itself, predecessor on the longest path).  Of equally
+def _longest_paths(g: DataflowGraph, t: OpLatencyTable) -> tuple[list[float], list[int]]:
+    """Longest-path sweep over the node positions, in node order; returns per
+    position the arrival latency including the node itself, and the position
+    of its predecessor on the longest path (-1 at a path source).  Of equally
     long predecessors the first in edge order wins."""
-    best: dict[str, tuple[float, str | None]] = {}
-    for nid, kind in g.nodes.items():
-        arrival = 0.0
-        via: str | None = None
-        for p in g._preds[nid]:
-            a = best[p][0]
-            if via is None or a > arrival:
-                arrival, via = a, p
-        best[nid] = (arrival + t.get(kind), via)
-    return best
+    weights = [getattr(t, k) for k in OP_KINDS]
+    arrival: list[float] = []
+    via: list[int] = []
+    for kind, feeders in zip(g._kinds, g._feeders):
+        latest = 0.0
+        pred = -1
+        for p in feeders:
+            a = arrival[p]
+            if pred < 0 or a > latest:
+                latest, pred = a, p
+        arrival.append(latest + weights[kind])
+        via.append(pred)
+    return arrival, via
 
 
 def critical_path(g: DataflowGraph, t: OpLatencyTable) -> float:
     """Longest weighted input-to-output path latency, in nanoseconds."""
-    best = _longest_paths(g, t)
-    if not g.outputs:
-        return 0.0
-    return max(best[o][0] for o in g.outputs)
+    arrival, _ = _longest_paths(g, t)
+    return max((arrival[o] for o in g._output_positions), default=0.0)
 
 
 def critical_path_nodes(g: DataflowGraph, t: OpLatencyTable) -> list[str]:
     """Node ids along the critical path, input side first."""
-    best = _longest_paths(g, t)
+    arrival, via = _longest_paths(g, t)
     if not g.outputs:
         return []
-    end = max(g.outputs, key=lambda o: best[o][0])
+    cur = max(g._output_positions, key=arrival.__getitem__)
+    ids = list(g.nodes)
     path = []
-    cur: str | None = end
-    while cur is not None:
-        path.append(cur)
-        cur = best[cur][1]
+    while cur >= 0:
+        path.append(ids[cur])
+        cur = via[cur]
     path.reverse()
     return path
 
@@ -308,13 +345,11 @@ def _all_path_signatures(g: DataflowGraph) -> list[np.ndarray]:
     """Distinct operator-count vectors over all input-to-output paths: per
     node in node order, the vectors of the paths ending there."""
     source = {(0,) * len(OP_KINDS)}
-    vectors: dict[str, set[tuple[int, ...]]] = {}
-    for nid, kind in g.nodes.items():
-        i = OP_KINDS.index(kind)
-        preds = g._preds[nid]
-        into = set().union(*(vectors[p] for p in preds)) if preds else source
-        vectors[nid] = {v[:i] + (v[i] + 1,) + v[i + 1 :] for v in into}
-    result = set().union(*(vectors[o] for o in g.outputs))
+    vectors: list[set[tuple[int, ...]]] = []
+    for i, feeders in zip(g._kinds, g._feeders):
+        into = set().union(*(vectors[p] for p in feeders)) if feeders else source
+        vectors.append({v[:i] + (v[i] + 1,) + v[i + 1 :] for v in into})
+    result = set().union(*(vectors[o] for o in g._output_positions))
     return [np.array(v, dtype=float) for v in sorted(result)]
 
 
@@ -329,6 +364,9 @@ def calibrate(
     at or below its module's target while pushing one selected path per module
     up against it; the selection is refined until it coincides with the
     dominant path under the fitted table.
+
+    The path signatures are each graph's own, enumerated once per graph
+    object; every fit solves its linear programs anew.
     """
     if graphs is None:
         graphs = builtin_graphs()
@@ -342,21 +380,19 @@ def calibrate(
             raise CalibrationDegenerate(f"target for {name} must be positive, got {value}")
     names = sorted(targets)
 
-    signatures = {name: _all_path_signatures(graphs[name]) for name in names}
+    signatures = {name: graphs[name]._path_signatures for name in names}
     if all(not sigs for sigs in signatures.values()):
         raise CalibrationDegenerate("all target graphs are empty")
 
-    a_ub = np.vstack([sig for name in names for sig in signatures[name]])
+    a_ub = np.array([sig for name in names for sig in signatures[name]])
     b_ub = np.concatenate(
         [np.full(len(signatures[name]), targets[name]) for name in names]
     )
 
     # Start from the longest path by node count, then re-select the dominant
     # path under the fitted table until the selection is stable.
-    selected = {
-        name: max(signatures[name], key=lambda v: v.sum()) for name in names if signatures[name]
-    }
-    best: tuple[float, OpLatencyTable] | None = None
+    selected = {name: graphs[name]._longest_by_count for name in names if signatures[name]}
+    best: tuple[float, OpLatencyTable, dict[str, float]] | None = None
     for _ in range(_MAX_ROUNDS):
         objective = -np.sum([selected[name] for name in selected], axis=0)
         sol = linprog(objective, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
@@ -371,7 +407,7 @@ def calibrate(
         cps = {name: critical_path(graphs[name], table) for name in names}
         sq_err = sum((cps[name] - targets[name]) ** 2 for name in names)
         if best is None or sq_err < best[0]:
-            best = (sq_err, table)
+            best = (sq_err, table, cps)
         if sq_err == 0.0:
             break
         previous = {name: tuple(vec) for name, vec in selected.items()}
@@ -383,8 +419,7 @@ def calibrate(
         if {name: tuple(vec) for name, vec in selected.items()} == previous:
             break
 
-    table = best[1]
-    cps = {name: critical_path(graphs[name], table) for name in names}
+    _, table, cps = best
     residuals = {name: cps[name] - targets[name] for name in names}
     return CalibrationResult(
         table=table,

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 from tactilesim.cli import main
-from tactilesim.latency_model import DEFAULT_TARGETS_NS
+from tactilesim.latency_model import DEFAULT_TARGETS_NS, calibrate
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = json.loads((ROOT / "perfbench" / "digests.json").read_text())
@@ -45,6 +45,15 @@ def load_workloads():
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     return workloads
+
+
+def test_calibration_fits():
+    # The published timings and each module left out in turn, hashed as the
+    # benchmark's in-process gate hashes them; the leave-one-out fits hold
+    # half-nanosecond latencies and a negative zero.
+    fits = [calibrate(targets).to_dict() for targets in load_workloads().target_sets()]
+    digest = sha256(json.dumps(fits).encode())
+    assert digest == DIGESTS["calibrate"]["*"]["inprocess"]["fits"]
 
 
 def run_outputs(scenario: Path, out: Path) -> dict[str, str]:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
@@ -29,6 +31,16 @@ class TestOpLatencyTable:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             table().get("fma")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("kind", ["add", "div"])
+    def test_non_finite_rejected(self, kind, value):
+        # A NaN div once built, and IK's critical path then read 21 ns: the
+        # sweep dropped every path through a divider.
+        with pytest.raises(ValueError, match=f"^latency of {kind} must be finite and "
+                           f"nonnegative, got {value}$"):
+            OpLatencyTable(**{"add": 8.0, "mul": 13.0, "div": 126.0, "negate": 13.0,
+                              kind: value})
 
 
 class TestCriticalPath:
@@ -169,9 +181,14 @@ class TestAgainstPathEnumeration:
                 for path in paths
             }
             assert [tuple(v) for v in latency_model._all_path_signatures(g)] == sorted(counts)
-            for _ in range(10):
-                # Small integer latencies make ties between paths common.
-                t = OpLatencyTable(**dict(zip(OP_KINDS, rng.integers(0, 4, len(OP_KINDS)) * 1.0)))
+            assert [tuple(v) for v in g._path_signatures] == sorted(counts)
+            # Small integer latencies make ties between paths common; uniform
+            # ones round, so a sum taken by kind instead of along the path
+            # would differ in the last bits.
+            latencies = [rng.integers(0, 4, len(OP_KINDS)) * 1.0 for _ in range(10)]
+            latencies += [rng.uniform(0, 200, len(OP_KINDS)) for _ in range(10)]
+            for values in latencies:
+                t = OpLatencyTable(**dict(zip(OP_KINDS, map(float, values))))
                 # Float addition is monotone, so the longest sum taken in
                 # path order equals the sweep's result exactly.
                 longest = max(sum(t.get(g.nodes[n]) for n in path) for path in paths)
@@ -181,6 +198,94 @@ class TestAgainstPathEnumeration:
                 nodes = critical_path_nodes(g, t)
                 assert nodes in paths
                 assert sum(t.get(g.nodes[n]) for n in nodes) == longest
+
+
+class TestImmutableGraph:
+    def test_fields_are_copied(self):
+        nodes, edges, inputs, outputs = {"a": "add"}, [("in", "a")], ["in"], ["a"]
+        g = DataflowGraph("copy", nodes, edges, inputs, outputs)
+        nodes["m"] = "mul"
+        edges.append(("a", "m"))
+        outputs.append("m")
+        assert dict(g.nodes) == {"a": "add"}
+        assert (g.edges, g.inputs, g.outputs) == ((("in", "a"),), ("in",), ("a",))
+        assert g == DataflowGraph("copy", {"a": "add"}, (("in", "a"),), ("in",), ("a",))
+        assert critical_path(g, table(add=5.0, mul=7.0)) == 5.0
+
+    def test_shared_graphs_cannot_be_changed(self):
+        # builtin_graphs() hands out the process-wide recorded graphs; FK
+        # once stayed empty after a caller cleared its nodes.
+        before = calibrate(DEFAULT_TARGETS_NS).to_dict()
+        g = builtin_graphs()["FK"]
+        with pytest.raises(AttributeError):
+            g.nodes.clear()
+        with pytest.raises(TypeError):
+            g.nodes["negate13"] = "add"
+        with pytest.raises(TypeError):
+            del g.nodes["negate13"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.nodes = {}
+        assert all(type(f) is tuple for f in (g.edges, g.inputs, g.outputs))
+        assert builtin_graphs()["FK"] is g and len(g.nodes) == 26
+        assert calibrate(DEFAULT_TARGETS_NS).to_dict() == before
+
+
+def chain(kind: str, length: int, name: str = "M") -> DataflowGraph:
+    """``length`` operators of one kind in a row."""
+    nodes = {f"n{i}": kind for i in range(length)}
+    edges = (("in", "n0"),) + tuple((f"n{i}", f"n{i + 1}") for i in range(length - 1))
+    return DataflowGraph(name, nodes, edges, ("in",), (f"n{length - 1}",))
+
+
+class TestCompiledGraph:
+    """The compiled positions and path signatures belong to the graph object:
+    no other graph, whatever its name or id, sees them."""
+
+    def test_graphs_sharing_a_name(self):
+        for _ in range(2):
+            for length, kind in enumerate(OP_KINDS, start=1):
+                result = calibrate({"M": 60.0}, graphs={"M": chain(kind, length)})
+                assert result.table.get(kind) == pytest.approx(60.0 / length)
+                assert result.critical_paths["M"] == pytest.approx(60.0)
+
+    def test_rebuilt_graphs_reusing_ids(self):
+        # Each graph is dropped before the next is built, so CPython hands
+        # out the same ids again.
+        for i in range(40):
+            kind, length = OP_KINDS[i % len(OP_KINDS)], i % 3 + 1
+            g = chain(kind, length)
+            assert calibrate({"M": 60.0}, graphs={"M": g}).table.get(kind) == pytest.approx(
+                60.0 / length
+            )
+            assert critical_path(g, OpLatencyTable(**{kind: 2.5})) == 2.5 * length
+            del g
+
+    def test_signatures_enumerated_once_per_graph(self, monkeypatch):
+        calls = []
+        enumerate_paths = latency_model._all_path_signatures
+
+        def counted(g):
+            calls.append(id(g))
+            return enumerate_paths(g)
+
+        calibrate(DEFAULT_TARGETS_NS)
+        monkeypatch.setattr(latency_model, "_all_path_signatures", counted)
+        expected = calibrate(DEFAULT_TARGETS_NS).to_dict()
+        assert calls == []
+        graphs = {
+            name: DataflowGraph(g.name, g.nodes, g.edges, g.inputs, g.outputs)
+            for name, g in builtin_graphs().items()
+        }
+        for _ in range(3):
+            assert calibrate(DEFAULT_TARGETS_NS, graphs=graphs).to_dict() == expected
+            calibrate({"FK": 47.0, "IK": 218.0}, graphs=graphs)
+        assert sorted(calls) == sorted(id(g) for g in graphs.values())
+
+    def test_cached_signatures_are_read_only(self):
+        g = chain("add", 2)
+        with pytest.raises(ValueError):
+            g._path_signatures[0][0] = 5.0
+        assert [tuple(v) for v in g._path_signatures] == [(2.0,) + (0.0,) * 9]
 
 
 class TestBuiltinGraphs:

@@ -309,6 +309,22 @@ class TestSqrt32:
         assert got.tobytes() == expected.tobytes()
 
 
+def test_float32_scalar_arithmetic_is_correctly_rounded():
+    # The hybrid circuits run on numpy float32 scalars.  A double carries
+    # more than twice float32's 24 bits plus two, so the double result of
+    # +, -, * and / rounded to float32 is the correctly rounded float32
+    # result: numpy's scalar operators must give those bytes.
+    rng = np.random.default_rng(17)
+    mantissas = rng.uniform(-2.0, 2.0, (2, 5000))
+    exponents = rng.integers(-20, 21, (2, 5000))
+    pairs = np.ldexp(mantissas, exponents).astype(np.float32).T.tolist()
+    for a, b in pairs:
+        x, y = np.float32(a), np.float32(b)
+        for got, want in ((x + y, a + b), (x - y, a - b), (x * y, a * b), (x / y, a / b)):
+            assert type(got) is np.float32
+            assert got.tobytes() == np.float32(want).tobytes()
+
+
 class TestTfbWrappers:
     def test_sincos(self):
         s, c = tfb_sincos(np.float32(0.5))
