@@ -46,13 +46,35 @@ DEFAULT_TARGETS_NS = {"FK": 47.0, "KFF": 70.0, "IK": 218.0, "FBF": 21.0}
 # mostly settles within four rounds, but can also cycle, and then stops here.
 _MAX_ROUNDS = 20
 
+# HiGHS reads a bound at or above this as infinite, so a target this large
+# would leave its paths unbounded.
+_HIGHS_INF = 1e20
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first use: scipy is most of the
-    package's import time, and only calibration needs it."""
-    from scipy.optimize import linprog as scipy_linprog
 
-    return scipy_linprog(*args, **kwargs)
+def _upper_rows(a_ub: np.ndarray, b_ub: np.ndarray):
+    """The rows ``a_ub @ x <= b_ub`` as the ``scipy.optimize.LinearConstraint``
+    that `linprog` takes, its matrix in the compressed sparse column form
+    HiGHS reads."""
+    from scipy.optimize import LinearConstraint
+    from scipy.sparse import csc_array
+
+    return LinearConstraint(csc_array(a_ub), -np.inf, b_ub)
+
+
+def linprog(c: np.ndarray, constraints):
+    """Minimise ``c @ x`` over ``x >= 0`` under ``constraints`` with HiGHS's
+    dual simplex, through ``scipy.optimize.milp`` with no integrality,
+    imported on first use: scipy is most of the package's import time, and
+    only calibration needs it.
+
+    ``milp`` hands HiGHS the same model as ``scipy.optimize.linprog(method=
+    "highs")`` and gets the same vertex back, without linprog's input
+    cleaning, matrix conversion and option checks, which took longer than
+    the solve itself.  The function keeps the name ``linprog`` under which
+    the benchmark traces the solver (``latency_model.linprog``)."""
+    from scipy.optimize import milp
+
+    return milp(c, constraints=constraints)
 
 
 class CalibrationDegenerate(ValueError):
@@ -366,7 +388,10 @@ def calibrate(
     dominant path under the fitted table.
 
     The path signatures are each graph's own, enumerated once per graph
-    object; every fit solves its linear programs anew.
+    object.  Every fit solves its linear programs anew with HiGHS (see
+    `linprog`); its rows, one per path signature, are built once per fit,
+    since only the objective changes between rounds.  A target must lie
+    below HiGHS's infinite bound of 1e20 ns.
     """
     if graphs is None:
         graphs = builtin_graphs()
@@ -378,15 +403,20 @@ def calibrate(
     for name, value in targets.items():
         if not (value > 0 and math.isfinite(value)):
             raise CalibrationDegenerate(f"target for {name} must be positive, got {value}")
+        if value >= _HIGHS_INF:
+            raise CalibrationDegenerate(
+                f"target for {name} must be below {_HIGHS_INF:g} ns, the solver's "
+                f"infinite bound, got {value}"
+            )
     names = sorted(targets)
 
     signatures = {name: graphs[name]._path_signatures for name in names}
     if all(not sigs for sigs in signatures.values()):
         raise CalibrationDegenerate("all target graphs are empty")
 
-    a_ub = np.array([sig for name in names for sig in signatures[name]])
-    b_ub = np.concatenate(
-        [np.full(len(signatures[name]), targets[name]) for name in names]
+    rows = _upper_rows(
+        np.array([sig for name in names for sig in signatures[name]]),
+        np.concatenate([np.full(len(signatures[name]), targets[name]) for name in names]),
     )
 
     # Start from the longest path by node count, then re-select the dominant
@@ -395,7 +425,7 @@ def calibrate(
     best: tuple[float, OpLatencyTable, dict[str, float]] | None = None
     for _ in range(_MAX_ROUNDS):
         objective = -np.sum([selected[name] for name in selected], axis=0)
-        sol = linprog(objective, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+        sol = linprog(objective, rows)
         if not sol.success:
             raise CalibrationDegenerate(f"latency fit failed: {sol.message}")
         # HiGHS may return a latency a rounding error (under 1e-9 ns) below

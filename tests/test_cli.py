@@ -510,6 +510,17 @@ class TestLatencyCommand:
         assert main(["latency", "--targets", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: field '--limits[0]'")
 
+    @pytest.mark.parametrize("value", ["1e160", "1e20"])
+    def test_target_at_solver_infinity_rejected(self, tmp_path, capsys, value):
+        # 1e160 would overflow the squared residual; HiGHS reads a 1e20
+        # bound as infinite and would report an unbounded LP.
+        path = tmp_path / "targets.json"
+        path.write_text('{"FBF": %s, "FK": 1}' % value)
+        assert main(["latency", "--targets", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: target for FBF must be below 1e+20 ns")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
     # A numeric string or a boolean is no number either.
     @pytest.mark.parametrize("value", ['"abc"', "null", "[47]", '"47"', "true"])
     def test_non_numeric_target_rejected(self, tmp_path, capsys, value):

@@ -1,8 +1,12 @@
 import dataclasses
+import itertools
+import json
+import random
 
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
+from scipy.optimize import linprog as scipy_linprog
 
 from tactilesim import latency_model
 from tactilesim.latency_model import (
@@ -436,5 +440,78 @@ class TestCalibration:
         with pytest.raises(CalibrationDegenerate):
             calibrate({"FK": 47.0})
 
+    @pytest.mark.parametrize("targets", [{"FBF": 1e160, "FK": 1.0}, {"IK": 1e20}])
+    def test_target_at_solver_infinity_rejected(self, targets):
+        # HiGHS reads a row bound of 1e20 as infinite; 1e160 would overflow
+        # the squared residual.
+        name = next(iter(targets))
+        message = f"target for {name} must be below 1e\\+20 ns"
+        with pytest.raises(CalibrationDegenerate, match=message):
+            calibrate(targets)
+
+    def test_target_below_solver_infinity_fits(self):
+        result = calibrate({"FBF": 9.99e19, "FK": 1.0})
+        assert result.residuals["FK"] == pytest.approx(0.0, abs=1e-9)
+        assert result.critical_paths["FBF"] <= 9.99e19
+
     def test_hardware_time_counts_fk_twice(self):
         assert hardware_time({"FK": 47.0, "KFF": 70.0, "IK": 218.0, "FBF": 21.0}) == 403.0
+
+
+# The benchmark's target sets: the published timings, then each module left
+# out in turn.
+PUBLISHED = {"FK": 47.0, "KFF": 70.0, "IK": 218.0, "FBF": 21.0}
+TARGET_SETS = [dict(PUBLISHED)] + [
+    {m: t for m, t in PUBLISHED.items() if m != left_out} for left_out in PUBLISHED
+]
+
+
+def scaled_subsets(count: int) -> list[dict[str, float]]:
+    """``count`` target sets cycling through the 15 non-empty module subsets,
+    each published timing scaled by its own factor in [0.05, 20]."""
+    rng = random.Random(18)
+    subsets = [
+        combo for r in range(1, 5) for combo in itertools.combinations(PUBLISHED, r)
+    ]
+    return [
+        {m: PUBLISHED[m] * 20.0 ** rng.uniform(-1.0, 1.0) for m in subsets[i % len(subsets)]}
+        for i in range(count)
+    ]
+
+
+def reference_linprog(c, constraints):
+    """The fit's LP through ``scipy.optimize.linprog(method="highs")`` on the
+    dense rows: the reference that the ``milp`` path must match."""
+    return scipy_linprog(
+        c,
+        A_ub=constraints.A.toarray(),
+        b_ub=constraints.ub,
+        bounds=(0, None),
+        method="highs",
+    )
+
+
+class TestAgainstLinprog:
+    """`latency_model.linprog` solves through ``milp``; every fit must print
+    the same bytes, a negative zero included, as through ``linprog``."""
+
+    @staticmethod
+    def fits(target_sets, monkeypatch) -> tuple[list[str], list[str]]:
+        def dump() -> list[str]:
+            return [json.dumps(calibrate(t).to_dict()) for t in target_sets]
+
+        fitted = dump()
+        monkeypatch.setattr(latency_model, "linprog", reference_linprog)
+        return fitted, dump()
+
+    def test_benchmark_target_sets(self, monkeypatch):
+        fitted, reference = self.fits(TARGET_SETS, monkeypatch)
+        assert fitted == reference
+        # The fit without IK reports a negative zero.
+        assert '"negate": -0.0' in fitted[3]
+
+    def test_scaled_module_subsets(self, monkeypatch):
+        target_sets = scaled_subsets(200)
+        fitted, reference = self.fits(target_sets, monkeypatch)
+        for targets, got, want in zip(target_sets, fitted, reference):
+            assert got == want, targets
