@@ -423,13 +423,27 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _unique_modules(pairs: list[tuple[str, object]]) -> dict:
+    """A targets object as a dict; a module given twice is an error, where
+    ``json`` would keep its last value."""
+    targets: dict = {}
+    for module, value in pairs:
+        if module in targets:
+            raise ScenarioError(f"module {module!r} given twice")
+        targets[module] = value
+    return targets
+
+
 def cmd_latency(args) -> int:
     if args.targets is None:
         targets = dict(DEFAULT_TARGETS_NS)
     else:
         try:
             with open(args.targets) as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, object_pairs_hook=_unique_modules)
+        except ScenarioError as exc:
+            print(f"error: targets: {exc}", file=sys.stderr)
+            return 1
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read targets: {exc}", file=sys.stderr)
             return 1

@@ -14,7 +14,11 @@ periods.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import types
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
@@ -51,30 +55,91 @@ _MAX_ROUNDS = 20
 _HIGHS_INF = 1e20
 
 
+# scipy's compiled HiGHS binding, a pybind11 module.
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _highs():
+    """scipy's HiGHS binding, loaded on first use without the package
+    ``__init__`` of ``scipy.optimize``, which imports linalg, sparse, special
+    and fft and took most of the wall time of ``tactilesim latency``.
+
+    The binding is registered in ``sys.modules`` under its own name before it
+    runs, as the import system does, so that a later ``import scipy.optimize``
+    reuses it, and an earlier one is reused here: a pybind11 module must not
+    be initialised twice."""
+    module = sys.modules.get(_HIGHS_MODULE)
+    if module is not None:
+        return module
+    import scipy
+
+    spec = importlib.machinery.PathFinder.find_spec(
+        _HIGHS_MODULE, [os.path.join(scipy.__path__[0], "optimize", "_highspy")]
+    )
+    if spec is None:
+        raise ImportError(
+            f"the latency fit needs {_HIGHS_MODULE}, which scipy {scipy.__version__} "
+            "does not ship",
+            name=_HIGHS_MODULE,
+        )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_MODULE] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_HIGHS_MODULE]
+        raise
+    return module
+
+
 def _upper_rows(a_ub: np.ndarray, b_ub: np.ndarray):
-    """The rows ``a_ub @ x <= b_ub`` as the ``scipy.optimize.LinearConstraint``
-    that `linprog` takes, its matrix in the compressed sparse column form
-    HiGHS reads."""
-    from scipy.optimize import LinearConstraint
-    from scipy.sparse import csc_array
+    """The LP ``a_ub @ x <= b_ub`` over ``x >= 0``, without its objective, as
+    the ``HighsLp`` that `linprog` solves: the model ``scipy.optimize.milp``
+    hands HiGHS, its matrix in compressed sparse column form and every
+    variable explicitly continuous."""
+    h = _highs()
+    n_rows, n_cols = a_ub.shape
+    lp = h.HighsLp()
+    lp.num_col_ = n_cols
+    lp.num_row_ = n_rows
+    lp.col_lower_ = np.zeros(n_cols)
+    lp.col_upper_ = np.full(n_cols, np.inf)
+    lp.row_lower_ = np.full(n_rows, -np.inf)
+    lp.row_upper_ = b_ub
+    lp.integrality_ = [h.HighsVarType(0)] * n_cols
+    columns = a_ub.T
+    nonzero = columns != 0
+    matrix = lp.a_matrix_
+    matrix.format_ = h.MatrixFormat.kColwise
+    matrix.num_col_ = n_cols
+    matrix.num_row_ = n_rows
+    matrix.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
+    matrix.index_ = np.nonzero(nonzero)[1]
+    matrix.value_ = columns[nonzero]
+    return lp
 
-    return LinearConstraint(csc_array(a_ub), -np.inf, b_ub)
 
+def linprog(c: np.ndarray, lp) -> np.ndarray:
+    """Minimise ``c @ x`` over the `_upper_rows` model ``lp``, whose objective
+    it sets, with HiGHS's dual simplex; returns the vertex ``x``.
 
-def linprog(c: np.ndarray, constraints):
-    """Minimise ``c @ x`` over ``x >= 0`` under ``constraints`` with HiGHS's
-    dual simplex, through ``scipy.optimize.milp`` with no integrality,
-    imported on first use: scipy is most of the package's import time, and
-    only calibration needs it.
-
-    ``milp`` hands HiGHS the same model as ``scipy.optimize.linprog(method=
-    "highs")`` and gets the same vertex back, without linprog's input
-    cleaning, matrix conversion and option checks, which took longer than
-    the solve itself.  The function keeps the name ``linprog`` under which
-    the benchmark traces the solver (``latency_model.linprog``)."""
-    from scipy.optimize import milp
-
-    return milp(c, constraints=constraints)
+    Every call solves on a fresh solver with default options but for the
+    console log, as ``scipy.optimize.milp`` does, and so returns milp's
+    vertex: a warm start from an earlier round's basis could return another
+    vertex of the optimal face.  The function keeps the name ``linprog``
+    under which the benchmark traces the solver (``latency_model.linprog``)."""
+    h = _highs()
+    lp.col_cost_ = c
+    highs = h._Highs()
+    highs.setOptionValue("log_to_console", False)
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != h.HighsModelStatus.kOptimal:
+        raise CalibrationDegenerate(
+            f"latency fit failed: HiGHS model status {highs.modelStatusToString(status)}"
+        )
+    return np.array(highs.getSolution().col_value)
 
 
 class CalibrationDegenerate(ValueError):
@@ -385,12 +450,15 @@ def calibrate(
     The critical path is the max over all paths, so the fit keeps every path
     at or below its module's target while pushing one selected path per module
     up against it; the selection is refined until it coincides with the
-    dominant path under the fitted table.
+    dominant path under the fitted table.  "At or below" holds to HiGHS's
+    absolute primal feasibility tolerance of 1e-7 ns: a path may exceed its
+    target by up to that much (``calibrate({"IK": 1e-9})`` reports IK at
+    4e-9 ns).
 
     The path signatures are each graph's own, enumerated once per graph
     object.  Every fit solves its linear programs anew with HiGHS (see
-    `linprog`); its rows, one per path signature, are built once per fit,
-    since only the objective changes between rounds.  A target must lie
+    `linprog`); its model, one row per path signature, is built once per
+    fit, since only the objective changes between rounds.  A target must lie
     below HiGHS's infinite bound of 1e20 ns.
     """
     if graphs is None:
@@ -425,14 +493,12 @@ def calibrate(
     best: tuple[float, OpLatencyTable, dict[str, float]] | None = None
     for _ in range(_MAX_ROUNDS):
         objective = -np.sum([selected[name] for name in selected], axis=0)
-        sol = linprog(objective, rows)
-        if not sol.success:
-            raise CalibrationDegenerate(f"latency fit failed: {sol.message}")
+        x = linprog(objective, rows)
         # HiGHS may return a latency a rounding error (under 1e-9 ns) below
         # its zero bound; that reads as 0.
-        if sol.x.min() <= -1e-9:
-            raise CalibrationDegenerate(f"latency fit returned a negative latency: {sol.x}")
-        x = np.where(sol.x < 0.0, 0.0, sol.x)
+        if x.min() <= -1e-9:
+            raise CalibrationDegenerate(f"latency fit returned a negative latency: {x}")
+        x = np.where(x < 0.0, 0.0, x)
         table = OpLatencyTable(**{k: float(x[i]) for i, k in enumerate(OP_KINDS)})
         cps = {name: critical_path(graphs[name], table) for name in names}
         sq_err = sum((cps[name] - targets[name]) ** 2 for name in names)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -521,6 +522,15 @@ class TestLatencyCommand:
         assert captured.err.startswith("error: target for FBF must be below 1e+20 ns")
         assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
+    def test_repeated_module_rejected(self, tmp_path, capsys):
+        # json would keep the last value silently.
+        path = tmp_path / "targets.json"
+        path.write_text('{"FK": 47, "IK": 218, "FK": 48}')
+        assert main(["latency", "--targets", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: targets: module 'FK' given twice\n"
+        assert captured.out == ""
+
     # A numeric string or a boolean is no number either.
     @pytest.mark.parametrize("value", ['"abc"', "null", "[47]", '"47"', "true"])
     def test_non_numeric_target_rejected(self, tmp_path, capsys, value):
@@ -607,6 +617,24 @@ class TestMseCommand:
         a.write_text("x,y\n1.0,2.0\n")
         b.write_text("x,z\n1.0,2.0\n")
         assert main(["mse", str(a), str(b)]) == 1
+
+
+def test_latency_leaves_scipy_optimize_unloaded():
+    # The fit runs on scipy's HiGHS binding alone; the package init of
+    # scipy.optimize imports most of scipy.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    code = (
+        "import sys; from tactilesim.cli import main; rc = main(['latency']); "
+        "sys.exit(rc or 'scipy.optimize' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+    golden = digests["calibrate"]["*"]["cli"]["latency.json"]
+    assert hashlib.sha256(proc.stdout).hexdigest() == golden
 
 
 def test_import_leaves_scipy_unloaded():

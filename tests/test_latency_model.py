@@ -1,12 +1,18 @@
 import dataclasses
+import importlib.machinery
 import itertools
 import json
+import os
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 from scipy.optimize import linprog as scipy_linprog
+from scipy.sparse import csc_array
 
 from tactilesim import latency_model
 from tactilesim.latency_model import (
@@ -21,6 +27,8 @@ from tactilesim.latency_model import (
     critical_path_nodes,
     hardware_time,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def table(**kwargs) -> OpLatencyTable:
@@ -434,11 +442,21 @@ class TestCalibration:
     def test_negative_solver_latency_rejected(self, monkeypatch):
         x = np.zeros(len(OP_KINDS))
         x[0] = -1e-6
-        monkeypatch.setattr(
-            latency_model, "linprog", lambda *a, **k: OptimizeResult(success=True, x=x)
-        )
+        monkeypatch.setattr(latency_model, "linprog", lambda *a, **k: x)
         with pytest.raises(CalibrationDegenerate):
             calibrate({"FK": 47.0})
+
+    def test_tiny_target_holds_to_solver_tolerance(self):
+        # HiGHS keeps a row within its primal feasibility tolerance of 1e-7
+        # ns of its bound, not below it.
+        result = calibrate({"IK": 1e-9})
+        assert 1e-9 < result.critical_paths["IK"] <= 1e-9 + 1e-7
+
+    def test_non_optimal_status_named(self):
+        # The first column has a negative cost and no row bounds it.
+        rows = latency_model._upper_rows(np.array([[0.0, 1.0]]), np.array([1.0]))
+        with pytest.raises(CalibrationDegenerate, match="HiGHS model status Unbounded"):
+            latency_model.linprog(np.array([-1.0, 0.0]), rows)
 
     @pytest.mark.parametrize("targets", [{"FBF": 1e160, "FK": 1.0}, {"IK": 1e20}])
     def test_target_at_solver_infinity_rejected(self, targets):
@@ -479,21 +497,26 @@ def scaled_subsets(count: int) -> list[dict[str, float]]:
     ]
 
 
-def reference_linprog(c, constraints):
+def reference_linprog(c, lp):
     """The fit's LP through ``scipy.optimize.linprog(method="highs")`` on the
-    dense rows: the reference that the ``milp`` path must match."""
-    return scipy_linprog(
+    dense rows of ``lp``: the reference that the direct binding must match."""
+    m = lp.a_matrix_
+    a_ub = csc_array((m.value_, m.index_, m.start_), shape=(lp.num_row_, lp.num_col_))
+    sol = scipy_linprog(
         c,
-        A_ub=constraints.A.toarray(),
-        b_ub=constraints.ub,
+        A_ub=a_ub.toarray(),
+        b_ub=lp.row_upper_,
         bounds=(0, None),
         method="highs",
     )
+    assert sol.success, sol.message
+    return sol.x
 
 
 class TestAgainstLinprog:
-    """`latency_model.linprog` solves through ``milp``; every fit must print
-    the same bytes, a negative zero included, as through ``linprog``."""
+    """`latency_model.linprog` solves through scipy's HiGHS binding; every
+    fit must print the same bytes, a negative zero included, as through
+    ``scipy.optimize.linprog``."""
 
     @staticmethod
     def fits(target_sets, monkeypatch) -> tuple[list[str], list[str]]:
@@ -515,3 +538,64 @@ class TestAgainstLinprog:
         fitted, reference = self.fits(target_sets, monkeypatch)
         for targets, got, want in zip(target_sets, fitted, reference):
             assert got == want, targets
+
+
+def test_paths_within_solver_tolerance_of_target():
+    # Every path of a fitted module stays at or below its target, to HiGHS's
+    # absolute primal feasibility tolerance of 1e-7 ns.
+    graphs = builtin_graphs()
+    for targets in scaled_subsets(200):
+        fitted = calibrate(targets).table.to_dict()
+        x = np.array([fitted[k] for k in OP_KINDS])
+        for name, target in targets.items():
+            for signature in graphs[name]._path_signatures:
+                assert signature @ x <= target + 1e-7, (targets, name)
+
+
+def test_missing_binding_named(monkeypatch):
+    # With the binding neither loaded nor found in scipy's tree, the loader
+    # names it and scipy's version.
+    import scipy
+
+    monkeypatch.delitem(sys.modules, latency_model._HIGHS_MODULE)
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda *a: None)
+    message = f"{latency_model._HIGHS_MODULE}, which scipy {scipy.__version__} does not ship"
+    with pytest.raises(ImportError, match=re.escape(message)):
+        latency_model._highs()
+
+
+# Fits with calibrate() before `import scipy.optimize` (argv[1] is
+# "binding-first"), which must leave the binding in sys.modules for that
+# import, or only after it: every binding calibrate used must be the module
+# scipy.optimize imported, and scipy's own linprog must still solve through
+# it.
+IMPORT_ORDER = """
+import sys
+import numpy as np
+from tactilesim import latency_model
+
+load = latency_model._highs
+used = []
+latency_model._highs = lambda: used.append(load()) or used[-1]
+if sys.argv[1] == "binding-first":
+    latency_model.calibrate(latency_model.DEFAULT_TARGETS_NS)
+    assert "scipy.optimize" not in sys.modules
+    assert sys.modules.get(latency_model._HIGHS_MODULE) is used[-1]
+import scipy.optimize
+import scipy.optimize._highspy._core as core
+latency_model.calibrate(latency_model.DEFAULT_TARGETS_NS)
+assert used and all(m is core for m in used), (used, core)
+sol = scipy.optimize.linprog([-1.0, -1.0], A_ub=[[1.0, 2.0]], b_ub=[4.0], method="highs")
+assert sol.success and np.allclose(sol.x, [4.0, 0.0]), sol
+"""
+
+
+@pytest.mark.parametrize("order", ["binding-first", "scipy-first"])
+def test_binding_shared_with_scipy_optimize(order):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_ORDER, order],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
