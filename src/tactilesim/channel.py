@@ -155,19 +155,14 @@ def _rows(draw: Callable[[], np.ndarray]) -> Iterator[list]:
         yield from draw().tolist()
 
 
-def channel_step(
-    state: ChannelState,
-    cfg: ChannelConfig,
-    sample,
-    n: int,
-) -> tuple[float, float, float]:
+def channel_step(state: ChannelState, sample, n: int) -> tuple[float, float, float]:
     """Push one 3-vector sample through the channel at index ``n``; returns
     the channel output as a tuple of three floats.
 
     out_i = in_i(n - d_i(n)) + r_i(n), with r_i drawn from N(0, sigma_i^2).
     Before the first delayed sample is available the component emits the hold
-    value exactly (no noise).  ``n`` must increase by one per call.  ``state``
-    holds everything the step reads of ``cfg``.
+    value exactly (no noise).  ``n`` must increase by one per call.  ``state``,
+    built from the channel's config, holds everything the step reads.
     """
     if n != state.expected_n:
         raise OutOfOrderSample(f"expected sample {state.expected_n}, got {n}")

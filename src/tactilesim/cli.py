@@ -1,7 +1,9 @@
 """Command-line front end: run a scenario, calibrate the latency model,
 compare trace files.
 
-Exit codes: 0 success, 1 configuration or validation error, 2 runtime error
+The commands raise; ``main`` alone turns an error into one line on stderr
+and an exit code: 0 success; 1 an input, option or output a command cannot
+use, the latency solver missing, or memory running out; 2 a runtime error
 (e.g. an unreachable sample during simulation).
 """
 
@@ -42,7 +44,7 @@ from tactilesim.pipeline import (
     write_trace_csv,
 )
 
-__all__ = ["Scenario", "ScenarioError", "load_scenario", "default_scenario", "main"]
+__all__ = ["Scenario", "ScenarioError", "load_scenario", "main"]
 
 OUTDIR_ENV = "TACTILESIM_OUTDIR"
 SCHEMA_VERSION = 1
@@ -51,9 +53,15 @@ SCHEMA_VERSION = 1
 # default; it reproduces the error magnitudes of the reference hardware.
 SCENARIO_CORDIC_ITERATIONS = 10
 
+# The paper's round-trip latency limits and hardware time in seconds: the
+# defaults of a scenario's budget and of `latency --limits`.
+BUDGET_LIMITS = (1e-3, 10e-3)
+BUDGET_T_HARDWARE = 403e-9
+
 
 class ScenarioError(ValueError):
-    """Scenario file failed to parse or validate; message names the field."""
+    """An input, option or output a command cannot use; the message names the
+    field or the file."""
 
 
 @dataclass(frozen=True)
@@ -84,26 +92,6 @@ class Scenario:
         if self.backends == ("hybrid",):
             return hybrid, None
         return Oracle(), None
-
-
-def default_scenario(seed: int = 2024) -> Scenario:
-    """The validation scenario: default trajectory, default contact scene,
-    transparent channels, both backends."""
-    return Scenario(
-        trajectory=TrajectorySpec.default(),
-        geometry=DeviceGeometry(),
-        scene=Scene.default(),
-        fc=ChannelConfig(seed=2 * seed),
-        bc=ChannelConfig(seed=2 * seed + 1),
-        backends=("oracle", "hybrid"),
-        cordic=CordicConfig(iterations=SCENARIO_CORDIC_ITERATIONS),
-        fcs_pole=0.0,
-        seed=seed,
-        output_dir="out",
-        output_prefix="trace",
-        budget_limits=(1e-3, 10e-3),
-        budget_t_hardware=403e-9,
-    )
 
 
 def _check(value, kind, name: str):
@@ -222,7 +210,9 @@ def _parse_trajectory(data: dict, fmt: QFormat | None) -> TrajectorySpec:
         )
 
 
-def _parse_channel(data: dict, name: str, seed: int) -> ChannelConfig:
+def _parse_channel(scenario: dict, name: str, seed: int, samples: int) -> ChannelConfig:
+    """The channel ``name`` of a run of ``samples`` samples."""
+    data = _field(scenario, name, dict, "", default={})
     where = f"{name}."
     if isinstance(data.get("sigma2"), list):
         sigma2 = _floats(data, "sigma2", where, length=3)
@@ -236,6 +226,14 @@ def _parse_channel(data: dict, name: str, seed: int) -> ChannelConfig:
             )
         else:
             delay = ConstantDelay(_field(data, "delay", int, where, default=0))
+    # The channel holds max_delay + 1 samples; a delay as long as the run
+    # would allocate that and never deliver one.
+    if delay.max_delay >= samples:
+        key = "delay.max" if isinstance(delay, RandomWalkDelay) else "delay"
+        raise ScenarioError(
+            f"field '{where}{key}' must be below the trajectory's {samples} samples, "
+            f"got {delay.max_delay}"
+        )
     hold = _floats(data, "initial_hold", where, length=3)
     with _naming(where + "sigma2"):
         return ChannelConfig(noise_variance=sigma2, delay=delay, seed=seed, initial_hold=hold)
@@ -273,11 +271,10 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
 
     geo_raw = _field(data, "geometry", dict, "", default={})
     with _naming("geometry"):
+        # A link the scenario leaves out keeps DeviceGeometry's default.
+        links = ("l1", "l2", "l3", "l4")
         geometry = DeviceGeometry(
-            l1=_field(geo_raw, "l1", float, "geometry.", default=0.135),
-            l2=_field(geo_raw, "l2", float, "geometry.", default=0.135),
-            l3=_field(geo_raw, "l3", float, "geometry.", default=0.025),
-            l4=_field(geo_raw, "l4", float, "geometry.", default=0.170),
+            **{k: _check(geo_raw[k], float, f"geometry.{k}") for k in links if k in geo_raw}
         )
 
     cordic_raw = _field(data, "cordic", dict, "", default={})
@@ -304,8 +301,8 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     )
     scene = _parse_scene(_field(data, "scene", dict, "", required=True))
 
-    fc = _parse_channel(_field(data, "fc", dict, "", default={}), "fc", seed=2 * seed)
-    bc = _parse_channel(_field(data, "bc", dict, "", default={}), "bc", seed=2 * seed + 1)
+    fc = _parse_channel(data, "fc", 2 * seed, trajectory.q)
+    bc = _parse_channel(data, "bc", 2 * seed + 1, trajectory.q)
 
     fcs_raw = _field(data, "fcs", dict, "", default={})
     fcs_pole = _field(fcs_raw, "pole", float, "fcs.", default=0.0)
@@ -313,8 +310,8 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
         raise ScenarioError("field 'fcs.pole' must lie in [0, 1)")
 
     budget_raw = _field(data, "budget", dict, "", default={})
-    limits = _floats(budget_raw, "t_latency_limits", "budget.", default=(1e-3, 10e-3))
-    t_hw = _field(budget_raw, "t_hardware", float, "budget.", default=403e-9)
+    limits = _floats(budget_raw, "t_latency_limits", "budget.", default=BUDGET_LIMITS)
+    t_hw = _field(budget_raw, "t_hardware", float, "budget.", default=BUDGET_T_HARDWARE)
     if t_hw <= 0:
         raise ScenarioError("field 'budget.t_hardware' must be positive")
     # t_hardware is judged against the paper's 1 ms limit first, then each
@@ -329,9 +326,11 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     prefix = _field(out_raw, "prefix", str, "output.", default="trace")
     # The prefix names files inside the output directory; a separator would
     # put them elsewhere, or outside it altogether.  "/" separates on every
-    # platform, os.sep also on Windows.
-    if "/" in prefix or os.sep in prefix:
-        raise ScenarioError(f"field 'output.prefix' must not contain a path separator: {prefix!r}")
+    # platform, os.sep also on Windows.  No file name holds a NUL.
+    if "/" in prefix or os.sep in prefix or "\0" in prefix:
+        raise ScenarioError(
+            f"field 'output.prefix' must not contain a path separator or a NUL: {prefix!r}"
+        )
     return Scenario(
         trajectory=trajectory,
         geometry=geometry,
@@ -349,41 +348,55 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     )
 
 
-def load_scenario(path) -> Scenario:
+def _read(path, parse, what: str):
+    """``parse`` of the ``what`` file at ``path``, opened as UTF-8.  A file
+    that cannot be read, decoded or parsed is a ScenarioError naming it, and
+    a ScenarioError from ``parse`` gains ``what`` as its prefix."""
     try:
-        with open(path) as fh:
-            data = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"cannot parse scenario {path}: {exc}") from exc
-    return parse_scenario(data, source=str(path))
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{what}: {exc}") from None
+    # ValueError covers UnicodeDecodeError and json's JSONDecodeError; a
+    # deeply nested document exhausts either parser's recursion.
+    except (OSError, ValueError, yaml.YAMLError, RecursionError) as exc:
+        raise ScenarioError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _write_failed(path, exc: OSError) -> int:
-    """Report an output that cannot be written; the exit code."""
-    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-    return 1
+@contextmanager
+def _writing(path):
+    """An output at ``path`` that cannot be written is a ScenarioError:
+    ``cannot write <path>: <reason>``."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ScenarioError(f"cannot write {path}: {reason}") from exc
+
+
+def _emit(text: str, out) -> None:
+    """Print a report, after writing it to ``out`` when that is given."""
+    if out:
+        with _writing(out):
+            Path(out).write_text(text + "\n")
+    print(text)
+
+
+def load_scenario(path) -> Scenario:
+    return parse_scenario(_read(path, yaml.safe_load, "scenario"), source=str(path))
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    scenario = load_scenario(args.scenario)
     out = Path(args.out_dir or os.environ.get(OUTDIR_ENV) or scenario.output_dir)
     # Made before the run, so that an unusable directory fails at once rather
     # than after the whole simulation.  A run that fails removes the
     # directories it made, and so leaves nothing behind.
     made = [p for p in (out, *out.parents) if not p.exists()]
-    try:
+    with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return _write_failed(out, exc)
-    driver, shadow = scenario.backend_objects()
     try:
+        driver, shadow = scenario.backend_objects()
         trace = run_pipeline(
             scenario.trajectory,
             scenario.scene,
@@ -394,20 +407,15 @@ def cmd_run(args) -> int:
             shadow=shadow,
             fcs_pole=scenario.fcs_pole,
         )
-    except (SampleError, OutOfOrderSample) as exc:
+    except BaseException:
         for p in made:
             p.rmdir()
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
+        raise
 
-    written = []
-    for backend in trace.backends:
-        path = out / f"{scenario.output_prefix}_{backend}.csv"
-        try:
+    written = [out / f"{scenario.output_prefix}_{backend}.csv" for backend in trace.backends]
+    for backend, path in zip(trace.backends, written):
+        with _writing(path):
             write_trace_csv(trace, path, backend)
-        except OSError as exc:
-            return _write_failed(path, exc)
-        written.append(path)
     report = summary_report(
         trace,
         budget_limits=scenario.budget_limits,
@@ -415,10 +423,8 @@ def cmd_run(args) -> int:
     )
     report["traces"] = [p.name for p in written]
     summary_path = out / f"{scenario.output_prefix}_summary.json"
-    try:
+    with _writing(summary_path):
         summary_path.write_text(json.dumps(report, indent=2) + "\n")
-    except OSError as exc:
-        return _write_failed(summary_path, exc)
     print(f"wrote {', '.join(str(p) for p in written)} and {summary_path}")
     return 0
 
@@ -434,42 +440,26 @@ def _unique_modules(pairs: list[tuple[str, object]]) -> dict:
     return targets
 
 
+def _parse_targets(fh) -> dict:
+    """A targets file: a non-empty JSON object of numbers, each module once."""
+    raw = json.load(fh, object_pairs_hook=_unique_modules)
+    if not isinstance(raw, dict) or not raw:
+        raise ScenarioError("must be a non-empty JSON object")
+    # Numbers as the scenario rules read them: no strings, no booleans.
+    return {k: _check(v, float, k) for k, v in raw.items()}
+
+
 def cmd_latency(args) -> int:
     if args.targets is None:
         targets = dict(DEFAULT_TARGETS_NS)
     else:
-        try:
-            with open(args.targets) as fh:
-                raw = json.load(fh, object_pairs_hook=_unique_modules)
-        except ScenarioError as exc:
-            print(f"error: targets: {exc}", file=sys.stderr)
-            return 1
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read targets: {exc}", file=sys.stderr)
-            return 1
-        if not isinstance(raw, dict) or not raw:
-            print("error: targets must be a non-empty JSON object", file=sys.stderr)
-            return 1
-        # Numbers as the scenario rules read them: no strings, no booleans.
-        try:
-            targets = {k: _check(v, float, k) for k, v in raw.items()}
-        except ScenarioError as exc:
-            print(f"error: targets: {exc}", file=sys.stderr)
-            return 1
-    try:
-        result = calibrate(targets)
-    except CalibrationDegenerate as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        targets = _read(args.targets, _parse_targets, "targets")
+    result = calibrate(targets)
 
     # Speedups are quoted against the measured module times; the fitted
     # critical paths are the model's attribution of them.
     measured = hardware_time(targets)
-    try:
-        _check_limits(args.limits, measured * 1e-9, "--limits")
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _check_limits(args.limits, measured * 1e-9, "--limits")
     report = result.to_dict()
     report["t_hardware_measured_ns"] = measured
     report["speedups"] = {
@@ -479,32 +469,29 @@ def cmd_latency(args) -> int:
     report["hardware_time_limits"] = {
         f"{lim:g}s": hardware_time_limit(lim) for lim in args.limits
     }
-    text = json.dumps(report, indent=2)
-    if args.out:
-        try:
-            Path(args.out).write_text(text + "\n")
-        except OSError as exc:
-            return _write_failed(args.out, exc)
-    print(text)
+    _emit(json.dumps(report, indent=2), args.out)
     return 0
 
 
-def cmd_mse(args) -> int:
+def _read_trace(path) -> tuple[list[str], np.ndarray]:
+    """``read_trace_csv``, its errors as ScenarioErrors naming the file."""
     try:
-        header_a, data_a = read_trace_csv(args.trace_a)
-        header_b, data_b = read_trace_csv(args.trace_b)
+        return read_trace_csv(path)
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ScenarioError(str(exc)) from exc
+
+
+def cmd_mse(args) -> int:
+    header_a, data_a = _read_trace(args.trace_a)
+    header_b, data_b = _read_trace(args.trace_b)
     if header_a != header_b:
-        print("error: trace schemas differ", file=sys.stderr)
-        return 1
+        raise ScenarioError("trace schemas differ")
     if data_a.shape != data_b.shape:
-        print(
-            f"error: trace lengths differ: {data_a.shape[0]} rows vs {data_b.shape[0]} rows",
-            file=sys.stderr,
+        raise ScenarioError(
+            f"trace lengths differ: {data_a.shape[0]} rows vs {data_b.shape[0]} rows"
         )
-        return 1
     # Finite values far apart still overflow the squared difference.
     with np.errstate(over="ignore"):
         table = {
@@ -512,15 +499,8 @@ def cmd_mse(args) -> int:
         }
     for name, mse in table.items():
         if not math.isfinite(mse):
-            print(f"error: the MSE of column {name!r} overflows", file=sys.stderr)
-            return 1
-    text = json.dumps(table, indent=2)
-    if args.out:
-        try:
-            Path(args.out).write_text(text + "\n")
-        except OSError as exc:
-            return _write_failed(args.out, exc)
-    print(text)
+            raise ScenarioError(f"the MSE of column {name!r} overflows")
+    _emit(json.dumps(table, indent=2), args.out)
     return 0
 
 
@@ -549,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--limits",
         type=float,
         nargs="+",
-        default=[1e-3, 10e-3],
+        default=BUDGET_LIMITS,
         help="round-trip latency limits in seconds for the speedup report",
     )
     p_lat.add_argument("--out", help="also write the report JSON to this path")
@@ -564,9 +544,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one command; the one place that maps an error to its exit code."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (SampleError, OutOfOrderSample) as exc:
+        message, code = f"runtime error: {exc}", 2
+    except (ScenarioError, CalibrationDegenerate, ImportError) as exc:
+        message, code = f"error: {exc}", 1
+    except MemoryError:
+        message, code = "error: out of memory", 1
+    # One line, although a YAML parse error spans several.
+    print("; ".join(line.strip() for line in message.split("\n")), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

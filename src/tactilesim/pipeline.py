@@ -500,7 +500,7 @@ def _row_by_row(fn, *consts):
 def _channel(cfg: ChannelConfig, vector: type):
     """The stage of one channel: ``channel_step`` per row, on the row's signal
     and its sample index ``n``, with the output rows checked as ``vector``."""
-    steps = _row_by_row(partial(channel_step, ChannelState(cfg), cfg))
+    steps = _row_by_row(partial(channel_step, ChannelState(cfg)))
 
     def stage(signal, n):
         out, error = steps(signal, n.astype(int))
@@ -600,11 +600,11 @@ def write_trace_csv(trace: SimulationTrace, path, backend: str) -> None:
 
 
 def read_trace_csv(path) -> tuple[list[str], np.ndarray]:
-    """Read a trace written by ``write_trace_csv``; returns (header, data).
+    """Read a UTF-8 trace written by ``write_trace_csv``; returns (header, data).
     The header names each column once, every row holds one finite number per
     column, and there is at least one row; a ValueError names the file and
     the line."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -630,9 +630,7 @@ def read_trace_csv(path) -> tuple[list[str], np.ndarray]:
 
 
 def summary_report(
-    trace: SimulationTrace,
-    budget_limits: Sequence[float] = (1e-3, 10e-3),
-    t_hardware: float = 403e-9,
+    trace: SimulationTrace, budget_limits: Sequence[float], t_hardware: float
 ) -> dict:
     """JSON-ready run summary: the MSE table (for dual-backend runs) and the
     latency budget numbers."""

@@ -3,12 +3,13 @@ pass/fail line per criterion (run with ``pytest -s`` to see them)."""
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
 from conftest import sample_workspace_poses
 from tactilesim.channel import ChannelConfig, ChannelState, channel_step
-from tactilesim.cli import default_scenario
+from tactilesim.cli import load_scenario
 from tactilesim.force import jacobian
 from tactilesim.kinematics import (
     Hybrid,
@@ -35,6 +36,7 @@ from tactilesim.pipeline import (
 )
 
 LSB = 2.0 ** -13
+SCENARIO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "default.yaml"
 
 MSE_BANDS = {
     "FK-HMD": (1e-9, 1e-7),
@@ -51,7 +53,7 @@ def criterion(name: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_mse_validation_bands():
-    scenario = default_scenario()
+    scenario = load_scenario(SCENARIO_PATH)
     start = time.monotonic()
     trace = run_pipeline(
         scenario.trajectory,
@@ -196,7 +198,7 @@ def test_criterion_7_channel_statistics():
         state = ChannelState(cfg)
         zeros = (0.0, 0.0, 0.0)
         return np.stack(
-            [channel_step(state, cfg, zeros, n) for n in range(n_samples)]
+            [channel_step(state, zeros, n) for n in range(n_samples)]
         )
 
     out = run()

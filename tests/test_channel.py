@@ -18,7 +18,7 @@ from tactilesim.channel import (
 def run_channel(cfg: ChannelConfig, inputs: np.ndarray) -> np.ndarray:
     state = ChannelState(cfg)
     return np.stack(
-        [channel_step(state, cfg, inputs[n], n) for n in range(len(inputs))]
+        [channel_step(state, inputs[n], n) for n in range(len(inputs))]
     )
 
 
@@ -96,7 +96,7 @@ class TestDelay:
         seen = []
         for n in range(500):
             seen.append(state.delays.copy())
-            channel_step(state, cfg, (0.0, 0.0, 0.0), n)
+            channel_step(state, (0.0, 0.0, 0.0), n)
         seen = np.stack(seen)
         assert seen.min() >= 2 and seen.max() <= 6
         assert np.abs(np.diff(seen, axis=0)).max() <= 1
@@ -129,16 +129,16 @@ class TestOrdering:
     def test_out_of_order_rejected(self):
         cfg = ChannelConfig.transparent()
         state = ChannelState(cfg)
-        channel_step(state, cfg, (0.0, 0.0, 0.0), 0)
+        channel_step(state, (0.0, 0.0, 0.0), 0)
         with pytest.raises(OutOfOrderSample):
-            channel_step(state, cfg, (0.0, 0.0, 0.0), 2)
+            channel_step(state, (0.0, 0.0, 0.0), 2)
 
     def test_restart_required(self):
         cfg = ChannelConfig.transparent()
         state = ChannelState(cfg)
-        channel_step(state, cfg, (1.0, 1.0, 1.0), 0)
+        channel_step(state, (1.0, 1.0, 1.0), 0)
         with pytest.raises(OutOfOrderSample):
-            channel_step(state, cfg, (1.0, 1.0, 1.0), 0)
+            channel_step(state, (1.0, 1.0, 1.0), 0)
 
 
 def reference_channel(cfg: ChannelConfig, inputs: np.ndarray) -> np.ndarray:
@@ -211,7 +211,7 @@ def test_step_returns_a_tuple_of_floats(cfg):
     state = ChannelState(cfg)
     for n in range(40):
         sample = (n, np.float64(0.25 * n), np.float32(-n))
-        out = channel_step(state, cfg, sample, n)
+        out = channel_step(state, sample, n)
         assert type(out) is tuple and len(out) == 3
         assert all(type(v) is float for v in out)
 
@@ -303,7 +303,7 @@ def test_step_is_the_loop_form(cfg):
     inputs[:2, 2] = -0.0
     state, loop = ChannelState(cfg), LoopState(cfg)
     for n, sample in enumerate(inputs.tolist()):
-        got = channel_step(state, cfg, sample, n)
+        got = channel_step(state, sample, n)
         want = loop_channel_step(loop, cfg, sample, n)
         assert type(got) is tuple
         assert list(map(float.hex, got)) == list(map(float.hex, want)), n
@@ -322,10 +322,14 @@ def test_step_is_the_loop_form(cfg):
 def test_step_errors_are_the_loop_forms(sample, n, message):
     cfg = STEP_CONFIGS["walk-noisy"]
     errors = []
-    for step, state in ((channel_step, ChannelState(cfg)), (loop_channel_step, LoopState(cfg))):
-        step(state, cfg, (0.0, 0.0, 0.0), 0)
+
+    def loop_step(state, sample, n):
+        return loop_channel_step(state, cfg, sample, n)
+
+    for step, state in ((channel_step, ChannelState(cfg)), (loop_step, LoopState(cfg))):
+        step(state, (0.0, 0.0, 0.0), 0)
         with pytest.raises((OutOfOrderSample, ValueError)) as err:
-            step(state, cfg, sample, n)
+            step(state, sample, n)
         errors.append((type(err.value), str(err.value)))
     assert errors[0] == errors[1]
     assert errors[0][1] == message

@@ -15,13 +15,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tactilesim.cli import (
-    ScenarioError,
-    default_scenario,
-    load_scenario,
-    main,
-    parse_scenario,
-)
+from tactilesim.cli import ScenarioError, load_scenario, main, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_PATH = ROOT / "scenarios" / "default.yaml"
@@ -39,16 +33,6 @@ class TestScenarioParsing:
         assert sc.backends == ("oracle", "hybrid")
         assert sc.cordic.iterations == 10
         assert str(sc.cordic.fmt) == "s16.13"
-
-    def test_shipped_matches_builtin_default(self):
-        sc = load_scenario(SCENARIO_PATH)
-        builtin = default_scenario(seed=sc.seed)
-        assert sc.trajectory == builtin.trajectory
-        assert sc.geometry == builtin.geometry
-        assert sc.cordic == builtin.cordic
-        assert sc.fc == builtin.fc
-        assert sc.bc == builtin.bc
-        assert sc.budget_limits == builtin.budget_limits
 
     def test_missing_seed(self):
         data = scenario_dict()
@@ -644,3 +628,146 @@ def test_import_leaves_scipy_unloaded():
     code = "import sys, tactilesim.cli; sys.exit('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert proc.returncode == 0
+
+
+def _scenario_with(**changes) -> bytes:
+    """The shipped scenario as YAML bytes, with top-level fields replaced."""
+    return yaml.safe_dump({**scenario_dict(), **changes}).encode()
+
+
+NESTED = b"[" * 5000 + b"]" * 5000
+RAISE_MEMORY_ERROR = (
+    "import tactilesim.cli as cli\n"
+    "def run_pipeline(*args, **kwargs):\n"
+    "    raise MemoryError\n"
+    "cli.run_pipeline = run_pipeline\n"
+)
+
+# Each case: the input files to write, the command line ({name} stands for
+# the path of that file), code run before main(), and how stderr begins.
+NEVER_A_TRACEBACK = {
+    "scenario-not-utf8": (
+        {"s.yaml": b"version: 1\nseed: \xff\n"},
+        ["run", "{s.yaml}", "--out-dir", "{out}"],
+        "",
+        "error: cannot read scenario {s.yaml}: 'utf-8' codec can't decode byte 0xff",
+    ),
+    "targets-not-utf8": (
+        {"t.json": b'{"FK": 47, "\xff": 1}'},
+        ["latency", "--targets", "{t.json}"],
+        "",
+        "error: cannot read targets {t.json}: 'utf-8' codec can't decode byte 0xff",
+    ),
+    "scenario-malformed": (
+        {"s.yaml": b"version: 1\nseed: [\n"},
+        ["run", "{s.yaml}", "--out-dir", "{out}"],
+        "",
+        "error: cannot read scenario {s.yaml}: while parsing a flow node; expected the node",
+    ),
+    "scenario-nested-deeply": (
+        {"s.yaml": NESTED},
+        ["run", "{s.yaml}", "--out-dir", "{out}"],
+        "",
+        "error: cannot read scenario {s.yaml}: maximum recursion depth exceeded",
+    ),
+    "targets-nested-deeply": (
+        {"t.json": NESTED},
+        ["latency", "--targets", "{t.json}"],
+        "",
+        "error: cannot read targets {t.json}: maximum recursion depth exceeded",
+    ),
+    "prefix-with-nul": (
+        {"s.yaml": _scenario_with(output={"prefix": "a\0b"})},
+        ["run", "{s.yaml}", "--out-dir", "{out}"],
+        "",
+        "error: field 'output.prefix' must not contain a path separator or a NUL: 'a\\x00b'",
+    ),
+    "fc-delay-beyond-memory": (
+        {"s.yaml": _scenario_with(fc={"delay": 100_000_000_000})},
+        ["run", "{s.yaml}", "--out-dir", "{out}"],
+        "",
+        "error: field 'fc.delay' must be below the trajectory's 1200 samples, got 100000000000",
+    ),
+    "fc-delay-max-beyond-memory": (
+        {"s.yaml": _scenario_with(fc={"delay": {"min": 0, "max": 100_000_000_000}})},
+        ["run", "{s.yaml}", "--out-dir", "{out}"],
+        "",
+        "error: field 'fc.delay.max' must be below the trajectory's 1200 samples",
+    ),
+    "bc-delay-as-long-as-the-run": (
+        {"s.yaml": _scenario_with(bc={"delay": 1200})},
+        ["run", "{s.yaml}", "--out-dir", "{out}"],
+        "",
+        "error: field 'bc.delay' must be below the trajectory's 1200 samples, got 1200",
+    ),
+    "bc-delay-max-as-long-as-the-run": (
+        {"s.yaml": _scenario_with(bc={"delay": {"min": 3, "max": 1200}})},
+        ["run", "{s.yaml}", "--out-dir", "{out}"],
+        "",
+        "error: field 'bc.delay.max' must be below the trajectory's 1200 samples, got 1200",
+    ),
+    "run-out-of-memory": (
+        {},
+        ["run", str(SCENARIO_PATH), "--out-dir", "{out}/a/b"],
+        RAISE_MEMORY_ERROR,
+        "error: out of memory",
+    ),
+    "trace-not-utf8": (
+        {"a.csv": b"x,y\n1.0,2.0\n", "b.csv": b"x,y\n1.0,\xff\n"},
+        ["mse", "{a.csv}", "{b.csv}"],
+        "",
+        "error: {b.csv}: 'utf-8' codec can't decode byte 0xff",
+    ),
+    "report-out-with-nul": (
+        {},
+        ["latency", "--out", "{out}/a\0b"],
+        "",
+        "error: cannot write {out}/a\0b: embedded null byte",
+    ),
+    "out-dir-with-nul": (
+        {},
+        ["run", str(SCENARIO_PATH), "--out-dir", "{out}/a\0b"],
+        "",
+        "error: cannot write {out}/a\0b: embedded null byte",
+    ),
+    "latency-without-scipy": (
+        {},
+        ["latency"],
+        "sys.modules['scipy'] = None\n",
+        "error: import of scipy halted",
+    ),
+}
+
+
+def fill(text: str, names: dict) -> str:
+    """``text`` with each ``{name}`` replaced by that file's path."""
+    for name, path in names.items():
+        text = text.replace("{" + name + "}", path)
+    return text
+
+
+@pytest.mark.parametrize("case", NEVER_A_TRACEBACK)
+def test_never_a_traceback(case, tmp_path):
+    # Each input ends in exit 1 and one line on stderr, with nothing on
+    # stdout and nothing left behind.  Each case runs in a fresh interpreter,
+    # so that its stderr is all the process wrote, a traceback included; the
+    # command line travels as JSON, since an argument cannot hold a NUL.
+    files, argv, prelude, message = NEVER_A_TRACEBACK[case]
+    names = {name: str(tmp_path / name) for name in files}
+    names["out"] = str(tmp_path / "out")
+    for name, body in files.items():
+        (tmp_path / name).write_bytes(body)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    code = (
+        "import json, sys\n" + prelude
+        + "from tactilesim.cli import main\nsys.exit(main(json.loads(sys.argv[1])))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps([fill(a, names) for a in argv])],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(fill(message, names)), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)

@@ -607,13 +607,21 @@ class TestFirstFailureAcrossBackends:
         bc = transparent()
         if stage == "bc":
             driver, driver_message = backend, "bc tripped"
-            step = pipeline.channel_step
+            step, make_state = pipeline.channel_step, pipeline.ChannelState
+            bc_states = []
 
-            def channel_step(state, cfg, sample, n):
-                if cfg is bc and n == driver_at:
+            def channel_state(cfg):
+                state = make_state(cfg)
+                if cfg is bc:
+                    bc_states.append(state)
+                return state
+
+            def channel_step(state, sample, n):
+                if state in bc_states and n == driver_at:
                     raise SampleError(driver_message)
-                return step(state, cfg, sample, n)
+                return step(state, sample, n)
 
+            monkeypatch.setattr(pipeline, "ChannelState", channel_state)
             monkeypatch.setattr(pipeline, "channel_step", channel_step)
         else:
             driver_keys = [sample_keys[stage] for sample_keys in stage_keys(clean, backend)]
