@@ -1,8 +1,8 @@
 """The full discrete teleoperation loop: trajectory generation, master-side
 forward kinematics, forward channel, slave-side inverse kinematics, slave
 tracking, contact force synthesis, backwards channel and master torque
-rendering, plus trace recording, MSE evaluation and the latency budget
-arithmetic.
+rendering, plus trace recording, MSE evaluation and the run's summary with
+its latency budget (the budget arithmetic is ``tactilesim.budget``).
 
 The chain is feed-forward, so a run is one pass of stages over a table with
 one row per sample, a block of samples at a time, each stage over the whole
@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from tactilesim.budget import hardware_time_limit, speedup_report
 from tactilesim.channel import ChannelConfig, ChannelState, channel_step
 from tactilesim.force import (
     Elasticity,
@@ -254,22 +255,6 @@ class Scene:
             offset=0.03,
             elasticity=Elasticity(80.0, 80.0, 80.0),
         )
-
-
-def hardware_time_limit(t_latency: float) -> float:
-    """Per-device compute budget: 30% of the round trip is device time, split
-    over two devices and two directions each: 0.3 * t_latency / 8."""
-    if t_latency < 0:
-        raise ValueError("t_latency must be nonnegative")
-    return 0.3 * t_latency / 8.0
-
-
-def speedup_report(t_hardware: float, limits: Sequence[float]) -> list[tuple[float, int]]:
-    """Speedup of the hardware against each latency limit's compute budget,
-    with the fractional part truncated (reported as whole multiples)."""
-    if not t_hardware > 0:
-        raise ValueError("t_hardware must be positive")
-    return [(lim, int(hardware_time_limit(lim) / t_hardware)) for lim in limits]
 
 
 # Trace column layout.

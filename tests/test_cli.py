@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -15,7 +16,12 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tactilesim.cli import ScenarioError, load_scenario, main, parse_scenario
+import tactilesim.cli as cli
+from tactilesim.channel import OutOfOrderSample
+from tactilesim.cli import ScenarioError, load_scenario, main
+from tactilesim.kinematics import SampleError
+from tactilesim.latency_model import CalibrationDegenerate
+from tactilesim.scenario import parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_PATH = ROOT / "scenarios" / "default.yaml"
@@ -603,31 +609,181 @@ class TestMseCommand:
         assert main(["mse", str(a), str(b)]) == 1
 
 
-def test_latency_leaves_scipy_optimize_unloaded():
-    # The fit runs on scipy's HiGHS binding alone; the package init of
-    # scipy.optimize imports most of scipy.
+def _modules_after(code: str) -> tuple[bytes, set[str]]:
+    """What ``code``, run in a fresh interpreter, wrote to stdout, and the
+    modules loaded after it ran."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    code = (
-        "import sys; from tactilesim.cli import main; rc = main(['latency']); "
-        "sys.exit(rc or 'scipy.optimize' in sys.modules)"
-    )
+    code = "import json, sys\n" + code + "\nprint(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    output, _, modules = proc.stdout.rstrip(b"\n").rpartition(b"\n")
+    return output + b"\n" if output else b"", set(json.loads(modules))
+
+
+def test_latency_imports_only_what_it_runs():
+    # The fit runs on scipy's HiGHS binding alone (the package init of
+    # scipy.optimize imports most of scipy), and the report needs neither
+    # the pipeline nor the scenario schema.
+    stdout, modules = _modules_after(
+        "from tactilesim.cli import main\nassert main(['latency']) == 0"
+    )
     digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
     golden = digests["calibrate"]["*"]["cli"]["latency.json"]
-    assert hashlib.sha256(proc.stdout).hexdigest() == golden
+    assert hashlib.sha256(stdout).hexdigest() == golden
+    assert "tactilesim.latency_model" in modules
+    unloaded = {"yaml", "scipy.optimize", "tactilesim.pipeline", "tactilesim.channel",
+                "tactilesim.scenario"}
+    assert not unloaded & modules
+
+
+def test_run_imports_only_what_it_runs(tmp_path):
+    _, modules = _modules_after(
+        "from tactilesim.cli import main\n"
+        f"assert main(['run', {str(SCENARIO_PATH)!r}, '--out-dir', {str(tmp_path)!r}]) == 0"
+    )
+    assert {"tactilesim.pipeline", "tactilesim.scenario", "yaml"} <= modules
+    assert not {"scipy", "tactilesim.latency_model"} & modules
 
 
 def test_import_leaves_scipy_unloaded():
     # scipy is most of the package's import time and only calibration uses it.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    code = "import sys, tactilesim.cli; sys.exit('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
-    assert proc.returncode == 0
+    _, modules = _modules_after("import tactilesim.cli")
+    assert "scipy" not in modules
+
+
+def test_package_import_loads_no_submodule():
+    _, modules = _modules_after("import tactilesim")
+    assert "tactilesim" in modules
+    assert [m for m in modules if m.startswith("tactilesim.")] == []
+
+
+# Every name `tactilesim` exported when its __init__ imported each submodule,
+# by the module it came from.
+PACKAGE_EXPORTS = {
+    "channel": "ChannelConfig ChannelState ConstantDelay OutOfOrderSample RandomWalkDelay "
+    "channel_step",
+    "force": "Elasticity ForceVector JacobianMatrix TorqueVector feedback_force jacobian "
+    "kinesthetic_feedback",
+    "kinematics": "CartesianPosition DEFAULT_GEOMETRY DeviceGeometry Hybrid IkIntermediates "
+    "JointAngles NonFiniteSignal ORACLE Oracle SampleError Unreachable forward_kinematics "
+    "ik_intermediates inverse_kinematics",
+    "latency_model": "CalibrationDegenerate DataflowGraph OpLatencyTable builtin_graphs "
+    "calibrate critical_path",
+    "numerics": "CordicConfig NegativeRadicand QFormat S16_13 cordic_atan2 cordic_sincos "
+    "float_to_fixed sqrt32",
+    "pipeline": "Scene SeriesLengthMismatch SimulationTrace TrajectorySegment TrajectorySpec "
+    "compute_mse generate_trajectory hardware_time_limit mse_table run_pipeline "
+    "speedup_report",
+}
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(module, name) for module, names in PACKAGE_EXPORTS.items() for name in names.split()],
+)
+def test_package_export_resolves(module, name):
+    namespace: dict = {}
+    exec(f"from tactilesim import {name}", namespace)
+    assert namespace[name] is getattr(importlib.import_module(f"tactilesim.{module}"), name)
+
+
+def test_package_exports_are_listed():
+    import tactilesim
+
+    exported = {name for names in PACKAGE_EXPORTS.values() for name in names.split()}
+    assert set(tactilesim.__all__) == exported and set(dir(tactilesim)) >= exported
+    assert tactilesim.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        tactilesim.no_such_name
+
+
+# Each global a command binds on first use, and a command line that calls it.
+LAZY_CALLS = {
+    "load_scenario": ["run", str(SCENARIO_PATH)],
+    "run_pipeline": ["run", str(SCENARIO_PATH)],
+    "write_trace_csv": ["run", str(SCENARIO_PATH)],
+    "summary_report": ["run", str(SCENARIO_PATH)],
+    "calibrate": ["latency"],
+}
+
+
+@pytest.mark.parametrize("name", LAZY_CALLS)
+def test_command_calls_a_replacement_set_before_first_use(name, tmp_path, capsys, monkeypatch):
+    # As the benchmark's tracer and the tests' fakes do: the replacement is
+    # set on the module before the command's first lookup, and is not
+    # rebound over.
+    monkeypatch.setenv("TACTILESIM_OUTDIR", str(tmp_path / "out"))
+    monkeypatch.delitem(cli.__dict__, name, raising=False)
+    calls = []
+
+    def replacement(*args, **kwargs):
+        calls.append(args)
+        raise ScenarioError(f"replaced {name}")
+
+    monkeypatch.setitem(cli.__dict__, name, replacement)
+    assert main(LAZY_CALLS[name]) == 1
+    assert len(calls) == 1 and cli.__dict__[name] is replacement
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"replaced {name}\n")
+
+
+@pytest.mark.parametrize("name", [*LAZY_CALLS, "Scenario"])
+def test_lookup_binds_a_global(name, monkeypatch):
+    monkeypatch.delitem(cli.__dict__, name, raising=False)
+    value = getattr(cli, name)
+    assert cli.__dict__[name] is value
+    assert value is getattr(importlib.import_module(cli._LAZY[name]), name)
+    with pytest.raises(AttributeError):
+        cli.no_such_name
+
+
+@pytest.mark.parametrize(
+    "name, error, code, line",
+    [
+        ("run_pipeline", SampleError("sample 3: off"), 2, "runtime error: sample 3: off"),
+        ("run_pipeline", OutOfOrderSample("sample 4 of 2"), 2, "runtime error: sample 4 of 2"),
+        ("calibrate", CalibrationDegenerate("no targets"), 1, "error: no targets"),
+    ],
+)
+def test_errors_of_lazily_loaded_modules_are_mapped(
+    name, error, code, line, tmp_path, capsys, monkeypatch
+):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setenv("TACTILESIM_OUTDIR", str(tmp_path / "out"))
+    monkeypatch.setattr(cli, name, fail)
+    assert main(LAZY_CALLS[name]) == code
+    assert capsys.readouterr().err == line + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["run"], "error: tactilesim run: the following arguments are required: scenario"),
+        (
+            ["latency", "--limits", "abc"],
+            "error: tactilesim latency: argument --limits: invalid float value: 'abc'",
+        ),
+        ([], "error: tactilesim: the following arguments are required: command"),
+        (["mse", "a", "b", "--bogus"], "error: tactilesim: unrecognized arguments: --bogus"),
+    ],
+)
+def test_usage_error_exits_1_with_one_line(argv, line, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == line + "\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["latency", "-h"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tactilesim")
 
 
 def _scenario_with(**changes) -> bytes:
@@ -729,6 +885,18 @@ NEVER_A_TRACEBACK = {
         ["run", str(SCENARIO_PATH), "--out-dir", "{out}/a\0b"],
         "",
         "error: cannot write {out}/a\0b: embedded null byte",
+    ),
+    "run-without-scenario": (
+        {},
+        ["run"],
+        "",
+        "error: tactilesim run: the following arguments are required: scenario",
+    ),
+    "limits-not-a-number": (
+        {},
+        ["latency", "--limits", "abc"],
+        "",
+        "error: tactilesim latency: argument --limits: invalid float value: 'abc'",
     ),
     "latency-without-scipy": (
         {},
