@@ -109,11 +109,6 @@ class ChannelConfig:
             return None
         return tuple(math.sqrt(v) for v in self.noise_variance)
 
-    @classmethod
-    def transparent(cls) -> "ChannelConfig":
-        """Zero-noise, zero-delay channel (bit-exact identity)."""
-        return cls()
-
 
 class ChannelState:
     """Single-owner mutable state of one channel instance: the input history

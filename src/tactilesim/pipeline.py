@@ -124,19 +124,6 @@ class TrajectorySpec:
     def q(self) -> int:
         return int(self.total_samples)
 
-    @classmethod
-    def default(cls) -> "TrajectorySpec":
-        """The validation trajectory: joint 1 to pi/2, then joint 2 to pi/4,
-        then joint 3 to pi/4; 400 samples each, 10 ms sample period."""
-        return cls(
-            segments=(
-                TrajectorySegment(0, 0.0, math.pi / 2, 400),
-                TrajectorySegment(1, 0.0, math.pi / 4, 400),
-                TrajectorySegment(2, 0.0, math.pi / 4, 400),
-            ),
-            sample_period=0.01,
-        )
-
 
 def generate_trajectory(spec: TrajectorySpec) -> list[JointAngles]:
     """Sampled joint-space trajectory, one JointAngles per sample."""
@@ -245,16 +232,6 @@ class Scene:
         if not math.isfinite(offset):
             raise ValueError(f"plane offset must be finite, got {offset!r}")
         return cls(elasticity=elasticity, surface=_Plane(nvec / norm, float(offset)))
-
-    @classmethod
-    def default(cls) -> "Scene":
-        """Default validation scene: a tilted plane the tool reaches during
-        the final trajectory segment, with moderate elasticity."""
-        return cls.contact_plane(
-            normal=(-2.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0),
-            offset=0.03,
-            elasticity=Elasticity(80.0, 80.0, 80.0),
-        )
 
 
 # Trace column layout.

@@ -1,6 +1,7 @@
 """The scenario file: the schema of what one ``tactilesim run`` takes, read
-from YAML into a ``Scenario``.  Every error is a ScenarioError naming the
-field or the file."""
+from YAML into a ``Scenario``.  ``SCHEMA`` declares every field once; one
+walk reads the file through it and refuses any key it does not declare.
+Every error is a ScenarioError naming the field or the file."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import yaml
 
@@ -15,11 +17,11 @@ from tactilesim.budget import BUDGET_LIMITS, BUDGET_T_HARDWARE, hardware_time_li
 from tactilesim.channel import ChannelConfig, ConstantDelay, RandomWalkDelay
 from tactilesim.force import Elasticity
 from tactilesim.inputs import ScenarioError, check, check_limits, read_input
-from tactilesim.kinematics import DeviceGeometry, Hybrid, Oracle
+from tactilesim.kinematics import DEFAULT_GEOMETRY, DeviceGeometry, Hybrid, Oracle
 from tactilesim.numerics import CordicConfig, QFormat
 from tactilesim.pipeline import Scene, TrajectorySegment, TrajectorySpec
 
-__all__ = ["Scenario", "ScenarioError", "load_scenario", "parse_scenario"]
+__all__ = ["SCHEMA", "Scenario", "ScenarioError", "load_scenario", "parse_scenario"]
 
 SCHEMA_VERSION = 1
 
@@ -58,30 +60,117 @@ class Scenario:
         return Oracle(), None
 
 
-def _field(data: dict, key: str, kind, where: str, default=None, required: bool = False):
-    if key not in data:
-        if required:
-            raise ScenarioError(f"missing required field '{where}{key}'")
-        return default
-    return check(data[key], kind, where + key)
+# A checker takes (value, name=field) and returns the value it reads.
+INT = partial(check, kind=int)
+FLOAT = partial(check, kind=float)
+STR = partial(check, kind=str)
 
 
-def _floats(
-    data: dict,
-    key: str,
-    where: str,
-    length: int | None = None,
-    default=None,
-    required: bool = False,
-):
-    """A list of numbers, each checked as `_field` checks one and named
-    ``field[i]``; ``length`` fixes the item count."""
-    values = _field(data, key, list, where, required=required)
-    if values is None:
-        return default
+def _numbers(value, name: str, length: int | None = None) -> tuple[float, ...]:
+    """A list of numbers, each checked as FLOAT and named ``name[i]``;
+    ``length`` fixes the item count."""
+    values = check(value, list, name)
     if length is not None and len(values) != length:
-        raise ScenarioError(f"field '{where}{key}' must be a list of {length} numbers")
-    return tuple(check(v, float, f"{where}{key}[{i}]") for i, v in enumerate(values))
+        raise ScenarioError(f"field '{name}' must be a list of {length} numbers")
+    return tuple(check(v, float, f"{name}[{i}]") for i, v in enumerate(values))
+
+
+VECTOR = partial(_numbers, length=3)
+
+
+def _backends(value, name: str) -> tuple[str, ...]:
+    if not (isinstance(value, list) and value):
+        raise ScenarioError(f"field '{name}' must be a non-empty list")
+    for b in value:
+        if b not in ("oracle", "hybrid"):
+            raise ScenarioError(f"field '{name}': unknown backend {b!r}")
+    return tuple(dict.fromkeys(value))
+
+
+# Each section maps its fields, in the order messages list them, to (kind,
+# default).  A kind is a checker, a section (a dict), a list of sections (a
+# list holding one), or a pair (checker, kind) that reads a mapping or a list
+# through the second.  A field that must be present has the default
+# REQUIRED; a section whose default is {} reads as {} when absent, so its
+# fields take their defaults.
+REQUIRED = object()
+RANDOM_WALK = {"min": (INT, REQUIRED), "max": (INT, REQUIRED)}
+CHANNEL = {
+    "sigma2": ((FLOAT, VECTOR), 0.0),
+    "delay": ((INT, RANDOM_WALK), 0),
+    "initial_hold": (VECTOR, None),
+}
+SEGMENT = {
+    "joint": (INT, REQUIRED),
+    "start": (FLOAT, REQUIRED),
+    "end": (FLOAT, REQUIRED),
+    "samples": (INT, REQUIRED),
+}
+SCHEMA = {
+    "version": (INT, REQUIRED),
+    "seed": (INT, REQUIRED),
+    "backends": (_backends, ("oracle", "hybrid")),
+    "geometry": ({k: (FLOAT, getattr(DEFAULT_GEOMETRY, k)) for k in ("l1", "l2", "l3", "l4")}, {}),
+    "cordic": ({"format": (STR, "s16.13"), "iterations": (INT, SCENARIO_CORDIC_ITERATIONS)}, {}),
+    "trajectory": (
+        {
+            "sample_period": (FLOAT, 0.01),
+            "total_samples": (INT, None),
+            "segments": ([SEGMENT], REQUIRED),
+        },
+        REQUIRED,
+    ),
+    "scene": (
+        {
+            "type": (STR, "plane"),
+            "normal": (VECTOR, None),
+            "offset": (FLOAT, None),
+            "elasticity": ({k: (FLOAT, REQUIRED) for k in ("hx", "hy", "hz")}, REQUIRED),
+        },
+        REQUIRED,
+    ),
+    "fc": (CHANNEL, {}),
+    "bc": (CHANNEL, {}),
+    "fcs": ({"pole": (FLOAT, 0.0)}, {}),
+    "budget": (
+        {"t_latency_limits": (_numbers, BUDGET_LIMITS), "t_hardware": (FLOAT, BUDGET_T_HARDWARE)},
+        {},
+    ),
+    "output": ({"dir": (STR, "out"), "prefix": (STR, "trace")}, {}),
+}
+
+
+def _read(kind, value, name: str):
+    """``value`` of field ``name`` read as ``kind``."""
+    if isinstance(kind, tuple):
+        kind = kind[1] if isinstance(value, (dict, list)) else kind[0]
+    if isinstance(kind, dict):
+        return _section(kind, value, name)
+    if isinstance(kind, list):
+        items = check(value, list, name)
+        return [_section(kind[0], item, f"{name}[{i}]") for i, item in enumerate(items)]
+    return kind(value, name=name)
+
+
+def _section(fields: dict, data, name: str) -> dict:
+    """The mapping ``data`` of section ``name`` read through ``fields``: each
+    field it holds through its kind, each other one as its default."""
+    data = check(data, dict, name)
+    where = f"{name}." if name else ""
+    for key in data:
+        if key not in fields:
+            raise ScenarioError(
+                f"field '{where}{key}' is unknown; {name or 'a scenario'} takes {', '.join(fields)}"
+            )
+    values = {}
+    for key, (kind, default) in fields.items():
+        if key in data or isinstance(default, dict):
+            values[key] = _read(kind, data.get(key, default), where + key)
+        elif default is REQUIRED:
+            raise ScenarioError(f"missing required field '{where}{key}'")
+        else:
+            values[key] = default
+    return values
 
 
 @contextmanager
@@ -90,163 +179,102 @@ def _naming(name: str):
     the scenario field it came from."""
     try:
         yield
-    except ScenarioError:
-        raise
     except ValueError as exc:
         raise ScenarioError(f"field '{name}': {exc}") from exc
 
 
-def _parse_trajectory(data: dict, fmt: QFormat | None) -> TrajectorySpec:
+def _trajectory(data: dict, fmt: QFormat | None) -> TrajectorySpec:
     """The trajectory.  With ``fmt`` set (a hybrid backend runs), every
     segment's start and end must lie in that format's range: F2FP saturates
     a larger angle before the sincos TFB reduces it, which would give a
     silently wrong result."""
-    where = "trajectory."
-    sample_period = _field(data, "sample_period", float, where, default=0.01)
-    if sample_period <= 0:
-        raise ScenarioError(f"field '{where}sample_period' must be positive")
-    segments_raw = _field(data, "segments", list, where, required=True)
+    # TrajectorySpec refuses these too, but names neither field.
+    if data["sample_period"] <= 0:
+        raise ScenarioError("field 'trajectory.sample_period' must be positive")
+    if not data["segments"]:
+        raise ScenarioError("field 'trajectory.segments': trajectory needs at least one segment")
     segments = []
-    for i, seg in enumerate(segments_raw):
-        if not isinstance(seg, dict):
-            raise ScenarioError(f"field 'trajectory.segments[{i}]' must be a mapping")
-        sw = f"trajectory.segments[{i}]."
-        joint = _field(seg, "joint", int, sw, required=True)
-        if joint not in (1, 2, 3):
-            raise ScenarioError(f"field '{sw}joint' must be 1, 2 or 3")
-        start = _field(seg, "start", float, sw, required=True)
-        end = _field(seg, "end", float, sw, required=True)
+    for i, seg in enumerate(data["segments"]):
+        sw = f"trajectory.segments[{i}]"
+        if seg["joint"] not in (1, 2, 3):
+            raise ScenarioError(f"field '{sw}.joint' must be 1, 2 or 3")
+        start, end = seg["start"], seg["end"]
         # The ramp steps by (end - start) / (samples - 1).
         if not math.isfinite(end - start):
-            raise ScenarioError(
-                f"field 'trajectory.segments[{i}]': end - start is not finite "
-                f"({end!r} - {start!r})"
-            )
+            raise ScenarioError(f"field '{sw}': end - start is not finite ({end!r} - {start!r})")
         if fmt is not None:
             for key, angle in (("start", start), ("end", end)):
                 if not fmt.min_value <= angle <= fmt.max_value:
                     raise ScenarioError(
-                        f"field '{sw}{key}' = {angle!r} rad is outside the range "
+                        f"field '{sw}.{key}' = {angle!r} rad is outside the range "
                         f"[{fmt.min_value}, {fmt.max_value}] of cordic.format {fmt}"
                     )
-        with _naming(sw + "samples"):
-            segments.append(
-                TrajectorySegment(
-                    joint=joint - 1,
-                    start=start,
-                    end=end,
-                    samples=_field(seg, "samples", int, sw, required=True),
-                )
-            )
-    total = _field(data, "total_samples", int, where)
+        with _naming(sw + ".samples"):
+            segments.append(TrajectorySegment(seg["joint"] - 1, start, end, seg["samples"]))
     with _naming("trajectory.total_samples"):
-        return TrajectorySpec(
-            segments=tuple(segments), sample_period=sample_period, total_samples=total
-        )
+        return TrajectorySpec(tuple(segments), data["sample_period"], data["total_samples"])
 
 
-def _parse_channel(scenario: dict, name: str, seed: int, samples: int) -> ChannelConfig:
+def _channel(data: dict, name: str, seed: int, samples: int) -> ChannelConfig:
     """The channel ``name`` of a run of ``samples`` samples."""
-    data = _field(scenario, name, dict, "", default={})
-    where = f"{name}."
-    if isinstance(data.get("sigma2"), list):
-        sigma2 = _floats(data, "sigma2", where, length=3)
-    else:
-        sigma2 = _field(data, "sigma2", float, where, default=0.0)
-    with _naming(where + "delay"):
-        if isinstance(data.get("delay"), dict):
-            delay = RandomWalkDelay(
-                d_min=_field(data["delay"], "min", int, where + "delay.", required=True),
-                d_max=_field(data["delay"], "max", int, where + "delay.", required=True),
-            )
+    given = data["delay"]
+    with _naming(name + ".delay"):
+        if isinstance(given, dict):
+            delay = RandomWalkDelay(d_min=given["min"], d_max=given["max"])
         else:
-            delay = ConstantDelay(_field(data, "delay", int, where, default=0))
+            delay = ConstantDelay(given)
     # The channel holds max_delay + 1 samples; a delay as long as the run
     # would allocate that and never deliver one.
     if delay.max_delay >= samples:
-        key = "delay.max" if isinstance(delay, RandomWalkDelay) else "delay"
+        key = "delay.max" if isinstance(given, dict) else "delay"
         raise ScenarioError(
-            f"field '{where}{key}' must be below the trajectory's {samples} samples, "
+            f"field '{name}.{key}' must be below the trajectory's {samples} samples, "
             f"got {delay.max_delay}"
         )
-    hold = _floats(data, "initial_hold", where, length=3)
-    with _naming(where + "sigma2"):
-        return ChannelConfig(noise_variance=sigma2, delay=delay, seed=seed, initial_hold=hold)
+    with _naming(name + ".sigma2"):
+        return ChannelConfig(data["sigma2"], delay, seed, data["initial_hold"])
 
 
-def _parse_scene(data: dict) -> Scene:
-    where = "scene."
-    kind = _field(data, "type", str, where, default="plane")
-    el_raw = _field(data, "elasticity", dict, where, required=True)
-    with _naming(where + "elasticity"):
-        elasticity = Elasticity(
-            hx=_field(el_raw, "hx", float, where + "elasticity.", required=True),
-            hy=_field(el_raw, "hy", float, where + "elasticity.", required=True),
-            hz=_field(el_raw, "hz", float, where + "elasticity.", required=True),
-        )
-    if kind == "free":
+def _scene(data: dict) -> Scene:
+    with _naming("scene.elasticity"):
+        elasticity = Elasticity(**data["elasticity"])
+    if data["type"] == "free":
         return Scene.free_space(elasticity)
-    if kind == "plane":
-        normal = _floats(data, "normal", where, length=3, required=True)
-        offset = _field(data, "offset", float, where, required=True)
-        with _naming(where + "normal"):
-            return Scene.contact_plane(normal, offset, elasticity)
-    raise ScenarioError(f"field 'scene.type' must be 'plane' or 'free', got {kind!r}")
+    if data["type"] != "plane":
+        raise ScenarioError(f"field 'scene.type' must be 'plane' or 'free', got {data['type']!r}")
+    for key in ("normal", "offset"):
+        if data[key] is None:
+            raise ScenarioError(f"missing required field 'scene.{key}'")
+    with _naming("scene.normal"):
+        return Scene.contact_plane(data["normal"], data["offset"], elasticity)
 
 
 def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError(f"{source}: scenario must be a mapping")
-    version = _field(data, "version", int, "", required=True)
-    if version != SCHEMA_VERSION:
-        raise ScenarioError(f"field 'version': unsupported schema version {version}")
-    seed = _field(data, "seed", int, "", required=True)
+    s = _section(SCHEMA, data, "")
+    if s["version"] != SCHEMA_VERSION:
+        raise ScenarioError(f"field 'version': unsupported schema version {s['version']}")
+    seed = s["seed"]
     if seed < 0:
         raise ScenarioError(f"field 'seed' must be nonnegative, got {seed}")
-
-    geo_raw = _field(data, "geometry", dict, "", default={})
     with _naming("geometry"):
-        # A link the scenario leaves out keeps DeviceGeometry's default.
-        links = ("l1", "l2", "l3", "l4")
-        geometry = DeviceGeometry(
-            **{k: check(geo_raw[k], float, f"geometry.{k}") for k in links if k in geo_raw}
-        )
-
-    cordic_raw = _field(data, "cordic", dict, "", default={})
-    fmt_text = _field(cordic_raw, "format", str, "cordic.", default="s16.13")
+        geometry = DeviceGeometry(**s["geometry"])
     with _naming("cordic.format"):
-        fmt = QFormat.from_string(fmt_text)
-    iterations = _field(
-        cordic_raw, "iterations", int, "cordic.", default=SCENARIO_CORDIC_ITERATIONS
-    )
+        fmt = QFormat.from_string(s["cordic"]["format"])
     with _naming("cordic"):
-        cordic = CordicConfig(iterations=iterations, fmt=fmt)
+        cordic = CordicConfig(iterations=s["cordic"]["iterations"], fmt=fmt)
+    backends = s["backends"]
+    trajectory = _trajectory(s["trajectory"], fmt if "hybrid" in backends else None)
+    scene = _scene(s["scene"])
+    fc = _channel(s["fc"], "fc", 2 * seed, trajectory.q)
+    bc = _channel(s["bc"], "bc", 2 * seed + 1, trajectory.q)
 
-    backends_raw = data.get("backends", ["oracle", "hybrid"])
-    if not isinstance(backends_raw, list) or not backends_raw:
-        raise ScenarioError("field 'backends' must be a non-empty list")
-    for b in backends_raw:
-        if b not in ("oracle", "hybrid"):
-            raise ScenarioError(f"field 'backends': unknown backend {b!r}")
-    backends = tuple(dict.fromkeys(backends_raw))
-
-    trajectory = _parse_trajectory(
-        _field(data, "trajectory", dict, "", required=True),
-        fmt if "hybrid" in backends else None,
-    )
-    scene = _parse_scene(_field(data, "scene", dict, "", required=True))
-
-    fc = _parse_channel(data, "fc", 2 * seed, trajectory.q)
-    bc = _parse_channel(data, "bc", 2 * seed + 1, trajectory.q)
-
-    fcs_raw = _field(data, "fcs", dict, "", default={})
-    fcs_pole = _field(fcs_raw, "pole", float, "fcs.", default=0.0)
+    fcs_pole = s["fcs"]["pole"]
     if not 0.0 <= fcs_pole < 1.0:
         raise ScenarioError("field 'fcs.pole' must lie in [0, 1)")
 
-    budget_raw = _field(data, "budget", dict, "", default={})
-    limits = _floats(budget_raw, "t_latency_limits", "budget.", default=BUDGET_LIMITS)
-    t_hw = _field(budget_raw, "t_hardware", float, "budget.", default=BUDGET_T_HARDWARE)
+    limits, t_hw = s["budget"]["t_latency_limits"], s["budget"]["t_hardware"]
     if t_hw <= 0:
         raise ScenarioError("field 'budget.t_hardware' must be positive")
     # t_hardware is judged against the paper's 1 ms limit first, then each
@@ -257,8 +285,7 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
         )
     check_limits(limits, t_hw, "budget.t_latency_limits")
 
-    out_raw = _field(data, "output", dict, "", default={})
-    prefix = _field(out_raw, "prefix", str, "output.", default="trace")
+    prefix = s["output"]["prefix"]
     # The prefix names files inside the output directory; a separator would
     # put them elsewhere, or outside it altogether.  "/" separates on every
     # platform, os.sep also on Windows.  No file name holds a NUL.
@@ -276,7 +303,7 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
         cordic=cordic,
         fcs_pole=fcs_pole,
         seed=seed,
-        output_dir=_field(out_raw, "dir", str, "output.", default="out"),
+        output_dir=s["output"]["dir"],
         output_prefix=prefix,
         budget_limits=limits,
         budget_t_hardware=t_hw,

@@ -27,8 +27,6 @@ from tactilesim.numerics import (
     tfb_acos,
 )
 from tactilesim.pipeline import (
-    Scene,
-    TrajectorySpec,
     hardware_time_limit,
     mse_table,
     run_pipeline,
@@ -216,12 +214,9 @@ def test_criterion_7_channel_statistics():
 
 
 def test_criterion_8_loop_transparency():
+    scenario = load_scenario(SCENARIO_PATH)
     trace = run_pipeline(
-        TrajectorySpec.default(),
-        Scene.default(),
-        ChannelConfig.transparent(),
-        ChannelConfig.transparent(),
-        ORACLE,
+        scenario.trajectory, scenario.scene, ChannelConfig(), ChannelConfig(), ORACLE
     )
     l = np.stack([trace.signals[k] for k in ("l_x", "l_y", "l_z")])
     c = np.stack([trace.signals[k] for k in ("c_x", "c_y", "c_z")])

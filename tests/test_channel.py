@@ -54,7 +54,7 @@ class TestConfig:
 
 class TestTransparency:
     def test_identity_is_bit_exact(self):
-        cfg = ChannelConfig.transparent()
+        cfg = ChannelConfig()
         rng = np.random.default_rng(3)
         inputs = rng.uniform(-0.3, 0.3, (200, 3))
         inputs[0] = (-0.0, 0.1, -0.1)
@@ -127,14 +127,14 @@ class TestNoise:
 
 class TestOrdering:
     def test_out_of_order_rejected(self):
-        cfg = ChannelConfig.transparent()
+        cfg = ChannelConfig()
         state = ChannelState(cfg)
         channel_step(state, (0.0, 0.0, 0.0), 0)
         with pytest.raises(OutOfOrderSample):
             channel_step(state, (0.0, 0.0, 0.0), 2)
 
     def test_restart_required(self):
-        cfg = ChannelConfig.transparent()
+        cfg = ChannelConfig()
         state = ChannelState(cfg)
         channel_step(state, (1.0, 1.0, 1.0), 0)
         with pytest.raises(OutOfOrderSample):
@@ -196,7 +196,7 @@ def test_block_draws_match_per_sample_draws(cfg):
 @pytest.mark.parametrize(
     "cfg",
     [
-        ChannelConfig.transparent(),
+        ChannelConfig(),
         ChannelConfig(
             noise_variance=(1e-6, 0.0, 4e-6),
             delay=RandomWalkDelay(1, 3),
@@ -276,7 +276,7 @@ def loop_channel_step(state: LoopState, cfg: ChannelConfig, sample, n: int):
 
 
 STEP_CONFIGS = {
-    "transparent": ChannelConfig.transparent(),
+    "transparent": ChannelConfig(),
     "constant-noisy": ChannelConfig(noise_variance=1e-4, delay=ConstantDelay(2), seed=3),
     "constant-quiet-hold": ChannelConfig(
         delay=ConstantDelay(4), seed=4, initial_hold=(0.5, -0.0, -0.25)

@@ -17,11 +17,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tactilesim.cli as cli
+from conftest import field_name, schema_fields
 from tactilesim.channel import OutOfOrderSample
 from tactilesim.cli import ScenarioError, load_scenario, main
 from tactilesim.kinematics import SampleError
 from tactilesim.latency_model import CalibrationDegenerate
-from tactilesim.scenario import parse_scenario
+from tactilesim.scenario import STR, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_PATH = ROOT / "scenarios" / "default.yaml"
@@ -179,6 +180,69 @@ def test_any_leaf_replacement_ends_cleanly(path, value):
     assert rc in (0, 1, 2)
     if rc != 0:
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
+def schema_cases():
+    """From the schema table: one change per field, to a value of the wrong
+    kind, and one per section, adding an unknown key; each with how the
+    error line must begin."""
+    sections = {}
+    for path, section, kind in schema_fields():
+        sections[path[:-1]] = section
+        yield path, 1.5 if kind is STR else "x", f"field '{field_name(path)}'"
+    for path, section in sections.items():
+        name = field_name(path) or "a scenario"
+        key = path + ("bogus",)
+        yield key, 0, f"field '{field_name(key)}' is unknown; {name} takes {', '.join(section)}"
+
+
+SCHEMA_CASES = list(schema_cases())
+
+
+@pytest.mark.parametrize(
+    "path, value, message", SCHEMA_CASES, ids=[field_name(c[0]) for c in SCHEMA_CASES]
+)
+def test_schema_refuses_wrong_kinds_and_unknown_keys(path, value, message, tmp_path, capsys):
+    # Every field path exists in the base, so each change reaches its field.
+    data = short_scenario()
+    data["bc"]["delay"] = {"min": 0, "max": 1}
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text(yaml.safe_dump(data))
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (
+            {"cordic": {"iteration": 6}},
+            "field 'cordic.iteration' is unknown; cordic takes format, iterations",
+        ),
+        (
+            {"fc": {"sigma2": 1.0, "dealy": 5}},
+            "field 'fc.dealy' is unknown; fc takes sigma2, delay, initial_hold",
+        ),
+        ({"cordic": {1: 6}}, "field 'cordic.1' is unknown; cordic takes format, iterations"),
+        (
+            {"trajectory": {"segments": []}},
+            "field 'trajectory.segments': trajectory needs at least one segment",
+        ),
+    ],
+    ids=["misspelled-iterations", "misspelled-delay", "key-not-a-string", "no-segment"],
+)
+def test_scenario_error_message(changes, message, tmp_path, capsys):
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text(yaml.safe_dump({**scenario_dict(), **changes}))
+    assert main(["run", str(scenario), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,10 @@ from tactilesim.kinematics import (
 )
 from tactilesim.force import jacobian
 from tactilesim.numerics import S16_13, CordicConfig, QFormat, cordic_sincos
-from tactilesim.pipeline import TrajectorySpec, generate_trajectory
+from tactilesim.pipeline import generate_trajectory
+from tactilesim.scenario import load_scenario
+
+SCENARIO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "default.yaml"
 
 
 class TestGeometry:
@@ -247,7 +251,7 @@ class TestBackendConsistency:
     def test_trajectory_deviation(self, iterations):
         hybrid = Hybrid(CordicConfig(iterations=iterations))
         worst = 0.0
-        for q in generate_trajectory(TrajectorySpec.default()):
+        for q in generate_trajectory(load_scenario(SCENARIO_PATH).trajectory):
             po = forward_kinematics(q)
             ph = forward_kinematics(q, backend=hybrid)
             worst = max(

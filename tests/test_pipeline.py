@@ -2,6 +2,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,15 +42,16 @@ from tactilesim.pipeline import (
     speedup_report,
     write_trace_csv,
 )
+from tactilesim.scenario import load_scenario
 
 
-def transparent() -> ChannelConfig:
-    return ChannelConfig.transparent()
+# The shipped validation scenario's trajectory and contact plane.
+SHIPPED = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "default.yaml")
 
 
 class TestTrajectory:
     def test_default_spec(self):
-        spec = TrajectorySpec.default()
+        spec = SHIPPED.trajectory
         assert spec.q == 1200
         assert spec.sample_period == 0.01
         traj = generate_trajectory(spec)
@@ -60,7 +62,7 @@ class TestTrajectory:
         assert traj[1199] == (math.pi / 2, math.pi / 4, math.pi / 4)
 
     def test_ramp_midpoint(self):
-        traj = generate_trajectory(TrajectorySpec.default())
+        traj = generate_trajectory(SHIPPED.trajectory)
         # halfway through the first segment
         assert traj[200].theta1 == pytest.approx(math.pi / 2 * 200 / 399)
 
@@ -101,7 +103,7 @@ class TestTrajectory:
         seg = TrajectorySegment(0, 3 * 2.0**970, sys.float_info.max, 2)
         with pytest.raises(NonFiniteSignal, match="^sample 1: theta1 must be finite$") as err:
             run_pipeline(
-                TrajectorySpec(segments=(seg,)), Scene.default(), transparent(), transparent()
+                TrajectorySpec(segments=(seg,)), SHIPPED.scene, ChannelConfig(), ChannelConfig()
             )
         assert err.value.sample_index == 1
 
@@ -164,7 +166,7 @@ class TestScene:
             return CartesianPosition(tool.x, tool.y, max(tool.z, -0.1))
 
         scene = Scene(Elasticity(80.0, 80.0, 80.0), floor)
-        trace = run_pipeline(TrajectorySpec.default(), scene, transparent(), transparent(), ORACLE)
+        trace = run_pipeline(SHIPPED.trajectory, scene, ChannelConfig(), ChannelConfig(), ORACLE)
         assert seen == {CartesianPosition}
         s_obj, l_pos = chain_rows(trace, "s_obj_x"), chain_rows(trace, "l_x")
         assert s_obj == [floor(CartesianPosition(*tool)) for tool in l_pos]
@@ -230,7 +232,7 @@ class TestMse:
 class TestRunPipeline:
     def test_loop_transparency(self):
         trace = run_pipeline(
-            TrajectorySpec.default(), Scene.default(), transparent(), transparent(), ORACLE
+            SHIPPED.trajectory, SHIPPED.scene, ChannelConfig(), ChannelConfig(), ORACLE
         )
         l = np.stack([trace.signals[k] for k in ("l_x", "l_y", "l_z")])
         c = np.stack([trace.signals[k] for k in ("c_x", "c_y", "c_z")])
@@ -239,7 +241,7 @@ class TestRunPipeline:
     def test_object_at_tool_gives_zero_force(self):
         scene = Scene.free_space(Elasticity(500, 500, 500))
         trace = run_pipeline(
-            TrajectorySpec.default(), scene, transparent(), transparent(), ORACLE
+            SHIPPED.trajectory, scene, ChannelConfig(), ChannelConfig(), ORACLE
         )
         for k in ("h_x", "h_y", "h_z"):
             assert np.array_equal(trace.signals[k], np.zeros(trace.q))
@@ -247,8 +249,8 @@ class TestRunPipeline:
     def test_determinism(self):
         def once():
             return run_pipeline(
-                TrajectorySpec.default(),
-                Scene.default(),
+                SHIPPED.trajectory,
+                SHIPPED.scene,
                 ChannelConfig(noise_variance=1e-8, seed=5),
                 ChannelConfig(noise_variance=1e-8, seed=6),
                 ORACLE,
@@ -263,10 +265,10 @@ class TestRunPipeline:
 
     def test_dual_backend_mse_table(self):
         trace = run_pipeline(
-            TrajectorySpec.default(),
-            Scene.default(),
-            transparent(),
-            transparent(),
+            SHIPPED.trajectory,
+            SHIPPED.scene,
+            ChannelConfig(),
+            ChannelConfig(),
             ORACLE,
             shadow=Hybrid(CordicConfig(iterations=10)),
         )
@@ -282,10 +284,10 @@ class TestRunPipeline:
         # shrinks: the vectoring stage retraces the micro-rotations that
         # synthesized the hybrid position, so those errors largely cancel.
         trace = run_pipeline(
-            TrajectorySpec.default(),
-            Scene.default(),
-            transparent(),
-            transparent(),
+            SHIPPED.trajectory,
+            SHIPPED.scene,
+            ChannelConfig(),
+            ChannelConfig(),
             Hybrid(CordicConfig(iterations=10)),
             shadow=ORACLE,
         )
@@ -298,7 +300,7 @@ class TestRunPipeline:
 
     def test_single_backend_has_no_mse(self):
         trace = run_pipeline(
-            TrajectorySpec.default(), Scene.default(), transparent(), transparent(), ORACLE
+            SHIPPED.trajectory, SHIPPED.scene, ChannelConfig(), ChannelConfig(), ORACLE
         )
         assert trace.shadow is None
         with pytest.raises(ValueError):
@@ -310,7 +312,7 @@ class TestRunPipeline:
         fc = ChannelConfig(noise_variance=1.0, seed=3)
         with pytest.raises(Unreachable) as err:
             run_pipeline(
-                TrajectorySpec.default(), Scene.default(), fc, transparent(), ORACLE
+                SHIPPED.trajectory, SHIPPED.scene, fc, ChannelConfig(), ORACLE
             )
         assert err.value.sample_index is not None
         assert "sample" in str(err.value)
@@ -320,15 +322,15 @@ class TestRunPipeline:
         bc = ChannelConfig(delay=ConstantDelay(2), initial_hold=(1e308, 0.0, 0.0))
         with pytest.raises(NonFiniteSignal, match="^sample 0: tau1 must be finite$") as err:
             run_pipeline(
-                TrajectorySpec.default(), Scene.default(), transparent(), bc, Hybrid()
+                SHIPPED.trajectory, SHIPPED.scene, ChannelConfig(), bc, Hybrid()
             )
         assert err.value.sample_index == 0
 
     def test_fcs_lag(self):
-        spec = TrajectorySpec.default()
+        spec = SHIPPED.trajectory
         pole = 0.5
         trace = run_pipeline(
-            spec, Scene.default(), transparent(), transparent(), ORACLE, fcs_pole=pole
+            spec, SHIPPED.scene, ChannelConfig(), ChannelConfig(), ORACLE, fcs_pole=pole
         )
         theta_hsd = trace.signals["theta_hsd_1"]
         theta_sd = trace.signals["theta_sd_1"]
@@ -344,7 +346,7 @@ class TestRunPipeline:
         d = 5
         fc = ChannelConfig(delay=ConstantDelay(d))
         trace = run_pipeline(
-            TrajectorySpec.default(), Scene.default(), fc, transparent(), ORACLE
+            SHIPPED.trajectory, SHIPPED.scene, fc, ChannelConfig(), ORACLE
         )
         c = trace.signals["c_x"]
         v = trace.signals["v_x"]
@@ -353,10 +355,10 @@ class TestRunPipeline:
     def test_invalid_pole_rejected(self):
         with pytest.raises(ValueError):
             run_pipeline(
-                TrajectorySpec.default(),
-                Scene.default(),
-                transparent(),
-                transparent(),
+                SHIPPED.trajectory,
+                SHIPPED.scene,
+                ChannelConfig(),
+                ChannelConfig(),
                 ORACLE,
                 fcs_pole=1.0,
             )
@@ -365,10 +367,10 @@ class TestRunPipeline:
         # Mid-trajectory (sample 600) the tool is clear of the contact plane,
         # so both backends synthesize exactly zero force.
         trace = run_pipeline(
-            TrajectorySpec.default(),
-            Scene.default(),
-            transparent(),
-            transparent(),
+            SHIPPED.trajectory,
+            SHIPPED.scene,
+            ChannelConfig(),
+            ChannelConfig(),
             ORACLE,
             shadow=Hybrid(CordicConfig(iterations=10)),
         )
@@ -407,7 +409,7 @@ class TestShadowContract:
         backend, shadow = ORDERS[order]
         fc = ChannelConfig(noise_variance=1e-8, delay=RandomWalkDelay(0, 5), seed=11)
         bc = ChannelConfig(noise_variance=1e-4, delay=RandomWalkDelay(0, 3), seed=12)
-        scene = Scene.default()
+        scene = SHIPPED.scene
         trace = run_pipeline(LONG_SPEC, scene, fc, bc, backend, shadow=shadow, fcs_pole=0.5)
         alone = run_pipeline(LONG_SPEC, scene, fc, bc, backend, fcs_pole=0.5)
         for name in pipeline.COLUMN_ORDER:
@@ -493,7 +495,7 @@ class FailingSurface:
     def __init__(self, at: int | None):
         self.at = at
         self.calls = 0
-        self.surface = Scene.default().surface
+        self.surface = SHIPPED.scene.surface
 
     def __call__(self, tool):
         n, self.calls = self.calls, self.calls + 1
@@ -570,14 +572,14 @@ class TestFirstFailureAcrossBackends:
     def test_the_first_failing_sample_wins(self, order, case):
         backend, base = ORDERS[order]
         driver_at, stages = {**self.CASES, **self.BLOCK_STAGE_TIES}[case]
-        clean = run_pipeline(LONG_SPEC, Scene.default(), transparent(), transparent(), backend)
+        clean = run_pipeline(LONG_SPEC, SHIPPED.scene, ChannelConfig(), ChannelConfig(), backend)
         keys = stage_keys(clean, tripping(base))
         trips = frozenset(keys[n][stage] for stage, n in stages.items())
         n, message = first_failure(keys, trips, driver_at)
         shadow = tripping(base, trips)
-        scene = Scene(Scene.default().elasticity, FailingSurface(driver_at))
+        scene = Scene(SHIPPED.scene.elasticity, FailingSurface(driver_at))
         with pytest.raises(SampleError) as err:
-            run_pipeline(LONG_SPEC, scene, transparent(), transparent(), backend, shadow=shadow)
+            run_pipeline(LONG_SPEC, scene, ChannelConfig(), ChannelConfig(), backend, shadow=shadow)
         assert str(err.value) == f"sample {n}: {message}"
         assert err.value.sample_index == n
 
@@ -601,10 +603,10 @@ class TestFirstFailureAcrossBackends:
     def test_a_failing_driver_stage_against_the_shadow(self, order, case, monkeypatch):
         backend, base = ORDERS[order]
         stage, driver_at, modules, winner = self.DRIVER_STAGE_CASES[case]
-        clean = run_pipeline(LONG_SPEC, Scene.default(), transparent(), transparent(), backend)
+        clean = run_pipeline(LONG_SPEC, SHIPPED.scene, ChannelConfig(), ChannelConfig(), backend)
         keys = stage_keys(clean, tripping(base))
         trips = frozenset(keys[n][module] for module, n in modules.items())
-        bc = transparent()
+        bc = ChannelConfig()
         if stage == "bc":
             driver, driver_message = backend, "bc tripped"
             step, make_state = pipeline.channel_step, pipeline.ChannelState
@@ -633,7 +635,7 @@ class TestFirstFailureAcrossBackends:
         assert n == (driver_at if winner == "driver" else driver_at - 1)
         with pytest.raises(SampleError) as err:
             run_pipeline(
-                LONG_SPEC, Scene.default(), transparent(), bc, driver, shadow=tripping(base, trips)
+                LONG_SPEC, SHIPPED.scene, ChannelConfig(), bc, driver, shadow=tripping(base, trips)
             )
         assert str(err.value) == f"sample {n}: {message}"
         assert err.value.sample_index == n
@@ -643,10 +645,10 @@ class TestFirstFailureAcrossBackends:
 
     @pytest.mark.parametrize("driver_at, n", [(None, 10), (15, 10), (10, 10), (4, 4)])
     def test_angle_beyond_the_shadow_tfb_range(self, driver_at, n):
-        scene = Scene(Scene.default().elasticity, FailingSurface(driver_at))
+        scene = Scene(SHIPPED.scene.elasticity, FailingSurface(driver_at))
         with pytest.raises(SampleError) as err:
             run_pipeline(
-                self.BEYOND, scene, transparent(), transparent(), ORACLE, shadow=Hybrid()
+                self.BEYOND, scene, ChannelConfig(), ChannelConfig(), ORACLE, shadow=Hybrid()
             )
         if n == driver_at:
             assert str(err.value) == f"sample {n}: surface tripped"
@@ -684,9 +686,9 @@ class TestCallGraph:
         )
         run_pipeline(
             spec,
-            Scene.default(),
-            transparent(),
-            transparent(),
+            SHIPPED.scene,
+            ChannelConfig(),
+            ChannelConfig(),
             ORACLE,
             shadow=Hybrid(CordicConfig(iterations=10)),
         )
@@ -907,7 +909,7 @@ class TestFailureAtABlockStart:
     @pytest.mark.parametrize("module, chain_first", [("fk", "b1"), ("ik", "v_x")])
     def test_the_run_reports_the_failing_sample(self, at, module, chain_first):
         clean = run_pipeline(
-            LONG_SPEC, Scene.default(), transparent(), transparent(), ORACLE, fcs_pole=0.5
+            LONG_SPEC, SHIPPED.scene, ChannelConfig(), ChannelConfig(), ORACLE, fcs_pole=0.5
         )
         operands = chain_rows(clean, chain_first)
         key = (module, operands[at])
@@ -915,9 +917,9 @@ class TestFailureAtABlockStart:
         with pytest.raises(SampleError) as err:
             run_pipeline(
                 LONG_SPEC,
-                Scene.default(),
-                transparent(),
-                transparent(),
+                SHIPPED.scene,
+                ChannelConfig(),
+                ChannelConfig(),
                 tripping(ORACLE, frozenset({key})),
                 fcs_pole=0.5,
             )
@@ -928,7 +930,7 @@ class TestFailureAtABlockStart:
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):
         trace = run_pipeline(
-            TrajectorySpec.default(), Scene.default(), transparent(), transparent(), ORACLE
+            SHIPPED.trajectory, SHIPPED.scene, ChannelConfig(), ChannelConfig(), ORACLE
         )
         path = tmp_path / "t.csv"
         write_trace_csv(trace, path, "oracle")
@@ -940,7 +942,7 @@ class TestTraceCsv:
 
     def test_view_of_unknown_backend(self):
         trace = run_pipeline(
-            TrajectorySpec.default(), Scene.default(), transparent(), transparent(), ORACLE
+            SHIPPED.trajectory, SHIPPED.scene, ChannelConfig(), ChannelConfig(), ORACLE
         )
         with pytest.raises(KeyError):
             trace.view("hybrid")
