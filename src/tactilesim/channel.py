@@ -6,7 +6,9 @@ draws; the noise and delay streams are derived from the configured seed via
 ``SeedSequence([seed, 0])`` and ``SeedSequence([seed, 1])``, so a trace is
 reproducible bit for bit from the scenario file alone.  Both streams are drawn
 ``_BLOCK`` rows at a time; PCG64 gives a ``(B, 3)`` draw the same values as B
-successive 3-vector draws, so the block size does not change a trace.
+successive 3-vector draws, so the block size does not change a trace.  Each
+generator is made on its stream's first draw, so a channel whose streams are
+never read (no noise, a constant delay) imports no ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -126,8 +128,6 @@ class ChannelState:
         else:
             self.delays = [cfg.delay.delay] * 3
             self.walk = None
-        noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-        delay_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
         # One row per step as a list of Python numbers: the noise terms
         # eps_i * sigma_i, and walk steps of -1 or +1.  A stream that is never
         # read never draws.  A noiseless component's term is -0.0, which
@@ -139,15 +139,22 @@ class ChannelState:
         else:
             noisy = np.array(sigma) > 0
             self.noise = _rows(
-                lambda: np.where(noisy, noise_rng.standard_normal((_BLOCK, 3)) * sigma, -0.0)
+                cfg.seed,
+                0,
+                lambda rng: np.where(noisy, rng.standard_normal((_BLOCK, 3)) * sigma, -0.0),
             )
-        self.steps = _rows(lambda: 2 * delay_rng.integers(0, 2, (_BLOCK, 3)) - 1)
+        self.steps = _rows(cfg.seed, 1, lambda rng: 2 * rng.integers(0, 2, (_BLOCK, 3)) - 1)
 
 
-def _rows(draw: Callable[[], np.ndarray]) -> Iterator[list]:
-    """The rows of successive ``draw()`` blocks, one at a time."""
+def _rows(
+    seed: int, stream: int, draw: Callable[[np.random.Generator], np.ndarray]
+) -> Iterator[list]:
+    """The rows of successive ``draw(rng)`` blocks, one at a time, where
+    ``rng`` is the PCG64 generator of ``SeedSequence([seed, stream])``, made
+    when the first row is asked for."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, stream]))
     while True:
-        yield from draw().tolist()
+        yield from draw(rng).tolist()
 
 
 def channel_step(state: ChannelState, sample, n: int) -> tuple[float, float, float]:

@@ -1,7 +1,8 @@
 """Jacobian matrix, kinesthetic feedback torque (tau = J^T F) and the
 spring-law contact force of the slave-side force synthesis.
 
-J^T F and the spring law are written once, as ``_*_circuit`` functions that
+J^T F and the spring law are written once, as the circuit functions
+``_torque_circuit`` and ``_fbf_circuit`` of ``tactilesim.circuits``, which
 both backends run (``backend.run_block``); the Jacobian is a backend method,
 ``backend.jacobian_block``, next to FK in ``tactilesim.kinematics``.
 
@@ -19,6 +20,7 @@ from math import isfinite
 
 import numpy as np
 
+from tactilesim.circuits import _fbf_circuit, _torque_circuit
 from tactilesim.kinematics import (
     DEFAULT_GEOMETRY,
     CartesianPosition,
@@ -135,21 +137,6 @@ def _row(block) -> list[float]:
     if error is not None:
         raise error
     return rows[0].tolist()
-
-
-def _torque_circuit(j, f):
-    """tau = J^T F over the entries of ``_jacobian_circuit``."""
-    j11, j12, j13, j22, j23, j31, j32, j33 = j
-    fx, fy, fz = f
-    tau1 = (j11 * fx) + (j31 * fz)
-    tau2 = ((j12 * fx) + (j22 * fy)) + (j32 * fz)
-    tau3 = ((j13 * fx) + (j23 * fy)) + (j33 * fz)
-    return tau1, tau2, tau3
-
-
-def _fbf_circuit(obj, env, h):
-    """Per axis, a subtractor and a multiplier: h_i * (obj_i - env_i)."""
-    return [hi * (o - e) for o, e, hi in zip(obj, env, h)]
 
 
 def kinesthetic_feedback(

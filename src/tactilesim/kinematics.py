@@ -4,7 +4,8 @@
 Every operation runs on one of two interchangeable backends, each a class
 that carries its own module code in four entry points.  ``fk`` and ``ik``
 take one sample; ``jacobian_block`` and ``run_block``, which runs the
-circuits of ``tactilesim.force``, take one row per sample:
+circuits both backends share (J^T F and the spring law of
+``tactilesim.force``), take one row per sample:
 
 * ``Oracle``  - full double precision, the reference model.  Its
   Jacobian formula is written once, over ``np.sin``/``np.cos`` columns.
@@ -12,14 +13,11 @@ circuits of ``tactilesim.force``, take one row per sample:
   matching the structure of the hardware circuits (TFB per trig term,
   float32 multipliers/adders, float32 geometry constants).
 
-The hybrid modules are written once, as circuit functions (``_fk_circuit``,
-``_ik_circuit``, ``_jacobian_circuit``) over an arithmetic policy and the
-link constants ``(l1, l2, l3, l4)``: ``Hybrid`` itself is the policy that
-computes FK and IK, ``_HybridColumns`` the one that computes the Jacobian
-over float32 columns, and the recorder in ``tactilesim.latency_model`` runs
-the same functions to build the latency DAGs.  A policy supplies ``const``,
-``sincos``, ``atan2``, ``acos``, ``sqrt`` and ``reach``; ``+ - * /`` and
-unary minus are the operators of its values.
+The hybrid modules are the circuit functions of ``tactilesim.circuits``
+(``_fk_circuit``, ``_ik_circuit``, ``_jacobian_circuit``), written once over
+an arithmetic policy: ``Hybrid`` itself is the policy that computes FK and
+IK, ``_HybridColumns`` the one that computes the Jacobian over float32
+columns.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from math import acos, atan2, cos, isfinite, sin, sqrt
 
 import numpy as np
 
+from tactilesim.circuits import _fk_circuit, _ik_circuit, _jacobian_circuit
 from tactilesim.numerics import (
     DEFAULT_CORDIC,
     CordicConfig,
@@ -429,68 +428,6 @@ class _HybridColumns:
 
 
 ORACLE = Oracle()
-
-
-def _fk_circuit(p, links, theta):
-    """FK circuit: one TFB per joint angle, then a circuit per coordinate.
-    The angles enter the TFBs unrounded (F2FP quantizes them directly)."""
-    l1, l2, l3, l4 = links
-    s1, c1 = p.sincos(theta[0])
-    s2, c2 = p.sincos(theta[1])
-    s3, c3 = p.sincos(theta[2])
-    x = -(s1 * (l2 * s3 + l1 * c2))
-    y = (-(l2 * c3) + l1 * s2) + l3
-    z = (l2 * (c1 * s3) + l1 * (c1 * c2)) + (-l4)
-    return x, y, z
-
-
-def _jacobian_circuit(p, links, theta):
-    """One circuit per nonzero entry, returned in row order without J21.
-    Products associate length-constant first, then the remaining trig factors
-    left to right."""
-    l1, l2 = links[:2]
-    s1, c1 = p.sincos(theta[0])
-    s2, c2 = p.sincos(theta[1])
-    s3, c3 = p.sincos(theta[2])
-    j11 = -(c1 * (l2 * s3 + l1 * c2))
-    j12 = l1 * (s1 * s2)
-    j13 = -(l2 * (s1 * c3))
-    j22 = l1 * c2
-    j23 = l2 * s3
-    j31 = -(((l1 * c2) * s1) + ((l2 * s3) * s1))
-    j32 = -(l1 * (s2 * c1))
-    j33 = l2 * (c3 * c1)
-    return j11, j12, j13, j22, j23, j31, j32, j33
-
-
-def _ik_circuit(p, links, pos):
-    """IK circuit in three stages; returns the joint angles and the
-    intermediates (R, r, gamma, beta, alpha)."""
-    l1, l2, l3, l4 = links
-    x, y, z = pos
-    # First stage: theta1, R and r in parallel.
-    zz = z + l4
-    theta1 = -p.atan2(x, zz)
-    sum_xz = x * x + zz * zz
-    big_r = p.sqrt(sum_xz)
-    # The hardware negates L3 and r^2 and adds: in float32, a + (-b) == a - b.
-    yy = y + (-l3)
-    r = p.reach(p.sqrt(sum_xz + yy * yy))
-
-    # Second stage: gamma, beta and alpha in parallel.
-    r_sq = r * r
-    # The gamma and alpha circuits each square the link lengths themselves.
-    two = p.const(2.0)
-    g_num = (l1 * l1 - l2 * l2) + r_sq
-    gamma = p.acos(g_num / (two * (l1 * r)), "gamma")
-    beta = p.atan2(yy, big_r)
-    a_num = (l1 * l1 + l2 * l2) + (-r_sq)
-    alpha = p.acos(a_num / (two * (l1 * l2)), "alpha")
-
-    # Third stage: theta2 and theta3.
-    theta2 = gamma + beta
-    theta3 = (theta2 + alpha) + p.const(-math.pi / 2.0)
-    return (theta1, theta2, theta3), (big_r, r, gamma, beta, alpha)
 
 
 def forward_kinematics(

@@ -3,12 +3,15 @@
 Each module (FK, IK, KFF, FBF) is described as a DAG of primitive operators
 (adders, multipliers, dividers, trig blocks, square root, format converters).
 The DAGs are not written by hand: they are recorded by running the hybrid
-datapath's own circuit functions (``tactilesim.kinematics``,
-``tactilesim.force``) on a policy whose values are graph nodes, so the
-datapath and its latency model cannot drift apart.  The module latency is
-the longest latency-weighted input-to-output path; the per-operator latencies
-come from a table that can be calibrated against measured module sample
-periods.
+datapath's own circuit functions (``tactilesim.circuits``) on a policy whose
+values are graph nodes, so the datapath and its latency model cannot drift
+apart.  The module latency is the longest latency-weighted input-to-output
+path; the per-operator latencies come from a table that can be calibrated
+against measured module sample periods.
+
+The module imports no numpy: path signatures are tuples of floats, the fit's
+vectors are lists, and each LP reaches scipy's HiGHS binding through its
+scalar calls.
 """
 
 from __future__ import annotations
@@ -17,16 +20,20 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import os
 import sys
 import types
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
-from tactilesim.force import _fbf_circuit, _torque_circuit
-from tactilesim.kinematics import _fk_circuit, _ik_circuit, _jacobian_circuit
+from tactilesim.circuits import (
+    _fbf_circuit,
+    _fk_circuit,
+    _ik_circuit,
+    _jacobian_circuit,
+    _torque_circuit,
+)
 
 __all__ = [
     "CalibrationDegenerate",
@@ -62,7 +69,8 @@ _HIGHS_MODULE = "scipy.optimize._highspy._core"
 def _highs():
     """scipy's HiGHS binding, loaded on first use without the package
     ``__init__`` of ``scipy.optimize``, which imports linalg, sparse, special
-    and fft and took most of the wall time of ``tactilesim latency``.
+    and fft and took most of the wall time of ``tactilesim latency``, and
+    without scipy's own, which imports numpy: scipy is only located.
 
     The binding is registered in ``sys.modules`` under its own name before it
     runs, as the import system does, so that a later ``import scipy.optimize``
@@ -71,12 +79,16 @@ def _highs():
     module = sys.modules.get(_HIGHS_MODULE)
     if module is not None:
         return module
-    import scipy
-
-    spec = importlib.machinery.PathFinder.find_spec(
-        _HIGHS_MODULE, [os.path.join(scipy.__path__[0], "optimize", "_highspy")]
+    scipy_spec = importlib.util.find_spec("scipy")
+    spec = scipy_spec and importlib.machinery.PathFinder.find_spec(
+        _HIGHS_MODULE,
+        [os.path.join(scipy_spec.submodule_search_locations[0], "optimize", "_highspy")],
     )
     if spec is None:
+        # Only here does scipy run: its import raises the error of a scipy
+        # that cannot load, or gives the version to name.
+        import scipy
+
         raise ImportError(
             f"the latency fit needs {_HIGHS_MODULE}, which scipy {scipy.__version__} "
             "does not ship",
@@ -92,54 +104,52 @@ def _highs():
     return module
 
 
-def _upper_rows(a_ub: np.ndarray, b_ub: np.ndarray):
+def _upper_rows(a_ub: Sequence[Sequence[float]], b_ub: Sequence[float]):
     """The LP ``a_ub @ x <= b_ub`` over ``x >= 0``, without its objective, as
-    the ``HighsLp`` that `linprog` solves: the model ``scipy.optimize.milp``
-    hands HiGHS, its matrix in compressed sparse column form and every
-    variable explicitly continuous."""
-    h = _highs()
-    n_rows, n_cols = a_ub.shape
-    lp = h.HighsLp()
-    lp.num_col_ = n_cols
-    lp.num_row_ = n_rows
-    lp.col_lower_ = np.zeros(n_cols)
-    lp.col_upper_ = np.full(n_cols, np.inf)
-    lp.row_lower_ = np.full(n_rows, -np.inf)
-    lp.row_upper_ = b_ub
-    lp.integrality_ = [h.HighsVarType(0)] * n_cols
-    columns = a_ub.T
-    nonzero = columns != 0
-    matrix = lp.a_matrix_
-    matrix.format_ = h.MatrixFormat.kColwise
-    matrix.num_col_ = n_cols
-    matrix.num_row_ = n_rows
-    matrix.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
-    matrix.index_ = np.nonzero(nonzero)[1]
-    matrix.value_ = columns[nonzero]
-    return lp
+    `linprog` takes it: a ``HighsLp`` of the rows alone (their bounds, and a
+    matrix of no columns), and per column its nonzero entries as (row,
+    value) pairs in ascending row order.  A ``HighsLp``'s column fields and
+    every ``_Highs`` method that takes arrays import numpy; the row bounds
+    and the scalar calls that add the columns do not."""
+    lp = _highs().HighsLp()
+    lp.num_row_ = len(b_ub)
+    lp.row_lower_ = [-math.inf] * len(b_ub)
+    lp.row_upper_ = list(b_ub)
+    lp.a_matrix_.num_row_ = len(b_ub)
+    columns = [[(i, a) for i, a in enumerate(column) if a != 0] for column in zip(*a_ub)]
+    return lp, columns
 
 
-def linprog(c: np.ndarray, lp) -> np.ndarray:
-    """Minimise ``c @ x`` over the `_upper_rows` model ``lp``, whose objective
-    it sets, with HiGHS's dual simplex; returns the vertex ``x``.
+def linprog(c: Sequence[float], model) -> list[float]:
+    """Minimise ``c @ x`` over the `_upper_rows` model, with HiGHS's dual
+    simplex; returns the vertex ``x``.
 
     Every call solves on a fresh solver with default options but for the
-    console log, as ``scipy.optimize.milp`` does, and so returns milp's
-    vertex: a warm start from an earlier round's basis could return another
-    vertex of the optimal face.  The function keeps the name ``linprog``
-    under which the benchmark traces the solver (``latency_model.linprog``)."""
+    console log, as ``scipy.optimize.milp`` does.  The rows go in as one
+    model, then each column, with its cost and its entries, through
+    ``addVar``, ``changeColCost`` and ``changeCoeff``, in column order and
+    ascending row order: the column-major matrix milp hands HiGHS, and so
+    milp's vertex.  A warm start from an earlier round's basis could return
+    another vertex of the optimal face.  The function keeps the name
+    ``linprog`` under which the benchmark traces the solver
+    (``latency_model.linprog``)."""
     h = _highs()
-    lp.col_cost_ = c
+    lp, columns = model
     highs = h._Highs()
     highs.setOptionValue("log_to_console", False)
     highs.passModel(lp)
+    for j, (cost, column) in enumerate(zip(c, columns)):
+        highs.addVar(0.0, math.inf)
+        highs.changeColCost(j, cost)
+        for i, a in column:
+            highs.changeCoeff(i, j, a)
     highs.run()
     status = highs.getModelStatus()
     if status != h.HighsModelStatus.kOptimal:
         raise CalibrationDegenerate(
             f"latency fit failed: HiGHS model status {highs.modelStatusToString(status)}"
         )
-    return np.array(highs.getSolution().col_value)
+    return highs.getSolution().col_value
 
 
 class CalibrationDegenerate(ValueError):
@@ -242,19 +252,15 @@ class DataflowGraph:
         object.__setattr__(self, "_output_positions", tuple(position[o] for o in self.outputs))
 
     @functools.cached_property
-    def _path_signatures(self) -> tuple[np.ndarray, ...]:
-        """`_all_path_signatures` of this graph, enumerated on first use; the
-        arrays are read-only."""
-        signatures = _all_path_signatures(self)
-        for v in signatures:
-            v.flags.writeable = False
-        return tuple(signatures)
+    def _path_signatures(self) -> tuple[tuple[float, ...], ...]:
+        """`_all_path_signatures` of this graph, enumerated on first use."""
+        return tuple(_all_path_signatures(self))
 
     @functools.cached_property
-    def _longest_by_count(self) -> np.ndarray | None:
+    def _longest_by_count(self) -> tuple[float, ...] | None:
         """The first path signature with the most operators, `calibrate`'s
         starting selection; None without paths."""
-        return max(self._path_signatures, key=lambda v: v.sum(), default=None)
+        return max(self._path_signatures, key=sum, default=None)
 
 
 def _longest_paths(g: DataflowGraph, t: OpLatencyTable) -> tuple[list[float], list[int]]:
@@ -428,16 +434,54 @@ class CalibrationResult:
         }
 
 
-def _all_path_signatures(g: DataflowGraph) -> list[np.ndarray]:
-    """Distinct operator-count vectors over all input-to-output paths: per
-    node in node order, the vectors of the paths ending there."""
+def _all_path_signatures(g: DataflowGraph) -> list[tuple[float, ...]]:
+    """Distinct operator-count vectors over all input-to-output paths, in
+    ascending order, as tuples of floats: per node in node order, the vectors
+    of the paths ending there."""
     source = {(0,) * len(OP_KINDS)}
     vectors: list[set[tuple[int, ...]]] = []
     for i, feeders in zip(g._kinds, g._feeders):
         into = set().union(*(vectors[p] for p in feeders)) if feeders else source
         vectors.append({v[:i] + (v[i] + 1,) + v[i + 1 :] for v in into})
     result = set().union(*(vectors[o] for o in g._output_positions))
-    return [np.array(v, dtype=float) for v in sorted(result)]
+    return [tuple(map(float, v)) for v in sorted(result)]
+
+
+def _fma_dot(v: Sequence[float], x: Sequence[float]) -> float:
+    """``v @ x`` as numpy's float64 dot product computes vectors this short
+    on the hosts checked: one fused multiply-add per term, in index order,
+    from 0.0, each rounded once to the nearest double.  Computed exactly over
+    integers (a double is an integer over a power of two), so that it needs
+    neither numpy nor ``math.fma``, which Python 3.13 added."""
+    acc = 0.0
+    for a, b in zip(v, x):
+        an, ad = a.as_integer_ratio()
+        bn, bd = b.as_integer_ratio()
+        cn, cd = acc.as_integer_ratio()
+        d = max(ad * bd, cd)
+        # int / int rounds the exact quotient once, to nearest, ties to even.
+        acc = (an * bn * (d // (ad * bd)) + cn * (d // cd)) / d
+    return acc
+
+
+# Ulps of the largest plain path sum within which `_dominant` computes the
+# fused chains.  Over ten non-negative terms the plain sum and the fused
+# chain each lie within about 30 ulps of the exact dot product, so a path
+# whose plain sum is more than about 60 ulps below the largest cannot have
+# the largest chain.
+_SHORTLIST_ULPS = 64
+
+
+def _dominant(signatures: Sequence[tuple[float, ...]], x: list[float]) -> tuple[float, ...]:
+    """The first of ``signatures`` with the largest `_fma_dot` with the
+    table ``x``: what ``max(signatures, key=lambda v: v @ x)`` gave on
+    numpy arrays.  Plain sums shortlist the signatures that can be largest,
+    and only those get the exact dot product."""
+    sums = [sum(map(operator.mul, v, x)) for v in signatures]
+    top = max(sums)
+    floor = top - _SHORTLIST_ULPS * math.ulp(top)
+    shortlist = [v for v, s in zip(signatures, sums) if s >= floor]
+    return max(shortlist, key=lambda v: _fma_dot(v, x))
 
 
 def calibrate(
@@ -483,8 +527,8 @@ def calibrate(
         raise CalibrationDegenerate("all target graphs are empty")
 
     rows = _upper_rows(
-        np.array([sig for name in names for sig in signatures[name]]),
-        np.concatenate([np.full(len(signatures[name]), targets[name]) for name in names]),
+        [sig for name in names for sig in signatures[name]],
+        [targets[name] for name in names for _ in signatures[name]],
     )
 
     # Start from the longest path by node count, then re-select the dominant
@@ -492,27 +536,25 @@ def calibrate(
     selected = {name: graphs[name]._longest_by_count for name in names if signatures[name]}
     best: tuple[float, OpLatencyTable, dict[str, float]] | None = None
     for _ in range(_MAX_ROUNDS):
-        objective = -np.sum([selected[name] for name in selected], axis=0)
+        # Counts are whole numbers, so the sums are exact; a zero count
+        # costs -0.0.
+        objective = [-sum(counts) for counts in zip(*selected.values())]
         x = linprog(objective, rows)
         # HiGHS may return a latency a rounding error (under 1e-9 ns) below
         # its zero bound; that reads as 0.
-        if x.min() <= -1e-9:
+        if min(x) <= -1e-9:
             raise CalibrationDegenerate(f"latency fit returned a negative latency: {x}")
-        x = np.where(x < 0.0, 0.0, x)
-        table = OpLatencyTable(**{k: float(x[i]) for i, k in enumerate(OP_KINDS)})
+        x = [0.0 if v < 0.0 else float(v) for v in x]
+        table = OpLatencyTable(**dict(zip(OP_KINDS, x)))
         cps = {name: critical_path(graphs[name], table) for name in names}
         sq_err = sum((cps[name] - targets[name]) ** 2 for name in names)
         if best is None or sq_err < best[0]:
             best = (sq_err, table, cps)
         if sq_err == 0.0:
             break
-        previous = {name: tuple(vec) for name, vec in selected.items()}
-        selected = {
-            name: max(signatures[name], key=lambda v: float(v @ x))
-            for name in names
-            if signatures[name]
-        }
-        if {name: tuple(vec) for name, vec in selected.items()} == previous:
+        previous = selected
+        selected = {name: _dominant(signatures[name], x) for name in names if signatures[name]}
+        if selected == previous:
             break
 
     _, table, cps = best

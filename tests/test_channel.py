@@ -231,8 +231,14 @@ class LoopState:
             self.delays = [cfg.delay.delay] * 3
         noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
         delay_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-        self.noise = channel._rows(lambda: noise_rng.standard_normal((channel._BLOCK, 3)))
-        self.steps = channel._rows(lambda: 2 * delay_rng.integers(0, 2, (channel._BLOCK, 3)) - 1)
+        self.noise = block_rows(lambda: noise_rng.standard_normal((channel._BLOCK, 3)))
+        self.steps = block_rows(lambda: 2 * delay_rng.integers(0, 2, (channel._BLOCK, 3)) - 1)
+
+
+def block_rows(draw):
+    """The rows of successive ``draw()`` blocks, one at a time."""
+    while True:
+        yield from draw().tolist()
 
 
 def loop_channel_step(state: LoopState, cfg: ChannelConfig, sample, n: int):

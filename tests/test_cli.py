@@ -688,9 +688,10 @@ def _modules_after(code: str) -> tuple[bytes, set[str]]:
 
 
 def test_latency_imports_only_what_it_runs():
-    # The fit runs on scipy's HiGHS binding alone (the package init of
-    # scipy.optimize imports most of scipy), and the report needs neither
-    # the pipeline nor the scenario schema.
+    # The fit runs on scipy's HiGHS binding alone (the package inits of
+    # scipy and scipy.optimize import numpy and most of scipy), the recorder
+    # takes the circuits from their numpy-free module, and the report needs
+    # neither the pipeline nor the scenario schema.
     stdout, modules = _modules_after(
         "from tactilesim.cli import main\nassert main(['latency']) == 0"
     )
@@ -698,8 +699,9 @@ def test_latency_imports_only_what_it_runs():
     golden = digests["calibrate"]["*"]["cli"]["latency.json"]
     assert hashlib.sha256(stdout).hexdigest() == golden
     assert "tactilesim.latency_model" in modules
-    unloaded = {"yaml", "scipy.optimize", "tactilesim.pipeline", "tactilesim.channel",
-                "tactilesim.scenario"}
+    unloaded = {"yaml", "numpy", "scipy", "scipy.optimize", "tactilesim.numerics",
+                "tactilesim.kinematics", "tactilesim.force", "tactilesim.pipeline",
+                "tactilesim.channel", "tactilesim.scenario"}
     assert not unloaded & modules
 
 
@@ -709,7 +711,8 @@ def test_run_imports_only_what_it_runs(tmp_path):
         f"assert main(['run', {str(SCENARIO_PATH)!r}, '--out-dir', {str(tmp_path)!r}]) == 0"
     )
     assert {"tactilesim.pipeline", "tactilesim.scenario", "yaml"} <= modules
-    assert not {"scipy", "tactilesim.latency_model"} & modules
+    # The shipped scenario's channels are transparent: no stream is drawn.
+    assert not {"scipy", "tactilesim.latency_model", "numpy.random"} & modules
 
 
 def test_import_leaves_scipy_unloaded():

@@ -4,7 +4,9 @@ from rerun to rerun."""
 
 import hashlib
 import importlib.util
+import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -54,6 +56,33 @@ def test_calibration_fits():
     fits = [calibrate(targets).to_dict() for targets in load_workloads().target_sets()]
     digest = sha256(json.dumps(fits).encode())
     assert digest == DIGESTS["calibrate"]["*"]["inprocess"]["fits"]
+
+
+def sweep_target_sets(count: int) -> list[dict[str, float]]:
+    """``count`` target sets cycling through the 15 non-empty module subsets
+    and three kinds of targets in turn: published timings each scaled by a
+    factor in [0.05, 20], whole numbers of ns in [1, 300] (where paths tie
+    often), and log-uniform values in [1e-3, 1e6] ns."""
+    rng = random.Random(25)
+    subsets = [
+        combo for r in range(1, 5) for combo in itertools.combinations(DEFAULT_TARGETS_NS, r)
+    ]
+    draws = (
+        lambda m: DEFAULT_TARGETS_NS[m] * 20.0 ** rng.uniform(-1.0, 1.0),
+        lambda m: float(rng.randint(1, 300)),
+        lambda m: 10.0 ** rng.uniform(-3.0, 6.0),
+    )
+    return [
+        {m: draws[i % 3](m) for m in subsets[i % len(subsets)]} for i in range(count)
+    ]
+
+
+def test_calibration_sweep():
+    # Pins every fit's bytes beyond the benchmark's five target sets: the
+    # LP model, the vertex HiGHS returns and the path re-selection.
+    fits = [calibrate(targets).to_dict() for targets in sweep_target_sets(1000)]
+    digest = sha256(json.dumps(fits).encode())
+    assert digest == "8345959cea0c7cb6c1b4fb7ed8249c76775621332123a546aca5c18ddd5ca1d4"
 
 
 def run_outputs(scenario: Path, out: Path) -> dict[str, str]:

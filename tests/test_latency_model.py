@@ -7,12 +7,14 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog as scipy_linprog
-from scipy.sparse import csc_array
 
 from tactilesim import latency_model
 from tactilesim.latency_model import (
@@ -295,7 +297,7 @@ class TestCompiledGraph:
 
     def test_cached_signatures_are_read_only(self):
         g = chain("add", 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             g._path_signatures[0][0] = 5.0
         assert [tuple(v) for v in g._path_signatures] == [(2.0,) + (0.0,) * 9]
 
@@ -497,14 +499,18 @@ def scaled_subsets(count: int) -> list[dict[str, float]]:
     ]
 
 
-def reference_linprog(c, lp):
+def reference_linprog(c, model):
     """The fit's LP through ``scipy.optimize.linprog(method="highs")`` on the
-    dense rows of ``lp``: the reference that the direct binding must match."""
-    m = lp.a_matrix_
-    a_ub = csc_array((m.value_, m.index_, m.start_), shape=(lp.num_row_, lp.num_col_))
+    dense rows of the `_upper_rows` model (the rows' ``HighsLp`` and the
+    columns' entries): the reference that the direct binding must match."""
+    lp, columns = model
+    a_ub = np.zeros((lp.num_row_, len(columns)))
+    for j, column in enumerate(columns):
+        for i, a in column:
+            a_ub[i, j] = a
     sol = scipy_linprog(
         c,
-        A_ub=a_ub.toarray(),
+        A_ub=a_ub,
         b_ub=lp.row_upper_,
         bounds=(0, None),
         method="highs",
@@ -538,6 +544,52 @@ class TestAgainstLinprog:
         fitted, reference = self.fits(target_sets, monkeypatch)
         for targets, got, want in zip(target_sets, fitted, reference):
             assert got == want, targets
+
+
+def fraction_chain(v, x) -> float:
+    """One fused multiply-add per term from 0.0: each step exact over
+    rationals, then rounded once to the nearest double."""
+    acc = 0.0
+    for a, b in zip(v, x):
+        acc = float(Fraction(a) * Fraction(b) + Fraction(acc))
+    return acc
+
+
+finite = st.floats(-1e150, 1e150)
+# The re-selection's operands: operator counts, and latencies that HiGHS
+# returns, subnormal ones included.
+counts = st.lists(st.integers(0, 40).map(float), min_size=10, max_size=10)
+latencies = st.lists(
+    st.floats(0.0, 1e20) | st.integers(0, 300).map(float), min_size=10, max_size=10
+)
+
+
+class TestFmaDot:
+    """`_fma_dot` is the path latency the re-selection compares; it must be
+    numpy's ``v @ x``, which the recorded fits were taken with."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        v=st.lists(finite, min_size=1, max_size=12),
+        x=st.lists(finite, min_size=12, max_size=12),
+    )
+    def test_exact_fused_chain(self, v, x):
+        assert latency_model._fma_dot(v, x) == fraction_chain(v, x)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(v=counts, x=latencies)
+    def test_numpy_dot(self, v, x):
+        assert latency_model._fma_dot(v, x) == float(np.array(v) @ np.array(x))
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(x=latencies)
+    def test_dominant_path_as_numpy_chose_it(self, x):
+        # The first signature with the largest numpy dot product, also
+        # where whole-number latencies tie paths.
+        for g in builtin_graphs().values():
+            signatures = g._path_signatures
+            want = max(signatures, key=lambda v: float(np.array(v) @ np.array(x)))
+            assert latency_model._dominant(signatures, x) == want
 
 
 def test_paths_within_solver_tolerance_of_target():
