@@ -29,7 +29,7 @@ if TYPE_CHECKING:
     import numpy as np
 
     from tactilesim.latency_model import calibrate
-    from tactilesim.pipeline import run_pipeline, summary_report, write_trace_csv
+    from tactilesim.pipeline import TraceWriter, run_pipeline, summary_report
     from tactilesim.scenario import Scenario, load_scenario
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "main"]
@@ -43,6 +43,9 @@ _LAZY = {
     "Scenario": "tactilesim.scenario",
     "load_scenario": "tactilesim.scenario",
     "run_pipeline": "tactilesim.pipeline",
+    "TraceWriter": "tactilesim.pipeline",
+    # `run` writes its traces through TraceWriter; the benchmark's traced
+    # run still spans this name.
     "write_trace_csv": "tactilesim.pipeline",
     "summary_report": "tactilesim.pipeline",
     "calibrate": "tactilesim.latency_model",
@@ -67,14 +70,16 @@ def _bind(*names: str) -> None:
 
 
 @contextmanager
-def _writing(path):
+def _writing(path=None):
     """An output at ``path`` that cannot be written is a ScenarioError:
-    ``cannot write <path>: <reason>``."""
+    ``cannot write <path>: <reason>``; without ``path``, the file the
+    OSError names."""
     try:
         yield
     except (OSError, ValueError) as exc:
         reason = getattr(exc, "strerror", None) or exc
-        raise ScenarioError(f"cannot write {path}: {reason}") from exc
+        where = getattr(exc, "filename", None) if path is None else path
+        raise ScenarioError(f"cannot write {where}: {reason}") from exc
 
 
 def _emit(text: str, out) -> None:
@@ -86,7 +91,7 @@ def _emit(text: str, out) -> None:
 
 
 def cmd_run(args) -> int:
-    _bind("load_scenario", "run_pipeline", "write_trace_csv", "summary_report")
+    _bind("load_scenario", "run_pipeline", "TraceWriter", "summary_report")
     scenario = load_scenario(args.scenario)
     out = Path(args.out_dir or os.environ.get(OUTDIR_ENV) or scenario.output_dir)
     # Made before the run, so that an unusable directory fails at once rather
@@ -97,25 +102,32 @@ def cmd_run(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     try:
         driver, shadow = scenario.backend_objects()
-        trace = run_pipeline(
-            scenario.trajectory,
-            scenario.scene,
-            scenario.fc,
-            scenario.bc,
-            driver,
-            geometry=scenario.geometry,
-            shadow=shadow,
-            fcs_pole=scenario.fcs_pole,
-        )
+        backends = [be.name for be in (driver, shadow) if be is not None]
+        written = [out / f"{scenario.output_prefix}_{backend}.csv" for backend in backends]
+        # The traces are formatted while the run goes on and renamed into
+        # place at the end; discard leaves no process or temporary file.
+        writer = TraceWriter(written)
+        try:
+            trace = run_pipeline(
+                scenario.trajectory,
+                scenario.scene,
+                scenario.fc,
+                scenario.bc,
+                driver,
+                geometry=scenario.geometry,
+                shadow=shadow,
+                fcs_pole=scenario.fcs_pole,
+                on_block=writer.on_block,
+            )
+            with _writing():
+                writer.close()
+        finally:
+            writer.discard()
     except BaseException:
         for p in made:
             p.rmdir()
         raise
 
-    written = [out / f"{scenario.output_prefix}_{backend}.csv" for backend in trace.backends]
-    for backend, path in zip(trace.backends, written):
-        with _writing(path):
-            write_trace_csv(trace, path, backend)
     report = summary_report(
         trace,
         budget_limits=scenario.budget_limits,

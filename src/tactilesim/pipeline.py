@@ -6,7 +6,9 @@ its latency budget (the budget arithmetic is ``tactilesim.budget``).
 
 The chain is feed-forward, so a run is one pass of stages over a table with
 one row per sample, a block of samples at a time, each stage over the whole
-block before the next (see ``run_pipeline``).
+block before the next (see ``run_pipeline``).  The table is one anonymous
+shared mapping, so ``TraceWriter`` can fork a formatter after the first
+block that writes the trace CSVs while the later blocks run.
 
 Validation methodology: when a shadow backend is requested, the driving
 backend computes the signal chain, and the shadow backend's modules are
@@ -20,7 +22,12 @@ at every stage and say nothing about the module under test.
 from __future__ import annotations
 
 import csv
+import errno
 import math
+import mmap
+import os
+import struct
+import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -67,6 +74,7 @@ __all__ = [
     "hardware_time_limit",
     "speedup_report",
     "write_trace_csv",
+    "TraceWriter",
     "read_trace_csv",
 ]
 
@@ -332,6 +340,7 @@ def run_pipeline(
     geometry: DeviceGeometry = DEFAULT_GEOMETRY,
     shadow: Oracle | Hybrid | None = None,
     fcs_pole: float = 0.0,
+    on_block: Callable[[np.ndarray, int], None] | None = None,
 ) -> SimulationTrace:
     """Simulate the loop for every sample of the trajectory.
 
@@ -358,6 +367,12 @@ def run_pipeline(
     the earlier stage's: the driver's, then the shadow's in module order; a
     SampleError with ``sample {n}: `` before its message and ``n`` in
     ``sample_index``.
+
+    The table is one anonymous shared mapping (``_shared_table``), so a
+    process forked during the run sees every row written after the fork.
+    ``on_block(table, rows_done)``, when given, is called after each block
+    whose stages all succeeded, with the number of rows computed so far;
+    ``TraceWriter.on_block`` formats the trace from it while the run goes on.
     """
     if not 0.0 <= fcs_pole < 1.0:
         raise ValueError("fcs_pole must lie in [0, 1)")
@@ -406,7 +421,7 @@ def run_pipeline(
 
     # One row per sample: the chain signals and the driver's module outputs
     # in COLUMN_ORDER, then the shadow's in MODULE_OUTPUT_SIGNALS order.
-    table = np.empty((q_len, width + (0 if shadow is None else len(MODULE_OUTPUT_SIGNALS))))
+    table = _shared_table(q_len, width + (0 if shadow is None else len(MODULE_OUTPUT_SIGNALS)))
     table[:, 0] = np.arange(q_len)
     table[:, chain("b1")] = _trajectory_table(spec)
     for start in range(0, q_len, _BLOCK):
@@ -423,6 +438,8 @@ def run_pipeline(
             raise type(error)(f"sample {stop}: {error}", sample_index=stop) from error
         if error is not None:
             raise error
+        if on_block is not None:
+            on_block(table, stop)
 
     return SimulationTrace(
         q=q_len,
@@ -436,6 +453,17 @@ def run_pipeline(
 
 # Samples per block of the stage pass.
 _BLOCK = 256
+
+
+def _shared_table(rows: int, columns: int) -> np.ndarray:
+    """A zeroed (rows, columns) float table in one anonymous shared mapping,
+    which a forked process shares instead of copying.  A mapping the system
+    cannot make is a MemoryError, as numpy's allocation failure is."""
+    try:
+        buffer = mmap.mmap(-1, rows * columns * 8)
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(f"cannot map a table of {rows} x {columns} values") from exc
+    return np.frombuffer(buffer, dtype=float).reshape(rows, columns)
 
 
 def _row_by_row(fn, *consts):
@@ -543,22 +571,297 @@ def mse_table(trace: SimulationTrace) -> list[dict]:
     return rows
 
 
-# Rows converted to Python floats at a time by the trace writer.  Larger
+# Rows converted to Python floats at a time by the trace writers, and the
+# step in which TraceWriter's formatter follows the run and polls for its
+# end mark, so the parent waits at most one chunk for the split.  Larger
 # chunks are no faster and raise peak memory (2048 rows: about 7 MiB on a
 # 10^4-sample trace).
 _CSV_CHUNK = 128
 
+_CSV_HEADER = ",".join(COLUMN_ORDER) + "\n"
+
+
+def _csv_rows(columns: Sequence[np.ndarray], start: int, stop: int) -> str:
+    """Rows ``start`` to ``stop`` of the trace with these columns, one CSV
+    line each; values rendered with full round-trip precision (``repr``,
+    which never needs CSV quoting)."""
+    rows = zip(*(col[start:stop].tolist() for col in columns))
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def _trace_columns(table: np.ndarray) -> list[list[np.ndarray]]:
+    """The columns of each trace in a ``run_pipeline`` table, in
+    COLUMN_ORDER, as ``SimulationTrace.view`` gives them: the driver's, then
+    the shadow's when the table holds one."""
+    width = len(COLUMN_ORDER)
+    driver = list(table.T[:width])
+    if table.shape[1] == width:
+        return [driver]
+    shadow = dict(zip(MODULE_OUTPUT_SIGNALS, table.T[width:]))
+    return [driver, [shadow.get(name, col) for name, col in zip(COLUMN_ORDER, driver)]]
+
 
 def write_trace_csv(trace: SimulationTrace, path, backend: str) -> None:
-    """One row per sample, one column per signal component; values rendered
-    with full round-trip precision (``repr``, which never needs CSV
-    quoting)."""
+    """One row per sample, one column per signal component (``_csv_rows``)."""
     columns = list(trace.view(backend).values())
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(COLUMN_ORDER) + "\n")
+        fh.write(_CSV_HEADER)
         for start in range(0, trace.q, _CSV_CHUNK):
-            rows = zip(*(col[start : start + _CSV_CHUNK].tolist() for col in columns))
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+            fh.write(_csv_rows(columns, start, start + _CSV_CHUNK))
+
+
+# TraceWriter's messages.  A ticket carries the rows computed so far, or
+# _END once the run is complete.  A reply is (split row, trace, errno): the
+# row the formatter stops at, or -1, the trace index and the errno of a
+# write that failed, followed by its strerror.
+_TICKET = struct.Struct("q")
+_END = -1
+_REPLY = struct.Struct("qqq")
+
+
+def _split_row(formatted: int, rows: int) -> int:
+    """Where the formatter stops and the parent takes over: halfway through
+    the rows the formatter has not yet formatted."""
+    return formatted + (rows - formatted) // 2
+
+
+def _read(fd: int, size: int = -1) -> bytes:
+    """``size`` bytes from ``fd``, or everything up to end of file when
+    ``size`` is -1; fewer only at end of file."""
+    data = b""
+    while size < 0 or len(data) < size:
+        more = os.read(fd, 1 << 16 if size < 0 else size - len(data))
+        if not more:
+            break
+        data += more
+    return data
+
+
+class TraceWriter:
+    """Writes a run's trace CSVs, byte for byte as ``write_trace_csv`` does,
+    while the run goes on.
+
+    ``paths`` are the traces in table order: the driver's, then the
+    shadow's.  Pass ``on_block`` to ``run_pipeline``; once it returns,
+    ``close`` finishes the files.  Call ``discard`` in every case
+    afterwards: it kills and reaps the formatter and removes the temporary
+    files, so a failed run leaves an existing trace as it was, and after a
+    successful ``close`` it has nothing left to do.
+
+    At the first block that leaves rows to compute, ``on_block`` creates one
+    temporary file per trace next to it and forks a formatter, which reads
+    the table through its shared mapping.  The parent sends it each block's
+    row count, and the formatter appends those rows to the files a
+    ``_CSV_CHUNK`` at a time.  ``close`` sends the end mark; the formatter
+    answers with a split row (``_split_row``) and formats up to it while the
+    parent formats the rest.  The parent then reaps the formatter, appends
+    its share and renames each file onto its trace.  Without ``os.fork``,
+    or when the first block is the whole run, the parent formats every row
+    at ``close``.
+
+    Every error it raises on a file is an OSError naming the trace path.
+    The formatter leaves only through ``os._exit``, and by itself when its
+    ticket pipe reaches end of file.
+    """
+
+    def __init__(self, paths: Sequence) -> None:
+        self.paths = [os.fspath(p) for p in paths]
+        self._table: np.ndarray | None = None
+        self._columns: list[list[np.ndarray]] = []
+        self._rows = 0
+        self._temps: dict[int, str] = {}  # by trace, until renamed
+        self._fds: dict[int, int] = {}  # by trace, open on its temporary file
+        self._pid: int | None = None
+        self._tickets: int | None = None  # the parent's end of each pipe
+        self._replies: int | None = None
+
+    def on_block(self, table: np.ndarray, rows_done: int) -> None:
+        """The ``run_pipeline`` hook."""
+        if self._table is None:
+            self._table, self._columns = table, _trace_columns(table)
+            if rows_done < len(table) and hasattr(os, "fork"):
+                self._fork(rows_done)
+        elif self._pid is not None and rows_done < len(table):
+            self._send(rows_done)  # the last block's count goes as the end mark
+        self._rows = rows_done
+
+    def _fork(self, rows_done: int) -> None:
+        """Start the formatter.  If the files, the pipes or the process
+        cannot be made, the parent formats every row at ``close`` instead,
+        which reports a file it cannot write."""
+        ends: list[int] = []
+        try:
+            self._open()
+            ends += os.pipe()
+            ends += os.pipe()
+            # Python 3.12 warns that forking a process with threads (numpy's
+            # BLAS pool) may deadlock the child; the formatter calls no BLAS.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            for fd in ends:
+                os.close(fd)
+            return
+        tickets, self._tickets, self._replies, replies = ends
+        if pid == 0:
+            os.close(self._tickets)
+            os.close(self._replies)
+            self._formatter(tickets, replies, rows_done)
+        self._pid = pid
+        os.close(tickets)
+        os.close(replies)
+
+    def _formatter(self, tickets: int, replies: int, ready: int) -> None:
+        """The forked formatter, from start to ``os._exit``: never the
+        parent's exit handlers or stdio flushes."""
+        code = 1
+        try:
+            code = self._follow(tickets, replies, ready)
+        except OSError as exc:
+            index = self.paths.index(exc.filename) if exc.filename in self.paths else 0
+            reason = (exc.strerror or str(exc)).encode()
+            os.write(replies, _REPLY.pack(-1, index, exc.errno or 0) + reason)
+        finally:
+            os._exit(code)
+
+    def _follow(self, tickets: int, replies: int, ready: int) -> int:
+        """Format the rows run so far, taking tickets between chunks and
+        waiting for one when every row run is formatted, up to the end mark;
+        then reply with the split row and format up to it.  Returns the exit
+        status."""
+        import select  # only the formatter polls
+
+        done, pending = 0, b""
+        while True:
+            if done >= ready or select.select([tickets], [], [], 0)[0]:
+                data = os.read(tickets, 4096)
+                if not data:
+                    return 1  # the parent has gone
+                pending += data
+                whole = len(pending) - len(pending) % _TICKET.size
+                counts = [n for (n,) in _TICKET.iter_unpack(pending[:whole])]
+                pending = pending[whole:]
+                if _END in counts:
+                    break
+                ready = max([ready, *counts])
+            if done < ready:
+                stop = min(done + _CSV_CHUNK, ready)
+                self._format(done, stop, self._put)
+                done = stop
+        split = _split_row(done, len(self._table))
+        os.write(replies, _REPLY.pack(split, 0, 0))
+        self._format(done, split, self._put)
+        return 0
+
+    def _send(self, count: int) -> None:
+        try:
+            os.write(self._tickets, _TICKET.pack(count))
+        except BrokenPipeError:
+            pass  # the formatter has ended; close reports why
+
+    def close(self) -> None:
+        """Finish every trace and rename it into place, after the run."""
+        if self._table is None or self._rows < len(self._table):
+            raise RuntimeError("TraceWriter.close before the run's last block")
+        rows = len(self._table)
+        if self._pid is None:
+            self._open()
+            self._format(0, rows, self._put)
+        else:
+            self._send(_END)
+            split = self._split()
+            share: list[tuple[int, bytes]] = []
+            self._format(split, rows, lambda index, data: share.append((index, data)))
+            self._reap()
+            for index, data in share:
+                self._put(index, data)
+        self._close_fds()
+        for index in list(self._temps):
+            try:
+                os.replace(self._temps[index], self.paths[index])
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, self.paths[index]) from None
+            del self._temps[index]
+
+    def discard(self) -> None:
+        """Kill and reap the formatter, and remove every temporary file."""
+        if self._pid is not None:
+            import signal  # only a failed run kills the formatter
+
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        self._close_fds()
+        for temp in self._temps.values():
+            try:
+                os.remove(temp)
+            except FileNotFoundError:
+                pass
+        self._temps.clear()
+
+    def _open(self) -> None:
+        """Create the temporary file of each trace that has none, next to the
+        trace, holding the header."""
+        for index, path in enumerate(self.paths):
+            if index in self._temps:
+                continue
+            head, name = os.path.split(path)
+            temp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+            flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND
+            try:
+                self._fds[index] = os.open(temp, flags | getattr(os, "O_BINARY", 0), 0o666)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+            self._temps[index] = temp
+            self._put(index, _CSV_HEADER.encode())
+
+    def _format(self, start: int, stop: int, sink: Callable[[int, bytes], None]) -> None:
+        """Rows ``start`` to ``stop`` of every trace, a chunk at a time, each
+        chunk's bytes to ``sink(trace index, data)``."""
+        for begin in range(start, stop, _CSV_CHUNK):
+            end = min(begin + _CSV_CHUNK, stop)
+            for index, columns in enumerate(self._columns):
+                sink(index, _csv_rows(columns, begin, end).encode())
+
+    def _put(self, index: int, data: bytes) -> None:
+        """Append ``data`` to the temporary file of trace ``index``."""
+        view = memoryview(data)
+        try:
+            while view:
+                view = view[os.write(self._fds[index], view) :]
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, self.paths[index]) from None
+
+    def _split(self) -> int:
+        """The formatter's split row; its error, or its end without a
+        reply, raises."""
+        head = _read(self._replies, _REPLY.size)
+        if len(head) == _REPLY.size and _REPLY.unpack(head)[0] >= 0:
+            return _REPLY.unpack(head)[0]
+        self._reap(head)
+        raise OSError(errno.EIO, "the trace formatter ended without a reply", self.paths[0])
+
+    def _reap(self, head: bytes = b"") -> None:
+        """Wait for the formatter to end.  The error it replied, or an exit
+        status other than 0, raises."""
+        record = head + _read(self._replies)
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        if len(record) >= _REPLY.size:
+            _, index, err = _REPLY.unpack(record[: _REPLY.size])
+            reason = record[_REPLY.size :].decode(errors="replace")
+            raise OSError(err, reason, self.paths[index])
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            raise OSError(errno.EIO, f"the trace formatter exited with status {code}", self.paths[0])
+
+    def _close_fds(self) -> None:
+        for fd in (self._tickets, self._replies, *self._fds.values()):
+            if fd is not None:
+                os.close(fd)
+        self._tickets = self._replies = None
+        self._fds.clear()
 
 
 def read_trace_csv(path) -> tuple[list[str], np.ndarray]:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import errno
 import hashlib
 import importlib
 import io
@@ -382,26 +383,96 @@ def test_ik_angle_beyond_cordic_format_ends_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_shadow_failure_ends_cleanly(tmp_path, capsys):
-    # The same run with the oracle driving: the hybrid shadow's slave FK
-    # refuses the oracle's theta2 at the same sample, after the driver has
-    # run every sample.
+def shadow_failure_scenario(tmp_path, hold: int) -> Path:
+    """The run above with the oracle driving, after ``hold`` samples of its
+    first pose: the hybrid shadow's slave FK refuses the oracle's theta2 at
+    sample hold + 17, after the driver has run every sample."""
     data = scenario_dict()
     data["backends"] = ["oracle", "hybrid"]
     data["geometry"] = {"l1": 0.05, "l2": 0.135, "l3": 0.025, "l4": 0.17}
     data["trajectory"] = {
         "segments": [
-            {"joint": 3, "start": 3.0, "end": 3.0, "samples": 1},
+            {"joint": 3, "start": 3.0, "end": 3.0, "samples": hold},
             {"joint": 2, "start": 0.0, "end": -1.7, "samples": 20},
         ]
     }
     scenario = tmp_path / "s.yaml"
     scenario.write_text(yaml.safe_dump(data))
+    return scenario
+
+
+def test_shadow_failure_ends_cleanly(tmp_path, capsys):
+    scenario = shadow_failure_scenario(tmp_path, hold=1)
     out = tmp_path / "out"
     assert main(["run", str(scenario), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("runtime error: sample 18: theta2 = 4.159") and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def forks_counted(monkeypatch) -> list[int]:
+    """The pids os.fork returns in this process from now on."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+EARLIER = {"trace_oracle.csv": b"earlier oracle\n", "trace_hybrid.csv": b"earlier hybrid\n"}
+
+
+def test_failure_after_the_fork_leaves_nothing(tmp_path, capsys, monkeypatch):
+    # A 300-sample hold: the run fails past its first block, once the trace
+    # formatter has started.
+    forks = forks_counted(monkeypatch)
+    scenario = shadow_failure_scenario(tmp_path, hold=300)
+    kept, new = tmp_path / "kept", tmp_path / "new"
+    kept.mkdir()
+    for name, body in EARLIER.items():
+        (kept / name).write_bytes(body)
+    for out in (kept, new):
+        assert main(["run", str(scenario), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: sample 317: theta2 = 4.159")
+        assert len(err.splitlines()) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 2
+    assert {p.name: p.read_bytes() for p in kept.iterdir()} == EARLIER
+    assert not new.exists()
+
+
+def test_formatter_that_cannot_write_is_an_output_error(tmp_path, capsys, monkeypatch):
+    # The forked formatter's write fails; the parent reports it against the
+    # trace, exits 1 and leaves the earlier traces as they were.
+    from tactilesim import pipeline
+
+    forks = forks_counted(monkeypatch)
+    parent, real = os.getpid(), pipeline._csv_rows
+
+    def full(columns, start, stop):
+        if os.getpid() != parent:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(columns, start, stop)
+
+    monkeypatch.setattr(pipeline, "_csv_rows", full)
+    for name, body in EARLIER.items():
+        (tmp_path / name).write_bytes(body)
+    assert main(["run", str(SCENARIO_PATH), "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    path = tmp_path / "trace_oracle.csv"
+    assert captured.err == f"error: cannot write {path}: No space left on device\n"
+    assert captured.out == "" and len(forks) == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == EARLIER
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestRunCommand:
@@ -771,7 +842,7 @@ def test_package_exports_are_listed():
 LAZY_CALLS = {
     "load_scenario": ["run", str(SCENARIO_PATH)],
     "run_pipeline": ["run", str(SCENARIO_PATH)],
-    "write_trace_csv": ["run", str(SCENARIO_PATH)],
+    "TraceWriter": ["run", str(SCENARIO_PATH)],
     "summary_report": ["run", str(SCENARIO_PATH)],
     "calibrate": ["latency"],
 }
@@ -797,7 +868,9 @@ def test_command_calls_a_replacement_set_before_first_use(name, tmp_path, capsys
     assert err.startswith("error: ") and err.endswith(f"replaced {name}\n")
 
 
-@pytest.mark.parametrize("name", [*LAZY_CALLS, "Scenario"])
+# No command calls write_trace_csv, but the benchmark's traced run spans
+# `tactilesim.cli.write_trace_csv`, so the name must still bind.
+@pytest.mark.parametrize("name", [*LAZY_CALLS, "Scenario", "write_trace_csv"])
 def test_lookup_binds_a_global(name, monkeypatch):
     monkeypatch.delitem(cli.__dict__, name, raising=False)
     value = getattr(cli, name)

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ from tactilesim.pipeline import (
     Scene,
     SeriesLengthMismatch,
     SimulationTrace,
+    TraceWriter,
     TrajectorySegment,
     TrajectorySpec,
     compute_mse,
@@ -946,3 +948,113 @@ class TestTraceCsv:
         )
         with pytest.raises(KeyError):
             trace.view("hybrid")
+
+
+def written_by_trace_writer(paths, table, counts):
+    """Drive a TraceWriter as a run would: the hook with each row count of
+    ``counts``, then close, then discard."""
+    writer = TraceWriter(paths)
+    try:
+        for rows_done in counts:
+            writer.on_block(table, rows_done)
+        writer.close()
+    finally:
+        writer.discard()
+
+
+def assert_as_write_trace_csv(trace, paths, tmp_path):
+    """Each file of ``paths`` (in trace.backends order) holds the bytes
+    write_trace_csv writes, and the directory holds nothing else: no
+    temporary file is left, and no formatter process either."""
+    for backend, path in zip(trace.backends, paths):
+        reference = tmp_path / "reference.csv"
+        write_trace_csv(trace, reference, backend)
+        assert path.read_bytes() == reference.read_bytes(), backend
+        reference.unlink()
+    assert sorted(tmp_path.iterdir()) == sorted(paths)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def synthetic_table(q, dual, seed=0):
+    """A run's table of random finite values over many decades, and the
+    SimulationTrace run_pipeline would return over it."""
+    width = len(pipeline.COLUMN_ORDER)
+    columns = width + (len(pipeline.MODULE_OUTPUT_SIGNALS) if dual else 0)
+    rng = np.random.default_rng(seed)
+    table = pipeline._shared_table(q, columns)
+    table[:] = rng.standard_normal((q, columns)) * 10.0 ** rng.integers(-9, 9, (q, columns))
+    trace = SimulationTrace(
+        q=q,
+        sample_period=0.01,
+        driver="oracle",
+        shadow="hybrid" if dual else None,
+        signals=dict(zip(pipeline.COLUMN_ORDER, table.T)),
+        shadow_signals=dict(zip(pipeline.MODULE_OUTPUT_SIGNALS, table.T[width:])),
+    )
+    return table, trace
+
+
+class TestTraceWriter:
+    # The streamed writer against write_trace_csv, byte for byte.
+
+    @pytest.mark.parametrize("q", [1, 127, 128, 255, 256, 257, 1200])
+    @pytest.mark.parametrize("dual", [False, True], ids=["single", "dual"])
+    def test_run_writes_what_write_trace_csv_writes(self, q, dual, tmp_path):
+        spec = TrajectorySpec(segments=(TrajectorySegment(1, 0.0, 1.2, q),))
+        fc = ChannelConfig(noise_variance=1e-8, delay=RandomWalkDelay(0, 5), seed=3)
+        shadow = Hybrid(CordicConfig(iterations=10)) if dual else None
+        paths = [tmp_path / "trace_oracle.csv"] + ([tmp_path / "trace_hybrid.csv"] if dual else [])
+        writer = TraceWriter(paths)
+        try:
+            trace = run_pipeline(
+                spec, SHIPPED.scene, fc, ChannelConfig(), ORACLE,
+                shadow=shadow, fcs_pole=0.5, on_block=writer.on_block,
+            )
+            writer.close()
+        finally:
+            writer.discard()
+        assert_as_write_trace_csv(trace, paths, tmp_path)
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["single", "dual"])
+    def test_split_at_every_chunk_boundary(self, dual, tmp_path, monkeypatch):
+        # The formatter has at most the first count's rows when the end mark
+        # comes, so the forced split holds: it formats the rows before it,
+        # and the parent the rows from it on.
+        q = 1200
+        table, trace = synthetic_table(q, dual)
+        paths = [tmp_path / f"trace_{backend}.csv" for backend in trace.backends]
+        chunk = pipeline._CSV_CHUNK
+        for split in [*range(chunk, q, chunk), q]:
+            monkeypatch.setattr(pipeline, "_split_row", lambda formatted, rows: split)
+            written_by_trace_writer(paths, table, [min(split, q - 1), q])
+            assert_as_write_trace_csv(trace, paths, tmp_path)
+
+    def test_without_fork_the_parent_writes_every_row(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        table, trace = synthetic_table(1200, dual=True, seed=1)
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        written_by_trace_writer(paths, table, range(256, 1200 + 256, 256))
+        assert_as_write_trace_csv(trace, paths, tmp_path)
+
+    def test_formatter_that_dies_is_an_error_naming_the_trace(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        real = pipeline._csv_rows
+
+        def dying(columns, start, stop):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(columns, start, stop)
+
+        monkeypatch.setattr(pipeline, "_csv_rows", dying)
+        table, _ = synthetic_table(1200, dual=False)
+        path = tmp_path / "trace_oracle.csv"
+        path.write_bytes(b"earlier\n")
+        with pytest.raises(OSError) as err:
+            written_by_trace_writer([path], table, [256, 1200])
+        assert err.value.filename == str(path)
+        assert err.value.strerror == "the trace formatter exited with status 3"
+        assert path.read_bytes() == b"earlier\n"
+        assert list(tmp_path.iterdir()) == [path]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
