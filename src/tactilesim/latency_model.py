@@ -16,6 +16,7 @@ scalar calls.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import importlib.machinery
 import importlib.util
@@ -23,6 +24,7 @@ import math
 import operator
 import os
 import sys
+import threading
 import types
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
@@ -104,45 +106,99 @@ def _highs():
     return module
 
 
-def _upper_rows(a_ub: Sequence[Sequence[float]], b_ub: Sequence[float]):
-    """The LP ``a_ub @ x <= b_ub`` over ``x >= 0``, without its objective, as
-    `linprog` takes it: a ``HighsLp`` of the rows alone (their bounds, and a
-    matrix of no columns), and per column its nonzero entries as (row,
-    value) pairs in ascending row order.  A ``HighsLp``'s column fields and
+class _Rows:
+    """An `_upper_rows` model: the LP ``a_ub @ x <= b_ub`` over ``x >= 0`` in
+    one HiGHS instance, and the row bounds ``b_ub`` it holds.  Its rows stay
+    as built; `bound` rewrites the bounds, and `linprog` the costs."""
+
+    __slots__ = ("highs", "b_ub")
+
+    def __init__(self, highs, b_ub: list[float]):
+        self.highs = highs
+        self.b_ub = b_ub
+
+    def bound(self, b_ub: Sequence[float]) -> None:
+        """Hold the row bounds ``b_ub``: rewrites the rows whose bound
+        differs."""
+        for i, (old, new) in enumerate(zip(self.b_ub, b_ub)):
+            if new != old:
+                self.highs.changeRowBounds(i, -math.inf, new)
+        self.b_ub = list(b_ub)
+
+
+def _upper_rows(a_ub: Sequence[Sequence[float]], b_ub: Sequence[float]) -> _Rows:
+    """The LP ``a_ub @ x <= b_ub`` over ``x >= 0``, with zero costs, on a
+    new HiGHS instance with default options but for the console log, as
+    ``scipy.optimize.milp`` makes it.  The rows go in as one ``HighsLp`` with
+    no columns, then each column, with its entries, through ``addVar`` and
+    ``changeCoeff``, in column order and ascending row order: the
+    column-major matrix milp hands HiGHS.  A ``HighsLp``'s column fields and
     every ``_Highs`` method that takes arrays import numpy; the row bounds
-    and the scalar calls that add the columns do not."""
-    lp = _highs().HighsLp()
+    and the scalar calls do not."""
+    h = _highs()
+    lp = h.HighsLp()
     lp.num_row_ = len(b_ub)
     lp.row_lower_ = [-math.inf] * len(b_ub)
     lp.row_upper_ = list(b_ub)
     lp.a_matrix_.num_row_ = len(b_ub)
-    columns = [[(i, a) for i, a in enumerate(column) if a != 0] for column in zip(*a_ub)]
-    return lp, columns
-
-
-def linprog(c: Sequence[float], model) -> list[float]:
-    """Minimise ``c @ x`` over the `_upper_rows` model, with HiGHS's dual
-    simplex; returns the vertex ``x``.
-
-    Every call solves on a fresh solver with default options but for the
-    console log, as ``scipy.optimize.milp`` does.  The rows go in as one
-    model, then each column, with its cost and its entries, through
-    ``addVar``, ``changeColCost`` and ``changeCoeff``, in column order and
-    ascending row order: the column-major matrix milp hands HiGHS, and so
-    milp's vertex.  A warm start from an earlier round's basis could return
-    another vertex of the optimal face.  The function keeps the name
-    ``linprog`` under which the benchmark traces the solver
-    (``latency_model.linprog``)."""
-    h = _highs()
-    lp, columns = model
     highs = h._Highs()
     highs.setOptionValue("log_to_console", False)
     highs.passModel(lp)
-    for j, (cost, column) in enumerate(zip(c, columns)):
+    for j, column in enumerate(zip(*a_ub)):
         highs.addVar(0.0, math.inf)
+        for i, a in enumerate(column):
+            if a != 0:
+                highs.changeCoeff(i, j, a)
+    return _Rows(highs, list(b_ub))
+
+
+# Cap on the `_MODELS` cache; all 15 module subsets of the built-in graphs
+# fit.
+_MODEL_CACHE_SIZE = 16
+
+# The `_upper_rows` models that fits left behind, keyed by their rows, least
+# recently returned first; `_MODELS_LOCK` guards the dict, not the models,
+# which one fit at a time holds outside it.
+_MODELS: dict[tuple[tuple[float, ...], ...], _Rows] = {}
+_MODELS_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _kept_rows(a_ub: Sequence[tuple[float, ...]], b_ub: Sequence[float]):
+    """The `_upper_rows` model of the rows ``a_ub`` bound by ``b_ub``, taken
+    out of `_MODELS` (or built) for the duration of a fit, and put back only
+    after a fit that raised nothing: a failed solve's state never reaches a
+    later fit, and two fits at once each hold their own model."""
+    key = tuple(a_ub)
+    with _MODELS_LOCK:
+        model = _MODELS.pop(key, None)
+    if model is None:
+        model = _upper_rows(a_ub, b_ub)
+    else:
+        model.bound(b_ub)
+    yield model
+    with _MODELS_LOCK:
+        _MODELS[key] = model
+        if len(_MODELS) > _MODEL_CACHE_SIZE:
+            del _MODELS[next(iter(_MODELS))]
+
+
+def linprog(c: Sequence[float], model: _Rows) -> list[float]:
+    """Minimise ``c @ x`` over the `_upper_rows` model, with HiGHS's dual
+    simplex; returns the vertex ``x``.
+
+    Each call writes the costs ``c`` and clears the solver before it runs,
+    so that no basis or solution of an earlier LP carries over: a warm start
+    from an earlier round's basis could return another vertex of the
+    optimal face.  Solved cold on the same rows, bounds and costs, a kept
+    model returns the vertex of a fresh one, which is milp's.  The function
+    keeps the name ``linprog`` under which the benchmark traces the solver
+    (``latency_model.linprog``)."""
+    h = _highs()
+    highs = model.highs
+    for j, cost in enumerate(c):
         highs.changeColCost(j, cost)
-        for i, a in column:
-            highs.changeCoeff(i, j, a)
+    highs.clearSolver()
     highs.run()
     status = highs.getModelStatus()
     if status != h.HighsModelStatus.kOptimal:
@@ -481,6 +537,8 @@ def _dominant(signatures: Sequence[tuple[float, ...]], x: list[float]) -> tuple[
     top = max(sums)
     floor = top - _SHORTLIST_ULPS * math.ulp(top)
     shortlist = [v for v, s in zip(signatures, sums) if s >= floor]
+    if len(shortlist) == 1:
+        return shortlist[0]
     return max(shortlist, key=lambda v: _fma_dot(v, x))
 
 
@@ -500,10 +558,12 @@ def calibrate(
     4e-9 ns).
 
     The path signatures are each graph's own, enumerated once per graph
-    object.  Every fit solves its linear programs anew with HiGHS (see
-    `linprog`); its model, one row per path signature, is built once per
-    fit, since only the objective changes between rounds.  A target must lie
-    below HiGHS's infinite bound of 1e20 ns.
+    object.  The linear programs are solved with HiGHS on one model per row
+    set, one row per path signature of the target modules in sorted module
+    order: built on the first fit of those rows, kept across fits (at most
+    `_MODEL_CACHE_SIZE` row sets), and given each fit's targets as its row
+    bounds.  Each LP sets its costs and solves cold (see `linprog`).  A
+    target must lie below HiGHS's infinite bound of 1e20 ns.
     """
     if graphs is None:
         graphs = builtin_graphs()
@@ -526,36 +586,35 @@ def calibrate(
     if all(not sigs for sigs in signatures.values()):
         raise CalibrationDegenerate("all target graphs are empty")
 
-    rows = _upper_rows(
+    with _kept_rows(
         [sig for name in names for sig in signatures[name]],
         [targets[name] for name in names for _ in signatures[name]],
-    )
-
-    # Start from the longest path by node count, then re-select the dominant
-    # path under the fitted table until the selection is stable.
-    selected = {name: graphs[name]._longest_by_count for name in names if signatures[name]}
-    best: tuple[float, OpLatencyTable, dict[str, float]] | None = None
-    for _ in range(_MAX_ROUNDS):
-        # Counts are whole numbers, so the sums are exact; a zero count
-        # costs -0.0.
-        objective = [-sum(counts) for counts in zip(*selected.values())]
-        x = linprog(objective, rows)
-        # HiGHS may return a latency a rounding error (under 1e-9 ns) below
-        # its zero bound; that reads as 0.
-        if min(x) <= -1e-9:
-            raise CalibrationDegenerate(f"latency fit returned a negative latency: {x}")
-        x = [0.0 if v < 0.0 else float(v) for v in x]
-        table = OpLatencyTable(**dict(zip(OP_KINDS, x)))
-        cps = {name: critical_path(graphs[name], table) for name in names}
-        sq_err = sum((cps[name] - targets[name]) ** 2 for name in names)
-        if best is None or sq_err < best[0]:
-            best = (sq_err, table, cps)
-        if sq_err == 0.0:
-            break
-        previous = selected
-        selected = {name: _dominant(signatures[name], x) for name in names if signatures[name]}
-        if selected == previous:
-            break
+    ) as model:
+        # Start from the longest path by node count, then re-select the dominant
+        # path under the fitted table until the selection is stable.
+        selected = {name: graphs[name]._longest_by_count for name in names if signatures[name]}
+        best: tuple[float, OpLatencyTable, dict[str, float]] | None = None
+        for _ in range(_MAX_ROUNDS):
+            # Counts are whole numbers, so the sums are exact; a zero count
+            # costs -0.0.
+            objective = [-sum(counts) for counts in zip(*selected.values())]
+            x = linprog(objective, model)
+            # HiGHS may return a latency a rounding error (under 1e-9 ns) below
+            # its zero bound; that reads as 0.
+            if min(x) <= -1e-9:
+                raise CalibrationDegenerate(f"latency fit returned a negative latency: {x}")
+            x = [0.0 if v < 0.0 else float(v) for v in x]
+            table = OpLatencyTable(**dict(zip(OP_KINDS, x)))
+            cps = {name: critical_path(graphs[name], table) for name in names}
+            sq_err = sum((cps[name] - targets[name]) ** 2 for name in names)
+            if best is None or sq_err < best[0]:
+                best = (sq_err, table, cps)
+            if sq_err == 0.0:
+                break
+            previous = selected
+            selected = {name: _dominant(signatures[name], x) for name in names if signatures[name]}
+            if selected == previous:
+                break
 
     _, table, cps = best
     residuals = {name: cps[name] - targets[name] for name in names}

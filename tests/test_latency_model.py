@@ -1,12 +1,15 @@
+import contextlib
 import dataclasses
 import importlib.machinery
 import itertools
 import json
+import math
 import os
 import random
 import re
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -499,19 +502,28 @@ def scaled_subsets(count: int) -> list[dict[str, float]]:
     ]
 
 
+def dense_rows(model) -> tuple[np.ndarray, list[float]]:
+    """The rows and row bounds that the HiGHS instance of an `_upper_rows`
+    model holds, as a dense matrix and a list."""
+    lp = model.highs.getLp()
+    matrix = lp.a_matrix_
+    assert matrix.format_ == latency_model._highs().MatrixFormat.kColwise
+    a_ub = np.zeros((lp.num_row_, lp.num_col_))
+    for j in range(lp.num_col_):
+        for k in range(matrix.start_[j], matrix.start_[j + 1]):
+            a_ub[matrix.index_[k], j] = matrix.value_[k]
+    return a_ub, lp.row_upper_
+
+
 def reference_linprog(c, model):
     """The fit's LP through ``scipy.optimize.linprog(method="highs")`` on the
-    dense rows of the `_upper_rows` model (the rows' ``HighsLp`` and the
-    columns' entries): the reference that the direct binding must match."""
-    lp, columns = model
-    a_ub = np.zeros((lp.num_row_, len(columns)))
-    for j, column in enumerate(columns):
-        for i, a in column:
-            a_ub[i, j] = a
+    dense rows and row bounds of the `_upper_rows` model: the reference that
+    the direct binding must match."""
+    a_ub, b_ub = dense_rows(model)
     sol = scipy_linprog(
         c,
         A_ub=a_ub,
-        b_ub=lp.row_upper_,
+        b_ub=b_ub,
         bounds=(0, None),
         method="highs",
     )
@@ -544,6 +556,170 @@ class TestAgainstLinprog:
         fitted, reference = self.fits(target_sets, monkeypatch)
         for targets, got, want in zip(target_sets, fitted, reference):
             assert got == want, targets
+
+
+@contextlib.contextmanager
+def fresh_rows(a_ub, b_ub):
+    """In place of `latency_model._kept_rows`: each fit's rows as a new
+    ``HighsLp`` of the rows alone, and per column its nonzero entries as
+    (row, value) pairs in ascending row order, for `fresh_linprog`."""
+    lp = latency_model._highs().HighsLp()
+    lp.num_row_ = len(b_ub)
+    lp.row_lower_ = [-math.inf] * len(b_ub)
+    lp.row_upper_ = list(b_ub)
+    lp.a_matrix_.num_row_ = len(b_ub)
+    yield lp, [[(i, a) for i, a in enumerate(column) if a != 0] for column in zip(*a_ub)]
+
+
+def fresh_linprog(c, model):
+    """In place of `latency_model.linprog`: every LP on a fresh solver, the
+    rows passed as one model, then each column with its cost and entries
+    through ``addVar``, ``changeColCost`` and ``changeCoeff``."""
+    h = latency_model._highs()
+    lp, columns = model
+    highs = h._Highs()
+    highs.setOptionValue("log_to_console", False)
+    highs.passModel(lp)
+    for j, (cost, column) in enumerate(zip(c, columns)):
+        highs.addVar(0.0, math.inf)
+        highs.changeColCost(j, cost)
+        for i, a in column:
+            highs.changeCoeff(i, j, a)
+    highs.run()
+    assert highs.getModelStatus() == h.HighsModelStatus.kOptimal
+    return highs.getSolution().col_value
+
+
+def fit_json(target_sets) -> list[str]:
+    return [json.dumps(calibrate(t).to_dict()) for t in target_sets]
+
+
+def fresh_fits(target_sets, monkeypatch) -> list[str]:
+    """`fit_json` with every LP solved on a fresh solver, leaving the kept
+    models alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(latency_model, "_kept_rows", fresh_rows)
+        patch.setattr(latency_model, "linprog", fresh_linprog)
+        return fit_json(target_sets)
+
+
+SUBSETS = [combo for r in range(1, 5) for combo in itertools.combinations(PUBLISHED, r)]
+TARGET_DRAWS = (
+    lambda rng, m: PUBLISHED[m] * 20.0 ** rng.uniform(-1.0, 1.0),
+    # Whole nanoseconds, where paths and vertices tie.
+    lambda rng, m: float(rng.randint(1, 300)),
+    lambda rng, m: 10.0 ** rng.uniform(-3.0, 6.0),
+)
+
+
+def interleaved_target_sets(count: int, seed: int = 27) -> list[dict[str, float]]:
+    """``count`` target sets over the 15 module subsets in random order, each
+    set's targets drawn by one of `TARGET_DRAWS`.  About one set in five
+    repeats the set before it, one in ten the subset before it with new
+    targets, and one in ten an earlier set, after other subsets."""
+    rng = random.Random(seed)
+    sets: list[dict[str, float]] = []
+    while len(sets) < count:
+        roll = rng.random()
+        if sets and roll < 0.2:
+            sets.append(dict(sets[-1]))
+        elif sets and roll < 0.3:
+            sets.append(dict(rng.choice(sets)))
+        else:
+            draw = rng.choice(TARGET_DRAWS)
+            subset = sets[-1] if sets and roll < 0.4 else rng.choice(SUBSETS)
+            sets.append({m: draw(rng, m) for m in subset})
+    return sets
+
+
+class TestKeptModels:
+    """`calibrate` keeps one HiGHS model per row set across fits and solves
+    each LP on it cold, with new row bounds and costs; every fit must print
+    the bytes of a fresh solver per LP."""
+
+    @pytest.fixture(autouse=True)
+    def no_kept_models(self, monkeypatch):
+        monkeypatch.setattr(latency_model, "_MODELS", {})
+
+    def test_interleaved_fits_match_fresh_solver(self, monkeypatch):
+        target_sets = interleaved_target_sets(2000)
+        assert {tuple(sorted(t)) for t in target_sets} == {tuple(sorted(s)) for s in SUBSETS}
+        kept = fit_json(target_sets)
+        assert len(latency_model._MODELS) == len(SUBSETS)
+        fresh = fresh_fits(target_sets, monkeypatch)
+        for targets, got, want in zip(target_sets, kept, fresh):
+            assert got == want, targets
+
+    @pytest.mark.parametrize("failure", ["non-optimal", "raises"])
+    def test_failed_fit_drops_its_model(self, failure, monkeypatch):
+        targets = {"FBF": 21.0, "FK": 47.0}
+        calibrate(targets)
+        ((rows, model),) = latency_model._MODELS.items()
+        # A column that no row bounds: a negative cost there is unbounded.
+        free = next(j for j in range(len(OP_KINDS)) if not any(sig[j] for sig in rows))
+        solve = latency_model.linprog
+
+        def failing(c, held):
+            assert held is model
+            if failure == "non-optimal":
+                return solve([-1.0 if j == free else v for j, v in enumerate(c)], held)
+            solve(c, held)
+            raise RuntimeError("interrupted")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(latency_model, "linprog", failing)
+            error = CalibrationDegenerate if failure == "non-optimal" else RuntimeError
+            with pytest.raises(error):
+                calibrate({"FBF": 30.0, "FK": 40.0})
+        assert latency_model._MODELS == {}
+        after = [{"FBF": 21.0, "FK": 47.0}, {"FBF": 30.0, "FK": 40.0}]
+        assert fit_json(after) == fresh_fits(after, monkeypatch)
+        assert latency_model._MODELS[rows] is not model
+
+    def test_cache_holds_at_most_its_cap(self):
+        cap = latency_model._MODEL_CACHE_SIZE
+        assert cap >= len(SUBSETS)
+        fit_json({m: PUBLISHED[m] for m in subset} for subset in SUBSETS)
+        assert len(latency_model._MODELS) == len(SUBSETS)
+        lengths = range(1, cap + 4)
+        for n in lengths:
+            calibrate({"M": 5.0}, graphs={"M": chain("add", n)})
+            assert len(latency_model._MODELS) <= cap
+        # The least recently returned models go first.
+        assert list(latency_model._MODELS) == [
+            ((float(n),) + (0.0,) * (len(OP_KINDS) - 1),) for n in lengths[-cap:]
+        ]
+
+    def test_concurrent_fits_give_serial_bytes(self, monkeypatch):
+        # Both threads fit every row set, so they also take and return the
+        # same models.
+        target_sets = interleaved_target_sets(400, seed=2)
+        halves = [target_sets[0::2], target_sets[1::2]]
+        serial = [fit_json(half) for half in halves]
+        monkeypatch.setattr(latency_model, "_MODELS", {})
+        start = threading.Barrier(len(halves))
+        results: list = [None] * len(halves)
+
+        def fit(i):
+            start.wait(timeout=60)
+            try:
+                results[i] = fit_json(halves[i])
+            except BaseException as exc:
+                results[i] = exc
+                raise
+
+        threads = [threading.Thread(target=fit, args=(i,)) for i in range(len(halves))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
 
 
 def fraction_chain(v, x) -> float:
