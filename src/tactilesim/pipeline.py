@@ -360,10 +360,13 @@ def run_pipeline(
     FK slave, scene, FBF, backwards channel and KFF, then the shadow's five
     modules.  Column stages make one call per block: the trajectory check,
     the FCS lag (one float loop), a built-in scene's surface, FBF and KFF.
-    FK, IK and the channels call their function per sample
-    (``_row_by_row``), as does a user's surface.  A stage that fails at a
-    sample stops there, and later stages run only on the samples before
-    it.  So the run raises the first failing sample's error, at that sample
+    FK, IK and a user's surface call their public function per sample
+    (``_row_by_row``), each channel ``channel_step`` (``_channel``), and
+    both gather a block's rows into one array.  A block is one view of the
+    table, through which every stage reads its operands and writes its
+    rows.  A stage that fails at a sample stops there, and later stages run
+    only on the samples before it.  So the run raises the first failing
+    sample's error, at that sample
     the earlier stage's: the driver's, then the shadow's in module order; a
     SampleError with ``sample {n}: `` before its message and ``n`` in
     ``sample_index``.
@@ -426,14 +429,15 @@ def run_pipeline(
     table[:, chain("b1")] = _trajectory_table(spec)
     for start in range(0, q_len, _BLOCK):
         stop = min(start + _BLOCK, q_len)
+        block = table[start:stop]
         error = None
         for stage, inputs, output in stages:
-            block = table[start:stop]
             results, exc = stage(*[block[:, cols] for cols in inputs])
             if exc is not None:
                 stop, error = start + len(results), exc
+                block = table[start:stop]
             if len(results):
-                table[start:stop, output] = results
+                block[:, output] = results
         if isinstance(error, SampleError):
             raise type(error)(f"sample {stop}: {error}", sample_index=stop) from error
         if error is not None:
@@ -466,35 +470,53 @@ def _shared_table(rows: int, columns: int) -> np.ndarray:
     return np.frombuffer(buffer, dtype=float).reshape(rows, columns)
 
 
-def _row_by_row(fn, *consts):
-    """A stage that calls ``fn`` on each row of its operand blocks, with
-    ``consts`` after the row's operands, and takes three values from each
+def _flat_rows(flat: list) -> np.ndarray:
+    """A flat list of floats, three per row, as an (m, 3) array.  A flat
+    list, because numpy converts a list of tuples three times slower, and
+    ``np.fromiter`` of it about twice as fast as ``np.reshape``."""
+    return np.fromiter(flat, float, len(flat)).reshape(-1, 3)
+
+
+def _row_by_row(fn, first, second):
+    """A stage that calls ``fn(row, first, second)`` on each row of its one
+    operand block, a list of three floats, and takes three values from each
     call.  It returns, as the block functions of ``tactilesim.force`` do, an
     (m, 3) array of the results before the first failing row and that row's
     exception (None when no row fails)."""
 
-    def stage(*blocks):
-        # A flat list: numpy converts a list of tuples three times slower.
+    def stage(block):
         flat = []
         extend = flat.extend
         try:
-            for operands in zip(*[block.tolist() for block in blocks]):
-                extend(fn(*operands, *consts))
+            for row in block.tolist():
+                extend(fn(row, first, second))
         except Exception as exc:
-            return np.reshape(flat, (-1, 3)), exc
-        return np.reshape(flat, (-1, 3)), None
+            return _flat_rows(flat), exc
+        return _flat_rows(flat), None
 
     return stage
 
 
 def _channel(cfg: ChannelConfig, vector: type):
-    """The stage of one channel: ``channel_step`` per row, on the row's signal
-    and its sample index ``n``, with the output rows checked as ``vector``."""
-    steps = _row_by_row(partial(channel_step, ChannelState(cfg)))
+    """The stage of one channel: ``channel_step(state, row, k)`` per row of
+    the signal, with ``k`` counted up from the block's first sample index
+    ``n``, and the output rows checked as ``vector``.  A non-finite output
+    row fails before the first row whose step raises."""
+    state = ChannelState(cfg)
+    step = channel_step
 
     def stage(signal, n):
-        out, error = steps(signal, n.astype(int))
-        rows, bad = _valid_rows(vector, out)
+        flat = []
+        extend = flat.extend
+        error = None
+        k = int(n[0]) if len(n) else 0
+        try:
+            for row in signal.tolist():
+                extend(step(state, row, k))
+                k += 1
+        except Exception as exc:
+            error = exc
+        rows, bad = _valid_rows(vector, _flat_rows(flat))
         return rows, error if bad is None else bad
 
     return stage
@@ -505,7 +527,12 @@ def _surface(scene: Scene):
     as positions, or a user's surface per row."""
     if isinstance(scene.surface, _Surface):
         return lambda tools: _valid_rows(CartesianPosition, scene.surface.block(tools))
-    return _row_by_row(lambda tool: scene.object_position(CartesianPosition(*tool)))
+    return _row_by_row(_object_point, scene, CartesianPosition)
+
+
+def _object_point(tool: list, scene: Scene, position: type) -> CartesianPosition:
+    """A user's surface on one row of tool positions."""
+    return scene.object_position(position(*tool))
 
 
 def _lag(pole: float):
@@ -534,7 +561,7 @@ def _lag(pole: float):
             p3 = pole * p3 + keep * t3
             flat += p1, p2, p3
         prev = p1, p2, p3
-        return _valid_rows(JointAngles, np.reshape(flat, (-1, 3)))
+        return _valid_rows(JointAngles, _flat_rows(flat))
 
     return lag
 
@@ -866,15 +893,19 @@ class TraceWriter:
 
 def read_trace_csv(path) -> tuple[list[str], np.ndarray]:
     """Read a UTF-8 trace written by ``write_trace_csv``; returns (header, data).
-    The header names each column once, every row holds one finite number per
-    column, and there is at least one row; a ValueError names the file and
-    the line."""
+    The header names at least one column, each once and none with an empty
+    name, every row holds one finite number per column, and there is at
+    least one row; a ValueError names the file and the line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty trace file") from None
+        if not header:
+            raise ValueError(f"{path}, line 1: the header names no column")
+        if "" in header:
+            raise ValueError(f"{path}, line 1: the header has an empty column name")
         if len(set(header)) != len(header):
             raise ValueError(f"{path}, line 1: the header repeats a column name")
         rows = []

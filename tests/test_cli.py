@@ -712,8 +712,20 @@ class TestMseCommand:
             ("x,y\n1.0,-inf\n", "line 2: values must be finite"),
             ("x,y\n1.0,abc\n", "line 2: could not convert"),
             ("x,x\n1.0,2.0\n", "line 1: the header repeats a column name"),
+            ("\n\n\n", "line 1: the header names no column"),
+            ("x,\n1.0,2.0\n", "line 1: the header has an empty column name"),
         ],
-        ids=["header-only", "short-row", "long-row", "nan", "inf", "text", "repeated-name"],
+        ids=[
+            "header-only",
+            "short-row",
+            "long-row",
+            "nan",
+            "inf",
+            "text",
+            "repeated-name",
+            "blank-lines",
+            "empty-name",
+        ],
     )
     def test_malformed_trace_rejected(self, tmp_path, capsys, body, message):
         good = tmp_path / "good.csv"

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import sample_workspace_poses
 from tactilesim import kinematics, pipeline
 from tactilesim.channel import ChannelConfig, ConstantDelay, RandomWalkDelay
 from tactilesim.force import Elasticity, ForceVector, feedback_force, kinesthetic_feedback
@@ -44,7 +46,7 @@ from tactilesim.pipeline import (
     speedup_report,
     write_trace_csv,
 )
-from tactilesim.scenario import load_scenario
+from tactilesim.scenario import load_scenario, parse_scenario
 
 
 # The shipped validation scenario's trajectory and contact plane.
@@ -659,10 +661,20 @@ class TestFirstFailureAcrossBackends:
         assert err.value.sample_index == n
 
 
+def load_workloads():
+    """The benchmark's workload inputs (``perfbench/workloads.py``)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 class TestCallGraph:
-    def test_calls_per_sample_of_a_dual_run(self, monkeypatch):
-        # The benchmark's traced run counts calls through these module
-        # attributes, and its self-check pins the counts per sample.
+    # The benchmark's traced run counts calls through these module
+    # attributes, and its self-check pins the counts per sample.
+    @staticmethod
+    def counting(monkeypatch) -> Counter:
         counts = Counter()
 
         def count(module, name, per_backend=False):
@@ -679,6 +691,10 @@ class TestCallGraph:
         count(pipeline, "forward_kinematics", per_backend=True)
         count(pipeline, "inverse_kinematics", per_backend=True)
         count(pipeline, "channel_step")
+        return counts
+
+    def test_calls_per_sample_of_a_dual_run(self, monkeypatch):
+        counts = self.counting(monkeypatch)
         spec = TrajectorySpec(
             segments=(
                 TrajectorySegment(0, 0.0, 0.5, 7),
@@ -706,6 +722,34 @@ class TestCallGraph:
         }
         assert counts == {key: 20 * n for key, n in per_sample.items()}
 
+    def test_calls_per_sample_of_an_oracle_only_run(self, monkeypatch):
+        # The self-check's 500-sample long_oracle run: noisy random-walk
+        # channels, FCS lag and contact, across the 256-sample block edge.
+        scenario = parse_scenario(load_workloads().long_oracle_scenario(0, 500))
+        assert isinstance(scenario.fc.delay, RandomWalkDelay) and scenario.fcs_pole > 0
+        driver, shadow = scenario.backend_objects()
+        assert shadow is None
+        counts = self.counting(monkeypatch)
+        trace = run_pipeline(
+            scenario.trajectory,
+            scenario.scene,
+            scenario.fc,
+            scenario.bc,
+            driver,
+            geometry=scenario.geometry,
+            fcs_pole=scenario.fcs_pole,
+        )
+        assert np.any(trace.signals["h_x"] != 0), "the run never touches the plane"
+        per_sample = {
+            "tfb_sincos": 0,
+            "tfb_atan2": 0,
+            "tfb_acos": 0,
+            ("forward_kinematics", "oracle"): 2,
+            ("inverse_kinematics", "oracle"): 1,
+            "channel_step": 2,
+        }
+        assert counts == Counter({key: 500 * n for key, n in per_sample.items()})
+
 
 def per_sample(fn, rows):
     """``fn`` on each row: the results before the first row that raises, as
@@ -732,6 +776,104 @@ def in_wide_table(rows: np.ndarray) -> np.ndarray:
     table = np.zeros((len(rows), 7))
     table[:, 2:5] = rows
     return table[:, 2:5]
+
+
+# Where a row stage's block holds a failing row: nowhere, or at its first,
+# a middle and its last row.
+FAIL_AT = [None, 0, 100, pipeline._BLOCK - 1]
+
+
+def with_row(rows: np.ndarray, at: int | None, row) -> np.ndarray:
+    """``rows`` with row ``at`` replaced by ``row`` (None: unchanged)."""
+    rows = rows.copy()
+    if at is not None:
+        rows[at] = row
+    return rows
+
+
+@pytest.mark.parametrize("at", FAIL_AT)
+@pytest.mark.parametrize("backend", [ORACLE, Hybrid()], ids=["oracle", "hybrid"])
+@pytest.mark.parametrize("module", ["fk", "ik"])
+def test_row_stage_is_the_per_sample_module(module, backend, at):
+    thetas = np.array(sample_workspace_poses(np.random.default_rng(7), pipeline._BLOCK))
+    if module == "fk":
+        # A NaN angle: the oracle's output is not finite, the hybrid's TFB
+        # refuses it.
+        fn, rows = forward_kinematics, with_row(thetas, at, (math.nan, 0.1, 0.2))
+    else:
+        tools = np.array([forward_kinematics(t, DEFAULT_GEOMETRY, backend) for t in thetas.tolist()])
+        fn, rows = inverse_kinematics, with_row(tools, at, (1.0, 1.0, 1.0))
+    want = per_sample(lambda row: fn(row, DEFAULT_GEOMETRY, backend), rows.tolist())
+    assert (want[1] is None) == (at is None)
+    if module == "ik" and at is not None:
+        assert type(want[1]) is Unreachable
+    stage = pipeline._row_by_row(fn, DEFAULT_GEOMETRY, backend)
+    assert_same_outcome(stage(in_wide_table(rows)), want)
+
+
+def channel_delays(cfg: ChannelConfig, q: int, component: int) -> list[int]:
+    """The delay of one output component at each of ``q`` samples; the walk
+    does not depend on the signal."""
+    state, delays = pipeline.ChannelState(cfg), []
+    for n in range(q):
+        delays.append(state.delays[component])
+        pipeline.channel_step(state, (0.0, 0.0, 0.0), n)
+    return delays
+
+
+@pytest.mark.parametrize("at", FAIL_AT)
+def test_channel_stage_is_the_per_sample_channel(at):
+    # A clean first block, then a block whose output row ``at`` is the first
+    # to take a non-finite signal value; the outputs are checked as force
+    # vectors.  Seed 9's delay does not grow at any of those rows (it reads
+    # 3, 1 and 5 there), so no earlier row reads the same signal row.
+    cfg = ChannelConfig(noise_variance=1e-4, delay=RandomWalkDelay(0, 5), seed=9)
+    q = 2 * pipeline._BLOCK
+    signal = np.random.default_rng(5).uniform(-1.0, 1.0, (q, 3))
+    if at is not None:
+        delays = channel_delays(cfg, q, 1)
+        out_row = pipeline._BLOCK + at
+        signal[out_row - delays[out_row], 1] = math.inf
+    state, n = pipeline.ChannelState(cfg), iter(range(q))
+    want = per_sample(
+        lambda row: ForceVector(*pipeline.channel_step(state, row, next(n))), signal.tolist()
+    )
+    assert len(want[0]) == (q if at is None else pipeline._BLOCK + at)
+    stage = pipeline._channel(cfg, ForceVector)
+    blocks = []
+    for start in range(0, q, pipeline._BLOCK):
+        block = signal[start : start + pipeline._BLOCK]
+        rows, error = stage(in_wide_table(block), np.arange(start, start + len(block), dtype=float))
+        blocks.append(rows)
+        if error is not None:
+            break
+    assert_same_outcome((np.concatenate(blocks), error), want)
+
+
+class NumericSurface:
+    """A user's surface returning an int, a float32 and a float64, raising
+    SampleError on the call of sample ``at`` (None: never)."""
+
+    def __init__(self, at: int | None):
+        self.at = at
+        self.calls = 0
+
+    def __call__(self, tool):
+        n, self.calls = self.calls, self.calls + 1
+        if n == self.at:
+            raise SampleError("surface tripped")
+        return int(tool.x * 1000), np.float32(tool.y), np.float64(tool.z) / 3
+
+
+@pytest.mark.parametrize("at", FAIL_AT)
+def test_user_surface_stage_is_the_per_sample_surface(at):
+    tools = np.random.default_rng(9).uniform(-0.3, 0.3, (pipeline._BLOCK, 3))
+    elasticity = SHIPPED.scene.elasticity
+    reference = Scene(elasticity, NumericSurface(at))
+    want = per_sample(lambda row: reference.object_position(CartesianPosition(*row)), tools.tolist())
+    assert (want[1] is None) == (at is None)
+    stage = pipeline._surface(Scene(elasticity, NumericSurface(at)))
+    assert_same_outcome(stage(in_wide_table(tools)), want)
 
 
 def reference_trajectory(spec: TrajectorySpec) -> list[tuple[float, float, float]]:
