@@ -12,9 +12,12 @@ floats; see `tfb_sincos` and friends for the float32-facing composites.
 
 The kernels are integers plus tables, each built on first use per
 configuration and kept by the ``CordicConfig`` instance: sin/cos come from a
-first-quadrant ROM (`_sincos_rom`), the vectoring pairs `tfb_acos` feeds
-`cordic_atan2` from a unit-circle ROM (`_circle_rom`), and FP2F from one
-float32 table (`_fp2f_table`).  Other atan2 operand pairs run the vectoring
+first-quadrant ROM (`_sincos_rom`), the first-quadrant vectoring pairs
+`tfb_acos` feeds `cordic_atan2` from a unit-circle ROM (`_circle_rom`), and
+FP2F from one float32 table (`_fp2f_table`).  One int64 array kernel
+(`_cordic_rows`) builds both ROMs, and both keep C ints.  The scalar kernels
+fold every operand into the first quadrant and unfold the result, so the
+ROMs hold that quadrant only; other atan2 operand pairs run the vectoring
 loop, whose results the unit-circle ROM holds.
 """
 
@@ -57,8 +60,8 @@ _GUARD_HALF = 1 << (_GUARD_BITS - 1)
 # fits int64 with room to spare.
 _ROM_MAX_FRAC_BITS = 16
 
-# Rows of the unit-circle ROM built at a time (see `_circle_rom`).
-_CIRCLE_CHUNK = 4096
+# Rows of a ROM built at a time (see `_cordic_rows`).
+_ROM_CHUNK = 4096
 
 _QFORMAT_RE = re.compile(r"^s(\d+)\.(\d+)$")
 
@@ -168,17 +171,18 @@ class CordicConfig:
         return (pi_io, half_pi_io, *_sincos_rom(self.iterations, self.fmt))
 
     @cached_property
-    def _vectoring(self) -> tuple[tuple, int, int]:
-        """(rotation steps, pi, pi/2) of the vectoring-mode kernel."""
-        steps, _x0, pi_io, half_pi_io = _kernel_constants(self.iterations, self.fmt.frac_bits)
-        return steps, pi_io, half_pi_io
+    def _vectoring(self) -> tuple:
+        """The rotation steps of the vectoring loop."""
+        return _kernel_constants(self.iterations, self.fmt.frac_bits)[0]
 
     @cached_property
-    def _circle(self) -> tuple[int, array, array, array, array]:
-        """(one, low, high, base, angles) of the unit-circle ROM of the
-        vectoring-mode kernel, ``one`` the raw value of 1; see
-        `_circle_rom`."""
-        return (self.fmt.scale, *_circle_rom(self.iterations, self.fmt.frac_bits))
+    def _circle(self) -> tuple[int, int, int, array, array, array, array]:
+        """(one, pi, pi/2, low, high, base, angles): ``one`` the raw value of
+        1, the angles raw at I/O precision, and the unit-circle ROM of the
+        vectoring-mode kernel (see `_circle_rom`)."""
+        _steps, _x0, pi_io, half_pi_io = _kernel_constants(self.iterations, self.fmt.frac_bits)
+        rom = _circle_rom(self.iterations, self.fmt.frac_bits)
+        return (self.fmt.scale, pi_io, half_pi_io, *rom)
 
     @cached_property
     def _fp2f(self) -> np.ndarray:
@@ -227,13 +231,6 @@ def _kernel_constants(iterations: int, frac_bits: int):
     return steps, x0, pi_io, half_pi_io
 
 
-def _round_shift(v: int, bits: int) -> int:
-    """Arithmetic right shift with rounding to nearest."""
-    if bits == 0:
-        return v
-    return (v + (1 << (bits - 1))) >> bits
-
-
 def _vector_angle(xr: int, yr: int, steps) -> int:
     """Vectoring-mode CORDIC: rotate (xr, yr) with xr > 0, yr >= 0 onto the
     positive x axis; returns the accumulated angle, rounded from working to
@@ -251,34 +248,44 @@ def _vector_angle(xr: int, yr: int, steps) -> int:
     return (z + _GUARD_HALF) >> _GUARD_BITS
 
 
+def _cordic_rows(x: np.ndarray, y: np.ndarray, z: np.ndarray, steps, vectoring: bool):
+    """The CORDIC iterations over int64 arrays of rows (x, y, z) at working
+    precision, ``_ROM_CHUNK`` rows at a time; returns the three results
+    rounded to I/O precision, as one array.  Rotation mode turns each row
+    towards z = 0 and vectoring mode towards y = 0, step by step as the
+    scalar kernels do.  NumPy's shifts are arithmetic like Python's, and up
+    to ``_ROM_MAX_FRAC_BITS`` no intermediate comes near the int64 range.
+    """
+    out = np.empty((3, len(z)), np.int64)
+    # In chunks: the int64 temporaries of all rows at once would add about
+    # 0.7 MiB to the peak resident memory of a `default` scenario run.
+    for start in range(0, len(z), _ROM_CHUNK):
+        rows = slice(start, start + _ROM_CHUNK)
+        xr, yr, zr = x[rows], y[rows], z[rows]
+        for shift, half, a in steps:
+            dx = (yr + half) >> shift
+            dy = (xr + half) >> shift
+            turn = np.where(yr > 0 if vectoring else zr < 0, 1, -1)
+            xr, yr, zr = xr + turn * dx, yr - turn * dy, zr + turn * a
+        out[:, rows] = xr, yr, zr
+    return (out + _GUARD_HALF) >> _GUARD_BITS
+
+
+def _c_ints(v: np.ndarray) -> array:
+    """``v`` as an array of C ints, which a Python index reads fastest."""
+    return array("i", v.astype(np.intc).tobytes())
+
+
 @lru_cache(maxsize=16)
 def _sincos_rom(iterations: int, fmt: QFormat) -> tuple[array, array]:
     """(sin, cos) ROM of the rotation-mode CORDIC: for every reduced raw
-    angle 0..pi/2 of ``fmt``, the sine and cosine at working precision
-    shifted back to I/O precision and saturated to the format.
-
-    Built by running the rotation once over all angles as int64 arrays; the
-    residual angle is driven to zero from the gain-compensated start vector.
-    NumPy's shifts are arithmetic like Python's, and up to
-    ``_ROM_MAX_FRAC_BITS`` no intermediate comes near the int64 range.
-    """
+    angle 0..pi/2 of ``fmt``, the sine and cosine rotated from the
+    gain-compensated start vector, shifted back to I/O precision and
+    saturated to the format."""
     steps, x0, _pi_io, half_pi_io = _kernel_constants(iterations, fmt.frac_bits)
     z = np.arange(half_pi_io + 1, dtype=np.int64) << _GUARD_BITS
-    x = np.full_like(z, x0)
-    y = np.zeros_like(z)
-    for shift, half, a in steps:
-        dx = (y + half) >> shift
-        dy = (x + half) >> shift
-        down = z >= 0
-        x = np.where(down, x - dx, x + dx)
-        y = np.where(down, y + dy, y - dy)
-        z = np.where(down, z - a, z + a)
-
-    def io(v: np.ndarray) -> array:
-        v = np.clip(_round_shift(v, _GUARD_BITS), fmt.raw_min, fmt.raw_max)
-        return array("q", v.tobytes())
-
-    return io(y), io(x)
+    cos, sin, _z = _cordic_rows(np.full_like(z, x0), np.zeros_like(z), z, steps, False)
+    return tuple(_c_ints(np.clip(v, fmt.raw_min, fmt.raw_max)) for v in (sin, cos))
 
 
 def _circle_band(frac_bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -321,56 +328,26 @@ def _circle_band(frac_bits: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=16)
 def _circle_rom(iterations: int, frac_bits: int) -> tuple[array, array, array, array]:
     """(low, high, base, angles): the unit-circle ROM of `cordic_atan2`,
-    the kernel's result for every operand pair (y, x) that `tfb_acos` can
-    feed it at ``iterations`` rotations and ``frac_bits`` fractional bits:
-    x a raw t in [-1, 1], y a raw root in its band (see `_circle_band`).
-    Pair (y, x) is in the ROM when low[x] <= y <= high[x], and its result is
-    angles[base[x] + y]; a negative x indexes from the end, as in the FP2F
-    table.  At 13 fractional bits the ROM holds 32 757 angles.
+    the vectoring loop's angle for every first-quadrant operand pair (y, x)
+    that `tfb_acos` can feed it at ``iterations`` rotations and
+    ``frac_bits`` fractional bits: x a raw t in [0, 1], y a raw root in its
+    band (see `_circle_band`).  Pair (y, x) is in the ROM when
+    low[x] <= y <= high[x], and its angle is angles[base[x] + y].  At 13
+    fractional bits the ROM holds 16 379 angles.
 
-    Built by running the vectoring once over the pairs with x >= 0 as int64
-    arrays, as `_sincos_rom` runs the rotation; the axis cases and the
-    mirrored angles of x < 0 follow `cordic_atan2`.  Kept as C ints: the
-    angles lie within pi at no more than ``_ROM_MAX_FRAC_BITS`` fractional
-    bits.
+    `cordic_atan2` folds a pair with x < 0 onto (y, -x), and answers the
+    axes x = 0 and y = 0 itself, so it never reads those rows.  The angles
+    lie within pi at no more than ``_ROM_MAX_FRAC_BITS`` fractional bits.
     """
-    steps, _x0, pi_io, half_pi_io = _kernel_constants(iterations, frac_bits)
+    steps = _kernel_constants(iterations, frac_bits)[0]
     low, high = _circle_band(frac_bits)
     width = high - low + 1
     base = np.cumsum(width) - width - low
-    # One row per pair with x = 0..1, in order of x and then y.
+    # One row per pair, in order of x and then y.
     xs = np.repeat(np.arange(len(low)), width)
     ys = np.arange(len(xs)) - np.repeat(base, width)
-    angle = np.empty_like(xs)
-    # In chunks: the int64 temporaries of all rows at once would add about
-    # 0.7 MiB to the peak resident memory of a `default` scenario run.
-    for start in range(0, len(xs), _CIRCLE_CHUNK):
-        rows = slice(start, start + _CIRCLE_CHUNK)
-        x = xs[rows] << _GUARD_BITS
-        y = ys[rows] << _GUARD_BITS
-        z = np.zeros_like(x)
-        for shift, half, a in steps:
-            dx = (y + half) >> shift
-            dy = (x + half) >> shift
-            turn = np.where(y > 0, 1, -1)
-            x, y, z = x + turn * dx, y - turn * dy, z + turn * a
-        angle[rows] = (z + _GUARD_HALF) >> _GUARD_BITS
-    angle[xs == 0] = half_pi_io
-    angle[ys == 0] = 0
-    # x = -1..-1 LSB, stored after x = 0..1: the pairs of x = 1 LSB..1 again,
-    # mirrored about the y axis (y = 0 gives pi).
-    mirrored = np.minimum(pi_io - angle, pi_io)[width[0] :]
-    mirrored_base = base[1:] + (len(xs) - width[0])
-
-    def ints(*parts: np.ndarray) -> array:
-        return array("i", np.concatenate(parts).astype(np.int32).tobytes())
-
-    return (
-        ints(low, low[:0:-1]),
-        ints(high, high[:0:-1]),
-        ints(base, mirrored_base[::-1]),
-        ints(angle, mirrored),
-    )
+    angles = _cordic_rows(xs << _GUARD_BITS, ys << _GUARD_BITS, np.zeros_like(xs), steps, True)[2]
+    return _c_ints(low), _c_ints(high), _c_ints(base), _c_ints(angles)
 
 
 @lru_cache(maxsize=16)
@@ -439,26 +416,32 @@ def cordic_atan2(y: int, x: int, cfg: CordicConfig = DEFAULT_CORDIC) -> int:
     datapath resolution limits the representable direction of short
     vectors.
 
-    The pairs `tfb_acos` feeds the kernel, on the unit circle, read their
-    result from a ROM built on first use (see `_circle_rom`); every other
-    pair runs the vectoring.  Both give the same bits.
+    The operands fold into the first quadrant: the sign of y goes on the
+    result, the axes have their own cases, and x < 0 mirrors the angle of
+    (y, -x) about the y axis.  The first-quadrant pairs `tfb_acos` feeds the
+    kernel, on the unit circle, read their angle from a ROM built on first
+    use (see `_circle_rom`); every other pair runs the vectoring.  Both give
+    the same bits.
     """
-    one, low, high, base, angles = cfg._circle
-    if -one <= x <= one and low[x] <= y <= high[x]:
-        return angles[base[x] + y]
-    steps, pi_io, half_pi_io = cfg._vectoring
-    sign = 1
-    if y < 0:
+    one, pi_io, half_pi_io, low, high, base, angles = cfg._circle
+    negative = y < 0
+    if negative:
         y = -y
-        sign = -1
 
-    if y == 0:
+    # On an axis; both operands are nonzero below.
+    if not (y and x):
+        if y:
+            return -half_pi_io if negative else half_pi_io
         return 0 if x >= 0 else pi_io
-    if x == 0:
-        return sign * half_pi_io
-    if x > 0:
-        return sign * _vector_angle(x, y, steps)
-    return sign * min(pi_io - _vector_angle(-x, y, steps), pi_io)
+    ax = x if x > 0 else -x
+    if ax <= one and low[ax] <= y <= high[ax]:
+        angle = angles[base[ax] + y]
+    else:
+        angle = _vector_angle(ax, y, cfg._vectoring)
+    if x < 0:
+        # min(pi - angle, pi): the saturation to pi.
+        angle = pi_io - angle if angle > 0 else pi_io
+    return -angle if negative else angle
 
 
 def sqrt32(x) -> np.float32:

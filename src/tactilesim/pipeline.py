@@ -25,6 +25,7 @@ import csv
 import errno
 import math
 import mmap
+import operator
 import os
 import struct
 import warnings
@@ -94,6 +95,16 @@ class TrajectorySegment:
     samples: int
 
     def __post_init__(self) -> None:
+        # A bool or a whole float would pass the checks below as the
+        # integer it equals, and fail the run or ramp the wrong joint.
+        for name in ("joint", "samples"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.joint not in (0, 1, 2):
             raise ValueError(f"joint must be 0, 1 or 2, got {self.joint}")
         if self.samples < 1:
@@ -531,8 +542,13 @@ def _surface(scene: Scene):
 
 
 def _object_point(tool: list, scene: Scene, position: type) -> CartesianPosition:
-    """A user's surface on one row of tool positions."""
-    return scene.object_position(position(*tool))
+    """A user's surface on one row of tool positions, its result checked as
+    a position: a SampleError unless it is three finite numbers."""
+    point = scene.object_position(position(*tool))
+    try:
+        return position(*point)
+    except TypeError:
+        raise SampleError(f"surface must return three numbers, got {point!r}") from None
 
 
 def _lag(pole: float):

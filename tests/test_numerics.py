@@ -593,6 +593,13 @@ def rotate(z: int, steps, x0: int) -> tuple[int, int]:
     return x, y
 
 
+def round_shift(v: int, bits: int) -> int:
+    """Arithmetic right shift with rounding to nearest."""
+    if bits == 0:
+        return v
+    return (v + (1 << (bits - 1))) >> bits
+
+
 def rotated_sincos(raw: int, cfg: CordicConfig) -> tuple[int, int]:
     """`cordic_sincos` with the rotation run per call instead of read from
     the ROM: whole-turn reduction, quadrant folding, output signs and
@@ -612,7 +619,7 @@ def rotated_sincos(raw: int, cfg: CordicConfig) -> tuple[int, int]:
     cos_w, sin_w = rotate(raw << numerics._GUARD_BITS, steps, x0)
 
     def io(w: int) -> int:
-        v = numerics._round_shift(w, numerics._GUARD_BITS)
+        v = round_shift(w, numerics._GUARD_BITS)
         return min(max(v, fmt.raw_min), fmt.raw_max)
 
     return sign_sin * io(sin_w), sign_cos * io(cos_w)
@@ -628,8 +635,8 @@ class TestSinCosRom:
         guard = numerics._GUARD_BITS
         for raw in range(half_pi_io + 1):
             cos_w, sin_w = rotate(raw << guard, steps, x0)
-            assert sin_rom[raw] == numerics._round_shift(sin_w, guard)
-            assert cos_rom[raw] == numerics._round_shift(cos_w, guard)
+            assert sin_rom[raw] == round_shift(sin_w, guard)
+            assert cos_rom[raw] == round_shift(cos_w, guard)
 
     @pytest.mark.parametrize("fmt", [QFormat(12, 9), QFormat(4, 1), S16_13])
     def test_rom_and_rotation_paths_agree(self, fmt):
@@ -647,7 +654,7 @@ def vectored_atan2(y: int, x: int, cfg: CordicConfig) -> int:
     """`cordic_atan2` with the vectoring run on every call instead of read
     from the unit-circle ROM: axis cases, signs and saturation written out
     again.  The bit-exact reference of the ROM."""
-    steps, pi_io, half_pi_io = cfg._vectoring
+    steps, _x0, pi_io, half_pi_io = numerics._kernel_constants(cfg.iterations, cfg.fmt.frac_bits)
     if y == 0:
         return 0 if x >= 0 else pi_io
     if x == 0:
@@ -665,7 +672,7 @@ def vectored_acos(t, cfg: CordicConfig) -> np.float32:
 
 def circle_arrays(cfg: CordicConfig) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The unit-circle ROM of ``cfg`` as numpy arrays."""
-    one, *arrays = cfg._circle
+    one, _pi_io, _half_pi_io, *arrays = cfg._circle
     return (one, *(np.frombuffer(a, np.int32) for a in arrays))
 
 
@@ -726,16 +733,22 @@ class TestCircleRom:
 
     @pytest.mark.parametrize("cfg", CIRCLE_CONFIGS, ids=lambda c: f"{c.iterations}-{c.fmt}")
     def test_every_entry_is_the_loop(self, cfg):
-        one, low, high, base, angles = cfg._circle
-        assert len(low) == len(high) == len(base) == 2 * one + 1
-        pairs = [(y, x) for x in range(-one, one + 1) for y in range(low[x], high[x] + 1)]
+        one, _pi_io, _half_pi_io, low, high, base, angles = cfg._circle
+        assert len(low) == len(high) == len(base) == one + 1
+        pairs = [(y, x) for x in range(one + 1) for y in range(low[x], high[x] + 1)]
         # Each angle belongs to one pair.
         assert sorted(base[x] + y for y, x in pairs) == list(range(len(angles)))
+        steps = cfg._vectoring
         rom = [angles[base[x] + y] for y, x in pairs]
-        assert rom == [vectored_atan2(y, x, cfg) for y, x in pairs]
-        assert [cordic_atan2(y, x, cfg) for y, x in pairs] == rom
+        assert rom == [numerics._vector_angle(x, y, steps) for y, x in pairs]
+        # Each pair mirrored into all four quadrants, through the kernel's
+        # fold of the operands.
+        mirrored = [(sy * y, sx * x) for y, x in pairs for sy in (1, -1) for sx in (1, -1)]
+        assert [cordic_atan2(y, x, cfg) for y, x in mirrored] == [
+            vectored_atan2(y, x, cfg) for y, x in mirrored
+        ]
         if cfg.fmt == S16_13:
-            assert len(angles) == 32757
+            assert len(angles) == 16379
 
     @settings(max_examples=500, derandomize=True, deadline=None, database=None)
     @given(
@@ -761,6 +774,8 @@ class TestCircleRom:
         cfg = CordicConfig(iterations=10, fmt=fmt)
         _one, low, high, _base, _angles = circle_arrays(cfg)
         y, x = circle_pairs(edge_neighbours(fmt, 4), fmt.scale)
+        # The kernel reads the band of |x|.
+        x = abs(x)
         assert ((low[x] <= y) & (y <= high[x])).all()
 
     def test_cell_edges_never_run_the_loop(self, monkeypatch):
@@ -777,12 +792,13 @@ class TestCircleRom:
 
     @pytest.mark.parametrize("cfg", CIRCLE_CONFIGS[::3], ids=lambda c: f"{c.iterations}-{c.fmt}")
     def test_pairs_outside_the_band_run_the_loop(self, cfg):
-        one, low, high, _base, _angles = cfg._circle
+        one, _pi_io, _half_pi_io, low, high, _base, _angles = cfg._circle
         xs = range(-one - 2, one + 3)
         pairs = []
         for x in xs:
             if -one <= x <= one:
-                pairs += [(low[x] - 1, x), (high[x] + 1, x), (-low[x], x), (-high[x], x)]
+                band = low[abs(x)], high[abs(x)]
+                pairs += [(band[0] - 1, x), (band[1] + 1, x), (-band[0], x), (-band[1], x)]
             else:
                 pairs += [(y, x) for y in (-one, -1, 0, 1, one // 2, one)]
         for y, x in pairs:

@@ -83,6 +83,34 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             TrajectorySegment(0, 0.0, 1.0, 0)
 
+    @pytest.mark.parametrize(
+        "joint, samples, name",
+        [
+            (True, 3, "joint"),
+            (False, 3, "joint"),
+            (1.0, 3, "joint"),
+            (np.float64(2.0), 3, "joint"),
+            (0, True, "samples"),
+            (0, 2.5, "samples"),
+            (0, 3.0, "samples"),
+            (0, "3", "samples"),
+        ],
+    )
+    def test_segment_refuses_a_bool_or_non_integer(self, joint, samples, name):
+        value = joint if name == "joint" else samples
+        with pytest.raises(ValueError) as err:
+            TrajectorySegment(joint, 0.0, 1.0, samples)
+        assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int8, int])
+    def test_segment_takes_any_index_integer(self, integer):
+        spec = TrajectorySpec(segments=(TrajectorySegment(integer(2), 0.0, 1.0, integer(3)),))
+        assert pipeline._trajectory_table(spec).tolist() == [
+            [0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.5],
+            [0.0, 0.0, 1.0],
+        ]
+
     def test_single_sample_segment(self):
         spec = TrajectorySpec(segments=(TrajectorySegment(1, 0.0, 0.5, 1),))
         traj = generate_trajectory(spec)
@@ -874,6 +902,40 @@ def test_user_surface_stage_is_the_per_sample_surface(at):
     assert (want[1] is None) == (at is None)
     stage = pipeline._surface(Scene(elasticity, NumericSurface(at)))
     assert_same_outcome(stage(in_wide_table(tools)), want)
+
+
+class BadSurface:
+    """The default scene's surface, returning ``bad`` instead on the call of
+    sample ``at``."""
+
+    def __init__(self, at: int, bad):
+        self.at, self.bad = at, bad
+        self.calls = 0
+        self.surface = SHIPPED.scene.surface
+
+    def __call__(self, tool):
+        n, self.calls = self.calls, self.calls + 1
+        return self.bad if n == self.at else self.surface(tool)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((0.1, 0.2), "surface must return three numbers, got (0.1, 0.2)"),
+        ((0.1, 0.2, 0.3, 0.4), "surface must return three numbers, got (0.1, 0.2, 0.3, 0.4)"),
+        ("xyz", "surface must return three numbers, got 'xyz'"),
+        ((0.1, math.nan, 0.3), "y must be finite"),
+    ],
+    ids=["two", "four", "string", "nan"],
+)
+def test_user_surface_result_checked_at_its_sample(bad, message):
+    # A middle row of the run's second block.
+    at = pipeline._BLOCK + pipeline._BLOCK // 2
+    scene = Scene(SHIPPED.scene.elasticity, BadSurface(at, bad))
+    with pytest.raises(SampleError) as err:
+        run_pipeline(SHIPPED.trajectory, scene, ChannelConfig(), ChannelConfig(), ORACLE)
+    assert err.value.sample_index == at
+    assert str(err.value) == f"sample {at}: {message}"
 
 
 def reference_trajectory(spec: TrajectorySpec) -> list[tuple[float, float, float]]:
