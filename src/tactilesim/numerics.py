@@ -177,9 +177,9 @@ class CordicConfig:
 
     @cached_property
     def _circle(self) -> tuple[int, int, int, array, array, array, array]:
-        """(one, pi, pi/2, low, high, base, angles): ``one`` the raw value of
-        1, the angles raw at I/O precision, and the unit-circle ROM of the
-        vectoring-mode kernel (see `_circle_rom`)."""
+        """(one, pi, pi/2, low, high, base, angles) of the vectoring-mode
+        kernel: the raw values of 1, pi and pi/2 at I/O precision, then the
+        unit-circle ROM (see `_circle_rom`)."""
         _steps, _x0, pi_io, half_pi_io = _kernel_constants(self.iterations, self.fmt.frac_bits)
         rom = _circle_rom(self.iterations, self.fmt.frac_bits)
         return (self.fmt.scale, pi_io, half_pi_io, *rom)
@@ -284,7 +284,7 @@ def _sincos_rom(iterations: int, fmt: QFormat) -> tuple[array, array]:
     saturated to the format."""
     steps, x0, _pi_io, half_pi_io = _kernel_constants(iterations, fmt.frac_bits)
     z = np.arange(half_pi_io + 1, dtype=np.int64) << _GUARD_BITS
-    cos, sin, _z = _cordic_rows(np.full_like(z, x0), np.zeros_like(z), z, steps, False)
+    cos, sin, _z = _cordic_rows(np.full_like(z, x0), np.zeros_like(z), z, steps, vectoring=False)
     return tuple(_c_ints(np.clip(v, fmt.raw_min, fmt.raw_max)) for v in (sin, cos))
 
 
@@ -346,7 +346,9 @@ def _circle_rom(iterations: int, frac_bits: int) -> tuple[array, array, array, a
     # One row per pair, in order of x and then y.
     xs = np.repeat(np.arange(len(low)), width)
     ys = np.arange(len(xs)) - np.repeat(base, width)
-    angles = _cordic_rows(xs << _GUARD_BITS, ys << _GUARD_BITS, np.zeros_like(xs), steps, True)[2]
+    _x, _y, angles = _cordic_rows(
+        xs << _GUARD_BITS, ys << _GUARD_BITS, np.zeros_like(xs), steps, vectoring=True
+    )
     return _c_ints(low), _c_ints(high), _c_ints(base), _c_ints(angles)
 
 
