@@ -24,7 +24,7 @@ from pathlib import Path
 
 import yaml
 
-from tactilesim.cli import main
+from tactilesim import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = Path(__file__).resolve().parent / "config_grid.json"
@@ -67,7 +67,7 @@ def grid_outputs(directory: Path) -> dict[tuple[str, str, int], dict[str, str]]:
         out = directory / f"out-{n}"
         # Each run prints the files it wrote.
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["run", str(path), "--out-dir", str(out)])
+            code = cli.main(["run", str(path), "--out-dir", str(out)])
         if code != 0:
             sys.exit(f"{backends} {fmt} x {iterations}: the run failed")
         digests[backends, fmt, iterations] = {
@@ -84,7 +84,7 @@ def as_json(digests: dict[tuple[str, str, int], dict[str, str]]) -> dict:
     return record
 
 
-def main_record() -> None:
+def main() -> None:
     runs = []
     for _ in range(2):
         with tempfile.TemporaryDirectory(prefix="config-grid-") as work:
@@ -96,4 +96,4 @@ def main_record() -> None:
 
 
 if __name__ == "__main__":
-    main_record()
+    main()

@@ -797,8 +797,8 @@ class TestCircleRom:
         pairs = []
         for x in xs:
             if -one <= x <= one:
-                band = low[abs(x)], high[abs(x)]
-                pairs += [(band[0] - 1, x), (band[1] + 1, x), (-band[0], x), (-band[1], x)]
+                lo, hi = low[abs(x)], high[abs(x)]
+                pairs += [(lo - 1, x), (hi + 1, x), (-lo, x), (-hi, x)]
             else:
                 pairs += [(y, x) for y in (-one, -1, 0, 1, one // 2, one)]
         for y, x in pairs:
