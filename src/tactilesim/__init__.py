@@ -32,7 +32,6 @@ _EXPORTS = {
         "DEFAULT_GEOMETRY",
         "DeviceGeometry",
         "Hybrid",
-        "IkIntermediates",
         "JointAngles",
         "NonFiniteSignal",
         "ORACLE",
@@ -40,7 +39,6 @@ _EXPORTS = {
         "SampleError",
         "Unreachable",
         "forward_kinematics",
-        "ik_intermediates",
         "inverse_kinematics",
     ),
     "tactilesim.latency_model": (
@@ -68,7 +66,6 @@ _EXPORTS = {
         "TrajectorySegment",
         "TrajectorySpec",
         "compute_mse",
-        "generate_trajectory",
         "mse_table",
         "run_pipeline",
     ),

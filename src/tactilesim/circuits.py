@@ -50,8 +50,7 @@ def _jacobian_circuit(p, links, theta):
 
 
 def _ik_circuit(p, links, pos):
-    """IK circuit in three stages; returns the joint angles and the
-    intermediates (R, r, gamma, beta, alpha)."""
+    """IK circuit in three stages; returns the joint angles."""
     l1, l2, l3, l4 = links
     x, y, z = pos
     # First stage: theta1, R and r in parallel.
@@ -76,7 +75,7 @@ def _ik_circuit(p, links, pos):
     # Third stage: theta2 and theta3.
     theta2 = gamma + beta
     theta3 = (theta2 + alpha) + p.const(-math.pi / 2.0)
-    return (theta1, theta2, theta3), (big_r, r, gamma, beta, alpha)
+    return theta1, theta2, theta3
 
 
 def _torque_circuit(j, f):

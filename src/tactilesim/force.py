@@ -29,7 +29,7 @@ from tactilesim.kinematics import (
     JointAngles,
     ORACLE,
     Oracle,
-    _require_finite,
+    _non_finite,
     _tuple_new,
     _Validated,
 )
@@ -62,9 +62,12 @@ class ForceVector(_Validated, namedtuple("ForceVector", "fx fy fz")):
 
     def __new__(cls, fx, fy, fz):
         self = _tuple_new(cls, (fx, fy, fz))
-        if not (isfinite(fx) and isfinite(fy) and isfinite(fz)):
-            _require_finite(self)
-        return self
+        try:
+            if isfinite(fx) and isfinite(fy) and isfinite(fz):
+                return self
+        except OverflowError:  # an int beyond the float range
+            pass
+        raise _non_finite(self)
 
 
 class TorqueVector(_Validated, namedtuple("TorqueVector", "tau1 tau2 tau3")):
@@ -74,9 +77,12 @@ class TorqueVector(_Validated, namedtuple("TorqueVector", "tau1 tau2 tau3")):
 
     def __new__(cls, tau1, tau2, tau3):
         self = _tuple_new(cls, (tau1, tau2, tau3))
-        if not (isfinite(tau1) and isfinite(tau2) and isfinite(tau3)):
-            _require_finite(self)
-        return self
+        try:
+            if isfinite(tau1) and isfinite(tau2) and isfinite(tau3):
+                return self
+        except OverflowError:  # an int beyond the float range
+            pass
+        raise _non_finite(self)
 
 
 class JacobianMatrix(
@@ -92,9 +98,6 @@ class JacobianMatrix(
         if j21 != 0.0:
             raise ValueError("J21 must be identically zero")
         return _tuple_new(cls, (j11, j12, j13, j21, j22, j23, j31, j32, j33))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self).reshape(3, 3)
 
 
 class Elasticity(_Validated, namedtuple("Elasticity", "hx hy hz")):

@@ -26,7 +26,10 @@ def check(value, kind, name: str):
     if kind in (int, float) and isinstance(value, bool):
         raise ScenarioError(f"field '{name}' must be {kind.__name__}, got bool")
     if kind is float and isinstance(value, int):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # not repr'd: it may run to thousands of digits
+            raise ScenarioError(f"field '{name}' is an integer beyond the float range") from None
     if not isinstance(value, kind):
         raise ScenarioError(f"field '{name}' must be {kind.__name__}, got {type(value).__name__}")
     if kind is float and not math.isfinite(value):

@@ -48,7 +48,6 @@ __all__ = [
     "DeviceGeometry",
     "JointAngles",
     "CartesianPosition",
-    "IkIntermediates",
     "Oracle",
     "Hybrid",
     "ORACLE",
@@ -56,7 +55,6 @@ __all__ = [
     "EPS_REACH",
     "forward_kinematics",
     "inverse_kinematics",
-    "ik_intermediates",
 ]
 
 # Tolerance on the acos operands: |arg| <= 1 + EPS_REACH clamps to the domain
@@ -84,6 +82,7 @@ _LINK_MAX = 2.0**16
 _COORD_MAX = 4 * _LINK_MAX
 
 _HALF_PI = math.pi / 2.0
+_FLOAT_MAX = float(np.finfo(float).max)
 
 # namedtuple's own idiom: the tuple constructor without the class lookup.
 _tuple_new = tuple.__new__
@@ -103,15 +102,16 @@ class Unreachable(SampleError):
 
 
 class NonFiniteSignal(SampleError):
-    """A signal value is NaN or infinite."""
+    """A signal value is NaN, infinite or an int beyond the float range."""
 
 
-def _require_finite(value) -> None:
-    """Raise NonFiniteSignal naming the first field of the named tuple
-    ``value`` that is not finite."""
+def _non_finite(value) -> NonFiniteSignal:
+    """The NonFiniteSignal naming the first field of the named tuple
+    ``value`` that is NaN, infinite or an int beyond the float range (one
+    must be)."""
     for name, v in zip(value._fields, value):
-        if not isfinite(v):
-            raise NonFiniteSignal(f"{name} must be finite")
+        if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
+            return NonFiniteSignal(f"{name} must be finite")
 
 
 class _Validated:
@@ -164,9 +164,12 @@ class JointAngles(_Validated, namedtuple("JointAngles", "theta1 theta2 theta3"))
 
     def __new__(cls, theta1, theta2, theta3):
         self = _tuple_new(cls, (theta1, theta2, theta3))
-        if not (isfinite(theta1) and isfinite(theta2) and isfinite(theta3)):
-            _require_finite(self)
-        return self
+        try:
+            if isfinite(theta1) and isfinite(theta2) and isfinite(theta3):
+                return self
+        except OverflowError:  # an int beyond the float range
+            pass
+        raise _non_finite(self)
 
 
 class CartesianPosition(_Validated, namedtuple("CartesianPosition", "x y z")):
@@ -176,21 +179,12 @@ class CartesianPosition(_Validated, namedtuple("CartesianPosition", "x y z")):
 
     def __new__(cls, x, y, z):
         self = _tuple_new(cls, (x, y, z))
-        if not (isfinite(x) and isfinite(y) and isfinite(z)):
-            _require_finite(self)
-        return self
-
-
-@dataclass(frozen=True)
-class IkIntermediates:
-    """Intermediate quantities of the inverse solution: the horizontal reach R,
-    the full reach r and the construction angles gamma, beta, alpha."""
-
-    big_r: float
-    r: float
-    gamma: float
-    beta: float
-    alpha: float
+        try:
+            if isfinite(x) and isfinite(y) and isfinite(z):
+                return self
+        except OverflowError:  # an int beyond the float range
+            pass
+        raise _non_finite(self)
 
 
 def _exception(check, *args) -> SampleError:
@@ -284,7 +278,7 @@ class Oracle:
         z = l2 * c1 * s3 + l1 * c1 * c2 - l4
         return x, y, z
 
-    def ik(self, pos, g: DeviceGeometry):
+    def ik(self, pos, g: DeviceGeometry) -> tuple[float, float, float]:
         x, y, z = pos
         l1, l2, l3, l4 = g.l1, g.l2, g.l3, g.l4
         zz = z + l4
@@ -307,7 +301,7 @@ class Oracle:
         alpha = acos(a_arg)
         theta2 = gamma + beta
         theta3 = theta2 + alpha - _HALF_PI
-        return (theta1, theta2, theta3), (big_r, r, gamma, beta, alpha)
+        return theta1, theta2, theta3
 
     def jacobian_block(self, theta: np.ndarray, g: DeviceGeometry):
         """The Jacobian without J21 of each row of the (m, 3) array ``theta``:
@@ -375,10 +369,7 @@ class Hybrid:
         x, y, z = _fk_circuit(self, g._f32, self._angles(theta))
         return float(x), float(y), float(z)
 
-    def ik(self, pos, g: DeviceGeometry):
-        """The joint angles as floats, and the intermediates (R, r, gamma,
-        beta, alpha) as the float32 values of the circuit, which
-        `ik_intermediates` converts."""
+    def ik(self, pos, g: DeviceGeometry) -> tuple[float, float, float]:
         x, y, z = pos
         # Written to refuse NaN too: a plain tuple reaches here unchecked.
         if not (
@@ -394,9 +385,8 @@ class Hybrid:
                     )
         # One cast; indexing the array yields float32 scalars.
         operand = np.array(pos, np.float32)
-        angles, inter = _ik_circuit(self, g._f32, (operand[0], operand[1], operand[2]))
-        t1, t2, t3 = angles
-        return (float(t1), float(t2), float(t3)), inter
+        t1, t2, t3 = _ik_circuit(self, g._f32, (operand[0], operand[1], operand[2]))
+        return float(t1), float(t2), float(t3)
 
     def jacobian_block(self, theta: np.ndarray, g: DeviceGeometry):
         """``Oracle.jacobian_block`` by the Jacobian circuit, which takes the
@@ -444,15 +434,6 @@ def forward_kinematics(
     return CartesianPosition(*backend.fk(q, g))
 
 
-def ik_intermediates(
-    p: CartesianPosition,
-    g: DeviceGeometry = DEFAULT_GEOMETRY,
-    backend: Oracle | Hybrid = ORACLE,
-) -> IkIntermediates:
-    """R, r, gamma, beta, alpha of the inverse solution for ``p``."""
-    return IkIntermediates(*map(float, backend.ik(p, g)[1]))
-
-
 def inverse_kinematics(
     p: CartesianPosition,
     g: DeviceGeometry = DEFAULT_GEOMETRY,
@@ -464,4 +445,4 @@ def inverse_kinematics(
     theta3 = theta2 + alpha - pi/2.  Raises ``Unreachable`` when the acos
     operands leave [-1, 1] by more than ``EPS_REACH``.
     """
-    return JointAngles(*backend.ik(p, g)[0])
+    return JointAngles(*backend.ik(p, g))

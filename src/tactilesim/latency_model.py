@@ -235,11 +235,6 @@ class OpLatencyTable:
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"latency of {f.name} must be finite and nonnegative, got {value}")
 
-    def get(self, kind: str) -> float:
-        if kind not in OP_KINDS:
-            raise ValueError(f"unknown operator kind {kind!r}")
-        return getattr(self, kind)
-
     def to_dict(self) -> dict[str, float]:
         return {k: getattr(self, k) for k in OP_KINDS}
 
@@ -451,7 +446,7 @@ def _recorded_graphs() -> dict[str, DataflowGraph]:
     env = fbf.terminals("env_x", "env_y", "env_z")
     return {
         "FK": fk.graph(_fk_circuit(fk, fk.links, fk.terminals("th1", "th2", "th3"))),
-        "IK": ik.graph(_ik_circuit(ik, ik.links, ik.terminals("x", "y", "z"))[0]),
+        "IK": ik.graph(_ik_circuit(ik, ik.links, ik.terminals("x", "y", "z"))),
         "KFF": kff.graph(_torque_circuit(_jacobian_circuit(kff, kff.links, theta), force)),
         "FBF": fbf.graph(_fbf_circuit(obj, env, [fbf.const(None)] * 3)),
     }

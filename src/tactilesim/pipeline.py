@@ -68,7 +68,6 @@ __all__ = [
     "Scene",
     "SimulationTrace",
     "MODULE_SIGNALS",
-    "generate_trajectory",
     "run_pipeline",
     "compute_mse",
     "mse_table",
@@ -111,7 +110,11 @@ class TrajectorySegment:
             raise ValueError("segment needs at least one sample")
         # A non-finite ramp would fail the run only at its first sample.
         for name in ("start", "end"):
-            if not math.isfinite(getattr(self, name)):
+            try:
+                finite = math.isfinite(getattr(self, name))
+            except OverflowError:  # not repr'd: it may run to thousands of digits
+                raise ValueError(f"{name} is an integer beyond the float range") from None
+            if not finite:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not math.isfinite(self.end - self.start):
             raise ValueError(f"end - start must be finite ({self.end!r} - {self.start!r})")
@@ -142,11 +145,6 @@ class TrajectorySpec:
     @property
     def q(self) -> int:
         return int(self.total_samples)
-
-
-def generate_trajectory(spec: TrajectorySpec) -> list[JointAngles]:
-    """Sampled joint-space trajectory, one JointAngles per sample."""
-    return [JointAngles(*row) for row in _trajectory_table(spec).tolist()]
 
 
 def _trajectory_table(spec: TrajectorySpec) -> np.ndarray:
@@ -327,13 +325,10 @@ class SimulationTrace:
         if backend == self.driver:
             return {name: self.signals[name] for name in COLUMN_ORDER}
         if backend == self.shadow:
-            out = {}
-            for name in COLUMN_ORDER:
-                if name in MODULE_OUTPUT_SIGNALS:
-                    out[name] = self.shadow_signals[name]
-                else:
-                    out[name] = self.signals[name]
-            return out
+            return {
+                name: (self.shadow_signals if name in MODULE_OUTPUT_SIGNALS else self.signals)[name]
+                for name in COLUMN_ORDER
+            }
         raise KeyError(f"trace holds backends {self.driver!r}/{self.shadow!r}, not {backend!r}")
 
     @property
@@ -351,7 +346,7 @@ def run_pipeline(
     geometry: DeviceGeometry = DEFAULT_GEOMETRY,
     shadow: Oracle | Hybrid | None = None,
     fcs_pole: float = 0.0,
-    on_block: Callable[[np.ndarray, int], None] | None = None,
+    on_block: Callable[[SimulationTrace, int], None] | None = None,
 ) -> SimulationTrace:
     """Simulate the loop for every sample of the trajectory.
 
@@ -384,9 +379,11 @@ def run_pipeline(
 
     The table is one anonymous shared mapping (``_shared_table``), so a
     process forked during the run sees every row written after the fork.
-    ``on_block(table, rows_done)``, when given, is called after each block
-    whose stages all succeeded, with the number of rows computed so far;
-    ``TraceWriter.on_block`` formats the trace from it while the run goes on.
+    The returned trace's columns are views of it, and the trace exists from
+    the start: ``on_block(trace, rows_done)``, when given, is called after
+    each block whose stages all succeeded, with the number of rows computed
+    so far; ``TraceWriter.on_block`` formats the trace from it while the run
+    goes on.
     """
     if not 0.0 <= fcs_pole < 1.0:
         raise ValueError("fcs_pole must lie in [0, 1)")
@@ -438,6 +435,14 @@ def run_pipeline(
     table = _shared_table(q_len, width + (0 if shadow is None else len(MODULE_OUTPUT_SIGNALS)))
     table[:, 0] = np.arange(q_len)
     table[:, chain("b1")] = _trajectory_table(spec)
+    trace = SimulationTrace(
+        q=q_len,
+        sample_period=spec.sample_period,
+        driver=backend.name,
+        shadow=None if shadow is None else shadow.name,
+        signals=dict(zip(COLUMN_ORDER, table.T)),
+        shadow_signals=dict(zip(MODULE_OUTPUT_SIGNALS, table.T[width:])),
+    )
     for start in range(0, q_len, _BLOCK):
         stop = min(start + _BLOCK, q_len)
         block = table[start:stop]
@@ -454,16 +459,8 @@ def run_pipeline(
         if error is not None:
             raise error
         if on_block is not None:
-            on_block(table, stop)
-
-    return SimulationTrace(
-        q=q_len,
-        sample_period=spec.sample_period,
-        driver=backend.name,
-        shadow=None if shadow is None else shadow.name,
-        signals=dict(zip(COLUMN_ORDER, table.T)),
-        shadow_signals=dict(zip(MODULE_OUTPUT_SIGNALS, table.T[width:])),
-    )
+            on_block(trace, stop)
+    return trace
 
 
 # Samples per block of the stage pass.
@@ -601,17 +598,11 @@ def mse_table(trace: SimulationTrace) -> list[dict]:
         raise ValueError("MSE table needs a dual-backend trace")
     hybrid = trace.view("hybrid")
     oracle = trace.view("oracle")
-    rows = []
-    for module, signals in MODULE_SIGNALS.items():
-        for sig in signals:
-            rows.append(
-                {
-                    "module": module,
-                    "signal": sig,
-                    "mse": compute_mse(hybrid[sig], oracle[sig]),
-                }
-            )
-    return rows
+    return [
+        {"module": module, "signal": sig, "mse": compute_mse(hybrid[sig], oracle[sig])}
+        for module, signals in MODULE_SIGNALS.items()
+        for sig in signals
+    ]
 
 
 # Rows converted to Python floats at a time by the trace writers, and the
@@ -630,18 +621,6 @@ def _csv_rows(columns: Sequence[np.ndarray], start: int, stop: int) -> str:
     which never needs CSV quoting)."""
     rows = zip(*(col[start:stop].tolist() for col in columns))
     return "".join(",".join(map(repr, row)) + "\n" for row in rows)
-
-
-def _trace_columns(table: np.ndarray) -> list[list[np.ndarray]]:
-    """The columns of each trace in a ``run_pipeline`` table, in
-    COLUMN_ORDER, as ``SimulationTrace.view`` gives them: the driver's, then
-    the shadow's when the table holds one."""
-    width = len(COLUMN_ORDER)
-    driver = list(table.T[:width])
-    if table.shape[1] == width:
-        return [driver]
-    shadow = dict(zip(MODULE_OUTPUT_SIGNALS, table.T[width:]))
-    return [driver, [shadow.get(name, col) for name, col in zip(COLUMN_ORDER, driver)]]
 
 
 def write_trace_csv(trace: SimulationTrace, path, backend: str) -> None:
@@ -684,8 +663,8 @@ class TraceWriter:
     """Writes a run's trace CSVs, byte for byte as ``write_trace_csv`` does,
     while the run goes on.
 
-    ``paths`` are the traces in table order: the driver's, then the
-    shadow's.  Pass ``on_block`` to ``run_pipeline``; once it returns,
+    ``paths`` are the traces in ``trace.backends`` order: the driver's, then
+    the shadow's.  Pass ``on_block`` to ``run_pipeline``; once it returns,
     ``close`` finishes the files.  Call ``discard`` in every case
     afterwards: it kills and reaps the formatter and removes the temporary
     files, so a failed run leaves an existing trace as it was, and after a
@@ -693,7 +672,7 @@ class TraceWriter:
 
     At the first block that leaves rows to compute, ``on_block`` creates one
     temporary file per trace next to it and forks a formatter, which reads
-    the table through its shared mapping.  The parent sends it each block's
+    the trace's columns through the run's shared mapping.  The parent sends it each block's
     row count, and the formatter appends those rows to the files a
     ``_CSV_CHUNK`` at a time.  ``close`` sends the end mark; the formatter
     answers with a split row (``_split_row``) and formats up to it while the
@@ -709,7 +688,7 @@ class TraceWriter:
 
     def __init__(self, paths: Sequence) -> None:
         self.paths = [os.fspath(p) for p in paths]
-        self._table: np.ndarray | None = None
+        self._q: int | None = None  # the run's row count, from its first block
         self._columns: list[list[np.ndarray]] = []
         self._rows = 0
         self._temps: dict[int, str] = {}  # by trace, until renamed
@@ -718,13 +697,14 @@ class TraceWriter:
         self._tickets: int | None = None  # the parent's end of each pipe
         self._replies: int | None = None
 
-    def on_block(self, table: np.ndarray, rows_done: int) -> None:
+    def on_block(self, trace: SimulationTrace, rows_done: int) -> None:
         """The ``run_pipeline`` hook."""
-        if self._table is None:
-            self._table, self._columns = table, _trace_columns(table)
-            if rows_done < len(table) and hasattr(os, "fork"):
+        if self._q is None:
+            self._q = trace.q
+            self._columns = [list(trace.view(b).values()) for b in trace.backends]
+            if rows_done < trace.q and hasattr(os, "fork"):
                 self._fork(rows_done)
-        elif self._pid is not None and rows_done < len(table):
+        elif self._pid is not None and rows_done < self._q:
             self._send(rows_done)  # the last block's count goes as the end mark
         self._rows = rows_done
 
@@ -792,7 +772,7 @@ class TraceWriter:
                 stop = min(done + _CSV_CHUNK, ready)
                 self._format(done, stop, self._put)
                 done = stop
-        split = _split_row(done, len(self._table))
+        split = _split_row(done, self._q)
         os.write(replies, _REPLY.pack(split, 0, 0))
         self._format(done, split, self._put)
         return 0
@@ -805,9 +785,9 @@ class TraceWriter:
 
     def close(self) -> None:
         """Finish every trace and rename it into place, after the run."""
-        if self._table is None or self._rows < len(self._table):
+        if self._q is None or self._rows < self._q:
             raise RuntimeError("TraceWriter.close before the run's last block")
-        rows = len(self._table)
+        rows = self._q
         if self._pid is None:
             self._open()
             self._format(0, rows, self._put)

@@ -139,7 +139,7 @@ def test_criterion_5_jacobian_finite_difference():
     h = 1e-6
     worst = 0.0
     for q in sample_workspace_poses(rng, 1000):
-        jm = jacobian(q).as_array()
+        jm = np.array(jacobian(q)).reshape(3, 3)
         base = np.array(q)
         fd = np.empty((3, 3))
         for j in range(3):

@@ -332,6 +332,45 @@ def test_huge_and_tiny_values_end_cleanly(changes, code, message, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("trajectory", "segments", 0, "end"),
+        ("geometry", "l1"),
+        ("scene", "offset"),
+        ("fcs", "pole"),
+        ("budget", "t_hardware"),
+        ("fc", "sigma2"),
+        ("targets", "FK"),
+    ],
+    ids=lambda path: "-".join(map(str, path)),
+)
+def test_integer_beyond_the_float_range_is_one_error_line(path, tmp_path, capsys):
+    # 401 digits: YAML and JSON read it exactly, and float() of it raised a
+    # raw OverflowError.  The message does not repeat the digits.
+    big = 10**400
+    if path[0] == "targets":
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps({path[1]: big}))
+        argv = ["latency", "--targets", str(targets)]
+        field = "targets: field 'FK'"
+    else:
+        data = scenario_dict()
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = big
+        scenario = tmp_path / "s.yaml"
+        scenario.write_text(yaml.safe_dump(data))
+        argv = ["run", str(scenario), "--out-dir", str(tmp_path / "out")]
+        field = "field '" + ".".join(map(str, path)).replace(".0.", "[0].") + "'"
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {field} is an integer beyond the float range\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_speedup_at_the_overflow_edge_runs(tmp_path, capsys):
     # A huge limit is accepted as long as its speedup over t_hardware is
     # finite.
@@ -817,15 +856,15 @@ PACKAGE_EXPORTS = {
     "channel_step",
     "force": "Elasticity ForceVector JacobianMatrix TorqueVector feedback_force jacobian "
     "kinesthetic_feedback",
-    "kinematics": "CartesianPosition DEFAULT_GEOMETRY DeviceGeometry Hybrid IkIntermediates "
-    "JointAngles NonFiniteSignal ORACLE Oracle SampleError Unreachable forward_kinematics "
-    "ik_intermediates inverse_kinematics",
+    "kinematics": "CartesianPosition DEFAULT_GEOMETRY DeviceGeometry Hybrid JointAngles "
+    "NonFiniteSignal ORACLE Oracle SampleError Unreachable forward_kinematics "
+    "inverse_kinematics",
     "latency_model": "CalibrationDegenerate DataflowGraph OpLatencyTable builtin_graphs "
     "calibrate critical_path",
     "numerics": "CordicConfig NegativeRadicand QFormat S16_13 cordic_atan2 cordic_sincos "
     "float_to_fixed sqrt32",
     "pipeline": "Scene SeriesLengthMismatch SimulationTrace TrajectorySegment TrajectorySpec "
-    "compute_mse generate_trajectory hardware_time_limit mse_table run_pipeline "
+    "compute_mse hardware_time_limit mse_table run_pipeline "
     "speedup_report",
 }
 

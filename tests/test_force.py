@@ -48,7 +48,7 @@ def fd_jacobian(q: JointAngles, h: float = 1e-6) -> np.ndarray:
 
 class TestJacobian:
     def test_home_pose(self):
-        jm = jacobian(JointAngles(0, 0, 0)).as_array()
+        jm = np.array(jacobian(JointAngles(0, 0, 0))).reshape(3, 3)
         expected = np.array([[-0.135, 0, 0], [0, 0.135, 0], [0, 0, 0.135]])
         assert np.allclose(jm, expected, atol=1e-15)
 
@@ -65,14 +65,14 @@ class TestJacobian:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         for q in sample_workspace_poses(rng, 100):
-            jm = jacobian(q).as_array()
+            jm = np.array(jacobian(q)).reshape(3, 3)
             assert np.abs(jm - fd_jacobian(q)).max() <= 1e-6
 
     def test_entries_bounded_by_reach(self):
         rng = np.random.default_rng(11)
         bound = DEFAULT_GEOMETRY.l1 + DEFAULT_GEOMETRY.l2
         for q in sample_workspace_poses(rng, 100):
-            assert np.abs(jacobian(q).as_array()).max() <= bound + 1e-12
+            assert np.abs(np.array(jacobian(q)).reshape(3, 3)).max() <= bound + 1e-12
 
 
 class TestKinestheticFeedback:
@@ -97,7 +97,7 @@ class TestKinestheticFeedback:
             tau = np.array(
                 kinesthetic_feedback(q, ForceVector(*f))
             )
-            expected = jacobian(q).as_array().T @ f
+            expected = np.array(jacobian(q)).reshape(3, 3).T @ f
             assert np.allclose(tau, expected, atol=1e-12)
 
     def test_linearity(self):
@@ -129,7 +129,7 @@ class TestKinestheticFeedback:
             qdot = rng.uniform(-1, 1, 3)
             f = rng.uniform(-3, 3, 3)
             tau = np.array(kinesthetic_feedback(q, ForceVector(*f)))
-            jm = jacobian(q).as_array()
+            jm = np.array(jacobian(q)).reshape(3, 3)
             assert abs(tau @ qdot - f @ (jm @ qdot)) <= 1e-9
 
 

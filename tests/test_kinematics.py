@@ -20,12 +20,11 @@ from tactilesim.kinematics import (
     SampleError,
     Unreachable,
     forward_kinematics,
-    ik_intermediates,
     inverse_kinematics,
 )
 from tactilesim.force import jacobian
 from tactilesim.numerics import S16_13, CordicConfig, QFormat, cordic_sincos
-from tactilesim.pipeline import generate_trajectory
+from tactilesim.pipeline import _trajectory_table
 from tactilesim.scenario import load_scenario
 
 SCENARIO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "default.yaml"
@@ -78,7 +77,7 @@ class TestHybridStaysFinite:
                 for q in itertools.product(angles, repeat=3):
                     q = JointAngles(*q)
                     assert all(map(math.isfinite, forward_kinematics(q, g, backend)))
-                    assert np.isfinite(jacobian(q, g, backend).as_array()).all()
+                    assert np.isfinite(jacobian(q, g, backend)).all()
 
     @pytest.mark.parametrize("backend", CORNER_BACKENDS, ids=["i1", "i10", "i16"])
     def test_ik_at_corner_geometries_and_coordinates(self, backend):
@@ -164,14 +163,6 @@ class TestInverseKinematics:
         assert abs(q.theta2) < 1e-12
         assert abs(q.theta3) < 1e-12
 
-    def test_home_intermediates(self):
-        inter = ik_intermediates(CartesianPosition(0, -0.110, -0.035))
-        assert inter.big_r == pytest.approx(0.135, abs=1e-15)
-        assert inter.r == pytest.approx(math.sqrt(0.03645), abs=1e-15)
-        assert inter.gamma == pytest.approx(math.pi / 4, abs=1e-12)
-        assert inter.beta == pytest.approx(-math.pi / 4, abs=1e-12)
-        assert inter.alpha == pytest.approx(math.pi / 2, abs=1e-12)
-
     def test_oracle_round_trip_example(self):
         q = JointAngles(0.3, 0.2, 0.5)
         back = inverse_kinematics(forward_kinematics(q))
@@ -205,9 +196,6 @@ class TestInverseKinematics:
     def test_straight_arm_boundary(self):
         # theta3 - theta2 = pi/2 stretches the arm: r = L1 + L2, alpha = pi.
         p = forward_kinematics(JointAngles(0.0, 0.0, math.pi / 2))
-        inter = ik_intermediates(p)
-        assert inter.r == pytest.approx(0.27, abs=1e-12)
-        assert inter.alpha == pytest.approx(math.pi, abs=1e-6)
         back = inverse_kinematics(p)
         assert back.theta3 - back.theta2 == pytest.approx(math.pi / 2, abs=1e-6)
 
@@ -215,12 +203,8 @@ class TestInverseKinematics:
         # x = 0, z = -L4 puts the tool on the base axis: R = 0, theta1 = 0 and
         # beta degenerates to +-pi/2.
         p = CartesianPosition(0.0, 0.2, -0.170)
-        inter = ik_intermediates(p)
-        assert inter.big_r == 0.0
-        assert inter.beta == pytest.approx(math.pi / 2, abs=1e-12)
         assert inverse_kinematics(p).theta1 == 0.0
-        below = CartesianPosition(0.0, -0.15, -0.170)
-        assert ik_intermediates(below).beta == pytest.approx(-math.pi / 2, abs=1e-12)
+        assert inverse_kinematics(CartesianPosition(0.0, -0.15, -0.170)).theta1 == 0.0
 
     def test_unreachable(self):
         for backend in (ORACLE, Hybrid()):
@@ -238,12 +222,12 @@ class TestInverseKinematics:
                 inverse_kinematics(p, backend=Hybrid())
 
     def test_gamma_alpha_ranges(self):
+        # alpha = theta3 - theta2 + pi/2, the elbow angle, lies in [0, pi].
         rng = np.random.default_rng(19)
         for q in sample_workspace_poses(rng, 200):
-            inter = ik_intermediates(forward_kinematics(q))
-            assert 0.0 <= inter.gamma <= math.pi
-            assert 0.0 <= inter.alpha <= math.pi
-            assert inter.r > 0
+            back = inverse_kinematics(forward_kinematics(q))
+            alpha = back.theta3 - back.theta2 + math.pi / 2
+            assert -1e-12 <= alpha <= math.pi + 1e-12
 
 
 class TestBackendConsistency:
@@ -251,7 +235,7 @@ class TestBackendConsistency:
     def test_trajectory_deviation(self, iterations):
         hybrid = Hybrid(CordicConfig(iterations=iterations))
         worst = 0.0
-        for q in generate_trajectory(load_scenario(SCENARIO_PATH).trajectory):
+        for q in _trajectory_table(load_scenario(SCENARIO_PATH).trajectory).tolist():
             po = forward_kinematics(q)
             ph = forward_kinematics(q, backend=hybrid)
             worst = max(
@@ -351,7 +335,7 @@ def checked_oracle_ik(pos, g: DeviceGeometry):
     alpha = math.acos(a_arg)
     theta2 = gamma + beta
     theta3 = theta2 + alpha - math.pi / 2.0
-    return (theta1, theta2, theta3), (big_r, r, gamma, beta, alpha)
+    return theta1, theta2, theta3
 
 
 def outcome(fn, *args):
@@ -397,11 +381,11 @@ def test_oracle_ik_error_order(pos, links, message):
         ORACLE.ik(pos, g)
 
 
-def test_hybrid_intermediates_are_floats():
-    # Hybrid.ik leaves its intermediates in float32; ik_intermediates
-    # converts them.
+@pytest.mark.parametrize("backend", [ORACLE, Hybrid()], ids=["oracle", "hybrid"])
+def test_ik_returns_three_floats(backend):
+    # The hybrid IK circuit computes float32 angles; Hybrid.ik converts them.
     p = forward_kinematics(JointAngles(0.2, 0.4, 0.3))
-    inter = ik_intermediates(p, backend=Hybrid())
-    values = (inter.big_r, inter.r, inter.gamma, inter.beta, inter.alpha)
-    assert all(type(v) is float for v in values)
-    assert all(type(v) is float for v in inverse_kinematics(p, backend=Hybrid()))
+    angles = backend.ik(p, DEFAULT_GEOMETRY)
+    assert len(angles) == 3
+    assert all(type(v) is float for v in angles)
+    assert all(type(v) is float for v in inverse_kinematics(p, backend=backend))

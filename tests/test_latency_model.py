@@ -45,10 +45,6 @@ class TestOpLatencyTable:
         with pytest.raises(ValueError):
             OpLatencyTable(add=-1.0)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            table().get("fma")
-
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("kind", ["add", "div"])
     def test_non_finite_rejected(self, kind, value):
@@ -208,13 +204,13 @@ class TestAgainstPathEnumeration:
                 t = OpLatencyTable(**dict(zip(OP_KINDS, map(float, values))))
                 # Float addition is monotone, so the longest sum taken in
                 # path order equals the sweep's result exactly.
-                longest = max(sum(t.get(g.nodes[n]) for n in path) for path in paths)
+                longest = max(sum(getattr(t, g.nodes[n]) for n in path) for path in paths)
                 assert critical_path(g, t) == longest
                 # The reported path runs from a source node, also through
                 # nodes that add no latency.
                 nodes = critical_path_nodes(g, t)
                 assert nodes in paths
-                assert sum(t.get(g.nodes[n]) for n in nodes) == longest
+                assert sum(getattr(t, g.nodes[n]) for n in nodes) == longest
 
 
 class TestImmutableGraph:
@@ -262,7 +258,7 @@ class TestCompiledGraph:
         for _ in range(2):
             for length, kind in enumerate(OP_KINDS, start=1):
                 result = calibrate({"M": 60.0}, graphs={"M": chain(kind, length)})
-                assert result.table.get(kind) == pytest.approx(60.0 / length)
+                assert getattr(result.table, kind) == pytest.approx(60.0 / length)
                 assert result.critical_paths["M"] == pytest.approx(60.0)
 
     def test_rebuilt_graphs_reusing_ids(self):
@@ -271,7 +267,7 @@ class TestCompiledGraph:
         for i in range(40):
             kind, length = OP_KINDS[i % len(OP_KINDS)], i % 3 + 1
             g = chain(kind, length)
-            assert calibrate({"M": 60.0}, graphs={"M": g}).table.get(kind) == pytest.approx(
+            assert getattr(calibrate({"M": 60.0}, graphs={"M": g}).table, kind) == pytest.approx(
                 60.0 / length
             )
             assert critical_path(g, OpLatencyTable(**{kind: 2.5})) == 2.5 * length

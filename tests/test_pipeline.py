@@ -38,7 +38,6 @@ from tactilesim.pipeline import (
     TrajectorySegment,
     TrajectorySpec,
     compute_mse,
-    generate_trajectory,
     hardware_time_limit,
     mse_table,
     read_trace_csv,
@@ -58,17 +57,17 @@ class TestTrajectory:
         spec = SHIPPED.trajectory
         assert spec.q == 1200
         assert spec.sample_period == 0.01
-        traj = generate_trajectory(spec)
+        traj = pipeline._trajectory_table(spec).tolist()
         assert len(traj) == 1200
-        assert traj[0] == (0.0, 0.0, 0.0)
-        assert traj[399] == (math.pi / 2, 0.0, 0.0)
-        assert traj[400] == (math.pi / 2, 0.0, 0.0)
-        assert traj[1199] == (math.pi / 2, math.pi / 4, math.pi / 4)
+        assert traj[0] == [0.0, 0.0, 0.0]
+        assert traj[399] == [math.pi / 2, 0.0, 0.0]
+        assert traj[400] == [math.pi / 2, 0.0, 0.0]
+        assert traj[1199] == [math.pi / 2, math.pi / 4, math.pi / 4]
 
     def test_ramp_midpoint(self):
-        traj = generate_trajectory(SHIPPED.trajectory)
+        traj = pipeline._trajectory_table(SHIPPED.trajectory)
         # halfway through the first segment
-        assert traj[200].theta1 == pytest.approx(math.pi / 2 * 200 / 399)
+        assert traj[200, 0] == pytest.approx(math.pi / 2 * 200 / 399)
 
     def test_q_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -111,10 +110,19 @@ class TestTrajectory:
             [0.0, 0.0, 1.0],
         ]
 
+    @pytest.mark.parametrize("field", ["start", "end"])
+    @pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["positive", "negative"])
+    def test_integer_beyond_the_float_range_rejected(self, field, big):
+        # math.isfinite raised a raw OverflowError on it.
+        values = {"start": 0, "end": 1, field: big}
+        with pytest.raises(ValueError) as err:
+            TrajectorySegment(0, values["start"], values["end"], 3)
+        assert str(err.value) == f"{field} is an integer beyond the float range"
+
     def test_single_sample_segment(self):
         spec = TrajectorySpec(segments=(TrajectorySegment(1, 0.0, 0.5, 1),))
-        traj = generate_trajectory(spec)
-        assert traj[0].theta2 == 0.5
+        traj = pipeline._trajectory_table(spec)
+        assert traj[0, 1] == 0.5
 
     @pytest.mark.parametrize("field", ["start", "end"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -925,8 +933,9 @@ class BadSurface:
         ((0.1, 0.2, 0.3, 0.4), "surface must return three numbers, got (0.1, 0.2, 0.3, 0.4)"),
         ("xyz", "surface must return three numbers, got 'xyz'"),
         ((0.1, math.nan, 0.3), "y must be finite"),
+        ((10**400, 0.2, 0.3), "x must be finite"),
     ],
-    ids=["two", "four", "string", "nan"],
+    ids=["two", "four", "string", "nan", "int-beyond-float"],
 )
 def test_user_surface_result_checked_at_its_sample(bad, message):
     # A middle row of the run's second block.
@@ -989,9 +998,6 @@ def test_trajectory_table_is_the_per_sample_ramp(segments):
     spec = TrajectorySpec(segments=tuple(segments))
     want = reference_trajectory(spec)
     assert pipeline._trajectory_table(spec).tobytes() == np.array(want).tobytes()
-    traj = generate_trajectory(spec)
-    assert all(type(row) is JointAngles for row in traj)
-    assert np.array(traj).tobytes() == np.array(want).tobytes()
 
 
 def reference_plane(normal, offset):
@@ -1154,13 +1160,13 @@ class TestTraceCsv:
             trace.view("hybrid")
 
 
-def written_by_trace_writer(paths, table, counts):
+def written_by_trace_writer(paths, trace, counts):
     """Drive a TraceWriter as a run would: the hook with each row count of
     ``counts``, then close, then discard."""
     writer = TraceWriter(paths)
     try:
         for rows_done in counts:
-            writer.on_block(table, rows_done)
+            writer.on_block(trace, rows_done)
         writer.close()
     finally:
         writer.discard()
@@ -1180,15 +1186,15 @@ def assert_as_write_trace_csv(trace, paths, tmp_path):
         os.waitpid(-1, os.WNOHANG)
 
 
-def synthetic_table(q, dual, seed=0):
-    """A run's table of random finite values over many decades, and the
-    SimulationTrace run_pipeline would return over it."""
+def synthetic_trace(q, dual, seed=0):
+    """The SimulationTrace run_pipeline would return over a run's table of
+    random finite values over many decades."""
     width = len(pipeline.COLUMN_ORDER)
     columns = width + (len(pipeline.MODULE_OUTPUT_SIGNALS) if dual else 0)
     rng = np.random.default_rng(seed)
     table = pipeline._shared_table(q, columns)
     table[:] = rng.standard_normal((q, columns)) * 10.0 ** rng.integers(-9, 9, (q, columns))
-    trace = SimulationTrace(
+    return SimulationTrace(
         q=q,
         sample_period=0.01,
         driver="oracle",
@@ -1196,7 +1202,6 @@ def synthetic_table(q, dual, seed=0):
         signals=dict(zip(pipeline.COLUMN_ORDER, table.T)),
         shadow_signals=dict(zip(pipeline.MODULE_OUTPUT_SIGNALS, table.T[width:])),
     )
-    return table, trace
 
 
 class TestTraceWriter:
@@ -1226,19 +1231,19 @@ class TestTraceWriter:
         # comes, so the forced split holds: it formats the rows before it,
         # and the parent the rows from it on.
         q = 1200
-        table, trace = synthetic_table(q, dual)
+        trace = synthetic_trace(q, dual)
         paths = [tmp_path / f"trace_{backend}.csv" for backend in trace.backends]
         chunk = pipeline._CSV_CHUNK
         for split in [*range(chunk, q, chunk), q]:
             monkeypatch.setattr(pipeline, "_split_row", lambda formatted, rows: split)
-            written_by_trace_writer(paths, table, [min(split, q - 1), q])
+            written_by_trace_writer(paths, trace, [min(split, q - 1), q])
             assert_as_write_trace_csv(trace, paths, tmp_path)
 
     def test_without_fork_the_parent_writes_every_row(self, tmp_path, monkeypatch):
         monkeypatch.delattr(os, "fork")
-        table, trace = synthetic_table(1200, dual=True, seed=1)
+        trace = synthetic_trace(1200, dual=True, seed=1)
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-        written_by_trace_writer(paths, table, range(256, 1200 + 256, 256))
+        written_by_trace_writer(paths, trace, range(256, 1200 + 256, 256))
         assert_as_write_trace_csv(trace, paths, tmp_path)
 
     def test_formatter_that_dies_is_an_error_naming_the_trace(self, tmp_path, monkeypatch):
@@ -1251,11 +1256,11 @@ class TestTraceWriter:
             return real(columns, start, stop)
 
         monkeypatch.setattr(pipeline, "_csv_rows", dying)
-        table, _ = synthetic_table(1200, dual=False)
+        trace = synthetic_trace(1200, dual=False)
         path = tmp_path / "trace_oracle.csv"
         path.write_bytes(b"earlier\n")
         with pytest.raises(OSError) as err:
-            written_by_trace_writer([path], table, [256, 1200])
+            written_by_trace_writer([path], trace, [256, 1200])
         assert err.value.filename == str(path)
         assert err.value.strerror == "the trace formatter exited with status 3"
         assert path.read_bytes() == b"earlier\n"
