@@ -672,14 +672,14 @@ class TraceWriter:
 
     At the first block that leaves rows to compute, ``on_block`` creates one
     temporary file per trace next to it and forks a formatter, which reads
-    the trace's columns through the run's shared mapping.  The parent sends it each block's
-    row count, and the formatter appends those rows to the files a
-    ``_CSV_CHUNK`` at a time.  ``close`` sends the end mark; the formatter
-    answers with a split row (``_split_row``) and formats up to it while the
-    parent formats the rest.  The parent then reaps the formatter, appends
-    its share and renames each file onto its trace.  Without ``os.fork``,
-    or when the first block is the whole run, the parent formats every row
-    at ``close``.
+    the trace's columns through the run's shared mapping.  The parent sends
+    it each block's row count, and the formatter appends those rows to the
+    files a ``_CSV_CHUNK`` at a time.  ``close`` sends the end mark; the
+    formatter answers with a split row (``_split_row``) and formats up to it
+    while the parent formats the rest.  The parent then reaps the formatter,
+    appends its share and renames each file onto its trace.  Without
+    ``os.fork``, or when the first block is the whole run, the parent
+    formats every row at ``close``.
 
     Every error it raises on a file is an OSError naming the trace path.
     The formatter leaves only through ``os._exit``, and by itself when its
