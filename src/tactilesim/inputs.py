@@ -21,15 +21,18 @@ class ScenarioError(ValueError):
 
 def check(value, kind, name: str):
     """``value`` as a ``kind`` (an int reads as a float); a bool is never a
-    number, and a float must be finite."""
+    number, a number never an integer beyond the float range, and a float
+    must be finite."""
     # YAML booleans are ints to Python: `seed: false` must not read as 0.
     if kind in (int, float) and isinstance(value, bool):
         raise ScenarioError(f"field '{name}' must be {kind.__name__}, got bool")
-    if kind is float and isinstance(value, int):
+    if kind in (int, float) and isinstance(value, int):
         try:
-            value = float(value)
+            as_float = float(value)
         except OverflowError:  # not repr'd: it may run to thousands of digits
             raise ScenarioError(f"field '{name}' is an integer beyond the float range") from None
+        if kind is float:
+            value = as_float
     if not isinstance(value, kind):
         raise ScenarioError(f"field '{name}' must be {kind.__name__}, got {type(value).__name__}")
     if kind is float and not math.isfinite(value):

@@ -175,60 +175,62 @@ def _trajectory_table(spec: TrajectorySpec) -> np.ndarray:
     return table
 
 
-SurfaceFn = Callable[[CartesianPosition], CartesianPosition]
+@dataclass(frozen=True)
+class Scene:
+    """Environment model: the elasticity of the touched object and the plane
+    {p : normal . p = offset} that bounds it, or no plane (``normal`` and
+    ``offset`` None) for free space.  A plane's normal must have a finite
+    nonzero norm and is kept scaled to unit length; its offset must be
+    finite."""
 
+    elasticity: Elasticity
+    normal: tuple[float, float, float] | None = None
+    offset: float | None = None
 
-class _Surface:
-    """A built-in surface function: ``block`` maps an (m, 3) array of tool
-    positions to the nearest object points, and the per-point call is that
-    block form on one row."""
+    def __post_init__(self) -> None:
+        if self.normal is None and self.offset is None:
+            return
+        if self.normal is None or self.offset is None:
+            raise ValueError("a plane needs both a normal and an offset")
+        nvec = np.asarray(self.normal, dtype=float)
+        if nvec.shape != (3,):
+            raise ValueError(f"plane normal must have three components, got shape {nvec.shape}")
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(nvec))
+        if not (math.isfinite(norm) and norm > 0):
+            raise ValueError(f"plane normal must have a finite nonzero norm, got {norm!r}")
+        # An infinite offset would never touch, a NaN one fail at sample 0.
+        if not math.isfinite(self.offset):
+            raise ValueError(f"plane offset must be finite, got {self.offset!r}")
+        object.__setattr__(self, "normal", tuple((nvec / norm).tolist()))
+        object.__setattr__(self, "offset", float(self.offset))
 
-    def __call__(self, tool: CartesianPosition) -> CartesianPosition:
-        return CartesianPosition(*self.block(np.array([tool], dtype=float))[0].tolist())
-
-
-class _FreeSpace(_Surface):
-    def block(self, tools: np.ndarray) -> np.ndarray:
-        return tools
-
-
-@dataclass(frozen=True, eq=False)
-class _Plane(_Surface):
-    """The plane {p : n.p = offset}, with ``normal`` the unit normal n."""
-
-    normal: np.ndarray
-    offset: float
-
-    def block(self, tools: np.ndarray) -> np.ndarray:
+    def object_positions(self, tools: np.ndarray) -> np.ndarray:
+        """The nearest object point of each row of the (m, 3) array of tool
+        positions ``tools``: the tool itself in free space or in front of
+        the plane, its projection onto the plane beyond it, so the spring
+        force is proportional to the penetration depth."""
+        if self.normal is None:
+            return tools
         # The depth is numpy's matmul of each row with the normal, which on
         # x86-64 rounds as numpy's dot product of a point with it, the fused
         # multiply-add chain fma(n_z, z, fma(n_y, y, n_x * x)).  `tools @
         # normal` differs in the last bit on about a third of points, and the
         # golden trace digests pin those bits.
-        nvec = self.normal
+        nvec = np.array(self.normal)
         with np.errstate(over="ignore", invalid="ignore"):
             depth = np.matmul(tools[:, None, :], nvec[:, None])[:, 0] - self.offset
             # NaN takes the projection too, and fails there as non-finite.
             return np.where(depth <= 0, tools, tools - depth * nvec)
 
-
-@dataclass(frozen=True)
-class Scene:
-    """Environment model: the elasticity of the touched object and a surface
-    function giving the nearest object point for a tool position (equal to
-    the tool position when nothing is touched, which makes the contact force
-    vanish)."""
-
-    elasticity: Elasticity
-    surface: SurfaceFn
-
     def object_position(self, tool: CartesianPosition) -> CartesianPosition:
-        return self.surface(tool)
+        """``object_positions`` of one tool position."""
+        return CartesianPosition(*self.object_positions(np.array([tool], dtype=float))[0].tolist())
 
     @classmethod
     def free_space(cls, elasticity: Elasticity) -> "Scene":
         """No object anywhere: zero contact force for the whole run."""
-        return cls(elasticity=elasticity, surface=_FreeSpace())
+        return cls(elasticity)
 
     @classmethod
     def contact_plane(
@@ -237,18 +239,8 @@ class Scene:
         offset: float,
         elasticity: Elasticity,
     ) -> "Scene":
-        """A fixed plane {p : n.p = offset}; when the tool passes beyond it,
-        the nearest surface point is the projection of the tool back onto the
-        plane, so the spring force is proportional to the penetration depth."""
-        nvec = np.asarray(normal, dtype=float)
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(nvec))
-        if not (math.isfinite(norm) and norm > 0):
-            raise ValueError(f"plane normal must have a finite nonzero norm, got {norm!r}")
-        # An infinite offset would never touch, a NaN one fail at sample 0.
-        if not math.isfinite(offset):
-            raise ValueError(f"plane offset must be finite, got {offset!r}")
-        return cls(elasticity=elasticity, surface=_Plane(nvec / norm, float(offset)))
+        """A fixed plane {p : n.p = offset} that the tool touches beyond."""
+        return cls(elasticity, normal, offset)
 
 
 # Trace column layout.
@@ -365,17 +357,16 @@ def run_pipeline(
     trajectory check, the driver's FK master, forward channel, IK, FCS lag,
     FK slave, scene, FBF, backwards channel and KFF, then the shadow's five
     modules.  Column stages make one call per block: the trajectory check,
-    the FCS lag (one float loop), a built-in scene's surface, FBF and KFF.
-    FK, IK and a user's surface call their public function per sample
+    the FCS lag (one float loop), the scene (``Scene.object_positions``),
+    FBF and KFF.  FK and IK call their public function per sample
     (``_row_by_row``), each channel ``channel_step`` (``_channel``), and
     both gather a block's rows into one array.  A block is one view of the
     table, through which every stage reads its operands and writes its
     rows.  A stage that fails at a sample stops there, and later stages run
     only on the samples before it.  So the run raises the first failing
-    sample's error, at that sample
-    the earlier stage's: the driver's, then the shadow's in module order; a
-    SampleError with ``sample {n}: `` before its message and ``n`` in
-    ``sample_index``.
+    sample's error, at that sample the earlier stage's: the driver's, then
+    the shadow's in module order; a SampleError with ``sample {n}: ``
+    before its message and ``n`` in ``sample_index``.
 
     The table is one anonymous shared mapping (``_shared_table``), so a
     process forked during the run sees every row written after the fork.
@@ -486,11 +477,11 @@ def _flat_rows(flat: list) -> np.ndarray:
 
 
 def _row_by_row(fn, first, second):
-    """A stage that calls ``fn(row, first, second)`` on each row of its one
-    operand block, a list of three floats, and takes three values from each
-    call.  It returns, as the block functions of ``tactilesim.force`` do, an
-    (m, 3) array of the results before the first failing row and that row's
-    exception (None when no row fails)."""
+    """The stage of FK or IK: ``fn(row, first, second)`` on each row of its
+    one operand block, a list of three floats, taking the three values each
+    call returns.  It returns, as the block functions of ``tactilesim.force``
+    do, an (m, 3) array of the results before the first failing row and that
+    row's exception (None when no row fails)."""
 
     def stage(block):
         flat = []
@@ -531,21 +522,8 @@ def _channel(cfg: ChannelConfig, vector: type):
 
 
 def _surface(scene: Scene):
-    """The stage of the scene: the block form of a built-in surface, checked
-    as positions, or a user's surface per row."""
-    if isinstance(scene.surface, _Surface):
-        return lambda tools: _valid_rows(CartesianPosition, scene.surface.block(tools))
-    return _row_by_row(_object_point, scene, CartesianPosition)
-
-
-def _object_point(tool: list, scene: Scene, position: type) -> CartesianPosition:
-    """A user's surface on one row of tool positions, its result checked as
-    a position: a SampleError unless it is three finite numbers."""
-    point = scene.object_position(position(*tool))
-    try:
-        return position(*point)
-    except TypeError:
-        raise SampleError(f"surface must return three numbers, got {point!r}") from None
+    """The stage of the scene: its object points, checked as positions."""
+    return lambda tools: _valid_rows(CartesianPosition, scene.object_positions(tools))
 
 
 def _lag(pole: float):

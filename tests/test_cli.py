@@ -342,12 +342,21 @@ def test_huge_and_tiny_values_end_cleanly(changes, code, message, tmp_path, caps
         ("budget", "t_hardware"),
         ("fc", "sigma2"),
         ("targets", "FK"),
+        # Integer fields.
+        ("version",),
+        ("seed",),
+        ("cordic", "iterations"),
+        ("trajectory", "total_samples"),
+        ("trajectory", "segments", 0, "samples"),
+        ("fc", "delay"),
+        ("bc", "delay"),
     ],
     ids=lambda path: "-".join(map(str, path)),
 )
 def test_integer_beyond_the_float_range_is_one_error_line(path, tmp_path, capsys):
     # 401 digits: YAML and JSON read it exactly, and float() of it raised a
-    # raw OverflowError.  The message does not repeat the digits.
+    # raw OverflowError, or an integer field's message repeated it.  The
+    # message does not repeat the digits.
     big = 10**400
     if path[0] == "targets":
         targets = tmp_path / "targets.json"

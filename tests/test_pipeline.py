@@ -196,21 +196,31 @@ class TestScene:
         with pytest.raises(ValueError, match="finite nonzero norm"):
             Scene.contact_plane((1e308, 1e308, 0.0), 0.0, Elasticity(1, 1, 1))
 
-    def test_run_hands_the_surface_a_cartesian_position(self):
-        # A user surface may read the tool's fields by name: here a floor
-        # the tool sinks below during the final segment.
-        seen = set()
+    def test_scenario_loads_compare_equal(self):
+        # A scene is data: two reads of one file give equal, hashable
+        # scenarios.
+        path = Path(__file__).resolve().parent.parent / "scenarios" / "default.yaml"
+        a, b = load_scenario(path), load_scenario(path)
+        assert a.scene == b.scene and a == b
+        assert hash(a) == hash(b)
 
-        def floor(tool):
-            seen.add(type(tool))
-            return CartesianPosition(tool.x, tool.y, max(tool.z, -0.1))
-
-        scene = Scene(Elasticity(80.0, 80.0, 80.0), floor)
-        trace = run_pipeline(SHIPPED.trajectory, scene, ChannelConfig(), ChannelConfig(), ORACLE)
-        assert seen == {CartesianPosition}
-        s_obj, l_pos = chain_rows(trace, "s_obj_x"), chain_rows(trace, "l_x")
-        assert s_obj == [floor(CartesianPosition(*tool)) for tool in l_pos]
-        assert any(s != tool for s, tool in zip(s_obj, l_pos)), "no contact sample"
+    def test_direct_construction_is_checked(self):
+        # The constructors are shorthands: every Scene normalises and checks
+        # its plane.
+        h = Elasticity(1, 1, 1)
+        assert Scene(h, [0, 0, 2], 1) == Scene.contact_plane((0.0, 0.0, 1.0), 1.0, h)
+        assert Scene(h).normal is None and Scene(h) == Scene.free_space(h)
+        with pytest.raises(ValueError, match="^a plane needs both a normal and an offset$"):
+            Scene(h, (0, 0, 1.0))
+        with pytest.raises(ValueError, match="^a plane needs both a normal and an offset$"):
+            Scene(h, offset=0.0)
+        with pytest.raises(ValueError, match=r"^plane normal must have three components"):
+            Scene(h, (0.0, 1.0), 0.0)
+        with pytest.raises(ValueError, match="^plane offset must be finite"):
+            Scene(h, (0, 0, 1.0), math.nan)
+        # No surface callable: the normal must be numbers.
+        with pytest.raises(TypeError):
+            Scene(h, lambda tool: tool, 0.0)
 
 
 class TestBudget:
@@ -527,21 +537,24 @@ def tripping(base, trips=frozenset()):
     return HybridTrips(base.cordic, trips)
 
 
-class FailingSurface:
-    """The default scene's surface, raising SampleError on the call of
-    sample ``at`` (None: never); only the driver calls it, once per
-    sample."""
+def fail_scene_at(monkeypatch, at: int | None) -> None:
+    """Make x of sample ``at``'s object point NaN (None: never), which the
+    scene stage refuses as non-finite at that sample.  Only the driver has
+    a scene stage; it calls ``Scene.object_positions`` once per block, in
+    sample order."""
+    object_positions = Scene.object_positions
+    done = 0
 
-    def __init__(self, at: int | None):
-        self.at = at
-        self.calls = 0
-        self.surface = SHIPPED.scene.surface
+    def patched(self, tools):
+        nonlocal done
+        rows = object_positions(self, tools)
+        if at is not None and done <= at < done + len(rows):
+            rows = rows.copy()
+            rows[at - done, 0] = math.nan
+        done += len(rows)
+        return rows
 
-    def __call__(self, tool):
-        n, self.calls = self.calls, self.calls + 1
-        if n == self.at:
-            raise SampleError("surface tripped")
-        return self.surface(tool)
+    monkeypatch.setattr(Scene, "object_positions", patched)
 
 
 SHADOW_STAGES = ("fk_master", "ik", "fk_slave", "fbf", "kff")
@@ -574,7 +587,7 @@ def stage_keys(trace, shadow):
     ]
 
 
-def first_failure(keys, trips, driver_at, driver_message="surface tripped"):
+def first_failure(keys, trips, driver_at, driver_message="x must be finite"):
     """(sample, message) of the first failure in sample order: at each
     sample the driver's, then the shadow's modules in module order."""
     for n, sample_keys in enumerate(keys):
@@ -609,7 +622,7 @@ class TestFirstFailureAcrossBackends:
 
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("case", [*CASES, *BLOCK_STAGE_TIES])
-    def test_the_first_failing_sample_wins(self, order, case):
+    def test_the_first_failing_sample_wins(self, order, case, monkeypatch):
         backend, base = ORDERS[order]
         driver_at, stages = {**self.CASES, **self.BLOCK_STAGE_TIES}[case]
         clean = run_pipeline(LONG_SPEC, SHIPPED.scene, ChannelConfig(), ChannelConfig(), backend)
@@ -617,9 +630,11 @@ class TestFirstFailureAcrossBackends:
         trips = frozenset(keys[n][stage] for stage, n in stages.items())
         n, message = first_failure(keys, trips, driver_at)
         shadow = tripping(base, trips)
-        scene = Scene(SHIPPED.scene.elasticity, FailingSurface(driver_at))
+        fail_scene_at(monkeypatch, driver_at)
         with pytest.raises(SampleError) as err:
-            run_pipeline(LONG_SPEC, scene, ChannelConfig(), ChannelConfig(), backend, shadow=shadow)
+            run_pipeline(
+                LONG_SPEC, SHIPPED.scene, ChannelConfig(), ChannelConfig(), backend, shadow=shadow
+            )
         assert str(err.value) == f"sample {n}: {message}"
         assert err.value.sample_index == n
 
@@ -684,14 +699,15 @@ class TestFirstFailureAcrossBackends:
     BEYOND = TrajectorySpec(segments=(TrajectorySegment(0, 3.9, 4.1, 21),))
 
     @pytest.mark.parametrize("driver_at, n", [(None, 10), (15, 10), (10, 10), (4, 4)])
-    def test_angle_beyond_the_shadow_tfb_range(self, driver_at, n):
-        scene = Scene(SHIPPED.scene.elasticity, FailingSurface(driver_at))
+    def test_angle_beyond_the_shadow_tfb_range(self, driver_at, n, monkeypatch):
+        fail_scene_at(monkeypatch, driver_at)
+        scene = SHIPPED.scene
         with pytest.raises(SampleError) as err:
             run_pipeline(
                 self.BEYOND, scene, ChannelConfig(), ChannelConfig(), ORACLE, shadow=Hybrid()
             )
         if n == driver_at:
-            assert str(err.value) == f"sample {n}: surface tripped"
+            assert str(err.value) == f"sample {n}: x must be finite"
         else:
             assert str(err.value).startswith(f"sample {n}: theta1 = 4.0 rad is outside the range")
         assert err.value.sample_index == n
@@ -884,67 +900,6 @@ def test_channel_stage_is_the_per_sample_channel(at):
         if error is not None:
             break
     assert_same_outcome((np.concatenate(blocks), error), want)
-
-
-class NumericSurface:
-    """A user's surface returning an int, a float32 and a float64, raising
-    SampleError on the call of sample ``at`` (None: never)."""
-
-    def __init__(self, at: int | None):
-        self.at = at
-        self.calls = 0
-
-    def __call__(self, tool):
-        n, self.calls = self.calls, self.calls + 1
-        if n == self.at:
-            raise SampleError("surface tripped")
-        return int(tool.x * 1000), np.float32(tool.y), np.float64(tool.z) / 3
-
-
-@pytest.mark.parametrize("at", FAIL_AT)
-def test_user_surface_stage_is_the_per_sample_surface(at):
-    tools = np.random.default_rng(9).uniform(-0.3, 0.3, (pipeline._BLOCK, 3))
-    elasticity = SHIPPED.scene.elasticity
-    reference = Scene(elasticity, NumericSurface(at))
-    want = per_sample(lambda row: reference.object_position(CartesianPosition(*row)), tools.tolist())
-    assert (want[1] is None) == (at is None)
-    stage = pipeline._surface(Scene(elasticity, NumericSurface(at)))
-    assert_same_outcome(stage(in_wide_table(tools)), want)
-
-
-class BadSurface:
-    """The default scene's surface, returning ``bad`` instead on the call of
-    sample ``at``."""
-
-    def __init__(self, at: int, bad):
-        self.at, self.bad = at, bad
-        self.calls = 0
-        self.surface = SHIPPED.scene.surface
-
-    def __call__(self, tool):
-        n, self.calls = self.calls, self.calls + 1
-        return self.bad if n == self.at else self.surface(tool)
-
-
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        ((0.1, 0.2), "surface must return three numbers, got (0.1, 0.2)"),
-        ((0.1, 0.2, 0.3, 0.4), "surface must return three numbers, got (0.1, 0.2, 0.3, 0.4)"),
-        ("xyz", "surface must return three numbers, got 'xyz'"),
-        ((0.1, math.nan, 0.3), "y must be finite"),
-        ((10**400, 0.2, 0.3), "x must be finite"),
-    ],
-    ids=["two", "four", "string", "nan", "int-beyond-float"],
-)
-def test_user_surface_result_checked_at_its_sample(bad, message):
-    # A middle row of the run's second block.
-    at = pipeline._BLOCK + pipeline._BLOCK // 2
-    scene = Scene(SHIPPED.scene.elasticity, BadSurface(at, bad))
-    with pytest.raises(SampleError) as err:
-        run_pipeline(SHIPPED.trajectory, scene, ChannelConfig(), ChannelConfig(), ORACLE)
-    assert err.value.sample_index == at
-    assert str(err.value) == f"sample {at}: {message}"
 
 
 def reference_trajectory(spec: TrajectorySpec) -> list[tuple[float, float, float]]:
