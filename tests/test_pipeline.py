@@ -1030,6 +1030,30 @@ def test_free_space_block_is_the_identity():
     assert error is None and rows.tobytes() == tools.tobytes()
 
 
+# Each scene with a tool row it refuses: the plane's depth overflows, and
+# free space passes an infinite tool on unchanged.
+SCENES = {
+    "plane": (SHIPPED.scene, (-1.5e308, 1.5e308, 0.0)),
+    "free": (Scene.free_space(SHIPPED.scene.elasticity), (math.inf, 0.1, 0.2)),
+}
+
+
+@pytest.mark.parametrize("at", FAIL_AT)
+@pytest.mark.parametrize("name", SCENES)
+def test_scene_stage_is_the_per_sample_scene(name, at):
+    scene, bad = SCENES[name]
+    clean = np.random.default_rng(9).uniform(-0.3, 0.3, (pipeline._BLOCK, 3))
+    tools = with_row(clean, at, bad)
+    if scene.normal is None:
+        want = per_sample(lambda tool: CartesianPosition(*tool), tools.tolist())
+    else:
+        reference = reference_plane(scene.normal, scene.offset)
+        want = per_sample(reference, tools.tolist())
+        assert any(reference(tool) != tool for tool in clean.tolist()), "no contact row"
+    assert (want[1] is None) == (at is None)
+    assert_same_outcome(pipeline._surface(scene)(in_wide_table(tools)), want)
+
+
 def reference_lag(pole, thetas):
     """The FCS lag one sample at a time, as the per-sample stage ran it; a
     zero pole passes the angles on as they are."""
