@@ -72,6 +72,14 @@ class NegativeRadicand(ValueError):
     """Square root requested for a negative operand."""
 
 
+def int_text(value: int) -> str:
+    """``value`` as an error message shows it: beyond 20 digits, their count."""
+    digits = int(abs(value).bit_length() * math.log10(2))  # the count, or one less
+    digits += abs(value) >= 10**digits
+    sign = "a negative" if value < 0 else "an"
+    return str(value) if digits <= 20 else f"{sign} integer of {digits} digits"
+
+
 @dataclass(frozen=True)
 class QFormat:
     """Signed fixed-point format with ``total_bits`` bits, ``frac_bits`` of
@@ -82,10 +90,10 @@ class QFormat:
 
     def __post_init__(self) -> None:
         if not 2 <= self.total_bits <= 64:
-            raise ValueError(f"total_bits must be in [2, 64], got {self.total_bits}")
+            raise ValueError(f"total_bits must be in [2, 64], got {int_text(self.total_bits)}")
         if not 0 <= self.frac_bits <= self.total_bits - 1:
             raise ValueError(
-                f"frac_bits must be in [0, {self.total_bits - 1}], got {self.frac_bits}"
+                f"frac_bits must be in [0, {self.total_bits - 1}], got {int_text(self.frac_bits)}"
             )
 
     # Computed once per instance: the converter and the kernels read them per
@@ -153,7 +161,7 @@ class CordicConfig:
         # Step i of the kernels adds the rounding offset 2**(i-1) to int64
         # values, which needs i <= 63.
         if not 1 <= self.iterations <= 64:
-            raise ValueError(f"iterations must lie in [1, 64], got {self.iterations}")
+            raise ValueError(f"iterations must lie in [1, 64], got {int_text(self.iterations)}")
         if self.fmt.raw_max < round(math.pi * self.fmt.scale):
             raise ValueError(f"format {self.fmt} cannot hold pi (max {self.fmt.max_value})")
         if self.fmt.frac_bits > _ROM_MAX_FRAC_BITS:
@@ -187,7 +195,7 @@ class CordicConfig:
     @cached_property
     def _fp2f(self) -> np.ndarray:
         """The FP2F table of the kernel outputs; see `_fp2f_table`."""
-        return _fp2f_table(self.iterations, self.fmt.frac_bits)
+        return _fp2f_table(self.fmt.frac_bits)
 
     @cached_property
     def _tfb(self) -> tuple[QFormat, int, np.ndarray]:
@@ -352,10 +360,10 @@ def _circle_rom(iterations: int, frac_bits: int) -> tuple[array, array, array, a
     return _c_ints(low), _c_ints(high), _c_ints(base), _c_ints(angles)
 
 
-@lru_cache(maxsize=16)
-def _fp2f_table(iterations: int, frac_bits: int) -> np.ndarray:
+@lru_cache(maxsize=None)  # one per frac_bits: at most _ROM_MAX_FRAC_BITS + 1
+def _fp2f_table(frac_bits: int) -> np.ndarray:
     """FP2F as a table: the float32 value of every raw value the kernels can
-    return at ``iterations`` rotations and ``frac_bits`` fractional bits.
+    return at ``frac_bits`` fractional bits, whatever their iterations.
     Entry ``k`` holds raw value ``k`` and a negative raw value counts from
     the end, so a signed raw value indexes its own entry as a Python index
     does.
@@ -371,7 +379,7 @@ def _fp2f_table(iterations: int, frac_bits: int) -> np.ndarray:
     never from negating the positive one, so zero is +0.0 as on the integer
     path.
     """
-    pi_io = _kernel_constants(iterations, frac_bits)[2]
+    pi_io = round(math.pi * (1 << frac_bits))  # as in `_kernel_constants`
     table = np.arange(2 * pi_io + 1, dtype=np.float32)
     table[pi_io + 1 :] -= 2 * pi_io + 1
     table /= 1 << frac_bits

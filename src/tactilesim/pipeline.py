@@ -22,7 +22,6 @@ at every stage and say nothing about the module under test.
 from __future__ import annotations
 
 import csv
-import errno
 import math
 import mmap
 import operator
@@ -60,6 +59,7 @@ from tactilesim.kinematics import (
     forward_kinematics,
     inverse_kinematics,
 )
+from tactilesim.numerics import int_text
 
 __all__ = [
     "SeriesLengthMismatch",
@@ -105,7 +105,7 @@ class TrajectorySegment:
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.joint not in (0, 1, 2):
-            raise ValueError(f"joint must be 0, 1 or 2, got {self.joint}")
+            raise ValueError(f"joint must be 0, 1 or 2, got {int_text(self.joint)}")
         if self.samples < 1:
             raise ValueError("segment needs at least one sample")
         # A non-finite ramp would fail the run only at its first sample.
@@ -139,7 +139,8 @@ class TrajectorySpec:
             object.__setattr__(self, "total_samples", total)
         elif self.total_samples != total:
             raise ValueError(
-                f"total_samples is {self.total_samples} but segments sum to {total}"
+                f"total_samples is {int_text(self.total_samples)} "
+                f"but segments sum to {int_text(total)}"
             )
 
     @property
@@ -226,21 +227,6 @@ class Scene:
     def object_position(self, tool: CartesianPosition) -> CartesianPosition:
         """``object_positions`` of one tool position."""
         return CartesianPosition(*self.object_positions(np.array([tool], dtype=float))[0].tolist())
-
-    @classmethod
-    def free_space(cls, elasticity: Elasticity) -> "Scene":
-        """No object anywhere: zero contact force for the whole run."""
-        return cls(elasticity)
-
-    @classmethod
-    def contact_plane(
-        cls,
-        normal: Sequence[float],
-        offset: float,
-        elasticity: Elasticity,
-    ) -> "Scene":
-        """A fixed plane {p : n.p = offset} that the tool touches beyond."""
-        return cls(elasticity, normal, offset)
 
 
 # Trace column layout.
@@ -610,31 +596,16 @@ def write_trace_csv(trace: SimulationTrace, path, backend: str) -> None:
             fh.write(_csv_rows(columns, start, start + _CSV_CHUNK))
 
 
-# TraceWriter's messages.  A ticket carries the rows computed so far, or
-# _END once the run is complete.  A reply is (split row, trace, errno): the
-# row the formatter stops at, or -1, the trace index and the errno of a
-# write that failed, followed by its strerror.
+# TraceWriter's tickets: the rows computed so far, or _END once the run is
+# complete.  The formatter's one reply, its split row, is a ticket too.
 _TICKET = struct.Struct("q")
 _END = -1
-_REPLY = struct.Struct("qqq")
 
 
 def _split_row(formatted: int, rows: int) -> int:
     """Where the formatter stops and the parent takes over: halfway through
     the rows the formatter has not yet formatted."""
     return formatted + (rows - formatted) // 2
-
-
-def _read(fd: int, size: int = -1) -> bytes:
-    """``size`` bytes from ``fd``, or everything up to end of file when
-    ``size`` is -1; fewer only at end of file."""
-    data = b""
-    while size < 0 or len(data) < size:
-        more = os.read(fd, 1 << 16 if size < 0 else size - len(data))
-        if not more:
-            break
-        data += more
-    return data
 
 
 class TraceWriter:
@@ -659,9 +630,9 @@ class TraceWriter:
     ``os.fork``, or when the first block is the whole run, the parent
     formats every row at ``close``.
 
-    Every error it raises on a file is an OSError naming the trace path.
-    The formatter leaves only through ``os._exit``, and by itself when its
-    ticket pipe reaches end of file.
+    A formatter that fails (any exception ends it with status 1) hands every
+    row back: ``close`` starts the files again and formats them all, so only
+    the parent reports a file it cannot write, as an OSError naming it.
     """
 
     def __init__(self, paths: Sequence) -> None:
@@ -706,31 +677,22 @@ class TraceWriter:
             return
         tickets, self._tickets, self._replies, replies = ends
         if pid == 0:
-            os.close(self._tickets)
-            os.close(self._replies)
-            self._formatter(tickets, replies, rows_done)
+            # The formatter leaves only through os._exit, never through the
+            # parent's exit handlers or stdio flushes.
+            try:
+                os.close(self._tickets)
+                os.close(self._replies)
+                os._exit(self._follow(tickets, replies, rows_done))
+            finally:
+                os._exit(1)  # any exception
         self._pid = pid
         os.close(tickets)
         os.close(replies)
 
-    def _formatter(self, tickets: int, replies: int, ready: int) -> None:
-        """The forked formatter, from start to ``os._exit``: never the
-        parent's exit handlers or stdio flushes."""
-        code = 1
-        try:
-            code = self._follow(tickets, replies, ready)
-        except OSError as exc:
-            index = self.paths.index(exc.filename) if exc.filename in self.paths else 0
-            reason = (exc.strerror or str(exc)).encode()
-            os.write(replies, _REPLY.pack(-1, index, exc.errno or 0) + reason)
-        finally:
-            os._exit(code)
-
     def _follow(self, tickets: int, replies: int, ready: int) -> int:
         """Format the rows run so far, taking tickets between chunks and
-        waiting for one when every row run is formatted, up to the end mark;
-        then reply with the split row and format up to it.  Returns the exit
-        status."""
+        waiting for one when all are formatted, up to the end mark; then reply
+        with the split row and format up to it.  Returns the exit status."""
         import select  # only the formatter polls
 
         done, pending = 0, b""
@@ -751,7 +713,7 @@ class TraceWriter:
                 self._format(done, stop, self._put)
                 done = stop
         split = _split_row(done, self._q)
-        os.write(replies, _REPLY.pack(split, 0, 0))
+        os.write(replies, _TICKET.pack(split))
         self._format(done, split, self._put)
         return 0
 
@@ -759,24 +721,28 @@ class TraceWriter:
         try:
             os.write(self._tickets, _TICKET.pack(count))
         except BrokenPipeError:
-            pass  # the formatter has ended; close reports why
+            pass  # the formatter has ended; close formats every row
 
     def close(self) -> None:
         """Finish every trace and rename it into place, after the run."""
         if self._q is None or self._rows < self._q:
             raise RuntimeError("TraceWriter.close before the run's last block")
-        rows = self._q
-        if self._pid is None:
+        rows, share, status = self._q, None, 0
+        if self._pid is not None:
+            self._send(_END)
+            reply = os.read(self._replies, _TICKET.size)  # one atomic pipe write
+            if reply:
+                share = []
+                self._format(*_TICKET.unpack(reply), rows, lambda *chunk: share.append(chunk))
+            status = os.waitpid(self._pid, 0)[1]
+            self._pid = None
+        if share is None or status:  # no formatter, or a failed one: start again
+            self.discard()
             self._open()
             self._format(0, rows, self._put)
         else:
-            self._send(_END)
-            split = self._split()
-            share: list[tuple[int, bytes]] = []
-            self._format(split, rows, lambda index, data: share.append((index, data)))
-            self._reap()
-            for index, data in share:
-                self._put(index, data)
+            for chunk in share:
+                self._put(*chunk)
         self._close_fds()
         for index in list(self._temps):
             try:
@@ -802,11 +768,9 @@ class TraceWriter:
         self._temps.clear()
 
     def _open(self) -> None:
-        """Create the temporary file of each trace that has none, next to the
-        trace, holding the header."""
+        """Create the temporary file of each trace, next to the trace,
+        holding the header."""
         for index, path in enumerate(self.paths):
-            if index in self._temps:
-                continue
             head, name = os.path.split(path)
             temp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
             flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND
@@ -833,29 +797,6 @@ class TraceWriter:
                 view = view[os.write(self._fds[index], view) :]
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, self.paths[index]) from None
-
-    def _split(self) -> int:
-        """The formatter's split row; its error, or its end without a
-        reply, raises."""
-        head = _read(self._replies, _REPLY.size)
-        if len(head) == _REPLY.size and _REPLY.unpack(head)[0] >= 0:
-            return _REPLY.unpack(head)[0]
-        self._reap(head)
-        raise OSError(errno.EIO, "the trace formatter ended without a reply", self.paths[0])
-
-    def _reap(self, head: bytes = b"") -> None:
-        """Wait for the formatter to end.  The error it replied, or an exit
-        status other than 0, raises."""
-        record = head + _read(self._replies)
-        _, status = os.waitpid(self._pid, 0)
-        self._pid = None
-        if len(record) >= _REPLY.size:
-            _, index, err = _REPLY.unpack(record[: _REPLY.size])
-            reason = record[_REPLY.size :].decode(errors="replace")
-            raise OSError(err, reason, self.paths[index])
-        code = os.waitstatus_to_exitcode(status)
-        if code:
-            raise OSError(errno.EIO, f"the trace formatter exited with status {code}", self.paths[0])
 
     def _close_fds(self) -> None:
         for fd in (self._tickets, self._replies, *self._fds.values()):

@@ -18,7 +18,7 @@ from tactilesim.channel import ChannelConfig, ConstantDelay, RandomWalkDelay
 from tactilesim.force import Elasticity
 from tactilesim.inputs import ScenarioError, check, check_limits, read_input
 from tactilesim.kinematics import DEFAULT_GEOMETRY, DeviceGeometry, Hybrid, Oracle
-from tactilesim.numerics import CordicConfig, QFormat
+from tactilesim.numerics import CordicConfig, QFormat, int_text
 from tactilesim.pipeline import Scene, TrajectorySegment, TrajectorySpec
 
 __all__ = ["SCHEMA", "Scenario", "ScenarioError", "load_scenario", "parse_scenario"]
@@ -229,7 +229,7 @@ def _channel(data: dict, name: str, seed: int, samples: int) -> ChannelConfig:
         key = "delay.max" if isinstance(given, dict) else "delay"
         raise ScenarioError(
             f"field '{name}.{key}' must be below the trajectory's {samples} samples, "
-            f"got {delay.max_delay}"
+            f"got {int_text(delay.max_delay)}"
         )
     with _naming(name + ".sigma2"):
         return ChannelConfig(data["sigma2"], delay, seed, data["initial_hold"])
@@ -239,14 +239,14 @@ def _scene(data: dict) -> Scene:
     with _naming("scene.elasticity"):
         elasticity = Elasticity(**data["elasticity"])
     if data["type"] == "free":
-        return Scene.free_space(elasticity)
+        return Scene(elasticity)
     if data["type"] != "plane":
         raise ScenarioError(f"field 'scene.type' must be 'plane' or 'free', got {data['type']!r}")
     for key in ("normal", "offset"):
         if data[key] is None:
             raise ScenarioError(f"missing required field 'scene.{key}'")
     with _naming("scene.normal"):
-        return Scene.contact_plane(data["normal"], data["offset"], elasticity)
+        return Scene(elasticity, data["normal"], data["offset"])
 
 
 def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
@@ -254,10 +254,10 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
         raise ScenarioError(f"{source}: scenario must be a mapping")
     s = _section(SCHEMA, data, "")
     if s["version"] != SCHEMA_VERSION:
-        raise ScenarioError(f"field 'version': unsupported schema version {s['version']}")
+        raise ScenarioError(f"field 'version': unsupported schema version {int_text(s['version'])}")
     seed = s["seed"]
     if seed < 0:
-        raise ScenarioError(f"field 'seed' must be nonnegative, got {seed}")
+        raise ScenarioError(f"field 'seed' must be nonnegative, got {int_text(seed)}")
     with _naming("geometry"):
         geometry = DeviceGeometry(**s["geometry"])
     with _naming("cordic.format"):

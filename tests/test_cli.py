@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -380,6 +381,66 @@ def test_integer_beyond_the_float_range_is_one_error_line(path, tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+# Integers that fit the float range but not their field, by field: (path,
+# value, message).  The message shows the value's digit count, not its digits.
+HUGE_IN_RANGE = {
+    "version": (
+        ("version",), 10**300,
+        "field 'version': unsupported schema version an integer of 301 digits",
+    ),
+    "seed": (
+        ("seed",), -(10**300),
+        "field 'seed' must be nonnegative, got a negative integer of 301 digits",
+    ),
+    "cordic.iterations": (
+        ("cordic", "iterations"), 10**300,
+        "field 'cordic': iterations must lie in [1, 64], got an integer of 301 digits",
+    ),
+    "cordic.format": (
+        ("cordic", "format"), "s" + "1" * 301 + ".13",
+        "field 'cordic.format': total_bits must be in [2, 64], got an integer of 301 digits",
+    ),
+    "trajectory.total_samples": (
+        ("trajectory", "total_samples"), 10**300,
+        "field 'trajectory.total_samples': total_samples is an integer of 301 digits "
+        "but segments sum to 1200",
+    ),
+    "segment samples": (
+        ("trajectory", "segments", 0, "samples"), 10**300,
+        "field 'trajectory.total_samples': total_samples is 1200 "
+        "but segments sum to an integer of 301 digits",
+    ),
+    "fc.delay": (
+        ("fc", "delay"), 10**300,
+        "field 'fc.delay' must be below the trajectory's 1200 samples, "
+        "got an integer of 301 digits",
+    ),
+    "bc.delay.max": (
+        ("bc", "delay"), {"min": 0, "max": 10**300},
+        "field 'bc.delay.max' must be below the trajectory's 1200 samples, "
+        "got an integer of 301 digits",
+    ),
+}
+
+
+@pytest.mark.parametrize("path, value, message", HUGE_IN_RANGE.values(), ids=HUGE_IN_RANGE)
+def test_huge_integer_in_the_float_range_shows_its_digit_count(
+    path, value, message, tmp_path, capsys
+):
+    data = scenario_dict()
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text(yaml.safe_dump(data))
+    assert main(["run", str(scenario), "--out-dir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_speedup_at_the_overflow_edge_runs(tmp_path, capsys):
     # A huge limit is accepted as long as its speedup over t_hardware is
     # finite.
@@ -497,20 +558,22 @@ def test_failure_after_the_fork_leaves_nothing(tmp_path, capsys, monkeypatch):
     assert not new.exists()
 
 
-def test_formatter_that_cannot_write_is_an_output_error(tmp_path, capsys, monkeypatch):
-    # The forked formatter's write fails; the parent reports it against the
-    # trace, exits 1 and leaves the earlier traces as they were.
+def test_write_that_fails_in_both_processes_is_an_output_error(tmp_path, capsys, monkeypatch):
+    # The disk has room for the traces' headers only: the forked formatter's
+    # first rows fail, and so do the parent's when it writes every row
+    # itself.  The parent reports it against the trace, exits 1 and leaves
+    # the earlier traces as they were.
     from tactilesim import pipeline
 
     forks = forks_counted(monkeypatch)
-    parent, real = os.getpid(), pipeline._csv_rows
+    header, real = pipeline._CSV_HEADER.encode(), os.write
 
-    def full(columns, start, stop):
-        if os.getpid() != parent:
+    def full(fd, data):
+        if stat.S_ISREG(os.fstat(fd).st_mode) and bytes(data) != header:
             raise OSError(errno.ENOSPC, "No space left on device")
-        return real(columns, start, stop)
+        return real(fd, data)
 
-    monkeypatch.setattr(pipeline, "_csv_rows", full)
+    monkeypatch.setattr(os, "write", full)
     for name, body in EARLIER.items():
         (tmp_path / name).write_bytes(body)
     assert main(["run", str(SCENARIO_PATH), "--out-dir", str(tmp_path)]) == 1

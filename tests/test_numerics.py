@@ -100,6 +100,18 @@ class TestCordicConfig:
         with pytest.raises(ValueError):
             CordicConfig(iterations=0)
 
+    @pytest.mark.parametrize(
+        "iterations, shown",
+        [(10**300, "an integer of 301 digits"), (-(10**5000), "a negative integer of 5001 digits")],
+        ids=["fits-float", "beyond-str"],
+    )
+    def test_huge_iterations_message_shows_the_digit_count(self, iterations, shown):
+        # str() of a 5001-digit integer raises on its own (Python's 4300-digit
+        # limit); the count needs no string.
+        with pytest.raises(ValueError) as err:
+            CordicConfig(iterations=iterations)
+        assert str(err.value) == f"iterations must lie in [1, 64], got {shown}"
+
     @pytest.mark.parametrize("text", ["s2.0", "s2.1", "s3.1", "s16.14"])
     def test_format_must_hold_pi(self, text):
         # The kernels return angles up to pi.
@@ -565,6 +577,11 @@ class TestFp2f:
             assert tfb_atan2(1 / wide.fmt.scale, -96546 / wide.fmt.scale, wide) == np.float32(
                 pi_io / wide.fmt.scale
             )
+
+    def test_table_is_shared_across_iterations(self):
+        # The table depends on the format's fractional bits alone.
+        configs = [CordicConfig(i, fmt) for i in (1, 10, 64) for fmt in (S16_13, QFormat(20, 13))]
+        assert all(cfg._fp2f is configs[0]._fp2f for cfg in configs)
 
     @pytest.mark.parametrize("fmt", [QFormat(4, 1), S16_13, QFormat(20, 16)], ids=str)
     def test_whole_table(self, fmt):

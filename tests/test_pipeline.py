@@ -1,3 +1,4 @@
+import errno
 import importlib.util
 import math
 import os
@@ -119,6 +120,17 @@ class TestTrajectory:
             TrajectorySegment(0, values["start"], values["end"], 3)
         assert str(err.value) == f"{field} is an integer beyond the float range"
 
+    def test_huge_counts_show_their_digit_count(self):
+        segment = TrajectorySegment(0, 0.0, 1.0, 10**300)
+        with pytest.raises(ValueError) as err:
+            TrajectorySpec(segments=(segment,), total_samples=10**25)
+        assert str(err.value) == (
+            "total_samples is an integer of 26 digits but segments sum to an integer of 301 digits"
+        )
+        with pytest.raises(ValueError) as err:
+            TrajectorySegment(-(10**300), 0.0, 1.0, 3)
+        assert str(err.value) == "joint must be 0, 1 or 2, got a negative integer of 301 digits"
+
     def test_single_sample_segment(self):
         spec = TrajectorySpec(segments=(TrajectorySegment(1, 0.0, 0.5, 1),))
         traj = pipeline._trajectory_table(spec)
@@ -150,7 +162,7 @@ class TestTrajectory:
 
 class TestScene:
     def test_free_space_never_touches(self):
-        scene = Scene.free_space(Elasticity(80, 80, 80))
+        scene = Scene(Elasticity(80, 80, 80))
         from tactilesim.kinematics import CartesianPosition
 
         tool = CartesianPosition(0.1, 0.0, -0.1)
@@ -159,7 +171,7 @@ class TestScene:
     def test_plane_projection(self):
         from tactilesim.kinematics import CartesianPosition
 
-        scene = Scene.contact_plane((0, 0, 1.0), offset=0.0, elasticity=Elasticity(1, 1, 1))
+        scene = Scene(Elasticity(1, 1, 1), (0, 0, 1.0), 0.0)
         inside = CartesianPosition(0.0, 0.0, -0.1)
         assert scene.object_position(inside) == inside
         beyond = CartesianPosition(0.2, 0.1, 0.05)
@@ -173,7 +185,7 @@ class TestScene:
         from tactilesim.kinematics import CartesianPosition
 
         normal = np.array((-2.0, 2.0, 1.0)) / 3.0
-        scene = Scene.contact_plane(normal, 0.01, Elasticity(1, 1, 1))
+        scene = Scene(Elasticity(1, 1, 1), normal, 0.01)
         nvec = normal / np.linalg.norm(normal)
         for p in np.random.default_rng(4).uniform(-0.3, 0.3, (2000, 3)):
             got = scene.object_position(CartesianPosition(*p.tolist()))
@@ -186,15 +198,15 @@ class TestScene:
         # An infinite offset used to build a plane that never touches, a NaN
         # one a run that failed at sample 0.
         with pytest.raises(ValueError, match="^plane offset must be finite"):
-            Scene.contact_plane((0, 0, 1.0), bad, Elasticity(1, 1, 1))
+            Scene(Elasticity(1, 1, 1), (0, 0, 1.0), bad)
 
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
-            Scene.contact_plane((0, 0, 0), 0.0, Elasticity(1, 1, 1))
+            Scene(Elasticity(1, 1, 1), (0, 0, 0), 0.0)
 
     def test_overflowing_normal_rejected(self):
         with pytest.raises(ValueError, match="finite nonzero norm"):
-            Scene.contact_plane((1e308, 1e308, 0.0), 0.0, Elasticity(1, 1, 1))
+            Scene(Elasticity(1, 1, 1), (1e308, 1e308, 0.0), 0.0)
 
     def test_scenario_loads_compare_equal(self):
         # A scene is data: two reads of one file give equal, hashable
@@ -205,11 +217,12 @@ class TestScene:
         assert hash(a) == hash(b)
 
     def test_direct_construction_is_checked(self):
-        # The constructors are shorthands: every Scene normalises and checks
-        # its plane.
+        # Every Scene normalises and checks its plane.
         h = Elasticity(1, 1, 1)
-        assert Scene(h, [0, 0, 2], 1) == Scene.contact_plane((0.0, 0.0, 1.0), 1.0, h)
-        assert Scene(h).normal is None and Scene(h) == Scene.free_space(h)
+        plane = Scene(h, [0, 0, 2], 1)
+        assert plane == Scene(h, (0.0, 0.0, 1.0), 1.0)
+        assert plane.normal == (0.0, 0.0, 1.0) and type(plane.offset) is float
+        assert Scene(h).normal is None and Scene(h).offset is None
         with pytest.raises(ValueError, match="^a plane needs both a normal and an offset$"):
             Scene(h, (0, 0, 1.0))
         with pytest.raises(ValueError, match="^a plane needs both a normal and an offset$"):
@@ -289,7 +302,7 @@ class TestRunPipeline:
         assert np.abs(l - c).max() <= 1e-9
 
     def test_object_at_tool_gives_zero_force(self):
-        scene = Scene.free_space(Elasticity(500, 500, 500))
+        scene = Scene(Elasticity(500, 500, 500))
         trace = run_pipeline(
             SHIPPED.trajectory, scene, ChannelConfig(), ChannelConfig(), ORACLE
         )
@@ -1010,7 +1023,7 @@ def test_plane_block_is_the_per_point_surface(normal, tools, offset, on_plane):
             offset = float(nvec.dot(tools[0]))
         if not math.isfinite(offset):
             return
-    scene = Scene.contact_plane(normal, offset, Elasticity(1.0, 1.0, 1.0))
+    scene = Scene(Elasticity(1.0, 1.0, 1.0), normal, offset)
     want = per_sample(reference_plane(normal, offset), tools)
     stage = pipeline._surface(scene)
     assert_same_outcome(stage(in_wide_table(np.array(tools))), want)
@@ -1026,7 +1039,7 @@ def test_plane_block_is_the_per_point_surface(normal, tools, offset, on_plane):
 
 def test_free_space_block_is_the_identity():
     tools = in_wide_table(np.array([(0.1, -0.0, 0.3), (-0.2, 0.0, 1e308)]))
-    rows, error = pipeline._surface(Scene.free_space(Elasticity(1.0, 1.0, 1.0)))(tools)
+    rows, error = pipeline._surface(Scene(Elasticity(1.0, 1.0, 1.0)))(tools)
     assert error is None and rows.tobytes() == tools.tobytes()
 
 
@@ -1034,7 +1047,7 @@ def test_free_space_block_is_the_identity():
 # free space passes an infinite tool on unchanged.
 SCENES = {
     "plane": (SHIPPED.scene, (-1.5e308, 1.5e308, 0.0)),
-    "free": (Scene.free_space(SHIPPED.scene.elasticity), (math.inf, 0.1, 0.2)),
+    "free": (Scene(SHIPPED.scene.elasticity), (math.inf, 0.1, 0.2)),
 }
 
 
@@ -1225,24 +1238,56 @@ class TestTraceWriter:
         written_by_trace_writer(paths, trace, range(256, 1200 + 256, 256))
         assert_as_write_trace_csv(trace, paths, tmp_path)
 
-    def test_formatter_that_dies_is_an_error_naming_the_trace(self, tmp_path, monkeypatch):
-        parent = os.getpid()
-        real = pipeline._csv_rows
+    @pytest.mark.parametrize("call", ["pipe", "fork"])
+    def test_formatter_that_cannot_start_leaves_the_rows_to_the_parent(
+        self, call, tmp_path, monkeypatch
+    ):
+        # The temporary files exist by then; close starts them again.
+        def refuse():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
-        def dying(columns, start, stop):
-            if os.getpid() != parent:
+        monkeypatch.setattr(os, call, refuse)
+        trace = synthetic_trace(1200, dual=True, seed=3)
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        written_by_trace_writer(paths, trace, [256, 1200])
+        assert_as_write_trace_csv(trace, paths, tmp_path)
+
+    @pytest.mark.parametrize("after_reply", [False, True], ids=["before", "after"])
+    @pytest.mark.parametrize("how", ["dies", "raises OSError", "raises RuntimeError"])
+    def test_formatter_that_fails_hands_every_row_to_the_parent(
+        self, how, after_reply, tmp_path, monkeypatch
+    ):
+        # The formatter fails as it splits, before its reply, or at its
+        # first chunk after its reply (its split row is the end of the run,
+        # so it has rows left to format).  The parent then writes every row
+        # itself, to fresh temporary files.
+        real = pipeline._csv_rows
+        replied = []  # only the formatter splits, so only its copy fills
+
+        def fail():
+            if how == "dies":
                 os._exit(3)
+            if how == "raises OSError":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            raise RuntimeError("formatter bug")
+
+        def split_at_the_end(formatted, rows):
+            if not after_reply:
+                fail()
+            replied.append(formatted)
+            return rows
+
+        def failing(columns, start, stop):
+            if replied:
+                fail()
             return real(columns, start, stop)
 
-        monkeypatch.setattr(pipeline, "_csv_rows", dying)
-        trace = synthetic_trace(1200, dual=False)
-        path = tmp_path / "trace_oracle.csv"
-        path.write_bytes(b"earlier\n")
-        with pytest.raises(OSError) as err:
-            written_by_trace_writer([path], trace, [256, 1200])
-        assert err.value.filename == str(path)
-        assert err.value.strerror == "the trace formatter exited with status 3"
-        assert path.read_bytes() == b"earlier\n"
-        assert list(tmp_path.iterdir()) == [path]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.setattr(pipeline, "_split_row", split_at_the_end)
+        monkeypatch.setattr(pipeline, "_csv_rows", failing)
+        trace = synthetic_trace(1200, dual=True, seed=2)
+        paths = [tmp_path / f"trace_{backend}.csv" for backend in trace.backends]
+        for path in paths:
+            path.write_bytes(b"earlier\n")
+        written_by_trace_writer(paths, trace, [256, 1200])
+        assert not replied
+        assert_as_write_trace_csv(trace, paths, tmp_path)
