@@ -10,14 +10,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "tactilesim.channel": (
-        "ChannelConfig",
-        "ChannelState",
-        "ConstantDelay",
-        "OutOfOrderSample",
-        "RandomWalkDelay",
-        "channel_step",
-    ),
+    "tactilesim.channel": ("ChannelConfig", "ChannelState", "OutOfOrderSample", "channel_step"),
     "tactilesim.force": (
         "Elasticity",
         "ForceVector",

@@ -8,23 +8,24 @@ reproducible bit for bit from the scenario file alone.  Both streams are drawn
 ``_BLOCK`` rows at a time; PCG64 gives a ``(B, 3)`` draw the same values as B
 successive 3-vector draws, so the block size does not change a trace.  Each
 generator is made on its stream's first draw, so a channel whose streams are
-never read (no noise, a constant delay) imports no ``numpy.random``.
+never read (no noise, equal delay bounds) imports no ``numpy.random``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
 
+from tactilesim.numerics import int_text
+
 __all__ = [
     "OutOfOrderSample",
-    "ConstantDelay",
-    "RandomWalkDelay",
     "ChannelConfig",
     "ChannelState",
     "channel_step",
@@ -42,66 +43,52 @@ class OutOfOrderSample(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ConstantDelay:
-    delay: int = 0
-
-    def __post_init__(self) -> None:
-        if self.delay < 0:
-            raise ValueError("delay must be a nonnegative integer")
-
-    @property
-    def max_delay(self) -> int:
-        return self.delay
-
-
-@dataclass(frozen=True)
-class RandomWalkDelay:
-    """Bounded integer random walk: each component's delay moves by +-1 per
-    sample and is clamped to [d_min, d_max]; the walk starts at d_min."""
-
-    d_min: int
-    d_max: int
-
-    def __post_init__(self) -> None:
-        if self.d_min < 0 or self.d_max < self.d_min:
-            raise ValueError("need 0 <= d_min <= d_max")
-
-    @property
-    def max_delay(self) -> int:
-        return self.d_max
-
-
-@dataclass(frozen=True)
 class ChannelConfig:
-    """Noise variance per component (signal units squared), delay profile,
-    RNG seed and the value emitted before the first delayed sample arrives
-    (``None``: hold the n = 0 input)."""
+    """Noise variance per component (signal units squared), the delay bounds
+    ``(min, max)`` in samples and the RNG seed.
+
+    Each component's delay starts at min and walks +-1 per sample, clamped to
+    [min, max]; equal bounds are a constant delay, which draws no walk
+    steps.  Before its first delayed sample a component outputs the first
+    input sample."""
 
     noise_variance: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    delay: ConstantDelay | RandomWalkDelay = ConstantDelay(0)
+    delay: tuple[int, int] = (0, 0)
     seed: int = 0
-    initial_hold: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
         nv = self.noise_variance
         if isinstance(nv, (int, float)):
-            nv = (float(nv),) * 3
-        else:
-            nv = tuple(float(v) for v in nv)
+            nv = (nv,) * 3
+        nv = tuple(nv)
         if len(nv) != 3:
             raise ValueError("noise_variance must be a scalar or a 3-vector")
+        # A bool would run as a variance of 0.0 or 1.0.
+        if any(isinstance(v, bool) for v in nv):
+            raise ValueError(f"noise_variance must be numbers, got {self.noise_variance!r}")
+        try:
+            nv = tuple(map(float, nv))
+        except OverflowError:  # not repr'd: it may run to thousands of digits
+            raise ValueError("noise_variance is an integer beyond the float range") from None
         # NaN fails the test too: it would otherwise run noise-free.
         if not all(0 <= v < math.inf for v in nv):
             raise ValueError(f"noise_variance must be finite and nonnegative, got {nv}")
         object.__setattr__(self, "noise_variance", nv)
-        if self.initial_hold is not None:
-            hold = tuple(float(v) for v in self.initial_hold)
-            if len(hold) != 3:
-                raise ValueError("initial_hold must be a 3-vector")
-            # The run would otherwise fail only at its first sample.
-            if not all(map(math.isfinite, hold)):
-                raise ValueError(f"initial_hold must be finite, got {hold}")
-            object.__setattr__(self, "initial_hold", hold)
+        try:
+            lo, hi = self.delay
+        except (TypeError, ValueError):
+            raise ValueError("delay must be a pair (min, max) of integers") from None
+        # A bool would run as the integer it equals, and a float fail the run
+        # at its first sample.
+        for key, value in (("min", lo), ("max", hi)):
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ValueError(f"delay {key} must be an integer, got {value!r}")
+        lo, hi = operator.index(lo), operator.index(hi)
+        if lo < 0:
+            raise ValueError(f"delay min must be nonnegative, got {int_text(lo)}")
+        if hi < lo:
+            raise ValueError(f"delay min {int_text(lo)} exceeds max {int_text(hi)}")
+        object.__setattr__(self, "delay", (lo, hi))
 
     @cached_property
     def _noise_sigma(self) -> tuple[float, float, float] | None:
@@ -118,16 +105,15 @@ class ChannelState:
     streams."""
 
     def __init__(self, cfg: ChannelConfig):
-        depth = cfg.delay.max_delay + 1
-        self.buffer = [(0.0, 0.0, 0.0)] * depth
+        lo, hi = cfg.delay
+        self.buffer = [(0.0, 0.0, 0.0)] * (hi + 1)
         self.expected_n = 0
-        self.hold = cfg.initial_hold
-        if isinstance(cfg.delay, RandomWalkDelay):
-            self.delays = [cfg.delay.d_min] * 3
-            self.walk = (cfg.delay.d_min, cfg.delay.d_max)
-        else:
-            self.delays = [cfg.delay.delay] * 3
-            self.walk = None
+        # The output before the first delayed sample: the first input
+        # sample, which the first step sets.
+        self.hold = None
+        self.delays = [lo] * 3
+        # Equal bounds are a constant delay, which never reads the steps.
+        self.walk = (lo, hi) if hi > lo else None
         # One row per step as a list of Python numbers: the noise terms
         # eps_i * sigma_i, and walk steps of -1 or +1.  A stream that is never
         # read never draws.  A noiseless component's term is -0.0, which
@@ -162,8 +148,8 @@ def channel_step(state: ChannelState, sample, n: int) -> tuple[float, float, flo
     the channel output as a tuple of three floats.
 
     out_i = in_i(n - d_i(n)) + r_i(n), with r_i drawn from N(0, sigma_i^2).
-    Before the first delayed sample is available the component emits the hold
-    value exactly (no noise).  ``n`` must increase by one per call.  ``state``,
+    Before the first delayed sample is available the component emits the
+    first input sample exactly (no noise).  ``n`` must increase by one per call.  ``state``,
     built from the channel's config, holds everything the step reads.
     """
     if n != state.expected_n:

@@ -14,7 +14,7 @@ from functools import partial
 import yaml
 
 from tactilesim.budget import BUDGET_LIMITS, BUDGET_T_HARDWARE, hardware_time_limit
-from tactilesim.channel import ChannelConfig, ConstantDelay, RandomWalkDelay
+from tactilesim.channel import ChannelConfig
 from tactilesim.force import Elasticity
 from tactilesim.inputs import ScenarioError, check, check_limits, read_input
 from tactilesim.kinematics import DEFAULT_GEOMETRY, DeviceGeometry, Hybrid, Oracle
@@ -95,11 +95,7 @@ def _backends(value, name: str) -> tuple[str, ...]:
 # fields take their defaults.
 REQUIRED = object()
 RANDOM_WALK = {"min": (INT, REQUIRED), "max": (INT, REQUIRED)}
-CHANNEL = {
-    "sigma2": ((FLOAT, VECTOR), 0.0),
-    "delay": ((INT, RANDOM_WALK), 0),
-    "initial_hold": (VECTOR, None),
-}
+CHANNEL = {"sigma2": ((FLOAT, VECTOR), 0.0), "delay": ((INT, RANDOM_WALK), 0)}
 SEGMENT = {
     "joint": (INT, REQUIRED),
     "start": (FLOAT, REQUIRED),
@@ -216,23 +212,22 @@ def _trajectory(data: dict, fmt: QFormat | None) -> TrajectorySpec:
 
 
 def _channel(data: dict, name: str, seed: int, samples: int) -> ChannelConfig:
-    """The channel ``name`` of a run of ``samples`` samples."""
+    """The channel ``name`` of a run of ``samples`` samples.  ``delay: d``
+    is the pair (d, d), ``{min: a, max: b}`` the pair (a, b)."""
     given = data["delay"]
+    walk = isinstance(given, dict)
+    # Checked alone first, so that its errors name the delay.
     with _naming(name + ".delay"):
-        if isinstance(given, dict):
-            delay = RandomWalkDelay(d_min=given["min"], d_max=given["max"])
-        else:
-            delay = ConstantDelay(given)
-    # The channel holds max_delay + 1 samples; a delay as long as the run
-    # would allocate that and never deliver one.
-    if delay.max_delay >= samples:
-        key = "delay.max" if isinstance(given, dict) else "delay"
+        delay = ChannelConfig(delay=(given["min"], given["max"]) if walk else (given, given)).delay
+    # The channel holds max + 1 samples; a delay as long as the run would
+    # allocate that and never deliver one.
+    if delay[1] >= samples:
         raise ScenarioError(
-            f"field '{name}.{key}' must be below the trajectory's {samples} samples, "
-            f"got {int_text(delay.max_delay)}"
+            f"field '{name}.{'delay.max' if walk else 'delay'}' must be below the "
+            f"trajectory's {samples} samples, got {int_text(delay[1])}"
         )
     with _naming(name + ".sigma2"):
-        return ChannelConfig(data["sigma2"], delay, seed, data["initial_hold"])
+        return ChannelConfig(data["sigma2"], delay, seed)
 
 
 def _scene(data: dict) -> Scene:

@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 
 from tactilesim import channel
-from tactilesim.channel import (
-    ChannelConfig,
-    ChannelState,
-    ConstantDelay,
-    OutOfOrderSample,
-    RandomWalkDelay,
-    channel_step,
-)
+from tactilesim.channel import ChannelConfig, ChannelState, OutOfOrderSample, channel_step
 
 
 def run_channel(cfg: ChannelConfig, inputs: np.ndarray) -> np.ndarray:
@@ -38,18 +31,40 @@ class TestConfig:
             with pytest.raises(ValueError, match="^noise_variance must be finite"):
                 ChannelConfig(noise_variance=nv)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_hold_rejected(self, bad):
-        # A non-finite hold used to fail the run only at sample 0, as a
-        # NonFiniteSignal from the channel's output.
-        with pytest.raises(ValueError, match="^initial_hold must be finite"):
-            ChannelConfig(initial_hold=(bad, 0.0, 0.0), delay=ConstantDelay(2))
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # A fractional delay once failed the run with a raw TypeError, a
+            # bool ran as a 1-sample delay or a variance of 1.0.
+            ({"delay": (2.5, 2.5)}, "delay min must be an integer, got 2.5"),
+            ({"delay": (0.5, 2)}, "delay min must be an integer, got 0.5"),
+            ({"delay": (0, 2.0)}, "delay max must be an integer, got 2.0"),
+            ({"delay": (True, True)}, "delay min must be an integer, got True"),
+            ({"delay": (0, "3")}, "delay max must be an integer, got '3'"),
+            ({"delay": (-1, -1)}, "delay min must be nonnegative, got -1"),
+            ({"delay": (-(10**400), 0)}, "delay min must be nonnegative, got a negative integer"),
+            ({"delay": (5, 3)}, "delay min 5 exceeds max 3"),
+            ({"delay": 2}, "delay must be a pair (min, max) of integers"),
+            ({"delay": (0, 1, 2)}, "delay must be a pair (min, max) of integers"),
+            ({"noise_variance": True}, "noise_variance must be numbers, got True"),
+            ({"noise_variance": (0.0, False, 0.0)}, "noise_variance must be numbers"),
+            ({"noise_variance": 10**400}, "noise_variance is an integer beyond the float range"),
+        ],
+        ids=[
+            "fraction", "fractional-min", "whole-float-max", "bool", "string", "negative",
+            "negative-huge", "min-above-max", "not-a-pair", "triple", "bool-variance",
+            "bool-component", "huge-variance",
+        ],
+    )
+    def test_malformed_delay_or_variance_rejected(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            ChannelConfig(**kwargs)
+        assert str(err.value).startswith(message)
 
-    def test_delay_validation(self):
-        with pytest.raises(ValueError):
-            ConstantDelay(-1)
-        with pytest.raises(ValueError):
-            RandomWalkDelay(5, 3)
+    def test_delay_bounds_read_as_ints(self):
+        cfg = ChannelConfig(delay=[np.int64(1), 3])
+        assert cfg.delay == (1, 3) and all(type(d) is int for d in cfg.delay)
+        assert ChannelConfig().delay == (0, 0)
 
 
 class TestTransparency:
@@ -66,22 +81,24 @@ class TestTransparency:
 
 class TestDelay:
     def test_step_delayed_with_zero_hold(self):
-        cfg = ChannelConfig(delay=ConstantDelay(3), initial_hold=(0.0, 0.0, 0.0))
-        inputs = np.ones((8, 3))  # unit step at n = 0
+        cfg = ChannelConfig(delay=(3, 3))
+        inputs = np.ones((8, 3))
+        inputs[0] = 0.0  # unit step at n = 1; the first input is the hold
         out = run_channel(cfg, inputs)
-        expected = np.array([0, 0, 0, 1, 1, 1, 1, 1], dtype=float)
+        expected = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=float)
         assert np.array_equal(out[:, 0], expected)
 
     def test_default_hold_is_first_input(self):
-        cfg = ChannelConfig(delay=ConstantDelay(3))
-        inputs = np.ones((8, 3)) * 0.25
+        cfg = ChannelConfig(delay=(3, 3))
+        inputs = np.random.default_rng(2).uniform(-1, 1, (8, 3))
         out = run_channel(cfg, inputs)
-        assert np.array_equal(out, inputs)
+        assert np.array_equal(out[:3], np.repeat(inputs[:1], 3, axis=0))
+        assert np.array_equal(out[3:], inputs[:-3])
 
     def test_causality(self):
         # Output at n only depends on inputs up to n: two sequences agreeing
         # up to n produce identical outputs up to n.
-        cfg = ChannelConfig(delay=RandomWalkDelay(1, 4), seed=9)
+        cfg = ChannelConfig(delay=(1, 4), seed=9)
         rng = np.random.default_rng(5)
         a = rng.uniform(-1, 1, (50, 3))
         b = a.copy()
@@ -91,7 +108,7 @@ class TestDelay:
         assert np.array_equal(out_a[:30], out_b[:30])
 
     def test_random_walk_stays_bounded(self):
-        cfg = ChannelConfig(delay=RandomWalkDelay(2, 6), seed=12)
+        cfg = ChannelConfig(delay=(2, 6), seed=12)
         state = ChannelState(cfg)
         seen = []
         for n in range(500):
@@ -146,9 +163,9 @@ def reference_channel(cfg: ChannelConfig, inputs: np.ndarray) -> np.ndarray:
     were first defined: the block draws must reproduce it bit for bit."""
     noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     delay_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    walk = isinstance(cfg.delay, RandomWalkDelay)
-    delays = [cfg.delay.d_min if walk else cfg.delay.delay] * 3
-    hold = cfg.initial_hold if cfg.initial_hold is not None else tuple(inputs[0])
+    lo, hi = cfg.delay
+    delays = [lo] * 3
+    hold = tuple(inputs[0])
     sigma = [math.sqrt(v) for v in cfg.noise_variance]
     noisy = any(s > 0 for s in sigma)
     out = np.empty_like(inputs)
@@ -161,27 +178,21 @@ def reference_channel(cfg: ChannelConfig, inputs: np.ndarray) -> np.ndarray:
                 out[n, i] = inputs[n - d, i] + eps[i] * sigma[i]
             else:
                 out[n, i] = inputs[n - d, i]
-        if walk:
+        if lo < hi:
             steps = delay_rng.integers(0, 2, size=3)
-            delays = [min(max(d + 2 * s - 1, cfg.delay.d_min), cfg.delay.d_max)
-                      for d, s in zip(delays, steps)]
+            delays = [min(max(d + 2 * s - 1, lo), hi) for d, s in zip(delays, steps)]
     return out
 
 
 @pytest.mark.parametrize(
     "cfg",
     [
-        ChannelConfig(noise_variance=1e-4, delay=ConstantDelay(2), seed=3),
-        ChannelConfig(noise_variance=1e-4, delay=RandomWalkDelay(0, 5), seed=4),
-        ChannelConfig(
-            noise_variance=(1e-4, 0.0, 1e-6),
-            delay=RandomWalkDelay(1, 3),
-            seed=5,
-            initial_hold=(0.5, -0.0, 0.25),
-        ),
-        ChannelConfig(delay=RandomWalkDelay(0, 2), seed=6),
+        ChannelConfig(noise_variance=1e-4, delay=(2, 2), seed=3),
+        ChannelConfig(noise_variance=1e-4, delay=(0, 5), seed=4),
+        ChannelConfig(noise_variance=(1e-4, 0.0, 1e-6), delay=(1, 3), seed=5),
+        ChannelConfig(delay=(0, 2), seed=6),
     ],
-    ids=["constant", "random_walk", "list_sigma2_hold", "walk_only"],
+    ids=["constant", "random_walk", "list_sigma2", "walk_only"],
 )
 def test_block_draws_match_per_sample_draws(cfg):
     q = 3 * channel._BLOCK + 7
@@ -197,12 +208,7 @@ def test_block_draws_match_per_sample_draws(cfg):
     "cfg",
     [
         ChannelConfig(),
-        ChannelConfig(
-            noise_variance=(1e-6, 0.0, 4e-6),
-            delay=RandomWalkDelay(1, 3),
-            seed=11,
-            initial_hold=(0.5, -0.5, 0.0),
-        ),
+        ChannelConfig(noise_variance=(1e-6, 0.0, 4e-6), delay=(1, 3), seed=11),
     ],
     ids=["transparent", "noisy-delayed"],
 )
@@ -221,14 +227,11 @@ class LoopState:
     buffer, the hold and the delays, and raw standard-normal noise rows."""
 
     def __init__(self, cfg: ChannelConfig):
-        depth = cfg.delay.max_delay + 1
-        self.buffer = [[0.0, 0.0, 0.0] for _ in range(depth)]
+        lo, hi = cfg.delay
+        self.buffer = [[0.0, 0.0, 0.0] for _ in range(hi + 1)]
         self.expected_n = 0
-        self.hold = None if cfg.initial_hold is None else list(cfg.initial_hold)
-        if isinstance(cfg.delay, RandomWalkDelay):
-            self.delays = [cfg.delay.d_min] * 3
-        else:
-            self.delays = [cfg.delay.delay] * 3
+        self.hold = None
+        self.delays = [lo] * 3
         noise_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
         delay_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
         self.noise = block_rows(lambda: noise_rng.standard_normal((channel._BLOCK, 3)))
@@ -243,7 +246,8 @@ def block_rows(draw):
 
 def loop_channel_step(state: LoopState, cfg: ChannelConfig, sample, n: int):
     """The step as a loop over the components, as it was written before the
-    straight-line form; the reference that form must reproduce."""
+    straight-line form; the reference that form must reproduce.  Every
+    component walks, and equal bounds pin it."""
     if n != state.expected_n:
         raise OutOfOrderSample(f"expected sample {state.expected_n}, got {n}")
     state.expected_n = n + 1
@@ -271,31 +275,23 @@ def loop_channel_step(state: LoopState, cfg: ChannelConfig, sample, n: int):
         else:
             out.append(buffer[k % depth][i])
 
-    delay = cfg.delay
-    if isinstance(delay, RandomWalkDelay):
-        lo, hi = delay.d_min, delay.d_max
-        state.delays = [
-            lo if d < lo else hi if d > hi else d
-            for d in map(add, state.delays, next(state.steps))
-        ]
+    lo, hi = cfg.delay
+    state.delays = [
+        lo if d < lo else hi if d > hi else d for d in map(add, state.delays, next(state.steps))
+    ]
     return tuple(out)
 
 
 STEP_CONFIGS = {
     "transparent": ChannelConfig(),
-    "constant-noisy": ChannelConfig(noise_variance=1e-4, delay=ConstantDelay(2), seed=3),
-    "constant-quiet-hold": ChannelConfig(
-        delay=ConstantDelay(4), seed=4, initial_hold=(0.5, -0.0, -0.25)
-    ),
-    "walk-noisy": ChannelConfig(noise_variance=1e-4, delay=RandomWalkDelay(0, 5), seed=5),
-    "walk-pinned": ChannelConfig(noise_variance=1e-6, delay=RandomWalkDelay(3, 3), seed=6),
+    "constant-noisy": ChannelConfig(noise_variance=1e-4, delay=(2, 2), seed=3),
+    "constant-quiet": ChannelConfig(delay=(4, 4), seed=4),
+    "walk-noisy": ChannelConfig(noise_variance=1e-4, delay=(0, 5), seed=5),
+    "walk-pinned": ChannelConfig(noise_variance=1e-6, delay=(3, 3), seed=6),
     "walk-zero-variance-components": ChannelConfig(
-        noise_variance=(0.0, 1e-4, 0.0),
-        delay=RandomWalkDelay(1, 3),
-        seed=7,
-        initial_hold=(-0.0, 0.0, 1.5),
+        noise_variance=(0.0, 1e-4, 0.0), delay=(1, 3), seed=7
     ),
-    "walk-quiet": ChannelConfig(delay=RandomWalkDelay(0, 2), seed=8),
+    "walk-quiet": ChannelConfig(delay=(0, 2), seed=8),
 }
 
 

@@ -111,7 +111,12 @@ class TestScenarioParsing:
         data = scenario_dict()
         data["fc"]["delay"] = {"min": 2, "max": 8}
         sc = parse_scenario(data)
-        assert sc.fc.delay.d_min == 2 and sc.fc.delay.d_max == 8
+        assert sc.fc.delay == (2, 8)
+
+    def test_constant_delay_is_equal_bounds(self):
+        data = scenario_dict()
+        data["fc"]["delay"] = 3
+        assert parse_scenario(data).fc.delay == (3, 3)
 
     def test_free_scene(self):
         data = scenario_dict()
@@ -125,18 +130,14 @@ class TestScenarioParsing:
 
 def short_scenario() -> dict:
     """The shipped scenario cut to 10 samples, with every optional field
-    spelled out: noisy channels with both delay kinds, initial holds and a
-    lagging slave."""
+    spelled out: noisy channels with both delay spellings and a lagging
+    slave."""
     data = scenario_dict()
     data["trajectory"]["total_samples"] = 10
     for seg, samples in zip(data["trajectory"]["segments"], (4, 3, 3)):
         seg["samples"] = samples
-    data["fc"] = {
-        "sigma2": 1e-10,
-        "delay": {"min": 0, "max": 2},
-        "initial_hold": [0.0, -0.11, -0.035],
-    }
-    data["bc"] = {"sigma2": [0.0, 1e-6, 0.0], "delay": 1, "initial_hold": [0.0, 0.0, 0.0]}
+    data["fc"] = {"sigma2": 1e-10, "delay": {"min": 0, "max": 2}}
+    data["bc"] = {"sigma2": [0.0, 1e-6, 0.0], "delay": 1}
     data["fcs"] = {"pole": 0.5}
     return data
 
@@ -230,15 +231,27 @@ def test_schema_refuses_wrong_kinds_and_unknown_keys(path, value, message, tmp_p
         ),
         (
             {"fc": {"sigma2": 1.0, "dealy": 5}},
-            "field 'fc.dealy' is unknown; fc takes sigma2, delay, initial_hold",
+            "field 'fc.dealy' is unknown; fc takes sigma2, delay",
         ),
+        (
+            {"fc": {"delay": 2, "initial_hold": [0.0, 0.0, 0.0]}},
+            "field 'fc.initial_hold' is unknown; fc takes sigma2, delay",
+        ),
+        ({"fc": {"delay": {"min": 5, "max": 3}}}, "field 'fc.delay': delay min 5 exceeds max 3"),
+        ({"bc": {"delay": -1}}, "field 'bc.delay': delay min must be nonnegative, got -1"),
+        ({"fc": {"delay": 2.5}}, "field 'fc.delay' must be int, got float"),
+        ({"fc": {"delay": {"min": 0.5, "max": 2}}}, "field 'fc.delay.min' must be int, got float"),
+        ({"bc": {"delay": True}}, "field 'bc.delay' must be int, got bool"),
+        ({"fc": {"sigma2": True}}, "field 'fc.sigma2' must be float, got bool"),
         ({"cordic": {1: 6}}, "field 'cordic.1' is unknown; cordic takes format, iterations"),
         (
             {"trajectory": {"segments": []}},
             "field 'trajectory.segments': trajectory needs at least one segment",
         ),
     ],
-    ids=["misspelled-iterations", "misspelled-delay", "key-not-a-string", "no-segment"],
+    ids=["misspelled-iterations", "misspelled-delay", "initial-hold", "delay-min-above-max",
+         "delay-negative", "delay-fraction", "delay-min-fraction", "delay-bool",
+         "sigma2-bool", "key-not-a-string", "no-segment"],
 )
 def test_scenario_error_message(changes, message, tmp_path, capsys):
     scenario = tmp_path / "s.yaml"
@@ -271,10 +284,12 @@ def test_scenario_error_message(changes, message, tmp_path, capsys):
             "field 'geometry': l1 exceeds the largest link length 65536 m",
         ),
         ({("geometry", "l1"): 1e-30}, 1, "field 'geometry': l1 is below the smallest link length"),
+        # The first delayed force carries noise beyond the float32 range:
+        # the hybrid shadow's cast makes tau inf.
         (
-            {("bc", "initial_hold"): [1e308, 0.0, 0.0], ("bc", "delay"): 2},
+            {("bc", "sigma2"): [1e300, 0.0, 0.0], ("bc", "delay"): 2},
             2,
-            "runtime error: sample 0: tau1 must be finite",
+            "runtime error: sample 2: tau1 must be finite",
         ),
         ({("scene", "offset"): -1e308}, 2, "runtime error: sample 0: fx must be finite"),
         # A contact depth of about 1e37 m: the float32 spring-law multiply
@@ -309,7 +324,7 @@ def test_scenario_error_message(changes, message, tmp_path, capsys):
         ),
     ],
     ids=["iterations", "format", "t_hardware", "t_latency_limits", "normal", "elasticity",
-         "geometry", "long_links", "short_link", "hold", "offset",
+         "geometry", "long_links", "short_link", "noise", "offset",
          "offset-f32-multiply-dual", "offset-f32-multiply-hybrid",
          "offset-f32-cast-dual", "offset-f32-cast-hybrid", "segment"],
 )
@@ -901,13 +916,30 @@ def test_latency_imports_only_what_it_runs():
 
 
 def test_run_imports_only_what_it_runs(tmp_path):
-    _, modules = _modules_after(
-        "from tactilesim.cli import main\n"
-        f"assert main(['run', {str(SCENARIO_PATH)!r}, '--out-dir', {str(tmp_path)!r}]) == 0"
-    )
-    assert {"tactilesim.pipeline", "tactilesim.scenario", "yaml"} <= modules
-    # The shipped scenario's channels are transparent: no stream is drawn.
-    assert not {"scipy", "tactilesim.latency_model", "numpy.random"} & modules
+    # The shipped scenario's channels are transparent, and a walk pinned at
+    # equal bounds is a constant delay: neither draws a stream.
+    pinned = scenario_dict()
+    pinned["fc"]["delay"] = {"min": 2, "max": 2}
+    (tmp_path / "pinned.yaml").write_text(yaml.safe_dump(pinned))
+    for scenario, out in ((SCENARIO_PATH, "shipped"), (tmp_path / "pinned.yaml", "pinned")):
+        _, modules = _modules_after(
+            "from tactilesim.cli import main\n"
+            f"assert main(['run', {str(scenario)!r}, '--out-dir', {str(tmp_path / out)!r}]) == 0"
+        )
+        assert {"tactilesim.pipeline", "tactilesim.scenario", "yaml"} <= modules
+        assert not {"scipy", "tactilesim.latency_model", "numpy.random"} & modules
+    # The pinned walk writes the bytes of the same constant delay.
+    constant = scenario_dict()
+    constant["fc"]["delay"] = 2
+    (tmp_path / "constant.yaml").write_text(yaml.safe_dump(constant))
+    out = str(tmp_path / "constant")
+    assert main(["run", str(tmp_path / "constant.yaml"), "--out-dir", out]) == 0
+    outputs = {
+        name: {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        for name in ("shipped", "pinned", "constant")
+    }
+    assert len(outputs["pinned"]) == 3
+    assert outputs["pinned"] == outputs["constant"] != outputs["shipped"]
 
 
 def test_import_leaves_scipy_unloaded():
@@ -925,8 +957,7 @@ def test_package_import_loads_no_submodule():
 # Every name `tactilesim` exported when its __init__ imported each submodule,
 # by the module it came from.
 PACKAGE_EXPORTS = {
-    "channel": "ChannelConfig ChannelState ConstantDelay OutOfOrderSample RandomWalkDelay "
-    "channel_step",
+    "channel": "ChannelConfig ChannelState OutOfOrderSample channel_step",
     "force": "Elasticity ForceVector JacobianMatrix TorqueVector feedback_force jacobian "
     "kinesthetic_feedback",
     "kinematics": "CartesianPosition DEFAULT_GEOMETRY DeviceGeometry Hybrid JointAngles "

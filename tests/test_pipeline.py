@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import sample_workspace_poses
 from tactilesim import kinematics, pipeline
-from tactilesim.channel import ChannelConfig, ConstantDelay, RandomWalkDelay
+from tactilesim.channel import ChannelConfig
 from tactilesim.force import Elasticity, ForceVector, feedback_force, kinesthetic_feedback
 from tactilesim.kinematics import (
     DEFAULT_GEOMETRY,
@@ -381,13 +381,15 @@ class TestRunPipeline:
         assert "sample" in str(err.value)
 
     def test_non_finite_signal_reports_sample_index(self):
-        # The held force overflows the hybrid's float32 cast: tau is inf.
-        bc = ChannelConfig(delay=ConstantDelay(2), initial_hold=(1e308, 0.0, 0.0))
-        with pytest.raises(NonFiniteSignal, match="^sample 0: tau1 must be finite$") as err:
+        # The first delayed force carries noise beyond the float32 range, so
+        # the hybrid's cast makes tau inf; the two held samples before it are
+        # the first input force and pass.
+        bc = ChannelConfig(noise_variance=(1e300, 0.0, 0.0), delay=(2, 2))
+        with pytest.raises(NonFiniteSignal, match="^sample 2: tau1 must be finite$") as err:
             run_pipeline(
                 SHIPPED.trajectory, SHIPPED.scene, ChannelConfig(), bc, Hybrid()
             )
-        assert err.value.sample_index == 0
+        assert err.value.sample_index == 2
 
     def test_fcs_lag(self):
         spec = SHIPPED.trajectory
@@ -407,7 +409,7 @@ class TestRunPipeline:
 
     def test_delayed_channel_shifts_command(self):
         d = 5
-        fc = ChannelConfig(delay=ConstantDelay(d))
+        fc = ChannelConfig(delay=(d, d))
         trace = run_pipeline(
             SHIPPED.trajectory, SHIPPED.scene, fc, ChannelConfig(), ORACLE
         )
@@ -470,8 +472,8 @@ class TestShadowContract:
         # Noise, a random-walk delay, FCS lag and contact: the shadow sees
         # the chain exactly as the driver recorded it.
         backend, shadow = ORDERS[order]
-        fc = ChannelConfig(noise_variance=1e-8, delay=RandomWalkDelay(0, 5), seed=11)
-        bc = ChannelConfig(noise_variance=1e-4, delay=RandomWalkDelay(0, 3), seed=12)
+        fc = ChannelConfig(noise_variance=1e-8, delay=(0, 5), seed=11)
+        bc = ChannelConfig(noise_variance=1e-4, delay=(0, 3), seed=12)
         scene = SHIPPED.scene
         trace = run_pipeline(LONG_SPEC, scene, fc, bc, backend, shadow=shadow, fcs_pole=0.5)
         alone = run_pipeline(LONG_SPEC, scene, fc, bc, backend, fcs_pole=0.5)
@@ -791,7 +793,7 @@ class TestCallGraph:
         # The self-check's 500-sample long_oracle run: noisy random-walk
         # channels, FCS lag and contact, across the 256-sample block edge.
         scenario = parse_scenario(load_workloads().long_oracle_scenario(0, 500))
-        assert isinstance(scenario.fc.delay, RandomWalkDelay) and scenario.fcs_pole > 0
+        assert scenario.fc.delay == (0, 5) and scenario.fcs_pole > 0
         driver, shadow = scenario.backend_objects()
         assert shadow is None
         counts = self.counting(monkeypatch)
@@ -892,7 +894,7 @@ def test_channel_stage_is_the_per_sample_channel(at):
     # to take a non-finite signal value; the outputs are checked as force
     # vectors.  Seed 9's delay does not grow at any of those rows (it reads
     # 3, 1 and 5 there), so no earlier row reads the same signal row.
-    cfg = ChannelConfig(noise_variance=1e-4, delay=RandomWalkDelay(0, 5), seed=9)
+    cfg = ChannelConfig(noise_variance=1e-4, delay=(0, 5), seed=9)
     q = 2 * pipeline._BLOCK
     signal = np.random.default_rng(5).uniform(-1.0, 1.0, (q, 3))
     if at is not None:
@@ -1203,7 +1205,7 @@ class TestTraceWriter:
     @pytest.mark.parametrize("dual", [False, True], ids=["single", "dual"])
     def test_run_writes_what_write_trace_csv_writes(self, q, dual, tmp_path):
         spec = TrajectorySpec(segments=(TrajectorySegment(1, 0.0, 1.2, q),))
-        fc = ChannelConfig(noise_variance=1e-8, delay=RandomWalkDelay(0, 5), seed=3)
+        fc = ChannelConfig(noise_variance=1e-8, delay=(0, 5), seed=3)
         shadow = Hybrid(CordicConfig(iterations=10)) if dual else None
         paths = [tmp_path / "trace_oracle.csv"] + ([tmp_path / "trace_hybrid.csv"] if dual else [])
         writer = TraceWriter(paths)
