@@ -45,7 +45,7 @@ class OutOfOrderSample(RuntimeError):
 @dataclass(frozen=True)
 class ChannelConfig:
     """Noise variance per component (signal units squared), the delay bounds
-    ``(min, max)`` in samples and the RNG seed.
+    ``(min, max)`` in samples and the RNG seed, a nonnegative integer.
 
     Each component's delay starts at min and walks +-1 per sample, clamped to
     [min, max]; equal bounds are a constant delay, which draws no walk
@@ -89,6 +89,16 @@ class ChannelConfig:
         if hi < lo:
             raise ValueError(f"delay min {int_text(lo)} exceeds max {int_text(hi)}")
         object.__setattr__(self, "delay", (lo, hi))
+        # numpy's SeedSequence would refuse a negative, fractional or missing
+        # seed only at the first noisy step, and take a bool or a numeric
+        # string.
+        seed = self.seed
+        if isinstance(seed, bool) or not hasattr(seed, "__index__"):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {int_text(seed)}")
+        object.__setattr__(self, "seed", seed)
 
     @cached_property
     def _noise_sigma(self) -> tuple[float, float, float] | None:

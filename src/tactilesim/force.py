@@ -16,7 +16,6 @@ failing row raises its exception.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import isfinite
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from tactilesim.kinematics import (
     JointAngles,
     ORACLE,
     Oracle,
-    _non_finite,
+    _checked,
     _tuple_new,
     _Validated,
 )
@@ -61,13 +60,7 @@ class ForceVector(_Validated, namedtuple("ForceVector", "fx fy fz")):
     __slots__ = ()
 
     def __new__(cls, fx, fy, fz):
-        self = _tuple_new(cls, (fx, fy, fz))
-        try:
-            if isfinite(fx) and isfinite(fy) and isfinite(fz):
-                return self
-        except OverflowError:  # an int beyond the float range
-            pass
-        raise _non_finite(self)
+        return _checked(cls, (fx, fy, fz))
 
 
 class TorqueVector(_Validated, namedtuple("TorqueVector", "tau1 tau2 tau3")):
@@ -76,13 +69,7 @@ class TorqueVector(_Validated, namedtuple("TorqueVector", "tau1 tau2 tau3")):
     __slots__ = ()
 
     def __new__(cls, tau1, tau2, tau3):
-        self = _tuple_new(cls, (tau1, tau2, tau3))
-        try:
-            if isfinite(tau1) and isfinite(tau2) and isfinite(tau3):
-                return self
-        except OverflowError:  # an int beyond the float range
-            pass
-        raise _non_finite(self)
+        return _checked(cls, (tau1, tau2, tau3))
 
 
 class JacobianMatrix(

@@ -157,19 +157,30 @@ class DeviceGeometry:
 DEFAULT_GEOMETRY = DeviceGeometry()
 
 
+def _checked(cls, values):
+    """The three ``values`` as a ``cls`` tuple; a value that is NaN,
+    infinite or an int beyond the float range raises NonFiniteSignal naming
+    its field.  It is the ``__new__`` of every validated 3-vector;
+    `forward_kinematics` and `inverse_kinematics` call it directly, which
+    saves the class call, the argument unpacking and the ``__new__`` frame
+    on each of their per-sample calls."""
+    self = _tuple_new(cls, values)
+    a, b, c = self
+    try:
+        if isfinite(a) and isfinite(b) and isfinite(c):
+            return self
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise _non_finite(self)
+
+
 class JointAngles(_Validated, namedtuple("JointAngles", "theta1 theta2 theta3")):
     """Joint angles in rad: a named tuple of finite values."""
 
     __slots__ = ()
 
     def __new__(cls, theta1, theta2, theta3):
-        self = _tuple_new(cls, (theta1, theta2, theta3))
-        try:
-            if isfinite(theta1) and isfinite(theta2) and isfinite(theta3):
-                return self
-        except OverflowError:  # an int beyond the float range
-            pass
-        raise _non_finite(self)
+        return _checked(cls, (theta1, theta2, theta3))
 
 
 class CartesianPosition(_Validated, namedtuple("CartesianPosition", "x y z")):
@@ -178,13 +189,7 @@ class CartesianPosition(_Validated, namedtuple("CartesianPosition", "x y z")):
     __slots__ = ()
 
     def __new__(cls, x, y, z):
-        self = _tuple_new(cls, (x, y, z))
-        try:
-            if isfinite(x) and isfinite(y) and isfinite(z):
-                return self
-        except OverflowError:  # an int beyond the float range
-            pass
-        raise _non_finite(self)
+        return _checked(cls, (x, y, z))
 
 
 def _exception(check, *args) -> SampleError:
@@ -431,7 +436,7 @@ def forward_kinematics(
     y = -L2 cos(t3) + L1 sin(t2) + L3
     z =  L2 cos(t1) sin(t3) + L1 cos(t1) cos(t2) - L4
     """
-    return CartesianPosition(*backend.fk(q, g))
+    return _checked(CartesianPosition, backend.fk(q, g))
 
 
 def inverse_kinematics(
@@ -445,4 +450,4 @@ def inverse_kinematics(
     theta3 = theta2 + alpha - pi/2.  Raises ``Unreachable`` when the acos
     operands leave [-1, 1] by more than ``EPS_REACH``.
     """
-    return JointAngles(*backend.ik(p, g))
+    return _checked(JointAngles, backend.ik(p, g))

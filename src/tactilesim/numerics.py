@@ -19,6 +19,14 @@ FP2F from one float32 table (`_fp2f_table`).  One int64 array kernel
 fold every operand into the first quadrant and unfold the result, so the
 ROMs hold that quadrant only; other atan2 operand pairs run the vectoring
 loop, whose results the unit-circle ROM holds.
+
+`tfb_sincos` keeps its results as well: a dict per configuration
+(`CordicConfig._sincos_results`), keyed by the raw angle reduced into
+[-pi, pi], holds the float32 (sin, cos) pair the kernel and FP2F give that
+angle.  An entry is filled on the angle's first use, so the dict holds at
+most 2 pi + 1 entries in raw units: 51 473 at ``s16.13``, which take
+9.2 MiB.  A run holds only the angles it quantizes to (600 for the shipped
+scenario).
 """
 
 from __future__ import annotations
@@ -198,9 +206,18 @@ class CordicConfig:
         return _fp2f_table(self.fmt.frac_bits)
 
     @cached_property
-    def _tfb(self) -> tuple[QFormat, int, np.ndarray]:
-        """(format, scale, FP2F table): what the TFBs read."""
-        return self.fmt, self.fmt.scale, self._fp2f
+    def _tfb(self) -> tuple[int, np.ndarray]:
+        """(scale, FP2F table): what `tfb_atan2` and `tfb_acos` read."""
+        return self.fmt.scale, self._fp2f
+
+    @cached_property
+    def _sincos_results(self) -> tuple[QFormat, int, dict]:
+        """(format, pi, result table): what `tfb_sincos` reads, pi raw at
+        I/O precision.  The table maps a reduced raw angle to its float32
+        (sin, cos) pair and starts empty; threads that miss on one angle at
+        once each store the same pair."""
+        pi_io = _kernel_constants(self.iterations, self.fmt.frac_bits)[2]
+        return self.fmt, pi_io, {}
 
 
 DEFAULT_CORDIC = CordicConfig()
@@ -386,6 +403,14 @@ def _fp2f_table(frac_bits: int) -> np.ndarray:
     return table
 
 
+def _reduce_turns(raw: int, pi_io: int) -> int:
+    """The raw angle ``raw`` reduced by whole turns: above pi into
+    (-pi, pi], below -pi into [-pi, pi)."""
+    if raw > pi_io:
+        return pi_io - (pi_io - raw) % (2 * pi_io)
+    return (raw + pi_io) % (2 * pi_io) - pi_io
+
+
 def cordic_sincos(raw: int, cfg: CordicConfig = DEFAULT_CORDIC) -> tuple[int, int]:
     """Fixed-point sine and cosine of the raw angle ``raw`` in ``cfg.fmt``;
     returns (sin, cos) as raw values in the same format.
@@ -397,12 +422,8 @@ def cordic_sincos(raw: int, cfg: CordicConfig = DEFAULT_CORDIC) -> tuple[int, in
     comes from a ROM of the first quadrant, built on first use.
     """
     pi_io, half_pi_io, sin_rom, cos_rom = cfg._rotation
-
-    # Reduce by whole turns: above pi into (-pi, pi], below -pi into [-pi, pi).
-    if raw > pi_io:
-        raw = pi_io - (pi_io - raw) % (2 * pi_io)
-    elif raw < -pi_io:
-        raw = (raw + pi_io) % (2 * pi_io) - pi_io
+    if raw > pi_io or raw < -pi_io:
+        raw = _reduce_turns(raw, pi_io)
 
     # Fold into the first quadrant; the signs go on the outputs.
     if raw < 0:
@@ -482,15 +503,30 @@ def _atan2_operand(v, name: str) -> float:
 
 
 def tfb_sincos(angle, cfg: CordicConfig = DEFAULT_CORDIC) -> tuple[np.float32, np.float32]:
-    """Float32-facing TFB: F2FP, CORDIC rotation, FP2F on both outputs; NaN raises ValueError."""
-    fmt, _scale, fp2f = cfg._tfb
+    """Float32-facing TFB: F2FP, CORDIC rotation, FP2F on both outputs; NaN
+    raises ValueError.
+
+    The float32 pair of each raw angle is computed once per configuration
+    and kept in ``cfg``'s result table, keyed by the raw angle reduced into
+    [-pi, pi]; a later call whose angle F2FP maps to the same key returns
+    the kept pair.  The table holds at most 2 pi + 1 entries in raw units
+    (51 473 at ``s16.13``).
+    """
+    fmt, pi_io, results = cfg._sincos_results
     try:
         raw = float_to_fixed(angle, fmt)
     except ValueError:
         a = float(angle)
         raise ValueError(f"tfb_sincos operand must not be NaN, got angle = {a!r}") from None
-    s, c = cordic_sincos(raw, cfg)
-    return fp2f[s], fp2f[c]
+    if raw > pi_io or raw < -pi_io:
+        raw = _reduce_turns(raw, pi_io)
+    try:
+        return results[raw]
+    except KeyError:
+        fp2f = cfg._fp2f
+        s, c = cordic_sincos(raw, cfg)
+        pair = results[raw] = fp2f[s], fp2f[c]
+        return pair
 
 
 def tfb_atan2(y, x, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
@@ -511,7 +547,7 @@ def tfb_atan2(y, x, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
     if not (isfinite(yf) and isfinite(xf)):
         bad = ", ".join(f"{n} = {v!r}" for n, v in (("y", yf), ("x", xf)) if not isfinite(v))
         raise ValueError(f"tfb_atan2 operands must be finite, got {bad}")
-    _fmt, scale, fp2f = cfg._tfb
+    scale, fp2f = cfg._tfb
     # The common power of two times the F2FP scale; both products are exact.
     # Scaled, both operands lie within 2 and the format holds pi, so F2FP
     # is a plain rounding: it cannot saturate.  (0, 0) stays (0, 0).
@@ -528,7 +564,7 @@ def tfb_acos(t, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
     operands; in that form the angle is well conditioned, whereas quantizing
     ``t`` before the square root would amplify the grid error near |t| = 1.
     """
-    _fmt, scale, fp2f = cfg._tfb
+    scale, fp2f = cfg._tfb
     # A double is clamped before its cast, which could overflow (+-1 are
     # float32 values; min and max keep a NaN).  The split is for speed: on a
     # float32, min and max cost 1.7 us a call, 3 % of the `default` workload.

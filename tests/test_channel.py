@@ -61,6 +61,33 @@ class TestConfig:
             ChannelConfig(**kwargs)
         assert str(err.value).startswith(message)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            # Each was accepted when built: -1, 1.5 and None then failed the
+            # first noisy step with numpy's own errors, True ran as seed 1
+            # and "3" ran as well.
+            (-1, "seed must be nonnegative, got -1"),
+            (1.5, "seed must be an integer, got 1.5"),
+            (True, "seed must be an integer, got True"),
+            ("3", "seed must be an integer, got '3'"),
+            (None, "seed must be an integer, got None"),
+            (-(10**400), "seed must be nonnegative, got a negative integer of 401 digits"),
+        ],
+        ids=["negative", "fraction", "bool", "string", "none", "negative-huge"],
+    )
+    def test_malformed_seed_rejected(self, seed, message):
+        with pytest.raises(ValueError) as err:
+            ChannelConfig(noise_variance=1e-6, seed=seed)
+        assert str(err.value) == message
+
+    def test_seed_read_as_int(self):
+        cfg = ChannelConfig(noise_variance=1e-6, seed=np.int64(3))
+        assert cfg.seed == 3 and type(cfg.seed) is int
+        assert run_channel(cfg, np.zeros((4, 3))).tobytes() == run_channel(
+            ChannelConfig(noise_variance=1e-6, seed=3), np.zeros((4, 3))
+        ).tobytes()
+
     def test_delay_bounds_read_as_ints(self):
         cfg = ChannelConfig(delay=[np.int64(1), 3])
         assert cfg.delay == (1, 3) and all(type(d) is int for d in cfg.delay)

@@ -16,6 +16,7 @@ from tactilesim.kinematics import (
     DeviceGeometry,
     Hybrid,
     JointAngles,
+    NonFiniteSignal,
     ORACLE,
     SampleError,
     Unreachable,
@@ -389,3 +390,49 @@ def test_ik_returns_three_floats(backend):
     assert len(angles) == 3
     assert all(type(v) is float for v in angles)
     assert all(type(v) is float for v in inverse_kinematics(p, backend=backend))
+
+
+class FixedBackend:
+    """A backend whose FK and IK return the given values as they are."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def fk(self, theta, g):
+        return self.values
+
+    def ik(self, pos, g):
+        return self.values
+
+
+@pytest.mark.parametrize(
+    "fn, cls",
+    [(forward_kinematics, CartesianPosition), (inverse_kinematics, JointAngles)],
+    ids=["fk", "ik"],
+)
+class TestPublicReturns:
+    # The public functions build their result without calling the class;
+    # they must check it as its constructor does.
+    ARGS = ((0.1, 0.2, 0.3), DEFAULT_GEOMETRY)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400, -(10**400)])
+    def test_non_finite_field_is_named(self, fn, cls, bad):
+        for i, name in enumerate(cls._fields):
+            values = [0.5, -0.0, 2.0]
+            values[i] = bad
+            with pytest.raises(NonFiniteSignal, match=f"^{name} must be finite$"):
+                fn(*self.ARGS, FixedBackend(tuple(values)))
+            with pytest.raises(NonFiniteSignal, match=f"^{name} must be finite$"):
+                cls(*values)
+
+    def test_first_bad_field_is_named(self, fn, cls):
+        second = cls._fields[1]
+        with pytest.raises(NonFiniteSignal, match=f"^{second} must be finite$"):
+            fn(*self.ARGS, FixedBackend((0.0, math.inf, math.nan)))
+
+    @pytest.mark.parametrize("values", [(0.5, -0.0, 2.0), [1, 2, 3]], ids=["tuple", "list"])
+    def test_finite_result_is_the_value_type(self, fn, cls, values):
+        got = fn(*self.ARGS, FixedBackend(values))
+        assert type(got) is cls and got == tuple(values)
+        assert [type(v) for v in got] == [type(v) for v in values]
+        assert math.copysign(1.0, got[1]) == math.copysign(1.0, values[1])

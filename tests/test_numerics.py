@@ -593,6 +593,62 @@ class TestFp2f:
         assert table[raws].tobytes() == expected.tobytes()
 
 
+class TestSincosResults:
+    # tfb_sincos keeps the float32 (sin, cos) pair of each raw angle it has
+    # quantized to, per configuration, under the angle reduced into
+    # [-pi, pi].
+    NAN_MESSAGE = "^tfb_sincos operand must not be NaN, got angle = nan$"
+
+    @staticmethod
+    def expected(angle, cfg: CordicConfig) -> bytes:
+        s, c = cordic_sincos(float_to_fixed(angle, cfg.fmt), cfg)
+        return cfg._fp2f[s].tobytes() + cfg._fp2f[c].tobytes()
+
+    @staticmethod
+    def pair_bytes(pair) -> bytes:
+        assert type(pair) is tuple and len(pair) == 2
+        assert all(type(v) is np.float32 for v in pair)
+        return pair[0].tobytes() + pair[1].tobytes()
+
+    @pytest.mark.parametrize("iterations", [10, 16])
+    @pytest.mark.parametrize("fmt", [QFormat(4, 1), S16_13], ids=str)
+    def test_every_raw_angle_cold_and_warm(self, fmt, iterations):
+        cfg = CordicConfig(iterations=iterations, fmt=fmt)
+        _fmt, pi_io, results = cfg._sincos_results
+        assert pi_io == round(math.pi * fmt.scale) and results == {}
+        with pytest.raises(ValueError, match=self.NAN_MESSAGE):
+            tfb_sincos(math.nan, cfg)
+        angles = [raw / fmt.scale for raw in range(fmt.raw_min, fmt.raw_max + 1)]
+        angles += [math.inf, -math.inf, 1e300, -1e300, -0.0]
+        for angle in angles:
+            want = self.expected(angle, cfg)
+            assert self.pair_bytes(tfb_sincos(angle, cfg)) == want, angle
+            assert self.pair_bytes(tfb_sincos(angle, cfg)) == want, angle
+        # Every reduced raw angle, each once.
+        assert sorted(results) == list(range(-pi_io, pi_io + 1))
+        with pytest.raises(ValueError, match=self.NAN_MESSAGE):
+            tfb_sincos(np.float32(math.nan), cfg)
+        assert len(results) == 2 * pi_io + 1
+
+    def test_configs_differing_in_iterations_keep_their_own_entries(self):
+        coarse, fine = CordicConfig(iterations=4), CordicConfig(iterations=16)
+        angles = [raw / S16_13.scale for raw in range(-30000, 30000, 7)]
+        for angle in angles:
+            tfb_sincos(angle, coarse)
+        assert fine._sincos_results[2] == {}
+        differ = 0
+        for angle in angles:
+            got, want = tfb_sincos(angle, fine), self.expected(angle, fine)
+            assert self.pair_bytes(got) == want, angle
+            differ += self.pair_bytes(tfb_sincos(angle, coarse)) != want
+        # The two grades give other bits for most angles, so a shared entry
+        # would show.
+        assert differ > len(angles) // 2
+        coarse_table, fine_table = coarse._sincos_results[2], fine._sincos_results[2]
+        assert coarse_table is not fine_table
+        assert not {id(v) for v in coarse_table.values()} & {id(v) for v in fine_table.values()}
+
+
 def rotate(z: int, steps, x0: int) -> tuple[int, int]:
     """Rotation-mode CORDIC on Python ints, one angle at a time: drive the
     residual angle ``z`` (working-precision raw, in [0, pi/2]) to zero;

@@ -50,7 +50,8 @@ from tactilesim.scenario import load_scenario, parse_scenario
 
 
 # The shipped validation scenario's trajectory and contact plane.
-SHIPPED = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "default.yaml")
+SHIPPED_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "default.yaml"
+SHIPPED = load_scenario(SHIPPED_PATH)
 
 
 class TestTrajectory:
@@ -325,6 +326,31 @@ class TestRunPipeline:
             assert np.array_equal(a.signals[key], b.signals[key])
         for key in a.shadow_signals:
             assert np.array_equal(a.shadow_signals[key], b.shadow_signals[key])
+
+    def test_warm_sincos_results_give_the_cold_run_bits(self):
+        # One Hybrid for two runs of the shipped scenario: the first fills
+        # the sincos TFB's result table, the second reads it.
+        scenario = load_scenario(SHIPPED_PATH)
+        driver, shadow = scenario.backend_objects()
+        assert "_sincos_results" not in vars(shadow.cordic)
+
+        def once():
+            return run_pipeline(
+                scenario.trajectory, scenario.scene, scenario.fc, scenario.bc, driver,
+                geometry=scenario.geometry, shadow=shadow, fcs_pole=scenario.fcs_pole,
+            )
+
+        cold = once()
+        results = shadow.cordic._sincos_results[2]
+        filled = dict(results)
+        assert 0 < len(filled) < 1200
+        warm = once()
+        assert results == filled
+        for backend in ("oracle", "hybrid"):
+            cold_columns, warm_columns = cold.view(backend), warm.view(backend)
+            assert list(cold_columns) == list(warm_columns)
+            for name, column in cold_columns.items():
+                assert column.tobytes() == warm_columns[name].tobytes(), (backend, name)
 
     def test_dual_backend_mse_table(self):
         trace = run_pipeline(
