@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
 
+from tactilesim.inputs import check_fields, check_items
 from tactilesim.numerics import int_text
 
 __all__ = [
@@ -58,47 +58,23 @@ class ChannelConfig:
 
     def __post_init__(self) -> None:
         nv = self.noise_variance
-        if isinstance(nv, (int, float)):
-            nv = (nv,) * 3
-        nv = tuple(nv)
-        if len(nv) != 3:
-            raise ValueError("noise_variance must be a scalar or a 3-vector")
-        # A bool would run as a variance of 0.0 or 1.0.
-        if any(isinstance(v, bool) for v in nv):
-            raise ValueError(f"noise_variance must be numbers, got {self.noise_variance!r}")
-        try:
-            nv = tuple(map(float, nv))
-        except OverflowError:  # not repr'd: it may run to thousands of digits
-            raise ValueError("noise_variance is an integer beyond the float range") from None
-        # NaN fails the test too: it would otherwise run noise-free.
-        if not all(0 <= v < math.inf for v in nv):
-            raise ValueError(f"noise_variance must be finite and nonnegative, got {nv}")
+        # A number is every component's variance.
+        nv = (nv,) * 3 if isinstance(nv, (int, float)) else nv
+        nv = check_items(nv, float, "noise_variance", 3)
+        if not all(v >= 0 for v in nv):
+            raise ValueError(f"noise_variance must be nonnegative, got {nv}")
         object.__setattr__(self, "noise_variance", nv)
-        try:
-            lo, hi = self.delay
-        except (TypeError, ValueError):
-            raise ValueError("delay must be a pair (min, max) of integers") from None
-        # A bool would run as the integer it equals, and a float fail the run
-        # at its first sample.
-        for key, value in (("min", lo), ("max", hi)):
-            if isinstance(value, bool) or not hasattr(value, "__index__"):
-                raise ValueError(f"delay {key} must be an integer, got {value!r}")
-        lo, hi = operator.index(lo), operator.index(hi)
+        lo, hi = check_items(self.delay, int, "delay", 2)
         if lo < 0:
             raise ValueError(f"delay min must be nonnegative, got {int_text(lo)}")
         if hi < lo:
             raise ValueError(f"delay min {int_text(lo)} exceeds max {int_text(hi)}")
         object.__setattr__(self, "delay", (lo, hi))
-        # numpy's SeedSequence would refuse a negative, fractional or missing
-        # seed only at the first noisy step, and take a bool or a numeric
-        # string.
-        seed = self.seed
-        if isinstance(seed, bool) or not hasattr(seed, "__index__"):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        seed = operator.index(seed)
-        if seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {int_text(seed)}")
-        object.__setattr__(self, "seed", seed)
+        # numpy's SeedSequence would refuse a negative seed only at the first
+        # noisy step.
+        check_fields(self, seed=int)
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {int_text(self.seed)}")
 
     @cached_property
     def _noise_sigma(self) -> tuple[float, float, float] | None:
@@ -116,7 +92,10 @@ class ChannelState:
 
     def __init__(self, cfg: ChannelConfig):
         lo, hi = cfg.delay
-        self.buffer = [(0.0, 0.0, 0.0)] * (hi + 1)
+        try:
+            self.buffer = [(0.0, 0.0, 0.0)] * (hi + 1)
+        except OverflowError:  # beyond the index range: no memory holds it
+            raise MemoryError(f"cannot hold a delay of {int_text(hi)} samples") from None
         self.expected_n = 0
         # The output before the first delayed sample: the first input
         # sample, which the first step sets.

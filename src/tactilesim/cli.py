@@ -174,7 +174,8 @@ def cmd_latency(args) -> int:
     # Speedups are quoted against the measured module times; the fitted
     # critical paths are the model's attribution of them.
     measured = hardware_time(targets)
-    check_limits(args.limits, measured * 1e-9, "--limits")
+    hardware = f"targets: hardware time {measured!r} ns"
+    check_limits(args.limits, measured * 1e-9, "--limits", hardware)
     report = result.to_dict()
     report["t_hardware_measured_ns"] = measured
     report["speedups"] = {

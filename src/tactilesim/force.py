@@ -20,6 +20,7 @@ from collections import namedtuple
 import numpy as np
 
 from tactilesim.circuits import _fbf_circuit, _torque_circuit
+from tactilesim.inputs import check
 from tactilesim.kinematics import (
     DEFAULT_GEOMETRY,
     CartesianPosition,
@@ -93,10 +94,9 @@ class Elasticity(_Validated, namedtuple("Elasticity", "hx hy hz")):
     __slots__ = ()
 
     def __new__(cls, hx, hy, hz):
-        self = _tuple_new(cls, (hx, hy, hz))
+        self = _tuple_new(cls, [check(v, float, k) for k, v in zip(cls._fields, (hx, hy, hz))])
         for name, value in zip(self._fields, self):
-            # NaN fails the test too.
-            if not value >= 0:
+            if value < 0:
                 raise ValueError(f"{name} must be nonnegative")
             if value > _F32_MAX:
                 raise ValueError(f"{name} exceeds the float32 maximum {_F32_MAX:.7g}")

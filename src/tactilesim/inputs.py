@@ -1,53 +1,84 @@
-"""Checked reading of what the commands take: one error type naming the field
-or the file, the number check every field shares, the reading of an input
-file and the check of a set of round-trip latency limits.
+"""Checked reading of what the library and the commands take: one error
+type naming the field or the file, the field check every config constructor
+and the scenario schema share, the reading of an input file and the check of
+a hardware time and its round-trip latency limits.
 
-The scenario schema (``tactilesim.scenario``) and ``tactilesim latency``'s
-targets and ``--limits`` are read through these; the module imports no file
-format, so a command loads only the parser it runs.
+The module imports no file format and no numpy, so a command loads only the
+parser it runs.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 
 from tactilesim.budget import hardware_time_limit
 
 
 class ScenarioError(ValueError):
-    """An input, option or output a command cannot use; the message names the
-    field or the file."""
+    """A field, input, option or output the library or a command cannot use;
+    the message names the field or the file."""
 
 
 def check(value, kind, name: str):
-    """``value`` as a ``kind`` (an int reads as a float); a bool is never a
-    number, a number never an integer beyond the float range, and a float
-    must be finite."""
-    # YAML booleans are ints to Python: `seed: false` must not read as 0.
-    if kind in (int, float) and isinstance(value, bool):
-        raise ScenarioError(f"field '{name}' must be {kind.__name__}, got bool")
-    if kind in (int, float) and isinstance(value, int):
+    """``value`` of the field ``name`` as a ``kind``, or a ScenarioError
+    naming the field; every config constructor checks its fields through
+    this, and the scenario schema its leaves.  A bool is never a number, an
+    integer field takes only an integer (``operator.index``), a float field
+    an integer as a float or any finite real number as it is (a float32
+    stays one), and no integer lies beyond the float range."""
+    if kind is int or kind is float:
+        # YAML booleans are ints to Python: `seed: false` must not read as 0.
+        if isinstance(value, bool):
+            raise ScenarioError(f"field '{name}' must be {kind.__name__}, got bool")
         try:
+            value = operator.index(value)
             as_float = float(value)
+        except TypeError:
+            pass
         except OverflowError:  # not repr'd: it may run to thousands of digits
             raise ScenarioError(f"field '{name}' is an integer beyond the float range") from None
-        if kind is float:
-            value = as_float
-    if not isinstance(value, kind):
+        else:
+            value = as_float if kind is float else value
+    if not isinstance(value, numbers.Real if kind is float else kind):
         raise ScenarioError(f"field '{name}' must be {kind.__name__}, got {type(value).__name__}")
     if kind is float and not math.isfinite(value):
         raise ScenarioError(f"field '{name}' must be finite, got {value!r}")
     return value
 
 
-def check_limits(limits, t_hw: float, name: str) -> None:
+def check_items(values, kind, name: str, length: int | None = None) -> tuple:
+    """The items of the list (or other iterable but a string or a mapping)
+    ``values``, each checked as a ``kind`` and named ``name[i]``; ``length``
+    fixes their count."""
+    if isinstance(values, (str, bytes, dict)) or not hasattr(values, "__iter__"):
+        raise ScenarioError(f"field '{name}' must be list, got {type(values).__name__}")
+    values = tuple(values)
+    if length is not None and len(values) != length:
+        raise ScenarioError(f"field '{name}' must be a list of {length} numbers")
+    return tuple(check(v, kind, f"{name}[{i}]") for i, v in enumerate(values))
+
+
+def check_fields(obj, **kinds) -> None:
+    """Check each field of the frozen dataclass ``obj`` that ``kinds`` names
+    as its kind (see `check`), and keep the value read."""
+    for name, kind in kinds.items():
+        object.__setattr__(obj, name, check(getattr(obj, name), kind, name))
+
+
+def check_limits(limits, t_hw: float, name: str, hardware: str) -> None:
     """Each round-trip latency limit must be finite and nonnegative, and its
     speedup ``hardware_time_limit(limit) / t_hw``, which the reports print as
-    an integer, must be finite.  ``name`` is the field the limits came from."""
+    an integer, must be finite.  The hardware time ``t_hw`` is judged first,
+    against the paper's 1 ms limit.  ``name`` is the field the limits came
+    from, ``hardware`` says where ``t_hw`` came from."""
+    if not (t_hw > 0 and math.isfinite(hardware_time_limit(1e-3) / t_hw)):
+        raise ScenarioError(f"{hardware} is too small for a finite speedup: {t_hw!r} s")
     for i, lim in enumerate(limits):
         if not (math.isfinite(lim) and lim >= 0):
             raise ScenarioError(f"field '{name}[{i}]' must be finite and nonnegative, got {lim!r}")
-        if not (t_hw > 0 and math.isfinite(hardware_time_limit(lim) / t_hw)):
+        if not math.isfinite(hardware_time_limit(lim) / t_hw):
             raise ScenarioError(
                 f"field '{name}[{i}]' is too large for a finite speedup "
                 f"over t_hardware {t_hw!r} s: {lim!r} s"

@@ -32,6 +32,7 @@ from math import acos, atan2, cos, isfinite, sin, sqrt
 import numpy as np
 
 from tactilesim.circuits import _fk_circuit, _ik_circuit, _jacobian_circuit
+from tactilesim.inputs import check_fields
 from tactilesim.numerics import (
     DEFAULT_CORDIC,
     CordicConfig,
@@ -138,6 +139,7 @@ class DeviceGeometry:
     l4: float = 0.170
 
     def __post_init__(self) -> None:
+        check_fields(self, l1=float, l2=float, l3=float, l4=float)
         for name in ("l1", "l2", "l3", "l4"):
             value = getattr(self, name)
             if not value > 0:

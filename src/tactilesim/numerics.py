@@ -40,6 +40,8 @@ from math import isfinite
 
 import numpy as np
 
+from tactilesim.inputs import check_fields
+
 __all__ = [
     "NegativeRadicand",
     "QFormat",
@@ -97,6 +99,7 @@ class QFormat:
     frac_bits: int
 
     def __post_init__(self) -> None:
+        check_fields(self, total_bits=int, frac_bits=int)
         if not 2 <= self.total_bits <= 64:
             raise ValueError(f"total_bits must be in [2, 64], got {int_text(self.total_bits)}")
         if not 0 <= self.frac_bits <= self.total_bits - 1:
@@ -166,6 +169,7 @@ class CordicConfig:
     fmt: QFormat = S16_13
 
     def __post_init__(self) -> None:
+        check_fields(self, iterations=int, fmt=QFormat)
         # Step i of the kernels adds the rounding offset 2**(i-1) to int64
         # values, which needs i <= 63.
         if not 1 <= self.iterations <= 64:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import math
 import mmap
-import operator
 import os
 import struct
 import warnings
@@ -46,6 +45,7 @@ from tactilesim.force import (
 # Not called here: the benchmark's traced run spans this module's
 # `feedback_force` and `kinesthetic_feedback`, so the names must exist.
 from tactilesim.force import feedback_force, kinesthetic_feedback  # noqa: F401
+from tactilesim.inputs import ScenarioError, check, check_fields, check_items
 from tactilesim.kinematics import (
     CartesianPosition,
     DEFAULT_GEOMETRY,
@@ -94,28 +94,12 @@ class TrajectorySegment:
     samples: int
 
     def __post_init__(self) -> None:
-        # A bool or a whole float would pass the checks below as the
-        # integer it equals, and fail the run or ramp the wrong joint.
-        for name in ("joint", "samples"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        check_fields(self, joint=int, start=float, end=float, samples=int)
         if self.joint not in (0, 1, 2):
             raise ValueError(f"joint must be 0, 1 or 2, got {int_text(self.joint)}")
         if self.samples < 1:
-            raise ValueError("segment needs at least one sample")
+            raise ValueError(f"samples must be at least 1, got {int_text(self.samples)}")
         # A non-finite ramp would fail the run only at its first sample.
-        for name in ("start", "end"):
-            try:
-                finite = math.isfinite(getattr(self, name))
-            except OverflowError:  # not repr'd: it may run to thousands of digits
-                raise ValueError(f"{name} is an integer beyond the float range") from None
-            if not finite:
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not math.isfinite(self.end - self.start):
             raise ValueError(f"end - start must be finite ({self.end!r} - {self.start!r})")
 
@@ -130,14 +114,19 @@ class TrajectorySpec:
     total_samples: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.segments:
-            raise ValueError("trajectory needs at least one segment")
+        segments = check_items(self.segments, TrajectorySegment, "segments")
+        if not segments:
+            raise ValueError("segments must hold at least one segment")
+        object.__setattr__(self, "segments", segments)
+        check_fields(self, sample_period=float)
         if self.sample_period <= 0:
-            raise ValueError("sample_period must be positive")
-        total = sum(s.samples for s in self.segments)
+            raise ValueError(f"sample_period must be positive, got {self.sample_period!r}")
+        total = sum(s.samples for s in segments)
         if self.total_samples is None:
             object.__setattr__(self, "total_samples", total)
-        elif self.total_samples != total:
+            return
+        check_fields(self, total_samples=int)
+        if self.total_samples != total:
             raise ValueError(
                 f"total_samples is {int_text(self.total_samples)} "
                 f"but segments sum to {int_text(total)}"
@@ -189,22 +178,19 @@ class Scene:
     offset: float | None = None
 
     def __post_init__(self) -> None:
+        check_fields(self, elasticity=Elasticity)
         if self.normal is None and self.offset is None:
             return
         if self.normal is None or self.offset is None:
             raise ValueError("a plane needs both a normal and an offset")
-        nvec = np.asarray(self.normal, dtype=float)
-        if nvec.shape != (3,):
-            raise ValueError(f"plane normal must have three components, got shape {nvec.shape}")
+        nvec = np.array(check_items(self.normal, float, "normal", 3))
+        # An infinite offset would never touch, a NaN one fail at sample 0.
+        check_fields(self, offset=float)
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(nvec))
         if not (math.isfinite(norm) and norm > 0):
             raise ValueError(f"plane normal must have a finite nonzero norm, got {norm!r}")
-        # An infinite offset would never touch, a NaN one fail at sample 0.
-        if not math.isfinite(self.offset):
-            raise ValueError(f"plane offset must be finite, got {self.offset!r}")
         object.__setattr__(self, "normal", tuple((nvec / norm).tolist()))
-        object.__setattr__(self, "offset", float(self.offset))
 
     def object_positions(self, tools: np.ndarray) -> np.ndarray:
         """The nearest object point of each row of the (m, 3) array of tool
@@ -314,6 +300,15 @@ class SimulationTrace:
         return (self.driver,) if self.shadow is None else (self.driver, self.shadow)
 
 
+def check_fcs_pole(pole, name: str) -> float:
+    """``pole``, the pole of the slave tracking's first-order lag, as a float
+    in [0, 1); ``name`` is the field it came from."""
+    pole = check(pole, float, name)
+    if not 0.0 <= pole < 1.0:
+        raise ScenarioError(f"field '{name}' must lie in [0, 1)")
+    return pole
+
+
 def run_pipeline(
     spec: TrajectorySpec,
     scene: Scene,
@@ -362,8 +357,7 @@ def run_pipeline(
     so far; ``TraceWriter.on_block`` formats the trace from it while the run
     goes on.
     """
-    if not 0.0 <= fcs_pole < 1.0:
-        raise ValueError("fcs_pole must lie in [0, 1)")
+    fcs_pole = check_fcs_pole(fcs_pole, "fcs_pole")
     q_len = spec.q
     width = len(COLUMN_ORDER)
 

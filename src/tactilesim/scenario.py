@@ -5,7 +5,6 @@ Every error is a ScenarioError naming the field or the file."""
 
 from __future__ import annotations
 
-import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -13,13 +12,13 @@ from functools import partial
 
 import yaml
 
-from tactilesim.budget import BUDGET_LIMITS, BUDGET_T_HARDWARE, hardware_time_limit
+from tactilesim.budget import BUDGET_LIMITS, BUDGET_T_HARDWARE
 from tactilesim.channel import ChannelConfig
 from tactilesim.force import Elasticity
-from tactilesim.inputs import ScenarioError, check, check_limits, read_input
+from tactilesim.inputs import ScenarioError, check, check_items, check_limits, read_input
 from tactilesim.kinematics import DEFAULT_GEOMETRY, DeviceGeometry, Hybrid, Oracle
 from tactilesim.numerics import CordicConfig, QFormat, int_text
-from tactilesim.pipeline import Scene, TrajectorySegment, TrajectorySpec
+from tactilesim.pipeline import Scene, TrajectorySegment, TrajectorySpec, check_fcs_pole
 
 __all__ = ["SCHEMA", "Scenario", "ScenarioError", "load_scenario", "parse_scenario"]
 
@@ -66,16 +65,9 @@ FLOAT = partial(check, kind=float)
 STR = partial(check, kind=str)
 
 
-def _numbers(value, name: str, length: int | None = None) -> tuple[float, ...]:
-    """A list of numbers, each checked as FLOAT and named ``name[i]``;
-    ``length`` fixes the item count."""
-    values = check(value, list, name)
-    if length is not None and len(values) != length:
-        raise ScenarioError(f"field '{name}' must be a list of {length} numbers")
-    return tuple(check(v, float, f"{name}[{i}]") for i, v in enumerate(values))
-
-
-VECTOR = partial(_numbers, length=3)
+# A list of numbers, each named ``name[i]``.
+NUMBERS = partial(check_items, kind=float)
+VECTOR = partial(NUMBERS, length=3)
 
 
 def _backends(value, name: str) -> tuple[str, ...]:
@@ -129,7 +121,7 @@ SCHEMA = {
     "bc": (CHANNEL, {}),
     "fcs": ({"pole": (FLOAT, 0.0)}, {}),
     "budget": (
-        {"t_latency_limits": (_numbers, BUDGET_LIMITS), "t_hardware": (FLOAT, BUDGET_T_HARDWARE)},
+        {"t_latency_limits": (NUMBERS, BUDGET_LIMITS), "t_hardware": (FLOAT, BUDGET_T_HARDWARE)},
         {},
     ),
     "output": ({"dir": (STR, "out"), "prefix": (STR, "trace")}, {}),
@@ -184,31 +176,28 @@ def _trajectory(data: dict, fmt: QFormat | None) -> TrajectorySpec:
     segment's start and end must lie in that format's range: F2FP saturates
     a larger angle before the sincos TFB reduces it, which would give a
     silently wrong result."""
-    # TrajectorySpec refuses these too, but names neither field.
-    if data["sample_period"] <= 0:
-        raise ScenarioError("field 'trajectory.sample_period' must be positive")
-    if not data["segments"]:
-        raise ScenarioError("field 'trajectory.segments': trajectory needs at least one segment")
     segments = []
     for i, seg in enumerate(data["segments"]):
         sw = f"trajectory.segments[{i}]"
         if seg["joint"] not in (1, 2, 3):
             raise ScenarioError(f"field '{sw}.joint' must be 1, 2 or 3")
-        start, end = seg["start"], seg["end"]
-        # The ramp steps by (end - start) / (samples - 1).
-        if not math.isfinite(end - start):
-            raise ScenarioError(f"field '{sw}': end - start is not finite ({end!r} - {start!r})")
+        with _naming(sw):
+            segment = TrajectorySegment(seg["joint"] - 1, seg["start"], seg["end"], seg["samples"])
         if fmt is not None:
-            for key, angle in (("start", start), ("end", end)):
+            for key, angle in (("start", segment.start), ("end", segment.end)):
                 if not fmt.min_value <= angle <= fmt.max_value:
                     raise ScenarioError(
                         f"field '{sw}.{key}' = {angle!r} rad is outside the range "
                         f"[{fmt.min_value}, {fmt.max_value}] of cordic.format {fmt}"
                     )
-        with _naming(sw + ".samples"):
-            segments.append(TrajectorySegment(seg["joint"] - 1, start, end, seg["samples"]))
+        segments.append(segment)
+    # Built a field at a time, so that each error names its field.
+    with _naming("trajectory.segments"):
+        spec = TrajectorySpec(tuple(segments))
+    with _naming("trajectory.sample_period"):
+        spec = TrajectorySpec(spec.segments, data["sample_period"])
     with _naming("trajectory.total_samples"):
-        return TrajectorySpec(tuple(segments), data["sample_period"], data["total_samples"])
+        return TrajectorySpec(spec.segments, spec.sample_period, data["total_samples"])
 
 
 def _channel(data: dict, name: str, seed: int, samples: int) -> ChannelConfig:
@@ -265,20 +254,12 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     fc = _channel(s["fc"], "fc", 2 * seed, trajectory.q)
     bc = _channel(s["bc"], "bc", 2 * seed + 1, trajectory.q)
 
-    fcs_pole = s["fcs"]["pole"]
-    if not 0.0 <= fcs_pole < 1.0:
-        raise ScenarioError("field 'fcs.pole' must lie in [0, 1)")
+    fcs_pole = check_fcs_pole(s["fcs"]["pole"], "fcs.pole")
 
     limits, t_hw = s["budget"]["t_latency_limits"], s["budget"]["t_hardware"]
     if t_hw <= 0:
         raise ScenarioError("field 'budget.t_hardware' must be positive")
-    # t_hardware is judged against the paper's 1 ms limit first, then each
-    # limit against t_hardware.
-    if not math.isfinite(hardware_time_limit(1e-3) / t_hw):
-        raise ScenarioError(
-            f"field 'budget.t_hardware' is too small for a finite speedup: {t_hw!r} s"
-        )
-    check_limits(limits, t_hw, "budget.t_latency_limits")
+    check_limits(limits, t_hw, "budget.t_latency_limits", "field 'budget.t_hardware'")
 
     prefix = s["output"]["prefix"]
     # The prefix names files inside the output directory; a separator would

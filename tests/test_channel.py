@@ -1,4 +1,5 @@
 import math
+import re
 from operator import add
 
 import numpy as np
@@ -28,7 +29,8 @@ class TestConfig:
     def test_non_finite_variance_rejected(self, bad):
         # A NaN variance used to build a channel that ran noise-free.
         for nv in (bad, (0.0, bad, 1e-6)):
-            with pytest.raises(ValueError, match="^noise_variance must be finite"):
+            name = re.escape("noise_variance[0]" if nv is bad else "noise_variance[1]")
+            with pytest.raises(ValueError, match=f"^field '{name}' must be finite"):
                 ChannelConfig(noise_variance=nv)
 
     @pytest.mark.parametrize(
@@ -36,23 +38,31 @@ class TestConfig:
         [
             # A fractional delay once failed the run with a raw TypeError, a
             # bool ran as a 1-sample delay or a variance of 1.0.
-            ({"delay": (2.5, 2.5)}, "delay min must be an integer, got 2.5"),
-            ({"delay": (0.5, 2)}, "delay min must be an integer, got 0.5"),
-            ({"delay": (0, 2.0)}, "delay max must be an integer, got 2.0"),
-            ({"delay": (True, True)}, "delay min must be an integer, got True"),
-            ({"delay": (0, "3")}, "delay max must be an integer, got '3'"),
+            ({"delay": (2.5, 2.5)}, "field 'delay[0]' must be int, got float"),
+            ({"delay": (0.5, 2)}, "field 'delay[0]' must be int, got float"),
+            ({"delay": (0, 2.0)}, "field 'delay[1]' must be int, got float"),
+            ({"delay": (True, True)}, "field 'delay[0]' must be int, got bool"),
+            ({"delay": (0, "3")}, "field 'delay[1]' must be int, got str"),
             ({"delay": (-1, -1)}, "delay min must be nonnegative, got -1"),
-            ({"delay": (-(10**400), 0)}, "delay min must be nonnegative, got a negative integer"),
+            ({"delay": (-(10**300), 0)}, "delay min must be nonnegative, got a negative integer"),
+            ({"delay": (-(10**400), 0)}, "field 'delay[0]' is an integer beyond the float range"),
             ({"delay": (5, 3)}, "delay min 5 exceeds max 3"),
-            ({"delay": 2}, "delay must be a pair (min, max) of integers"),
-            ({"delay": (0, 1, 2)}, "delay must be a pair (min, max) of integers"),
-            ({"noise_variance": True}, "noise_variance must be numbers, got True"),
-            ({"noise_variance": (0.0, False, 0.0)}, "noise_variance must be numbers"),
-            ({"noise_variance": 10**400}, "noise_variance is an integer beyond the float range"),
+            ({"delay": 2}, "field 'delay' must be list, got int"),
+            ({"delay": (0, 1, 2)}, "field 'delay' must be a list of 2 numbers"),
+            ({"noise_variance": True}, "field 'noise_variance[0]' must be float, got bool"),
+            (
+                {"noise_variance": (0.0, False, 0.0)},
+                "field 'noise_variance[1]' must be float, got bool",
+            ),
+            (
+                {"noise_variance": 10**400},
+                "field 'noise_variance[0]' is an integer beyond the float range",
+            ),
         ],
         ids=[
             "fraction", "fractional-min", "whole-float-max", "bool", "string", "negative",
-            "negative-huge", "min-above-max", "not-a-pair", "triple", "bool-variance",
+            "negative-huge", "negative-beyond-float", "min-above-max", "not-a-pair", "triple",
+            "bool-variance",
             "bool-component", "huge-variance",
         ],
     )
@@ -68,11 +78,11 @@ class TestConfig:
             # first noisy step with numpy's own errors, True ran as seed 1
             # and "3" ran as well.
             (-1, "seed must be nonnegative, got -1"),
-            (1.5, "seed must be an integer, got 1.5"),
-            (True, "seed must be an integer, got True"),
-            ("3", "seed must be an integer, got '3'"),
-            (None, "seed must be an integer, got None"),
-            (-(10**400), "seed must be nonnegative, got a negative integer of 401 digits"),
+            (1.5, "field 'seed' must be int, got float"),
+            (True, "field 'seed' must be int, got bool"),
+            ("3", "field 'seed' must be int, got str"),
+            (None, "field 'seed' must be int, got NoneType"),
+            (-(10**300), "seed must be nonnegative, got a negative integer of 301 digits"),
         ],
         ids=["negative", "fraction", "bool", "string", "none", "negative-huge"],
     )

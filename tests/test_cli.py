@@ -222,6 +222,10 @@ def test_schema_refuses_wrong_kinds_and_unknown_keys(path, value, message, tmp_p
     assert not out.exists()
 
 
+# One valid trajectory segment.
+SEGMENT = {"joint": 1, "start": 0.0, "end": 1.0, "samples": 3}
+
+
 @pytest.mark.parametrize(
     "changes, message",
     [
@@ -246,12 +250,27 @@ def test_schema_refuses_wrong_kinds_and_unknown_keys(path, value, message, tmp_p
         ({"cordic": {1: 6}}, "field 'cordic.1' is unknown; cordic takes format, iterations"),
         (
             {"trajectory": {"segments": []}},
-            "field 'trajectory.segments': trajectory needs at least one segment",
+            "field 'trajectory.segments': segments must hold at least one segment",
+        ),
+        # TrajectorySpec, TrajectorySegment and ChannelConfig refuse these;
+        # the schema names the field they came from.
+        (
+            {"trajectory": {"sample_period": 0.0, "segments": [SEGMENT]}},
+            "field 'trajectory.sample_period': sample_period must be positive, got 0.0",
+        ),
+        (
+            {"trajectory": {"segments": [{**SEGMENT, "samples": 0}]}},
+            "field 'trajectory.segments[0]': samples must be at least 1, got 0",
+        ),
+        (
+            {"fc": {"sigma2": -1.0}},
+            "field 'fc.sigma2': noise_variance must be nonnegative, got (-1.0, -1.0, -1.0)",
         ),
     ],
     ids=["misspelled-iterations", "misspelled-delay", "initial-hold", "delay-min-above-max",
          "delay-negative", "delay-fraction", "delay-min-fraction", "delay-bool",
-         "sigma2-bool", "key-not-a-string", "no-segment"],
+         "sigma2-bool", "key-not-a-string", "no-segment", "sample-period", "no-sample",
+         "negative-sigma2"],
 )
 def test_scenario_error_message(changes, message, tmp_path, capsys):
     scenario = tmp_path / "s.yaml"
@@ -320,7 +339,7 @@ def test_scenario_error_message(changes, message, tmp_path, capsys):
             {("trajectory", "segments", 0, "start"): 1e308,
              ("trajectory", "segments", 0, "end"): -1e308},
             1,
-            "field 'trajectory.segments[0]': end - start is not finite",
+            "field 'trajectory.segments[0]': end - start must be finite",
         ),
     ],
     ids=["iterations", "format", "t_hardware", "t_latency_limits", "normal", "elasticity",
@@ -757,10 +776,15 @@ class TestLatencyCommand:
 
     def test_hardware_time_underflow_rejected(self, tmp_path, capsys):
         # A 1e-320 ns target is 0.0 s of hardware time: no speedup is finite.
+        # The targets are at fault, not the default limits.
         path = tmp_path / "targets.json"
         path.write_text('{"FK": 1e-320}')
         assert main(["latency", "--targets", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("error: field '--limits[0]'")
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: targets: hardware time 2e-320 ns is too small for a finite speedup: 0.0 s\n"
+        )
+        assert captured.out == ""
 
     @pytest.mark.parametrize("value", ["1e160", "1e20"])
     def test_target_at_solver_infinity_rejected(self, tmp_path, capsys, value):

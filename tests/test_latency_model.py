@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -585,6 +586,47 @@ class TestAgainstLinprog:
         fitted, reference = self.fits(target_sets, monkeypatch)
         for targets, got, want in zip(target_sets, fitted, reference):
             assert got == want, targets
+
+
+def test_fit_and_reselect_loop(monkeypatch):
+    # Each round's vertex, recorded where calibrate() solves, replayed
+    # against the loop's rules: round 1 fits the longest path by node count,
+    # each later round the dominant path under the table before it (the
+    # first signature with the largest `_fma_dot`); the loop stops after a
+    # round with no residual, at a selection it fitted already, or after
+    # `_MAX_ROUNDS`; and the fit is the round with the smallest sum of
+    # squared residuals, the first on ties.
+    from test_golden import sweep_target_sets
+
+    graphs = builtin_graphs()
+    rounds = []
+
+    def recording(c, model, solve=latency_model.linprog):
+        x = solve(c, model)
+        rounds.append((list(c), [0.0 if v < 0.0 else float(v) for v in x]))
+        return x
+
+    monkeypatch.setattr(latency_model, "linprog", recording)
+    for targets in TARGET_SETS + sweep_target_sets(200):
+        rounds.clear()
+        fit = calibrate(targets)
+        names = sorted(targets)
+        selected = {name: graphs[name]._longest_by_count for name in names}
+        fits = []
+        for k, (objective, x) in enumerate(rounds):
+            assert objective == [-sum(col) for col in zip(*selected.values())], targets
+            table = OpLatencyTable(*x)
+            cps = {name: critical_path(graphs[name], table) for name in names}
+            sq_err = sum((cps[name] - targets[name]) ** 2 for name in names)
+            fits.append((sq_err, table))
+            previous, selected = selected, {
+                name: max(graphs[name]._path_signatures, key=partial(latency_model._fma_dot, x=x))
+                for name in names
+            }
+            last = sq_err == 0.0 or selected == previous or k + 1 == latency_model._MAX_ROUNDS
+            assert last == (k + 1 == len(rounds)), (targets, k)
+        best = min(range(len(fits)), key=lambda k: fits[k][0])
+        assert fit.table == fits[best][1], targets
 
 
 @contextlib.contextmanager

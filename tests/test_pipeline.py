@@ -101,7 +101,7 @@ class TestTrajectory:
         value = joint if name == "joint" else samples
         with pytest.raises(ValueError) as err:
             TrajectorySegment(joint, 0.0, 1.0, samples)
-        assert str(err.value) == f"{name} must be an integer, got {value!r}"
+        assert str(err.value) == f"field '{name}' must be int, got {type(value).__name__}"
 
     @pytest.mark.parametrize("integer", [np.int64, np.int8, int])
     def test_segment_takes_any_index_integer(self, integer):
@@ -119,7 +119,7 @@ class TestTrajectory:
         values = {"start": 0, "end": 1, field: big}
         with pytest.raises(ValueError) as err:
             TrajectorySegment(0, values["start"], values["end"], 3)
-        assert str(err.value) == f"{field} is an integer beyond the float range"
+        assert str(err.value) == f"field '{field}' is an integer beyond the float range"
 
     def test_huge_counts_show_their_digit_count(self):
         segment = TrajectorySegment(0, 0.0, 1.0, 10**300)
@@ -143,7 +143,7 @@ class TestTrajectory:
         # An infinite end used to build, and the run then failed with
         # "theta1 must be finite" and no sample index.
         values = {"start": 0.0, "end": 1.0, field: bad}
-        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        with pytest.raises(ValueError, match=f"^field '{field}' must be finite"):
             TrajectorySegment(0, values["start"], values["end"], 3)
 
     def test_overflowing_ramp_rejected(self):
@@ -198,7 +198,7 @@ class TestScene:
     def test_non_finite_offset_rejected(self, bad):
         # An infinite offset used to build a plane that never touches, a NaN
         # one a run that failed at sample 0.
-        with pytest.raises(ValueError, match="^plane offset must be finite"):
+        with pytest.raises(ValueError, match="^field 'offset' must be finite"):
             Scene(Elasticity(1, 1, 1), (0, 0, 1.0), bad)
 
     def test_zero_normal_rejected(self):
@@ -228,12 +228,12 @@ class TestScene:
             Scene(h, (0, 0, 1.0))
         with pytest.raises(ValueError, match="^a plane needs both a normal and an offset$"):
             Scene(h, offset=0.0)
-        with pytest.raises(ValueError, match=r"^plane normal must have three components"):
+        with pytest.raises(ValueError, match=r"^field 'normal' must be a list of 3 numbers$"):
             Scene(h, (0.0, 1.0), 0.0)
-        with pytest.raises(ValueError, match="^plane offset must be finite"):
+        with pytest.raises(ValueError, match="^field 'offset' must be finite"):
             Scene(h, (0, 0, 1.0), math.nan)
         # No surface callable: the normal must be numbers.
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^field 'normal' must be list, got function$"):
             Scene(h, lambda tool: tool, 0.0)
 
 

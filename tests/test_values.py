@@ -130,5 +130,5 @@ def test_elasticity_checks_each_builder(how):
             build(Elasticity, tuple(values))
         # Refused when built, not at the first contact sample.
         values[i] = math.nan
-        with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
+        with pytest.raises(ValueError, match=f"^field '{name}' must be finite, got nan$"):
             build(Elasticity, tuple(values))
