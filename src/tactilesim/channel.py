@@ -9,19 +9,22 @@ reproducible bit for bit from the scenario file alone.  Both streams are drawn
 successive 3-vector draws, so the block size does not change a trace.  Each
 generator is made on its stream's first draw, so a channel whose streams are
 never read (no noise, equal delay bounds) imports no ``numpy.random``.
+A ``ChannelConfig`` is a validated named tuple (``tactilesim.inputs.Checked``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import numbers
+import sys
+from collections import namedtuple
 from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
 
-from tactilesim.inputs import check_fields, check_items
+from tactilesim.inputs import Checked, check, check_items
 from tactilesim.numerics import int_text
 
 __all__ = [
@@ -42,8 +45,7 @@ class OutOfOrderSample(RuntimeError):
     """Channel stepped with a sample index that is not the expected next one."""
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
+class ChannelConfig(Checked, namedtuple("ChannelConfig", "noise_variance delay seed")):
     """Noise variance per component (signal units squared), the delay bounds
     ``(min, max)`` in samples and the RNG seed, a nonnegative integer.
 
@@ -52,29 +54,25 @@ class ChannelConfig:
     steps.  Before its first delayed sample a component outputs the first
     input sample."""
 
-    noise_variance: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    delay: tuple[int, int] = (0, 0)
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        nv = self.noise_variance
-        # A number is every component's variance.
-        nv = (nv,) * 3 if isinstance(nv, (int, float)) else nv
-        nv = check_items(nv, float, "noise_variance", 3)
+    def __new__(cls, noise_variance=(0.0, 0.0, 0.0), delay=(0, 0), seed=0):
+        # A real number (a bool too, which the check refuses) is every
+        # component's variance.
+        if isinstance(noise_variance, numbers.Real):
+            noise_variance = (noise_variance,) * 3
+        nv = check_items(noise_variance, float, "noise_variance", 3)
         if not all(v >= 0 for v in nv):
             raise ValueError(f"noise_variance must be nonnegative, got {nv}")
-        object.__setattr__(self, "noise_variance", nv)
-        lo, hi = check_items(self.delay, int, "delay", 2)
+        lo, hi = check_items(delay, int, "delay", 2)
         if lo < 0:
             raise ValueError(f"delay min must be nonnegative, got {int_text(lo)}")
         if hi < lo:
             raise ValueError(f"delay min {int_text(lo)} exceeds max {int_text(hi)}")
-        object.__setattr__(self, "delay", (lo, hi))
         # numpy's SeedSequence would refuse a negative seed only at the first
         # noisy step.
-        check_fields(self, seed=int)
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {int_text(self.seed)}")
+        seed = check(seed, int, "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {int_text(seed)}")
+        return tuple.__new__(cls, (nv, (lo, hi), seed))
 
     @cached_property
     def _noise_sigma(self) -> tuple[float, float, float] | None:
@@ -149,7 +147,12 @@ def channel_step(state: ChannelState, sample, n: int) -> tuple[float, float, flo
         x0, x1, x2 = sample
     except ValueError:
         raise ValueError("sample must be a 3-vector") from None
-    x = (float(x0), float(x1), float(x2))
+    try:
+        x = (float(x0), float(x1), float(x2))
+    except OverflowError:  # an int beyond the float range
+        ints = [(i, v) for i, v in enumerate((x0, x1, x2)) if isinstance(v, int)]
+        i, v = next((i, v) for i, v in ints if abs(v) > sys.float_info.max)
+        raise ValueError(f"sample[{i}] = {int_text(v)} is beyond the float range") from None
     hold = state.hold
     if hold is None:
         hold = state.hold = x

@@ -20,7 +20,7 @@ from collections import namedtuple
 import numpy as np
 
 from tactilesim.circuits import _fbf_circuit, _torque_circuit
-from tactilesim.inputs import check
+from tactilesim.inputs import Checked, check
 from tactilesim.kinematics import (
     DEFAULT_GEOMETRY,
     CartesianPosition,
@@ -29,9 +29,9 @@ from tactilesim.kinematics import (
     JointAngles,
     ORACLE,
     Oracle,
-    _checked,
+    _Finite,
+    _non_finite,
     _tuple_new,
-    _Validated,
 )
 
 # Not called here: the benchmark's traced run spans this module's
@@ -55,26 +55,20 @@ __all__ = [
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
-class ForceVector(_Validated, namedtuple("ForceVector", "fx fy fz")):
+class ForceVector(_Finite, namedtuple("ForceVector", "fx fy fz")):
     """Force in N: a named tuple of finite values."""
 
     __slots__ = ()
 
-    def __new__(cls, fx, fy, fz):
-        return _checked(cls, (fx, fy, fz))
 
-
-class TorqueVector(_Validated, namedtuple("TorqueVector", "tau1 tau2 tau3")):
+class TorqueVector(_Finite, namedtuple("TorqueVector", "tau1 tau2 tau3")):
     """Joint torques in N m: a named tuple of finite values."""
 
     __slots__ = ()
 
-    def __new__(cls, tau1, tau2, tau3):
-        return _checked(cls, (tau1, tau2, tau3))
-
 
 class JacobianMatrix(
-    _Validated, namedtuple("JacobianMatrix", "j11 j12 j13 j21 j22 j23 j31 j32 j33")
+    Checked, namedtuple("JacobianMatrix", "j11 j12 j13 j21 j22 j23 j31 j32 j33")
 ):
     """Partial derivatives of the tool position w.r.t. the joint angles, in
     row order; row = Cartesian coordinate, column = joint.  J21 is identically
@@ -88,7 +82,7 @@ class JacobianMatrix(
         return _tuple_new(cls, (j11, j12, j13, j21, j22, j23, j31, j32, j33))
 
 
-class Elasticity(_Validated, namedtuple("Elasticity", "hx hy hz")):
+class Elasticity(Checked, namedtuple("Elasticity", "hx hy hz")):
     """Per-axis spring constants of the contact model, in N/m."""
 
     __slots__ = ()
@@ -112,13 +106,18 @@ def jacobian(
 
     J21 is emitted as constant zero with no computation, as in the hardware.
     """
-    j11, j12, j13, j22, j23, j31, j32, j33 = _row(backend.jacobian_block(_rows(q), g))
+    rows = _rows(q, JointAngles)
+    j11, j12, j13, j22, j23, j31, j32, j33 = _row(backend.jacobian_block(rows, g))
     return JacobianMatrix(j11, j12, j13, 0.0, j22, j23, j31, j32, j33)
 
 
-def _rows(values) -> np.ndarray:
-    """One sample as a block of one row of doubles."""
-    return np.array([values], float)
+def _rows(values, vector) -> np.ndarray:
+    """One sample as a block of one row of doubles; an int beyond the float
+    range raises the NonFiniteSignal naming its field of ``vector``."""
+    try:
+        return np.array([values], float)
+    except OverflowError:
+        raise _non_finite(_tuple_new(vector, values)) from None
 
 
 def _row(block) -> list[float]:
@@ -140,7 +139,8 @@ def kinesthetic_feedback(
     The J21 product is skipped (no circuit exists for it); the remaining
     products accumulate in a fixed order so results are bit-reproducible.
     """
-    return TorqueVector(*_row(kinesthetic_feedback_block(_rows(q), _rows(f), g, backend)))
+    q, f = _rows(q, JointAngles), _rows(f, ForceVector)
+    return TorqueVector(*_row(kinesthetic_feedback_block(q, f, g, backend)))
 
 
 def feedback_force(
@@ -150,7 +150,8 @@ def feedback_force(
     backend: Oracle | Hybrid = ORACLE,
 ) -> ForceVector:
     """Spring-law contact force, per axis: h_i * (obj_i - env_i)."""
-    return ForceVector(*_row(feedback_force_block(_rows(obj), _rows(env), h, backend)))
+    obj, env = _rows(obj, CartesianPosition), _rows(env, CartesianPosition)
+    return ForceVector(*_row(feedback_force_block(obj, env, h, backend)))
 
 
 def kinesthetic_feedback_block(

@@ -1,7 +1,8 @@
 """Checked reading of what the library and the commands take: one error
-type naming the field or the file, the field check every config constructor
-and the scenario schema share, the reading of an input file and the check of
-a hardware time and its round-trip latency limits.
+type naming the field or the file, the base of the validated named tuples
+(every config and value type), the field check their constructors and the
+scenario schema share, the reading of an input file and the check of a
+hardware time and its round-trip latency limits.
 
 The module imports no file format and no numpy, so a command loads only the
 parser it runs.
@@ -19,6 +20,21 @@ from tactilesim.budget import hardware_time_limit
 class ScenarioError(ValueError):
     """A field, input, option or output the library or a command cannot use;
     the message names the field or the file."""
+
+
+class Checked:
+    """Base of the validated named tuples, whose ``__new__`` checks and
+    normalises the fields.  namedtuple's ``_make`` (and ``_replace``, which
+    calls it) would build the tuple around ``__new__``; here it calls the
+    constructor.  Pickle and ``copy`` rebuild through ``__new__`` already.
+    A subclass without ``__slots__`` keeps its cached properties in its
+    ``__dict__``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def check(value, kind, name: str):
@@ -58,13 +74,6 @@ def check_items(values, kind, name: str, length: int | None = None) -> tuple:
     if length is not None and len(values) != length:
         raise ScenarioError(f"field '{name}' must be a list of {length} numbers")
     return tuple(check(v, kind, f"{name}[{i}]") for i, v in enumerate(values))
-
-
-def check_fields(obj, **kinds) -> None:
-    """Check each field of the frozen dataclass ``obj`` that ``kinds`` names
-    as its kind (see `check`), and keep the value read."""
-    for name, kind in kinds.items():
-        object.__setattr__(obj, name, check(getattr(obj, name), kind, name))
 
 
 def check_limits(limits, t_hw: float, name: str, hardware: str) -> None:

@@ -11,7 +11,8 @@ circuits both backends share (J^T F and the spring law of
   Jacobian formula is written once, over ``np.sin``/``np.cos`` columns.
 * ``Hybrid``  - float32 arithmetic with fixed-point CORDIC trigonometry,
   matching the structure of the hardware circuits (TFB per trig term,
-  float32 multipliers/adders, float32 geometry constants).
+  float32 multipliers/adders, float32 geometry constants).  It is a
+  validated named tuple of its one field, the ``CordicConfig`` of its TFBs.
 
 The hybrid modules are the circuit functions of ``tactilesim.circuits``
 (``_fk_circuit``, ``_ik_circuit``, ``_jacobian_circuit``), written once over
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import acos, atan2, cos, isfinite, sin, sqrt
@@ -32,10 +32,11 @@ from math import acos, atan2, cos, isfinite, sin, sqrt
 import numpy as np
 
 from tactilesim.circuits import _fk_circuit, _ik_circuit, _jacobian_circuit
-from tactilesim.inputs import check_fields
+from tactilesim.inputs import Checked, check
 from tactilesim.numerics import (
     DEFAULT_CORDIC,
     CordicConfig,
+    int_text,
     sqrt32,
     tfb_acos,
     tfb_atan2,
@@ -115,33 +116,13 @@ def _non_finite(value) -> NonFiniteSignal:
             return NonFiniteSignal(f"{name} must be finite")
 
 
-class _Validated:
-    """Base of the validated named tuples: their ``__new__`` checks the
-    values.  namedtuple's ``_make`` (and ``_replace``, which calls it) would
-    build the tuple without ``__new__``; here it calls the constructor.
-    Pickle and ``copy`` rebuild through ``__new__`` already."""
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
-@dataclass(frozen=True)
-class DeviceGeometry:
+class DeviceGeometry(Checked, namedtuple("DeviceGeometry", "l1 l2 l3 l4")):
     """Link lengths in meters. L4 is the vertical offset of the tool frame
     (first link plus base height)."""
 
-    l1: float = 0.135
-    l2: float = 0.135
-    l3: float = 0.025
-    l4: float = 0.170
-
-    def __post_init__(self) -> None:
-        check_fields(self, l1=float, l2=float, l3=float, l4=float)
-        for name in ("l1", "l2", "l3", "l4"):
-            value = getattr(self, name)
+    def __new__(cls, l1: float = 0.135, l2: float = 0.135, l3: float = 0.025, l4: float = 0.170):
+        self = _tuple_new(cls, [check(v, float, k) for k, v in zip(cls._fields, (l1, l2, l3, l4))])
+        for name, value in zip(self._fields, self):
             if not value > 0:
                 raise ValueError(f"{name} must be positive")
             # The bound of the hybrid datapath; see _LINK_MAX.
@@ -149,6 +130,7 @@ class DeviceGeometry:
                 raise ValueError(f"{name} exceeds the largest link length {_LINK_MAX:g} m")
             if value < 1 / _LINK_MAX:
                 raise ValueError(f"{name} is below the smallest link length {1 / _LINK_MAX:g} m")
+        return self
 
     @cached_property
     def _f32(self) -> tuple[np.float32, np.float32, np.float32, np.float32]:
@@ -162,7 +144,7 @@ DEFAULT_GEOMETRY = DeviceGeometry()
 def _checked(cls, values):
     """The three ``values`` as a ``cls`` tuple; a value that is NaN,
     infinite or an int beyond the float range raises NonFiniteSignal naming
-    its field.  It is the ``__new__`` of every validated 3-vector;
+    its field.  ``_Finite.__new__`` checks through it;
     `forward_kinematics` and `inverse_kinematics` call it directly, which
     saves the class call, the argument unpacking and the ``__new__`` frame
     on each of their per-sample calls."""
@@ -176,22 +158,25 @@ def _checked(cls, values):
     raise _non_finite(self)
 
 
-class JointAngles(_Validated, namedtuple("JointAngles", "theta1 theta2 theta3")):
+class _Finite(Checked):
+    """Base of the validated 3-vectors: named tuples of finite values."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return _checked(cls, super().__new__(cls, *args, **kwargs))
+
+
+class JointAngles(_Finite, namedtuple("JointAngles", "theta1 theta2 theta3")):
     """Joint angles in rad: a named tuple of finite values."""
 
     __slots__ = ()
 
-    def __new__(cls, theta1, theta2, theta3):
-        return _checked(cls, (theta1, theta2, theta3))
 
-
-class CartesianPosition(_Validated, namedtuple("CartesianPosition", "x y z")):
+class CartesianPosition(_Finite, namedtuple("CartesianPosition", "x y z")):
     """Tool position in meters: a named tuple of finite values."""
 
     __slots__ = ()
-
-    def __new__(cls, x, y, z):
-        return _checked(cls, (x, y, z))
 
 
 def _exception(check, *args) -> SampleError:
@@ -264,22 +249,27 @@ def _oracle_jacobian(theta, g: DeviceGeometry) -> tuple:
     )
 
 
-@dataclass(frozen=True)
 class Oracle:
     """Double-precision reference backend.  Its formulas are its own, not the
     hybrid circuits: they associate differently, and the oracle trace digests
-    pin them."""
+    pin them.  It has no fields: all instances compute alike."""
 
     name = "oracle"
     _dtype = float
     run_block = _run_block
 
+    def __repr__(self) -> str:
+        return "Oracle()"
+
     def fk(self, theta, g: DeviceGeometry) -> tuple[float, float, float]:
         t1, t2, t3 = theta
         l1, l2, l3, l4 = g.l1, g.l2, g.l3, g.l4
-        s1, c1 = sin(t1), cos(t1)
-        s2, c2 = sin(t2), cos(t2)
-        s3, c3 = sin(t3), cos(t3)
+        try:
+            s1, c1 = sin(t1), cos(t1)
+            s2, c2 = sin(t2), cos(t2)
+            s3, c3 = sin(t3), cos(t3)
+        except OverflowError:  # an int beyond the float range
+            raise _non_finite(_tuple_new(JointAngles, theta)) from None
         x = -s1 * (l2 * s3 + l1 * c2)
         y = -l2 * c3 + l1 * s2 + l3
         z = l2 * c1 * s3 + l1 * c1 * c2 - l4
@@ -288,11 +278,16 @@ class Oracle:
     def ik(self, pos, g: DeviceGeometry) -> tuple[float, float, float]:
         x, y, z = pos
         l1, l2, l3, l4 = g.l1, g.l2, g.l3, g.l4
-        zz = z + l4
-        theta1 = -atan2(x, zz)
-        big_r = sqrt(x * x + zz * zz)
-        yy = y - l3
-        r_sq = x * x + zz * zz + yy * yy
+        try:
+            zz = z + l4
+            theta1 = -atan2(x, zz)
+            big_r = sqrt(x * x + zz * zz)
+            yy = y - l3
+            r_sq = x * x + zz * zz + yy * yy
+        except OverflowError:
+            # An int beyond the float range is no position; one whose square
+            # is (x = 10**200) reads as its float.
+            return self.ik(tuple(map(float, _checked(CartesianPosition, pos))), g)
         r = sqrt(r_sq)
         if r == 0.0:
             _reach(r)
@@ -318,13 +313,10 @@ class Oracle:
         return np.array(_oracle_jacobian(theta.T, g)).T, error
 
 
-@dataclass(frozen=True)
-class Hybrid:
+class Hybrid(Checked, namedtuple("Hybrid", "cordic")):
     """Float32 datapath with fixed-point CORDIC trigonometry, and the
     arithmetic policy its circuit functions run on: float32 constants and
     operators, a CORDIC TFB per trig function."""
-
-    cordic: CordicConfig = DEFAULT_CORDIC
 
     name = "hybrid"
     _dtype = np.float32
@@ -334,6 +326,9 @@ class Hybrid:
     const = staticmethod(lru_cache(maxsize=None)(np.float32))
     sqrt = staticmethod(sqrt32)
     reach = staticmethod(_reach)
+
+    def __new__(cls, cordic: CordicConfig = DEFAULT_CORDIC):
+        return tuple.__new__(cls, (check(cordic, CordicConfig, "cordic"),))
 
     # The TFBs are looked up as module names on every call: the benchmark's
     # traced run spans them there.
@@ -368,7 +363,7 @@ class Hybrid:
         for name, a in zip(("theta1", "theta2", "theta3"), theta):
             if not lo <= a <= hi:
                 raise SampleError(
-                    f"{name} = {a!r} rad is outside the range [{lo}, {hi}] of the "
+                    f"{name} = {int_text(a)} rad is outside the range [{lo}, {hi}] of the "
                     f"{self.cordic.fmt} sincos TFB"
                 )
 
@@ -387,7 +382,7 @@ class Hybrid:
             for name, v in zip("xyz", pos):
                 if not abs(v) <= _COORD_MAX:
                     raise Unreachable(
-                        f"{name} = {v!r} m is outside the input range of the hybrid "
+                        f"{name} = {int_text(v)} m is outside the input range of the hybrid "
                         f"datapath (|{name}| <= {_COORD_MAX:g} m)"
                     )
         # One cast; indexing the array yields float32 scalars.
@@ -407,13 +402,10 @@ class Hybrid:
         return np.array(out, float).T, error
 
 
-@dataclass(frozen=True)
-class _HybridColumns:
+class _HybridColumns(Hybrid):
     """The hybrid arithmetic policy over float32 columns, for the circuits
     that need only ``sincos``: the sincos TFB mapped over a column of angles.
     """
-
-    cordic: CordicConfig
 
     def sincos(self, angles: np.ndarray):
         # Looked up as a module name on every call, as in `Hybrid.sincos`.

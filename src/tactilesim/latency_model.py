@@ -37,6 +37,7 @@ from tactilesim.circuits import (
     _jacobian_circuit,
     _torque_circuit,
 )
+from tactilesim.inputs import Checked
 
 __all__ = [
     "CalibrationDegenerate",
@@ -213,19 +214,8 @@ class CalibrationDegenerate(ValueError):
     """Calibration is impossible (no targets, or graphs with no operators)."""
 
 
-class _Checked:
-    """Base of the validated named tuples: their ``_make`` (and ``_replace``,
-    which calls it) builds through the checking ``__new__``, not around it."""
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
 class OpLatencyTable(
-    _Checked,
+    Checked,
     namedtuple(
         "OpLatencyTable",
         "add mul div tfb_sincos tfb_atan2 tfb_acos sqrt f2fp fp2f negate",
@@ -261,7 +251,7 @@ class OpLatencyTable(
 OP_KINDS = OpLatencyTable._fields
 
 
-class DataflowGraph(_Checked, namedtuple("DataflowGraph", "name nodes edges inputs outputs")):
+class DataflowGraph(Checked, namedtuple("DataflowGraph", "name nodes edges inputs outputs")):
     """Operator DAG with designated input terminals and output nodes.
 
     ``nodes`` maps node id to operator kind, in a topological order (the

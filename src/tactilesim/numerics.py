@@ -11,10 +11,11 @@ them.  All other arithmetic in the surrounding circuits stays in 32-bit
 floats; see `tfb_sincos` and friends for the float32-facing composites.
 
 The kernels are integers plus tables, each built on first use per
-configuration and kept by the ``CordicConfig`` instance: sin/cos come from a
-first-quadrant ROM (`_sincos_rom`), the first-quadrant vectoring pairs
-`tfb_acos` feeds `cordic_atan2` from a unit-circle ROM (`_circle_rom`), and
-FP2F from one float32 table (`_fp2f_table`).  One int64 array kernel
+configuration and kept by the ``CordicConfig`` instance, a validated named
+tuple with a ``__dict__``: sin/cos come from a first-quadrant ROM
+(`_sincos_rom`), the first-quadrant vectoring pairs `tfb_acos` feeds
+`cordic_atan2` from a unit-circle ROM (`_circle_rom`), and FP2F from one
+float32 table (`_fp2f_table`).  One int64 array kernel
 (`_cordic_rows`) builds both ROMs, and both keep C ints.  The scalar kernels
 fold every operand into the first quadrant and unfold the result, so the
 ROMs hold that quadrant only; other atan2 operand pairs run the vectoring
@@ -34,13 +35,13 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from math import isfinite
 
 import numpy as np
 
-from tactilesim.inputs import check_fields
+from tactilesim.inputs import Checked, check
 
 __all__ = [
     "NegativeRadicand",
@@ -82,30 +83,31 @@ class NegativeRadicand(ValueError):
     """Square root requested for a negative operand."""
 
 
-def int_text(value: int) -> str:
-    """``value`` as an error message shows it: beyond 20 digits, their count."""
+def int_text(value) -> str:
+    """``value`` as an error message shows it: its repr, but an integer of
+    more than 20 digits as their count."""
+    if not isinstance(value, int):
+        return repr(value)
     digits = int(abs(value).bit_length() * math.log10(2))  # the count, or one less
     digits += abs(value) >= 10**digits
     sign = "a negative" if value < 0 else "an"
     return str(value) if digits <= 20 else f"{sign} integer of {digits} digits"
 
 
-@dataclass(frozen=True)
-class QFormat:
+class QFormat(Checked, namedtuple("QFormat", "total_bits frac_bits")):
     """Signed fixed-point format with ``total_bits`` bits, ``frac_bits`` of
     which are fractional (written ``s<total>.<frac>``, e.g. ``s16.13``)."""
 
-    total_bits: int
-    frac_bits: int
-
-    def __post_init__(self) -> None:
-        check_fields(self, total_bits=int, frac_bits=int)
-        if not 2 <= self.total_bits <= 64:
-            raise ValueError(f"total_bits must be in [2, 64], got {int_text(self.total_bits)}")
-        if not 0 <= self.frac_bits <= self.total_bits - 1:
+    def __new__(cls, total_bits: int, frac_bits: int):
+        total_bits = check(total_bits, int, "total_bits")
+        frac_bits = check(frac_bits, int, "frac_bits")
+        if not 2 <= total_bits <= 64:
+            raise ValueError(f"total_bits must be in [2, 64], got {int_text(total_bits)}")
+        if not 0 <= frac_bits <= total_bits - 1:
             raise ValueError(
-                f"frac_bits must be in [0, {self.total_bits - 1}], got {int_text(self.frac_bits)}"
+                f"frac_bits must be in [0, {total_bits - 1}], got {int_text(frac_bits)}"
             )
+        return tuple.__new__(cls, (total_bits, frac_bits))
 
     # Computed once per instance: the converter and the kernels read them per
     # scalar.
@@ -157,29 +159,25 @@ def _cordic_gain(iterations: int) -> float:
     return math.prod(1.0 / math.sqrt(1.0 + 2.0 ** (-2 * i)) for i in range(iterations))
 
 
-@dataclass(frozen=True)
-class CordicConfig:
+class CordicConfig(Checked, namedtuple("CordicConfig", "iterations fmt")):
     """Rotation count and operand format of the CORDIC datapath; the gain
     compensation follows from the rotation count.  The format must hold pi,
     the largest angle the kernels return, and have at most
     ``_ROM_MAX_FRAC_BITS`` fractional bits, the widest the sin/cos ROM
     covers."""
 
-    iterations: int = 16
-    fmt: QFormat = S16_13
-
-    def __post_init__(self) -> None:
-        check_fields(self, iterations=int, fmt=QFormat)
+    def __new__(cls, iterations: int = 16, fmt: QFormat = S16_13):
+        iterations = check(iterations, int, "iterations")
+        fmt = check(fmt, QFormat, "fmt")
         # Step i of the kernels adds the rounding offset 2**(i-1) to int64
         # values, which needs i <= 63.
-        if not 1 <= self.iterations <= 64:
-            raise ValueError(f"iterations must lie in [1, 64], got {int_text(self.iterations)}")
-        if self.fmt.raw_max < round(math.pi * self.fmt.scale):
-            raise ValueError(f"format {self.fmt} cannot hold pi (max {self.fmt.max_value})")
-        if self.fmt.frac_bits > _ROM_MAX_FRAC_BITS:
-            raise ValueError(
-                f"format {self.fmt} has more than {_ROM_MAX_FRAC_BITS} fractional bits"
-            )
+        if not 1 <= iterations <= 64:
+            raise ValueError(f"iterations must lie in [1, 64], got {int_text(iterations)}")
+        if fmt.raw_max < round(math.pi * fmt.scale):
+            raise ValueError(f"format {fmt} cannot hold pi (max {fmt.max_value})")
+        if fmt.frac_bits > _ROM_MAX_FRAC_BITS:
+            raise ValueError(f"format {fmt} has more than {_ROM_MAX_FRAC_BITS} fractional bits")
+        return tuple.__new__(cls, (iterations, fmt))
 
     # The kernels and the TFBs read these on every call; each is built on
     # first use and then kept by the instance.
@@ -229,9 +227,13 @@ DEFAULT_CORDIC = CordicConfig()
 
 def float_to_fixed(x: float, fmt: QFormat) -> int:
     """F2FP: the raw value of ``x`` in ``fmt``, rounded to nearest with ties
-    to even and saturated instead of overflowing.  NaN raises ValueError."""
+    to even and saturated instead of overflowing, as is an integer beyond
+    the float range.  NaN raises ValueError."""
     scale, raw_min, raw_max = fmt._f2fp
-    scaled = float(x) * scale
+    try:
+        scaled = float(x) * scale
+    except OverflowError:  # an int beyond the float range
+        return raw_max if x > 0 else raw_min
     # The bounds are integers, so a value at or past one rounds to at least
     # that bound; comparing first also saturates infinities, which round()
     # rejects.  NaN passes both tests and round() rejects it.
@@ -486,7 +488,11 @@ def sqrt32(x) -> np.float32:
     double-precision root rounded to float32: 53 >= 2 * 24 + 2 bits make the
     double rounding innocuous.
     """
-    xf = x if type(x) is _F32 else _F32(x)
+    try:
+        xf = x if type(x) is _F32 else _F32(x)
+    except OverflowError:  # an int beyond the float range
+        error = NegativeRadicand if x < 0 else ValueError
+        raise error(f"sqrt operand {int_text(x)} is beyond the float range") from None
     if xf < 0:
         raise NegativeRadicand(f"sqrt of negative value {x!r}")
     return np.sqrt(xf)
@@ -500,10 +506,15 @@ _F32_OVERFLOW = 2.0**128 - 2.0**103
 
 def _atan2_operand(v, name: str) -> float:
     """A double ``tfb_atan2`` operand as its float32 value, a double; one
-    the cast would carry to inf raises ValueError."""
-    if isfinite(v) and abs(v) >= _F32_OVERFLOW:
-        raise ValueError(f"tfb_atan2 operand {name} = {float(v)!r} is beyond the float32 range")
-    return float(_F32(v))
+    the cast would carry to inf, or an int beyond the float range, raises
+    ValueError."""
+    try:
+        if not (isfinite(v) and abs(v) >= _F32_OVERFLOW):
+            return float(_F32(v))
+        text = repr(float(v))
+    except OverflowError:  # an int beyond the float range
+        text = int_text(v)
+    raise ValueError(f"tfb_atan2 operand {name} = {text} is beyond the float32 range")
 
 
 def tfb_sincos(angle, cfg: CordicConfig = DEFAULT_CORDIC) -> tuple[np.float32, np.float32]:

@@ -8,7 +8,8 @@ The chain is feed-forward, so a run is one pass of stages over a table with
 one row per sample, a block of samples at a time, each stage over the whole
 block before the next (see ``run_pipeline``).  The table is one anonymous
 shared mapping, so ``TraceWriter`` can fork a formatter after the first
-block that writes the trace CSVs while the later blocks run.
+block that writes the trace CSVs while the later blocks run.  The run's
+configs and its ``SimulationTrace`` are validated named tuples.
 
 Validation methodology: when a shadow backend is requested, the driving
 backend computes the signal chain, and the shadow backend's modules are
@@ -27,7 +28,7 @@ import mmap
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import partial
 from typing import Callable, Sequence
 
@@ -45,7 +46,7 @@ from tactilesim.force import (
 # Not called here: the benchmark's traced run spans this module's
 # `feedback_force` and `kinesthetic_feedback`, so the names must exist.
 from tactilesim.force import feedback_force, kinesthetic_feedback  # noqa: F401
-from tactilesim.inputs import ScenarioError, check, check_fields, check_items
+from tactilesim.inputs import Checked, ScenarioError, check, check_items
 from tactilesim.kinematics import (
     CartesianPosition,
     DEFAULT_GEOMETRY,
@@ -83,58 +84,53 @@ class SeriesLengthMismatch(ValueError):
     """MSE requested for series of different lengths."""
 
 
-@dataclass(frozen=True)
-class TrajectorySegment:
+class TrajectorySegment(Checked, namedtuple("TrajectorySegment", "joint start end samples")):
     """Linear ramp of one joint from ``start`` to ``end`` over ``samples``
     samples (both endpoints included); the other joints hold."""
 
-    joint: int
-    start: float
-    end: float
-    samples: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_fields(self, joint=int, start=float, end=float, samples=int)
-        if self.joint not in (0, 1, 2):
-            raise ValueError(f"joint must be 0, 1 or 2, got {int_text(self.joint)}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be at least 1, got {int_text(self.samples)}")
+    def __new__(cls, joint: int, start: float, end: float, samples: int):
+        joint = check(joint, int, "joint")
+        start = check(start, float, "start")
+        end = check(end, float, "end")
+        samples = check(samples, int, "samples")
+        if joint not in (0, 1, 2):
+            raise ValueError(f"joint must be 0, 1 or 2, got {int_text(joint)}")
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {int_text(samples)}")
         # A non-finite ramp would fail the run only at its first sample.
-        if not math.isfinite(self.end - self.start):
-            raise ValueError(f"end - start must be finite ({self.end!r} - {self.start!r})")
+        if not math.isfinite(end - start):
+            raise ValueError(f"end - start must be finite ({end!r} - {start!r})")
+        return tuple.__new__(cls, (joint, start, end, samples))
 
 
-@dataclass(frozen=True)
-class TrajectorySpec:
+class TrajectorySpec(Checked, namedtuple("TrajectorySpec", "segments sample_period total_samples")):
     """Sequential piecewise-linear joint ramps sampled every ``sample_period``
-    seconds."""
+    seconds; ``total_samples`` defaults to the segments' sum."""
 
-    segments: tuple[TrajectorySegment, ...]
-    sample_period: float = 0.01
-    total_samples: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        segments = check_items(self.segments, TrajectorySegment, "segments")
+    def __new__(cls, segments, sample_period=0.01, total_samples=None):
+        segments = check_items(segments, TrajectorySegment, "segments")
         if not segments:
             raise ValueError("segments must hold at least one segment")
-        object.__setattr__(self, "segments", segments)
-        check_fields(self, sample_period=float)
-        if self.sample_period <= 0:
-            raise ValueError(f"sample_period must be positive, got {self.sample_period!r}")
+        sample_period = check(sample_period, float, "sample_period")
+        if sample_period <= 0:
+            raise ValueError(f"sample_period must be positive, got {sample_period!r}")
         total = sum(s.samples for s in segments)
-        if self.total_samples is None:
-            object.__setattr__(self, "total_samples", total)
-            return
-        check_fields(self, total_samples=int)
-        if self.total_samples != total:
-            raise ValueError(
-                f"total_samples is {int_text(self.total_samples)} "
-                f"but segments sum to {int_text(total)}"
-            )
+        if total_samples is not None:
+            total_samples = check(total_samples, int, "total_samples")
+            if total_samples != total:
+                raise ValueError(
+                    f"total_samples is {int_text(total_samples)} "
+                    f"but segments sum to {int_text(total)}"
+                )
+        return tuple.__new__(cls, (segments, sample_period, total))
 
     @property
     def q(self) -> int:
-        return int(self.total_samples)
+        return self.total_samples
 
 
 def _trajectory_table(spec: TrajectorySpec) -> np.ndarray:
@@ -165,32 +161,29 @@ def _trajectory_table(spec: TrajectorySpec) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(Checked, namedtuple("Scene", "elasticity normal offset")):
     """Environment model: the elasticity of the touched object and the plane
     {p : normal . p = offset} that bounds it, or no plane (``normal`` and
     ``offset`` None) for free space.  A plane's normal must have a finite
     nonzero norm and is kept scaled to unit length; its offset must be
     finite."""
 
-    elasticity: Elasticity
-    normal: tuple[float, float, float] | None = None
-    offset: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_fields(self, elasticity=Elasticity)
-        if self.normal is None and self.offset is None:
-            return
-        if self.normal is None or self.offset is None:
-            raise ValueError("a plane needs both a normal and an offset")
-        nvec = np.array(check_items(self.normal, float, "normal", 3))
-        # An infinite offset would never touch, a NaN one fail at sample 0.
-        check_fields(self, offset=float)
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(nvec))
-        if not (math.isfinite(norm) and norm > 0):
-            raise ValueError(f"plane normal must have a finite nonzero norm, got {norm!r}")
-        object.__setattr__(self, "normal", tuple((nvec / norm).tolist()))
+    def __new__(cls, elasticity, normal=None, offset=None):
+        elasticity = check(elasticity, Elasticity, "elasticity")
+        if normal is not None or offset is not None:
+            if normal is None or offset is None:
+                raise ValueError("a plane needs both a normal and an offset")
+            nvec = np.array(check_items(normal, float, "normal", 3))
+            # An infinite offset would never touch, a NaN one fail at sample 0.
+            offset = check(offset, float, "offset")
+            with np.errstate(over="ignore"):
+                norm = float(np.linalg.norm(nvec))
+            if not (math.isfinite(norm) and norm > 0):
+                raise ValueError(f"plane normal must have a finite nonzero norm, got {norm!r}")
+            normal = tuple((nvec / norm).tolist())
+        return tuple.__new__(cls, (elasticity, normal, offset))
 
     def object_positions(self, tools: np.ndarray) -> np.ndarray:
         """The nearest object point of each row of the (m, 3) array of tool
@@ -267,21 +260,23 @@ MODULE_OUTPUT_SIGNALS = tuple(
 )
 
 
-@dataclass
-class SimulationTrace:
+class SimulationTrace(
+    Checked,
+    namedtuple("SimulationTrace", "q sample_period driver shadow signals shadow_signals"),
+):
     """Per-sample record of every loop signal.
 
     ``signals`` holds the chain signals and the driving backend's module
     outputs; ``shadow_signals`` holds the other backend's module outputs,
-    evaluated on the same chain inputs (present only for dual-backend runs).
+    evaluated on the same chain inputs (present only for dual-backend runs;
+    None reads as a new empty mapping).
     """
 
-    q: int
-    sample_period: float
-    driver: str
-    shadow: str | None
-    signals: dict[str, np.ndarray]
-    shadow_signals: dict[str, np.ndarray] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, q, sample_period, driver, shadow, signals, shadow_signals=None):
+        shadow_signals = {} if shadow_signals is None else shadow_signals
+        return tuple.__new__(cls, (q, sample_period, driver, shadow, signals, shadow_signals))
 
     def view(self, backend: str) -> dict[str, np.ndarray]:
         """Full column set for one backend: chain signals plus that backend's
@@ -358,6 +353,9 @@ def run_pipeline(
     goes on.
     """
     fcs_pole = check_fcs_pole(fcs_pole, "fcs_pole")
+    # The trace keeps one set of module outputs per backend kind.
+    if shadow is not None and shadow.name == backend.name:
+        raise ValueError(f"shadow {shadow.name!r} is of the driving backend's kind")
     q_len = spec.q
     width = len(COLUMN_ORDER)
 

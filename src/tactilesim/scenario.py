@@ -6,8 +6,8 @@ Every error is a ScenarioError naming the field or the file."""
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import partial
 
 import yaml
@@ -29,24 +29,18 @@ SCHEMA_VERSION = 1
 SCENARIO_CORDIC_ITERATIONS = 10
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(
+    namedtuple(
+        "Scenario",
+        "trajectory geometry scene fc bc backends cordic fcs_pole seed output_dir "
+        "output_prefix budget_limits budget_t_hardware",
+    )
+):
     """Everything one run needs: trajectory, geometry, scene, channels,
-    backend selection, trig configuration, seed and output naming."""
+    backend selection, trig configuration, seed and output naming, each
+    checked by ``parse_scenario``."""
 
-    trajectory: TrajectorySpec
-    geometry: DeviceGeometry
-    scene: Scene
-    fc: ChannelConfig
-    bc: ChannelConfig
-    backends: tuple[str, ...]
-    cordic: CordicConfig
-    fcs_pole: float
-    seed: int
-    output_dir: str
-    output_prefix: str
-    budget_limits: tuple[float, ...]
-    budget_t_hardware: float
+    __slots__ = ()
 
     def backend_objects(self) -> tuple[Oracle | Hybrid, Hybrid | None]:
         """(driver, shadow): with both backends selected the oracle drives the

@@ -21,6 +21,16 @@ class TestConfig:
         cfg = ChannelConfig(noise_variance=1e-6)
         assert cfg.noise_variance == (1e-6, 1e-6, 1e-6)
 
+    @pytest.mark.parametrize("nv", [np.float32(1e-8), np.float64(1e-8), np.int64(2), 3])
+    def test_any_real_scalar_variance_broadcasts(self, nv):
+        # The broadcast takes what the field check takes: a float32 too.
+        cfg = ChannelConfig(noise_variance=nv)
+        assert cfg == ChannelConfig(noise_variance=[nv] * 3)
+        assert cfg.noise_variance == (nv, nv, nv)
+        bool_refused = r"^field 'noise_variance\[0\]' must be float, got bool"
+        with pytest.raises(ValueError, match=bool_refused):
+            ChannelConfig(noise_variance=True)
+
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             ChannelConfig(noise_variance=(-1e-6, 0, 0))
