@@ -22,8 +22,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from tactilesim.budget import BUDGET_LIMITS, hardware_time_limit, speedup_report
-from tactilesim.inputs import ScenarioError, check, check_limits, read_input
+from tactilesim.budget import BUDGET_LIMITS, check_limits, hardware_time_limit, speedup_report
+from tactilesim.inputs import ScenarioError, check, read_input
 
 if TYPE_CHECKING:
     import numpy as np

@@ -9,8 +9,11 @@ both backends run (``backend.run_block``); the Jacobian is a backend method,
 ``feedback_force_block`` and ``kinesthetic_feedback_block`` take arrays with
 one row per sample, and return the rows before the first failing row and
 that row's exception.  ``jacobian``, ``feedback_force`` and
-``kinesthetic_feedback`` are the block forms on one row of doubles; a
-failing row raises its exception.
+``kinesthetic_feedback`` are the block forms on one row of doubles, each
+operand checked on entry as its value type, as ``forward_kinematics`` does;
+a failing row raises its exception.  The block forms check their result
+rows, since finite float32 operands can overflow in J^T F and the spring
+law.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from tactilesim.kinematics import (
     ORACLE,
     Oracle,
     _Finite,
-    _non_finite,
+    _operand,
     _tuple_new,
 )
 
@@ -112,12 +115,8 @@ def jacobian(
 
 
 def _rows(values, vector) -> np.ndarray:
-    """One sample as a block of one row of doubles; an int beyond the float
-    range raises the NonFiniteSignal naming its field of ``vector``."""
-    try:
-        return np.array([values], float)
-    except OverflowError:
-        raise _non_finite(_tuple_new(vector, values)) from None
+    """One operand, checked as a ``vector``, as a one-row block of doubles."""
+    return np.array([_operand(vector, values)], float)
 
 
 def _row(block) -> list[float]:
@@ -140,7 +139,7 @@ def kinesthetic_feedback(
     products accumulate in a fixed order so results are bit-reproducible.
     """
     q, f = _rows(q, JointAngles), _rows(f, ForceVector)
-    return TorqueVector(*_row(kinesthetic_feedback_block(q, f, g, backend)))
+    return _tuple_new(TorqueVector, _row(kinesthetic_feedback_block(q, f, g, backend)))
 
 
 def feedback_force(
@@ -151,7 +150,7 @@ def feedback_force(
 ) -> ForceVector:
     """Spring-law contact force, per axis: h_i * (obj_i - env_i)."""
     obj, env = _rows(obj, CartesianPosition), _rows(env, CartesianPosition)
-    return ForceVector(*_row(feedback_force_block(obj, env, h, backend)))
+    return _tuple_new(ForceVector, _row(feedback_force_block(obj, env, h, backend)))
 
 
 def kinesthetic_feedback_block(

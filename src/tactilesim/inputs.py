@@ -1,8 +1,7 @@
 """Checked reading of what the library and the commands take: one error
 type naming the field or the file, the base of the validated named tuples
 (every config and value type), the field check their constructors and the
-scenario schema share, the reading of an input file and the check of a
-hardware time and its round-trip latency limits.
+scenario schema share, and the reading of an input file.
 
 The module imports no file format and no numpy, so a command loads only the
 parser it runs.
@@ -13,8 +12,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-
-from tactilesim.budget import hardware_time_limit
 
 
 class ScenarioError(ValueError):
@@ -74,24 +71,6 @@ def check_items(values, kind, name: str, length: int | None = None) -> tuple:
     if length is not None and len(values) != length:
         raise ScenarioError(f"field '{name}' must be a list of {length} numbers")
     return tuple(check(v, kind, f"{name}[{i}]") for i, v in enumerate(values))
-
-
-def check_limits(limits, t_hw: float, name: str, hardware: str) -> None:
-    """Each round-trip latency limit must be finite and nonnegative, and its
-    speedup ``hardware_time_limit(limit) / t_hw``, which the reports print as
-    an integer, must be finite.  The hardware time ``t_hw`` is judged first,
-    against the paper's 1 ms limit.  ``name`` is the field the limits came
-    from, ``hardware`` says where ``t_hw`` came from."""
-    if not (t_hw > 0 and math.isfinite(hardware_time_limit(1e-3) / t_hw)):
-        raise ScenarioError(f"{hardware} is too small for a finite speedup: {t_hw!r} s")
-    for i, lim in enumerate(limits):
-        if not (math.isfinite(lim) and lim >= 0):
-            raise ScenarioError(f"field '{name}[{i}]' must be finite and nonnegative, got {lim!r}")
-        if not math.isfinite(hardware_time_limit(lim) / t_hw):
-            raise ScenarioError(
-                f"field '{name}[{i}]' is too large for a finite speedup "
-                f"over t_hardware {t_hw!r} s: {lim!r} s"
-            )
 
 
 def read_input(path, parse, what: str, parse_errors: tuple = ()):

@@ -19,6 +19,13 @@ The hybrid modules are the circuit functions of ``tactilesim.circuits``
 an arithmetic policy: ``Hybrid`` itself is the policy that computes FK and
 IK, ``_HybridColumns`` the one that computes the Jacobian over float32
 columns.
+
+``forward_kinematics`` and ``inverse_kinematics`` check their operand on
+entry as its value type (``_operand``): a component that is no finite
+number raises NonFiniteSignal or ValueError naming its field.  So the
+backends see finite operands only, and for those return finite results,
+which go back unchecked; a finite operand out of a backend's range or reach
+raises that backend's SampleError.
 """
 
 from __future__ import annotations
@@ -84,7 +91,6 @@ _LINK_MAX = 2.0**16
 _COORD_MAX = 4 * _LINK_MAX
 
 _HALF_PI = math.pi / 2.0
-_FLOAT_MAX = float(np.finfo(float).max)
 
 # namedtuple's own idiom: the tuple constructor without the class lookup.
 _tuple_new = tuple.__new__
@@ -105,15 +111,6 @@ class Unreachable(SampleError):
 
 class NonFiniteSignal(SampleError):
     """A signal value is NaN, infinite or an int beyond the float range."""
-
-
-def _non_finite(value) -> NonFiniteSignal:
-    """The NonFiniteSignal naming the first field of the named tuple
-    ``value`` that is NaN, infinite or an int beyond the float range (one
-    must be)."""
-    for name, v in zip(value._fields, value):
-        if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
-            return NonFiniteSignal(f"{name} must be finite")
 
 
 class DeviceGeometry(Checked, namedtuple("DeviceGeometry", "l1 l2 l3 l4")):
@@ -141,21 +138,33 @@ class DeviceGeometry(Checked, namedtuple("DeviceGeometry", "l1 l2 l3 l4")):
 DEFAULT_GEOMETRY = DeviceGeometry()
 
 
-def _checked(cls, values):
-    """The three ``values`` as a ``cls`` tuple; a value that is NaN,
-    infinite or an int beyond the float range raises NonFiniteSignal naming
-    its field.  ``_Finite.__new__`` checks through it;
-    `forward_kinematics` and `inverse_kinematics` call it directly, which
-    saves the class call, the argument unpacking and the ``__new__`` frame
-    on each of their per-sample calls."""
-    self = _tuple_new(cls, values)
-    a, b, c = self
+def _refusal(cls, values) -> ValueError:
+    """The error refusing ``values`` as a ``cls``: a NonFiniteSignal naming
+    the first field that is NaN, infinite or an int beyond the float range,
+    or a ValueError naming the first that is no number, or the fields."""
+    for name, v in zip(cls._fields, values if hasattr(values, "__iter__") else ()):
+        try:
+            if isfinite(v):
+                continue
+        except (TypeError, ValueError):
+            return ValueError(f"{name} must be a number, got {type(v).__name__}")
+        except OverflowError:  # an int beyond the float range
+            pass
+        return NonFiniteSignal(f"{name} must be finite")
+    return ValueError(f"expected the three values {', '.join(cls._fields)}")
+
+
+def _operand(cls, values):
+    """``values`` as given if they are three finite numbers, else raises
+    their `_refusal` as a ``cls``.  The value types' ``__new__`` and the five
+    module calls check through it; it allocates nothing for a finite one."""
     try:
+        a, b, c = values
         if isfinite(a) and isfinite(b) and isfinite(c):
-            return self
-    except OverflowError:  # an int beyond the float range
+            return values
+    except (TypeError, ValueError, OverflowError):
         pass
-    raise _non_finite(self)
+    raise _refusal(cls, values)
 
 
 class _Finite(Checked):
@@ -164,7 +173,7 @@ class _Finite(Checked):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        return _checked(cls, super().__new__(cls, *args, **kwargs))
+        return _operand(cls, super().__new__(cls, *args, **kwargs))
 
 
 class JointAngles(_Finite, namedtuple("JointAngles", "theta1 theta2 theta3")):
@@ -179,15 +188,6 @@ class CartesianPosition(_Finite, namedtuple("CartesianPosition", "x y z")):
     __slots__ = ()
 
 
-def _exception(check, *args) -> SampleError:
-    """The SampleError that ``check(*args)`` raises for a failing row."""
-    try:
-        check(*args)
-    except SampleError as exc:
-        return exc
-    raise AssertionError(f"{check.__qualname__} accepted a row its block refused")
-
-
 def _valid_rows(vector, rows: np.ndarray, passes=None):
     """The rows of ``rows`` before the first one that fails the boolean
     array ``passes`` (by default: the non-finite one), and the exception
@@ -196,7 +196,11 @@ def _valid_rows(vector, rows: np.ndarray, passes=None):
     if ok.all():
         return rows, None
     k = int(ok.argmin())
-    return rows[:k], _exception(vector, *rows[k].tolist())
+    try:
+        vector(*rows[k].tolist())
+    except SampleError as exc:
+        return rows[:k], exc
+    raise AssertionError(f"{vector.__qualname__} accepted a row its block refused")
 
 
 def _run_block(self, circuit, vector, *operands):
@@ -264,12 +268,9 @@ class Oracle:
     def fk(self, theta, g: DeviceGeometry) -> tuple[float, float, float]:
         t1, t2, t3 = theta
         l1, l2, l3, l4 = g.l1, g.l2, g.l3, g.l4
-        try:
-            s1, c1 = sin(t1), cos(t1)
-            s2, c2 = sin(t2), cos(t2)
-            s3, c3 = sin(t3), cos(t3)
-        except OverflowError:  # an int beyond the float range
-            raise _non_finite(_tuple_new(JointAngles, theta)) from None
+        s1, c1 = sin(t1), cos(t1)
+        s2, c2 = sin(t2), cos(t2)
+        s3, c3 = sin(t3), cos(t3)
         x = -s1 * (l2 * s3 + l1 * c2)
         y = -l2 * c3 + l1 * s2 + l3
         z = l2 * c1 * s3 + l1 * c1 * c2 - l4
@@ -284,10 +285,8 @@ class Oracle:
             big_r = sqrt(x * x + zz * zz)
             yy = y - l3
             r_sq = x * x + zz * zz + yy * yy
-        except OverflowError:
-            # An int beyond the float range is no position; one whose square
-            # is (x = 10**200) reads as its float.
-            return self.ik(tuple(map(float, _checked(CartesianPosition, pos))), g)
+        except OverflowError:  # an int whose square is beyond the float range
+            return self.ik(tuple(map(float, pos)), g)
         r = sqrt(r_sq)
         if r == 0.0:
             _reach(r)
@@ -373,12 +372,7 @@ class Hybrid(Checked, namedtuple("Hybrid", "cordic")):
 
     def ik(self, pos, g: DeviceGeometry) -> tuple[float, float, float]:
         x, y, z = pos
-        # Written to refuse NaN too: a plain tuple reaches here unchecked.
-        if not (
-            -_COORD_MAX <= x <= _COORD_MAX
-            and -_COORD_MAX <= y <= _COORD_MAX
-            and -_COORD_MAX <= z <= _COORD_MAX
-        ):
+        if not (abs(x) <= _COORD_MAX and abs(y) <= _COORD_MAX and abs(z) <= _COORD_MAX):
             for name, v in zip("xyz", pos):
                 if not abs(v) <= _COORD_MAX:
                     raise Unreachable(
@@ -430,7 +424,7 @@ def forward_kinematics(
     y = -L2 cos(t3) + L1 sin(t2) + L3
     z =  L2 cos(t1) sin(t3) + L1 cos(t1) cos(t2) - L4
     """
-    return _checked(CartesianPosition, backend.fk(q, g))
+    return _tuple_new(CartesianPosition, backend.fk(_operand(JointAngles, q), g))
 
 
 def inverse_kinematics(
@@ -444,4 +438,4 @@ def inverse_kinematics(
     theta3 = theta2 + alpha - pi/2.  Raises ``Unreachable`` when the acos
     operands leave [-1, 1] by more than ``EPS_REACH``.
     """
-    return _checked(JointAngles, backend.ik(p, g))
+    return _tuple_new(JointAngles, backend.ik(_operand(CartesianPosition, p), g))

@@ -37,7 +37,7 @@ from tactilesim.circuits import (
     _jacobian_circuit,
     _torque_circuit,
 )
-from tactilesim.inputs import Checked
+from tactilesim.inputs import Checked, check
 
 __all__ = [
     "CalibrationDegenerate",
@@ -552,7 +552,8 @@ def calibrate(
     order: built on the first fit of those rows, kept across fits (at most
     `_MODEL_CACHE_SIZE` row sets), and given each fit's targets as its row
     bounds.  Each LP sets its costs and solves cold (see `linprog`).  A
-    target must lie below HiGHS's infinite bound of 1e20 ns.
+    target is read through ``inputs.check``, which names its module, and
+    must be positive and below HiGHS's infinite bound of 1e20 ns.
     """
     if graphs is None:
         graphs = builtin_graphs()
@@ -561,8 +562,9 @@ def calibrate(
     unknown = set(targets) - set(graphs)
     if unknown:
         raise CalibrationDegenerate(f"targets for unknown modules: {sorted(unknown)}")
+    targets = {name: check(value, float, name) for name, value in targets.items()}
     for name, value in targets.items():
-        if not (value > 0 and math.isfinite(value)):
+        if not value > 0:
             raise CalibrationDegenerate(f"target for {name} must be positive, got {value}")
         if value >= _HIGHS_INF:
             raise CalibrationDegenerate(

@@ -481,18 +481,32 @@ def cordic_atan2(y: int, x: int, cfg: CordicConfig = DEFAULT_CORDIC) -> int:
     return -angle if negative else angle
 
 
+# The smallest double the float32 cast rounds to inf: the maximum + ULP / 2.
+_F32_OVERFLOW = 2.0**128 - 2.0**103
+
+
+def _f32(v, name: str) -> np.float32:
+    """The number ``v``, the operand ``name`` of a float32 block, cast to
+    float32.  NaN and the infinities pass; a double the cast would carry to
+    inf, or an int beyond it, raises ValueError naming the operand."""
+    try:
+        if not (isfinite(v) and abs(v) >= _F32_OVERFLOW):
+            return _F32(v)
+        text = repr(float(v))
+    except OverflowError:  # an int beyond the float range
+        text = int_text(v)
+    raise ValueError(f"{name} = {text} is beyond the float32 range")
+
+
 def sqrt32(x) -> np.float32:
     """Correctly rounded single-precision square root.
 
     ``np.sqrt`` of a float32 is the IEEE 754 float32 root, which equals the
     double-precision root rounded to float32: 53 >= 2 * 24 + 2 bits make the
-    double rounding innocuous.
+    double rounding innocuous.  An operand beyond the float32 range raises
+    ValueError.
     """
-    try:
-        xf = x if type(x) is _F32 else _F32(x)
-    except OverflowError:  # an int beyond the float range
-        error = NegativeRadicand if x < 0 else ValueError
-        raise error(f"sqrt operand {int_text(x)} is beyond the float range") from None
+    xf = x if type(x) is _F32 else _f32(x, "sqrt32 operand x")
     if xf < 0:
         raise NegativeRadicand(f"sqrt of negative value {x!r}")
     return np.sqrt(xf)
@@ -500,21 +514,6 @@ def sqrt32(x) -> np.float32:
 
 _F32_ONE = _F32(1.0)
 _F32_MINUS_ONE = _F32(-1.0)
-# The smallest double the float32 cast rounds to inf: the maximum + ULP / 2.
-_F32_OVERFLOW = 2.0**128 - 2.0**103
-
-
-def _atan2_operand(v, name: str) -> float:
-    """A double ``tfb_atan2`` operand as its float32 value, a double; one
-    the cast would carry to inf, or an int beyond the float range, raises
-    ValueError."""
-    try:
-        if not (isfinite(v) and abs(v) >= _F32_OVERFLOW):
-            return float(_F32(v))
-        text = repr(float(v))
-    except OverflowError:  # an int beyond the float range
-        text = int_text(v)
-    raise ValueError(f"tfb_atan2 operand {name} = {text} is beyond the float32 range")
 
 
 def tfb_sincos(angle, cfg: CordicConfig = DEFAULT_CORDIC) -> tuple[np.float32, np.float32]:
@@ -557,8 +556,8 @@ def tfb_atan2(y, x, cfg: CordicConfig = DEFAULT_CORDIC) -> np.float32:
     A NaN or infinite operand has no direction and raises ValueError, and
     so does a double beyond the float32 range.
     """
-    yf = float(y) if type(y) is _F32 else _atan2_operand(y, "y")
-    xf = float(x) if type(x) is _F32 else _atan2_operand(x, "x")
+    yf = float(y if type(y) is _F32 else _f32(y, "tfb_atan2 operand y"))
+    xf = float(x if type(x) is _F32 else _f32(x, "tfb_atan2 operand x"))
     if not (isfinite(yf) and isfinite(xf)):
         bad = ", ".join(f"{n} = {v!r}" for n, v in (("y", yf), ("x", xf)) if not isfinite(v))
         raise ValueError(f"tfb_atan2 operands must be finite, got {bad}")

@@ -12,10 +12,10 @@ from functools import partial
 
 import yaml
 
-from tactilesim.budget import BUDGET_LIMITS, BUDGET_T_HARDWARE
+from tactilesim.budget import BUDGET_LIMITS, BUDGET_T_HARDWARE, check_limits
 from tactilesim.channel import ChannelConfig
 from tactilesim.force import Elasticity
-from tactilesim.inputs import ScenarioError, check, check_items, check_limits, read_input
+from tactilesim.inputs import ScenarioError, check, check_items, read_input
 from tactilesim.kinematics import DEFAULT_GEOMETRY, DeviceGeometry, Hybrid, Oracle
 from tactilesim.numerics import CordicConfig, QFormat, int_text
 from tactilesim.pipeline import Scene, TrajectorySegment, TrajectorySpec, check_fcs_pole

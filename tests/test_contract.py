@@ -4,7 +4,10 @@ Every value a field can take ends one of three ways: a run that writes its
 traces and a finite summary; one ``error:`` line naming the field, exit 1;
 or a runtime error naming the sample, exit 2.  In the library a config
 constructor refuses a value with a ValueError naming the field, and a run
-of accepted values ends in a finite trace or a SampleError.
+of accepted values ends in a finite trace or a SampleError.  A per-sample
+module call refuses an operand component that is no finite number with a
+ValueError whose message starts with the component's field name, and ends
+any other operand in a finite result or a SampleError.
 
 A value not of its field's kind is refused, never run: a bool is no
 number, an integer field takes only an integer, a float field a finite
@@ -15,8 +18,10 @@ import copy
 import io
 import json
 import math
+import numbers
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +33,26 @@ from hypothesis import strategies as st
 from conftest import field_name
 from tactilesim.channel import ChannelConfig
 from tactilesim.cli import main
-from tactilesim.force import Elasticity
-from tactilesim.kinematics import DEFAULT_GEOMETRY, DeviceGeometry, Hybrid, Oracle, SampleError
-from tactilesim.numerics import S16_13, CordicConfig, QFormat
+from tactilesim.force import (
+    Elasticity,
+    ForceVector,
+    feedback_force,
+    jacobian,
+    kinesthetic_feedback,
+)
+from tactilesim.kinematics import (
+    DEFAULT_GEOMETRY,
+    CartesianPosition,
+    DeviceGeometry,
+    Hybrid,
+    JointAngles,
+    NonFiniteSignal,
+    Oracle,
+    SampleError,
+    forward_kinematics,
+    inverse_kinematics,
+)
+from tactilesim.numerics import S16_13, CordicConfig, QFormat, sqrt32, tfb_atan2
 from tactilesim.pipeline import (
     COLUMN_ORDER,
     Scene,
@@ -291,3 +313,101 @@ SMALL_SCALARS = st.one_of(
 @given(target=st.sampled_from(TARGETS), value=SMALL_SCALARS)
 def test_constructor_field_arbitrary_scalars(target, value):
     check_constructor(*target, value)
+
+
+# The per-sample module calls: each takes a backend and its operands, each
+# given by its parameter name, its value type and a valid value.
+Q = (0.1, 0.2, 0.3)
+P = tuple(forward_kinematics(Q))
+MODULE_CALLS = {
+    "forward_kinematics": (
+        lambda b, q: forward_kinematics(q, backend=b), [("q", JointAngles, Q)]
+    ),
+    "inverse_kinematics": (
+        lambda b, p: inverse_kinematics(p, backend=b), [("p", CartesianPosition, P)]
+    ),
+    "jacobian": (lambda b, q: jacobian(q, backend=b), [("q", JointAngles, Q)]),
+    "kinesthetic_feedback": (
+        lambda b, q, f: kinesthetic_feedback(q, f, backend=b),
+        [("q", JointAngles, Q), ("f", ForceVector, (1.0, -2.0, 3.0))],
+    ),
+    "feedback_force": (
+        lambda b, obj, env: feedback_force(obj, env, ELASTICITY, backend=b),
+        [("obj", CartesianPosition, P), ("env", CartesianPosition, (0.0, -0.1, -0.05))],
+    ),
+}
+# (call, operand, component): each component of each operand.
+COMPONENTS = [
+    (name, i, j)
+    for name, (_, operands) in MODULE_CALLS.items()
+    for i in range(len(operands))
+    for j in range(3)
+]
+BACKENDS = [Oracle(), Hybrid(CordicConfig(10))]
+
+
+def finite_number(value) -> bool:
+    """Whether ``value`` is a number a float holds finitely (a bool too)."""
+    if not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+@pytest.mark.parametrize(
+    "name, operand, component",
+    COMPONENTS,
+    ids=[
+        f"{n}.{MODULE_CALLS[n][1][i][0]}.{MODULE_CALLS[n][1][i][1]._fields[j]}"
+        for n, i, j in COMPONENTS
+    ],
+)
+def test_module_operand_boundary_values(name, operand, component, backend):
+    call, operands = MODULE_CALLS[name]
+    field = operands[operand][1]._fields[component]
+    for value in BOUNDARY:
+        args = [list(base) for _, _, base in operands]
+        args[operand][component] = copy.deepcopy(value)
+        where = f"{name} {field} = {value!r} on {backend.name}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = call(backend, *args)
+            except ValueError as exc:
+                if finite_number(value):
+                    # The backend's own range or reach error, or a block
+                    # form's result check; never the operand's refusal.
+                    assert isinstance(exc, SampleError), (where, repr(exc))
+                    assert not str(exc).startswith(f"{field} must"), (where, str(exc))
+                else:
+                    assert str(exc).startswith(f"{field} must be "), (where, str(exc))
+                    if isinstance(value, numbers.Real):
+                        assert isinstance(exc, NonFiniteSignal), where
+                        assert str(exc) == f"{field} must be finite", where
+                continue
+        assert finite_number(value), f"{where} accepted"
+        assert all(map(math.isfinite, result)), (where, result)
+
+
+@pytest.mark.parametrize(
+    "value", [1e39, -1e39, 10**400, -(10**400)], ids=["1e39", "-1e39", "1e400", "-1e400"]
+)
+@pytest.mark.parametrize(
+    "call, operand",
+    [
+        (sqrt32, "sqrt32 operand x"),
+        (lambda v: tfb_atan2(v, 1.0), "tfb_atan2 operand y"),
+        (lambda v: tfb_atan2(1.0, v), "tfb_atan2 operand x"),
+    ],
+    ids=["sqrt32", "tfb_atan2.y", "tfb_atan2.x"],
+)
+def test_float32_operand_beyond_its_range(call, operand, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            call(value)
+    assert err.type is ValueError
+    assert re.fullmatch(f"{operand} = .* is beyond the float32 range", str(err.value))

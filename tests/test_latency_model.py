@@ -457,6 +457,26 @@ class TestCalibration:
         with pytest.raises(CalibrationDegenerate):
             calibrate({"FK": 0.0})
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (True, "field 'FK' must be float, got bool"),
+            ("47", "field 'FK' must be float, got str"),
+            (None, "field 'FK' must be float, got NoneType"),
+            (10**400, "field 'FK' is an integer beyond the float range"),
+            (math.nan, "field 'FK' must be finite, got nan"),
+            (math.inf, "field 'FK' must be finite, got inf"),
+        ],
+        ids=["bool", "str", "None", "int-1e400", "nan", "inf"],
+    )
+    def test_target_must_be_a_finite_number(self, bad, message):
+        with pytest.raises(ValueError) as err:
+            calibrate({"IK": 218.0, "FK": bad})
+        assert str(err.value) == message
+
+    def test_integer_target_fits_as_its_float(self):
+        assert calibrate({"FK": 47}) == calibrate({"FK": 47.0})
+
     def test_unknown_module_rejected(self):
         with pytest.raises(CalibrationDegenerate):
             calibrate({"DMA": 10.0})

@@ -264,6 +264,25 @@ class TestBudget:
         with pytest.raises(ValueError):
             speedup_report(0.0, [1e-3])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [math.nan, math.inf, True, "1e-3", None, 10**400],
+        ids=["nan", "inf", "bool", "str", "None", "int-1e400"],
+    )
+    def test_latency_must_be_a_finite_number(self, bad):
+        with pytest.raises(ValueError, match="^field 't_latency' "):
+            hardware_time_limit(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3, True, "1e-3", 1e308])
+    def test_speedup_refuses_a_limit_it_cannot_report(self, bad):
+        with pytest.raises(ValueError, match=r"^field 'limits\[1\]' "):
+            speedup_report(1e-7, [1e-3, bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True, "4e-7", 1e-320])
+    def test_speedup_refuses_a_hardware_time_it_cannot_divide_by(self, bad):
+        with pytest.raises(ValueError, match="^(field 't_hardware' |t_hardware is too small)"):
+            speedup_report(bad, [1e-3])
+
 
 class TestMse:
     def test_identical_series(self):
